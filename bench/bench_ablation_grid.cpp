@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
       if (filtered.size() >= 3) probe_sets.push_back(std::move(filtered));
     }
     const auto start = std::chrono::steady_clock::now();
-    for (const auto& set : probe_sets) (void)css.select(set);
+    CorrelationWorkspace ws;
+    for (const auto& set : probe_sets) (void)css.select(set, ws);
     const auto elapsed = std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - start)
                              .count() /

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
 
   const PatternTable table = bench::standard_pattern_table(fidelity);
   const CompressiveSectorSelector css(table);
+  CorrelationWorkspace ws;
   RandomSubsetPolicy policy;
   Rng rng(11001);
 
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
     const auto subset = policy.choose(talon_tx_sector_ids(), 14, rng);
     const SweepOutcome sweep =
         link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset));
-    const CssResult result = css.select(sweep.measurement.readings);
+    const CssResult result = css.select(sweep.measurement.readings, ws);
     if (!result.valid || !result.estimated_direction) continue;
     const double sector_snr =
         link.true_snr_db(*lab.dut, result.sector_id, *lab.peer, kRxQuasiOmniSectorId);

@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
         MutualCoupling(geometry, MutualCouplingConfig{}));
     const PatternTable table = quick_table(source, report_offset);
     const CompressiveSectorSelector css(table);
+    CssSelector selector(css);
     const auto ids = table.ids();
 
     RunningStats ssw_loss;
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
                                                         std::min<int>(14, all.size()));
       std::vector<SectorReading> probes;
       for (int p : picks) probes.push_back(all[static_cast<std::size_t>(p)]);
-      const CssResult result = css.select(probes, ids);
+      const CssResult result = selector.select(probes, ids);
       if (result.valid) {
         css_loss.add(optimal - source.gain_dbi(result.sector_id, truth));
       }

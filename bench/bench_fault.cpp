@@ -12,7 +12,7 @@
 #include "bench/common.hpp"
 #include "src/antenna/codebook.hpp"
 #include "src/common/csv.hpp"
-#include "src/driver/css_daemon.hpp"
+#include "src/driver/link_session.hpp"
 #include "src/mac/schedule.hpp"
 #include "src/sim/scenario.hpp"
 
@@ -33,7 +33,7 @@ struct ArmResult {
 };
 
 /// One deterministic campaign: drive `rounds_per_pose` training rounds at
-/// each head azimuth through a fresh scenario + daemon and average the
+/// each head azimuth through a fresh link session and average the
 /// true-SNR loss of the installed sector against the per-pose optimum.
 ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
                   const PatternTable& table,
@@ -65,6 +65,10 @@ ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
       break;
   }
 
+  const CssConfig css;
+  const auto assets =
+      PatternAssetsRegistry::global().get_or_create(table, css.search_grid, css.domain);
+
   // Each pose is an independent training episode (the campaigns, like the
   // paper's, re-train the link after every head move): a fresh session per
   // pose, with the previous episode's override cleared.
@@ -80,19 +84,19 @@ ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
                                              kRxQuasiOmniSectorId));
     }
     if (driver.sector_forced()) driver.clear_forced_sector();
-    CssDaemon daemon(driver, table, config, Rng(500 + episode++));
+    LinkSession session(driver, assets, config, Rng(500 + episode++));
 
     // The full-sweep arm needs one throwaway round to trip the fallback;
     // exclude it from the average so the arm is pure SSW.
     if (arm == Arm::kFullSweep) {
       link.transmit_sweep(*venue.dut, *venue.peer,
-                          probing_burst_schedule(daemon.next_probe_subset()));
-      daemon.process_sweep();
+                          probing_burst_schedule(session.next_probe_subset()));
+      session.process_sweep();
     }
     for (int r = 0; r < rounds_per_pose; ++r) {
       link.transmit_sweep(*venue.dut, *venue.peer,
-                          probing_burst_schedule(daemon.next_probe_subset()));
-      daemon.process_sweep();
+                          probing_burst_schedule(session.next_probe_subset()));
+      session.process_sweep();
       // The beam the peer steers the DUT to: the standing override, or the
       // firmware's stock argmax when the session withheld every install.
       // Dead rounds (everything lost) keep the previous beam, exactly like
@@ -103,8 +107,8 @@ ArmResult run_arm(Arm arm, double loss_rate, std::size_t probes,
                                           kRxQuasiOmniSectorId);
       ++samples;
     }
-    out.full_sweep_rounds += daemon.total_degradation_stats().full_sweep_rounds;
-    out.probes_lost += daemon.total_fault_stats().probes_lost;
+    out.full_sweep_rounds += session.degradation_stats().full_sweep_rounds;
+    out.probes_lost += session.fault_stats().probes_lost;
   }
   out.mean_loss_db = loss_sum / static_cast<double>(samples);
   return out;

@@ -44,13 +44,31 @@ std::vector<SectorReading> make_probes(std::size_t m, std::uint64_t seed) {
 }
 
 void BM_CssSelect(benchmark::State& state) {
+  // One selection with a warm caller-owned workspace (the LinkSession
+  // steady state): probe collection, the branch-and-bound walk and the
+  // Eq. 4 sector mapping.
   const CompressiveSectorSelector css(shared_table());
   const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 7);
+  CorrelationWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes));
+    benchmark::DoNotOptimize(css.select(probes, ws));
   }
 }
 BENCHMARK(BM_CssSelect)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
+
+void BM_CssSelectConfidence(benchmark::State& state) {
+  // BM_CssSelect in degradation mode: the walk's rival pass adds the
+  // peak-to-second-peak confidence.
+  CssConfig config;
+  config.compute_confidence = true;
+  const CompressiveSectorSelector css(shared_table(), config);
+  const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 7);
+  CorrelationWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(css.select(probes, ws));
+  }
+}
+BENCHMARK(BM_CssSelectConfidence)->Arg(14);
 
 void BM_CssSelectGridResolution(benchmark::State& state) {
   // Cost vs search-grid resolution (azimuth step in tenths of a degree).
@@ -59,8 +77,9 @@ void BM_CssSelectGridResolution(benchmark::State& state) {
   config.search_grid.azimuth = make_axis(-90.0, 90.0, step);
   const CompressiveSectorSelector css(shared_table(), config);
   const auto probes = make_probes(14, 11);
+  CorrelationWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes));
+    benchmark::DoNotOptimize(css.select(probes, ws));
   }
 }
 BENCHMARK(BM_CssSelectGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);
@@ -160,33 +179,6 @@ void BM_CorrelationSurface(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorrelationSurface)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
-
-void BM_CorrelationSurfaceBatch(benchmark::State& state) {
-  // A replay-engine panel: B sweeps over the same probing subset, evaluated
-  // in one blocked pass. items/s is surfaces per second; compare against
-  // BM_CorrelationSurface at the same probe count for the batching gain.
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  Scenario lab = make_lab_scenario(bench::kDutSeed);
-  lab.set_head(20.0, 0.0);
-  RandomSubsetPolicy policy;
-  Rng rng(31);
-  const auto subset = policy.choose(talon_tx_sector_ids(), 14, rng);
-  std::vector<std::vector<SectorReading>> panel;
-  for (std::size_t b = 0; b < static_cast<std::size_t>(state.range(0)); ++b) {
-    LinkSimulator link = lab.make_link(Rng(substream_seed(31, 9, b)));
-    panel.push_back(
-        link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset))
-            .measurement.readings);
-  }
-  const std::vector<std::span<const SectorReading>> spans(panel.begin(), panel.end());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.combined_surface_batch(spans));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CorrelationSurfaceBatch)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_MatchingPursuit(benchmark::State& state) {
   // Cost per pursuit call; the grid scan dominates, so ns/iteration is

@@ -1,11 +1,11 @@
 // Replay-engine benchmark: wall-clock of the Fig. 7/8/9 offline analyses
-// under the executor and the batched Eq. 5 kernel.
+// under the parallel executor, each cell's sweeps resolved in one batched
+// branch-and-bound walk.
 //
 // Runs one conference-room recording, then replays the estimation-error
-// and selection-quality analyses in several modes -- scalar serial (the
-// pre-engine baseline shape), batched serial, and batched parallel at 2/4/8
-// threads plus the resolved --threads -- and verifies that every mode
-// produces bit-identical rows. The timings feed BENCH_replay.json.
+// and selection-quality analyses serially and at 2/4/8 threads plus the
+// resolved --threads, and verifies that every mode produces bit-identical
+// rows. The timings feed BENCH_replay.json.
 #include <chrono>
 #include <cstdio>
 
@@ -56,7 +56,7 @@ bool rows_identical(const ModeResult& a, const ModeResult& b) {
 
 int main(int argc, char** argv) {
   const auto run = bench::run_options_from_args(argc, argv);
-  bench::print_header("Replay engine: batched kernel + parallel executor",
+  bench::print_header("Replay engine: batched walk + parallel executor",
                       "Figs. 7-9 replay wall-clock", run.fidelity);
 
   const PatternTable table = bench::standard_pattern_table(run.fidelity);
@@ -80,21 +80,19 @@ int main(int argc, char** argv) {
     ReplayOptions options;
   };
   std::vector<Mode> modes{
-      {"scalar  serial", ReplayOptions{.threads = 1, .batch = false}},
-      {"batched serial", ReplayOptions{.threads = 1, .batch = true}},
-      {"batched 2 thr ", ReplayOptions{.threads = 2, .batch = true}},
-      {"batched 4 thr ", ReplayOptions{.threads = 4, .batch = true}},
-      {"batched 8 thr ", ReplayOptions{.threads = 8, .batch = true}},
+      {"serial          ", ReplayOptions{.threads = 1}},
+      {"2 threads       ", ReplayOptions{.threads = 2}},
+      {"4 threads       ", ReplayOptions{.threads = 4}},
+      {"8 threads       ", ReplayOptions{.threads = 8}},
   };
   if (run.threads > 1 && run.threads != 2 && run.threads != 4 && run.threads != 8) {
-    modes.push_back(Mode{"batched --threads",
-                         ReplayOptions{.threads = run.threads, .batch = true}});
+    modes.push_back(Mode{"--threads       ", ReplayOptions{.threads = run.threads}});
   }
 
   std::printf("%zu records, %zu poses x %zu probe counts; per-mode wall-clock:\n\n",
               records.size(), rec.head_azimuths_deg.size(), probe_counts.size());
-  std::printf("mode            | total [s] | speedup vs scalar serial\n");
-  std::printf("----------------+-----------+-------------------------\n");
+  std::printf("mode             | total [s] | speedup vs serial\n");
+  std::printf("-----------------+-----------+------------------\n");
 
   std::vector<ModeResult> results(modes.size());
   for (std::size_t i = 0; i < modes.size(); ++i) {

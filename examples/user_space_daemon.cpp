@@ -40,7 +40,11 @@ int main() {
               driver.firmware_version().c_str());
   CssDaemonConfig daemon_config;
   daemon_config.adaptive = true;
-  CssDaemon daemon(driver, table, daemon_config, Rng(63));
+  const CssConfig css;
+  CssDaemon daemon(
+      PatternAssetsRegistry::global().get_or_create(table, css.search_grid, css.domain),
+      daemon_config);
+  LinkSession& session = daemon.add_link(0, driver, Rng(63));
 
   std::printf("\nround | probes | blockage | selected | est az | true SNR [dB]\n");
   std::printf("------+--------+----------+----------+--------+---------------\n");
@@ -49,9 +53,9 @@ int main() {
     const bool blocked = round >= 8 && round < 16;
     env->set_los_blockage_db(blocked ? 25.0 : 0.0);
 
-    const auto subset = daemon.next_probe_subset();
+    const auto subset = session.next_probe_subset();
     link.transmit_sweep(*room.dut, *room.peer, probing_burst_schedule(subset));
-    const auto result = daemon.process_sweep();
+    const auto result = session.process_sweep();
 
     if (result) {
       const double snr = link.true_snr_db(*room.dut, result->sector_id, *room.peer,
@@ -70,6 +74,6 @@ int main() {
       "\nduring the blockage the selections move to a reflected-path sector\n"
       "(estimate off boresight, lower but usable SNR); after it clears they\n"
       "return to the direct beam. %zu rounds processed.\n",
-      daemon.rounds());
+      session.rounds());
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/angles.hpp"
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
 #include "src/core/tile_dots.hpp"
@@ -16,14 +17,6 @@ namespace {
 
 constexpr std::size_t kTile = SubsetPanel::kTilePoints;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Probe counts at or below this are eligible for combined_surface's
-/// non-tiled direct walk through the full response matrix -- taken only
-/// while the subset looks one-shot (no cached panel yet, see
-/// ResponseMatrix::panel_if_warm): at tiny M a panel build costs more
-/// than the single walk it would replace, but once a subset repeats the
-/// compacted panel's streaming reads win, so it gets built then.
-constexpr std::size_t kDirectSurfaceMaxM = 8;
 
 double to_domain(double db_value, CorrelationDomain domain) {
   return domain == CorrelationDomain::kLinear ? db_to_linear(db_value) : db_value;
@@ -214,50 +207,7 @@ Grid2D CorrelationEngine::combined_surface(
   Grid2D out(matrix_.grid());
   std::vector<double>& w = out.values();
 
-  // Small-M one-shot fast path: on the first sighting of a subset,
-  // walking the full response matrix rows directly beats building a
-  // panel this call might use once (the build itself walks the whole
-  // matrix). Once the subset repeats -- panel_if_warm promotes it on the
-  // second sighting -- the compacted tile walk below wins: it streams
-  // M*8 bytes per point through the SIMD kernel instead of gathering
-  // from the full sector row. Both paths are bit-identical: per point,
-  // the dots, the norm and the epilogue all accumulate in the same
-  // ascending sequence order (the panel's values and norms are built in
-  // exactly this order).
-  std::shared_ptr<const SubsetPanel> panel =
-      probes.slots.size() <= kDirectSurfaceMaxM
-          ? matrix_.panel_if_warm(probes.slots)
-          : matrix_.panel(probes.slots);
-  if (panel == nullptr && probes.slots.size() <= kDirectSurfaceMaxM) {
-    const std::size_t m_count = probes.slots.size();
-    const int* slots = probes.slots.data();
-    const double* ps = probes.snr.data();
-    const double* pr = probes.rssi.data();
-    const std::size_t points = matrix_.points();
-    for (std::size_t g = 0; g < points; ++g) {
-      const std::span<const double> row = matrix_.point(g);
-      double ds = 0.0;
-      double dr = 0.0;
-      double x_norm_sq = 0.0;
-      for (std::size_t m = 0; m < m_count; ++m) {
-        const double x = row[static_cast<std::size_t>(slots[m])];
-        ds += ps[m] * x;
-        dr += pr[m] * x;
-        x_norm_sq += x * x;
-      }
-      if (x_norm_sq <= 0.0) {
-        w[g] = 0.0;
-        continue;
-      }
-      const double x_norm = std::sqrt(x_norm_sq);
-      const double cs = ds / (snr_norm * x_norm);
-      const double cr = dr / (rssi_norm * x_norm);
-      w[g] = (cs * cs) * (cr * cr);
-    }
-    return out;
-  }
-
-  if (panel == nullptr) panel = matrix_.panel(probes.slots);
+  const std::shared_ptr<const SubsetPanel> panel = matrix_.panel(probes.slots);
   const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
 
@@ -285,255 +235,152 @@ Grid2D CorrelationEngine::combined_surface(
   return out;
 }
 
-const SubsetPanel& CorrelationEngine::resolve_panel(CorrelationWorkspace& ws) const {
-  if (!ws.panel_ || ws.panel_->slots != ws.probes_.slots) {
-    ws.panel_ = matrix_.panel(ws.probes_.slots);
+const SubsetPanel& CorrelationEngine::resolve_panel(const std::vector<int>& slots,
+                                                     CorrelationWorkspace& ws) const {
+  if (!ws.panel_ || ws.panel_->slots != slots) {
+    ws.panel_ = matrix_.panel(slots);
     ++ws.growth_events_;  // subset switch: cold path by definition
   }
   return *ws.panel_;
 }
 
 CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
-    std::span<const SectorReading> readings, CorrelationWorkspace& ws) const {
-  const std::size_t caps_before = ws.probes_.slots.capacity() +
-                                  ws.probes_.snr.capacity() +
-                                  ws.probes_.rssi.capacity();
-  collect_probes_into(readings, true, true, ws.probes_);
-  if (ws.probes_.slots.capacity() + ws.probes_.snr.capacity() +
-          ws.probes_.rssi.capacity() !=
-      caps_before) {
-    ++ws.growth_events_;
-  }
-  TALON_EXPECTS(ws.probes_.slots.size() >= 2);
-
-  double snr_norm_sq = 0.0;
-  for (double v : ws.probes_.snr) snr_norm_sq += v * v;
-  TALON_EXPECTS(snr_norm_sq > 0.0);
-  const double snr_norm = std::sqrt(snr_norm_sq);
-
-  double rssi_norm_sq = 0.0;
-  for (double v : ws.probes_.rssi) rssi_norm_sq += v * v;
-  TALON_EXPECTS(rssi_norm_sq > 0.0);
-  const double rssi_norm = std::sqrt(rssi_norm_sq);
-
-  const SubsetPanel& pan = resolve_panel(ws);
-  const std::size_t m_count = pan.m();
-  const double* ps = ws.probes_.snr.data();
-  const double* pr = ws.probes_.rssi.data();
-  const double* norms = pan.norms_sq.data();
-  const double inv_snr_norm = 1.0 / snr_norm;
-  const double inv_rssi_norm = 1.0 / rssi_norm;
-
-  // Probe magnitudes once per call; every screen below dots them against
-  // the panel's int16 screening sidecar.
-  ws.ensure_size(ws.abs_snr_, m_count);
-  ws.ensure_size(ws.abs_rssi_, m_count);
-  for (std::size_t m = 0; m < m_count; ++m) {
-    ws.abs_snr_[m] = std::abs(ps[m]);
-    ws.abs_rssi_[m] = std::abs(pr[m]);
-  }
-  const double* abs_ps = ws.abs_snr_.data();
-  const double* abs_pr = ws.abs_rssi_.data();
-
-  // Level 1: bound every coarse tile and order them best-bound-first, so
-  // the running best is (almost always) the true peak after the first
-  // tile and everything else prunes.
-  const std::size_t nc = pan.coarse_tiles;
-  ws.ensure_size(ws.coarse_bound_, nc);
-  ws.ensure_size(ws.coarse_order_, nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    ws.coarse_bound_[c] =
-        detail::screen_tile_q(abs_ps, abs_pr, pan.coarse_q.data() + c * m_count,
-                              pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c],
-                              m_count, inv_snr_norm, inv_rssi_norm)
-            .bound;
-    ws.coarse_order_[c] = static_cast<std::uint32_t>(c);
-  }
-  std::sort(ws.coarse_order_.begin(), ws.coarse_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (ws.coarse_bound_[a] != ws.coarse_bound_[b]) {
-                return ws.coarse_bound_[a] > ws.coarse_bound_[b];
-              }
-              return a < b;
-            });
-
-  // The skip rules below are exact, not heuristic: a tile is skipped only
-  // when its bound proves no point in it can beat `best` -- including the
-  // lowest-index tie rule Grid2D::peak applies -- so the result matches
-  // the full-surface argmax bit for bit.
-  double best = -1.0;  // below any W; the first visited tile always evaluates
-  std::size_t best_g = 0;
-  double dsg[kTile];
-
-  for (const std::uint32_t c : ws.coarse_order_) {
-    const double cb = ws.coarse_bound_[c];
-    if (cb < best) break;  // ordered: every later coarse bound is lower
-    const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
-    if (cb == best && t0 * kTile > best_g) continue;  // could only tie at higher g
-    const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse, pan.fine_tiles);
-    const std::size_t nf = t1 - t0;
-
-    // Level 2: rebound the coarse tile's fine tiles and visit those
-    // best-first too.
-    detail::TileScreen screens[SubsetPanel::kFinePerCoarse];
-    std::size_t order[SubsetPanel::kFinePerCoarse];
-    for (std::size_t k = 0; k < nf; ++k) {
-      const std::size_t t = t0 + k;
-      screens[k] = detail::screen_tile_q(
-          abs_ps, abs_pr, pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
-          pan.fine_sqrt_min_norm[t], m_count, inv_snr_norm, inv_rssi_norm);
-      order[k] = k;
-    }
-    for (std::size_t k = 1; k < nf; ++k) {  // insertion sort: nf <= 8
-      const std::size_t v = order[k];
-      std::size_t j = k;
-      while (j > 0 && screens[order[j - 1]].bound < screens[v].bound) {
-        order[j] = order[j - 1];
-        --j;
-      }
-      order[j] = v;
-    }
-
-    for (std::size_t k = 0; k < nf; ++k) {
-      const detail::TileScreen& s = screens[order[k]];
-      if (s.bound < best) break;
-      const std::size_t t = t0 + order[k];
-      const std::size_t g0 = t * kTile;
-      if (s.bound == best && g0 > best_g) continue;
-      const std::size_t count = std::min(kTile, pan.points - g0);
-      const double* block = pan.tile_values(t);
-
-      // Dense SNR dots for the whole tile (the padded tail just computes
-      // zeros that `count` discards).
-      tile_dots(block, ps, nullptr, m_count, dsg, nullptr);
-
-      for (std::size_t gi = 0; gi < count; ++gi) {
-        const std::size_t g = g0 + gi;
-        const double n = norms[g];
-        double w = 0.0;
-        if (n > 0.0) {
-          // Multiply-only per-point screen (same slack argument as the
-          // tile bound): only survivors pay the RSSI dot, the sqrt and
-          // the divisions.
-          const double cs_scr = dsg[gi] * s.rs;
-          const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
-          if (scr < best || (scr == best && g > best_g)) continue;
-          double dr = 0.0;
-          const double* col = block + gi;
-          for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
-          const double x_norm = std::sqrt(n);
-          const double cs = dsg[gi] / (snr_norm * x_norm);
-          const double cr = dr / (rssi_norm * x_norm);
-          w = (cs * cs) * (cr * cr);
-        }
-        if (w > best || (w == best && g < best_g)) {
-          best = w;
-          best_g = g;
-        }
-      }
-    }
-  }
-
-  ArgmaxResult result{best_g, best, matrix_.directions()[best_g]};
-#ifndef NDEBUG
-  {
-    // The whole point of the bound algebra above is that pruning changes
-    // nothing; verify against the reference surface when asserts are on.
-    const Grid2D reference = combined_surface(readings);
-    const std::vector<double>& rv = reference.values();
-    const auto it = std::max_element(rv.begin(), rv.end());
-    assert(static_cast<std::size_t>(it - rv.begin()) == result.index);
-    assert(*it == result.value);
-  }
-#endif
-  return result;
+    std::span<const SectorReading> readings, CorrelationWorkspace& ws,
+    std::optional<double> rival_exclusion_deg) const {
+  ArgmaxResult out;
+  combined_argmax_batch({&readings, 1}, {&out, 1}, ws, rival_exclusion_deg);
+  return out;
 }
 
-CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
-    std::span<const SectorReading> readings) const {
-  CorrelationWorkspace ws;
-  return combined_argmax(readings, ws);
+void CorrelationEngine::combined_argmax_batch(
+    std::span<const std::span<const SectorReading>> sweeps,
+    std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
+    std::optional<double> rival_exclusion_deg) const {
+  TALON_EXPECTS(out.size() == sweeps.size());
+  const std::size_t n = sweeps.size();
+  if (n == 0) return;
+
+  // Per-sweep probe vectors into reusable slots (only ever grown).
+  if (ws.probes_.size() < n) {
+    ws.probes_.resize(n);
+    ++ws.growth_events_;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ProbeVectors& p = ws.probes_[i];
+    const std::size_t caps_before =
+        p.slots.capacity() + p.snr.capacity() + p.rssi.capacity();
+    collect_probes_into(sweeps[i], true, true, p);
+    if (p.slots.capacity() + p.snr.capacity() + p.rssi.capacity() != caps_before) {
+      ++ws.growth_events_;
+    }
+    TALON_EXPECTS(p.slots.size() >= 2);
+  }
+
+  if (n == 1) {
+    // The single-sweep call (one per report on the serving path): no
+    // grouping, and the workspace's panel follows the link's subset.
+    static constexpr std::uint32_t kOnly = 0;
+    argmax_group(resolve_panel(ws.probes_[0].slots, ws),
+                 std::span<const std::uint32_t>(&kOnly, 1), sweeps, out, ws,
+                 rival_exclusion_deg);
+    return;
+  }
+
+  // Group sweeps that probed the same slot sequence: sort the indices
+  // lexicographically by sequence (ties by index, for determinism) and
+  // take runs. No per-call key materialization, no allocation.
+  ws.ensure_size(ws.order_, n);
+  for (std::size_t i = 0; i < n; ++i) ws.order_[i] = static_cast<std::uint32_t>(i);
+  std::sort(ws.order_.begin(), ws.order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const std::vector<int>& sa = ws.probes_[a].slots;
+    const std::vector<int>& sb = ws.probes_[b].slots;
+    if (sa == sb) return a < b;
+    return std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(), sb.end());
+  });
+  std::size_t i0 = 0;
+  while (i0 < n) {
+    const std::vector<int>& slots = ws.probes_[ws.order_[i0]].slots;
+    std::size_t i1 = i0 + 1;
+    while (i1 < n && ws.probes_[ws.order_[i1]].slots == slots) ++i1;
+    // Reuse the workspace-cached panel when it matches; otherwise go
+    // through the matrix cache WITHOUT displacing ws.panel_ -- a
+    // multi-group batch would ping-pong it every call and turn the growth
+    // counter into noise. A cache hit under the shared lock allocates
+    // nothing, so the steady-state batch stays allocation-free either way.
+    std::shared_ptr<const SubsetPanel> local_panel;
+    const SubsetPanel* pan = ws.panel_.get();
+    if (!ws.panel_ || ws.panel_->slots != slots) {
+      local_panel = matrix_.panel(slots);
+      pan = local_panel.get();
+    }
+    argmax_group(*pan, std::span<const std::uint32_t>(ws.order_.data() + i0, i1 - i0),
+                 sweeps, out, ws, rival_exclusion_deg);
+    i0 = i1;
+  }
 }
 
 void CorrelationEngine::argmax_group(
-    std::span<const std::uint32_t> members,
+    const SubsetPanel& pan, std::span<const std::uint32_t> members,
     std::span<const std::span<const SectorReading>> sweeps,
-    std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const {
+    std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
+    std::optional<double> rival_exclusion_deg) const {
   (void)sweeps;  // only the debug-build cross-check below reads them
   const std::size_t k_members = members.size();
-  const ProbeVectors& first = ws.batch_probes_[members[0]];
-
-  // Resolve the group's shared panel. Reuse the workspace-cached panel
-  // when it matches; otherwise go through the matrix cache WITHOUT
-  // displacing ws.panel_ -- a multi-group batch would ping-pong it every
-  // call and turn the growth counter into noise. A cache hit under the
-  // shared lock allocates nothing, so the steady-state batch stays
-  // allocation-free either way.
-  std::shared_ptr<const SubsetPanel> local_panel;
-  const SubsetPanel* pan_ptr;
-  if (ws.panel_ && ws.panel_->slots == first.slots) {
-    pan_ptr = ws.panel_.get();
-  } else {
-    local_panel = matrix_.panel(first.slots);
-    pan_ptr = local_panel.get();
-  }
-  const SubsetPanel& pan = *pan_ptr;
+  const bool single = k_members == 1;
   const std::size_t m_count = pan.m();
+  const std::size_t n_az = matrix_.grid().azimuth.count;
 
-  // Per-member norms, probe magnitudes and running-best state.
-  ws.ensure_size(ws.batch_snr_norm_, k_members);
-  ws.ensure_size(ws.batch_rssi_norm_, k_members);
-  ws.ensure_size(ws.batch_inv_snr_, k_members);
-  ws.ensure_size(ws.batch_inv_rssi_, k_members);
-  ws.ensure_size(ws.batch_best_, k_members);
-  ws.ensure_size(ws.batch_best_g_, k_members);
-  ws.ensure_size(ws.batch_ps_, k_members);
-  ws.ensure_size(ws.batch_pr_, k_members);
-  ws.ensure_size(ws.batch_coarse_active_, k_members);
-  ws.ensure_size(ws.batch_tile_active_, k_members);
-  ws.ensure_size(ws.batch_abs_, k_members * 2 * m_count);
+  // Per-member norms and probe magnitudes, computed once per call
+  // instead of per tile. A lone member's state stays on the stack.
+  detail::WalkMember lone;
+  if (!single) ws.ensure_size(ws.members_, k_members);
+  detail::WalkMember* const walk_members = single ? &lone : ws.members_.data();
+  ws.ensure_size(ws.member_abs_, k_members * 2 * m_count);
   for (std::size_t b = 0; b < k_members; ++b) {
-    const ProbeVectors& p = ws.batch_probes_[members[b]];
+    const ProbeVectors& p = ws.probes_[members[b]];
+    detail::WalkMember& mb = walk_members[b];
     double snr_norm_sq = 0.0;
     for (double v : p.snr) snr_norm_sq += v * v;
     TALON_EXPECTS(snr_norm_sq > 0.0);
     double rssi_norm_sq = 0.0;
     for (double v : p.rssi) rssi_norm_sq += v * v;
     TALON_EXPECTS(rssi_norm_sq > 0.0);
-    ws.batch_snr_norm_[b] = std::sqrt(snr_norm_sq);
-    ws.batch_rssi_norm_[b] = std::sqrt(rssi_norm_sq);
-    ws.batch_inv_snr_[b] = 1.0 / ws.batch_snr_norm_[b];
-    ws.batch_inv_rssi_[b] = 1.0 / ws.batch_rssi_norm_[b];
-    ws.batch_ps_[b] = p.snr.data();
-    ws.batch_pr_[b] = p.rssi.data();
-    double* abs_row = ws.batch_abs_.data() + b * 2 * m_count;
+    mb.snr_norm = std::sqrt(snr_norm_sq);
+    mb.rssi_norm = std::sqrt(rssi_norm_sq);
+    mb.inv_snr = 1.0 / mb.snr_norm;
+    mb.inv_rssi = 1.0 / mb.rssi_norm;
+    mb.ps = p.snr.data();
+    mb.pr = p.rssi.data();
+    double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
     for (std::size_t m = 0; m < m_count; ++m) {
       abs_row[m] = std::abs(p.snr[m]);
       abs_row[m_count + m] = std::abs(p.rssi[m]);
     }
-    ws.batch_best_[b] = -1.0;  // below any W: first visited tile evaluates
-    ws.batch_best_g_[b] = 0;
   }
 
-  // Level 1: every coarse tile bounded for every member; tiles are walked
-  // in order of their best member bound, each member pruning by its own
-  // bound exactly as the single-sweep path does.
+  // Level 1: every coarse tile bounded for every member and ordered by
+  // its best member bound, so the running best is (almost always) the
+  // true peak after the first tile and everything else prunes. A lone
+  // member's bounds ARE the group bounds.
   const std::size_t nc = pan.coarse_tiles;
   ws.ensure_size(ws.coarse_bound_, nc);
   ws.ensure_size(ws.coarse_order_, nc);
-  ws.ensure_size(ws.batch_member_bound_, nc * k_members);
+  if (!single) {
+    ws.ensure_size(ws.member_bound_, nc * k_members);
+    ws.ensure_size(ws.screens_, SubsetPanel::kFinePerCoarse * k_members);
+  }
   for (std::size_t c = 0; c < nc; ++c) {
     double group_bound = 0.0;
     for (std::size_t b = 0; b < k_members; ++b) {
-      const double* abs_row = ws.batch_abs_.data() + b * 2 * m_count;
+      const double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
       const double bound =
           detail::screen_tile_q(abs_row, abs_row + m_count,
                                 pan.coarse_q.data() + c * m_count,
                                 pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c],
-                                m_count, ws.batch_inv_snr_[b],
-                                ws.batch_inv_rssi_[b])
+                                m_count, walk_members[b].inv_snr,
+                                walk_members[b].inv_rssi)
               .bound;
-      ws.batch_member_bound_[c * k_members + b] = bound;
+      if (!single) ws.member_bound_[c * k_members + b] = bound;
       group_bound = std::max(group_bound, bound);
     }
     ws.coarse_bound_[c] = group_bound;
@@ -547,27 +394,163 @@ void CorrelationEngine::argmax_group(
               return a < b;
             });
 
-  ws.ensure_size(ws.batch_screens_, SubsetPanel::kFinePerCoarse * k_members);
+  // Confidence mode records every evaluated W per azimuth column and
+  // prunes against the running rival instead of the peak. Every point it
+  // skips is below the largest rival pruning used, so when the final
+  // rival reaches that, the column maxima outside the peak's zone hold it
+  // exactly; otherwise (the peak moved after pruning) the walk is redone
+  // without pruning. The running rival counts every column within
+  // zone_half indices of the running peak as excluded -- a superset of
+  // the true zone unless the axis wraps far enough round for the seam to
+  // matter, in which case there is no pruning at all.
+  const bool confidence = rival_exclusion_deg.has_value();
+  const double exclusion = rival_exclusion_deg.value_or(0.0);
+  const Axis& azimuth = matrix_.grid().azimuth;
+  const double step = std::abs(azimuth.step);
+  const bool seam_free = 360.0 - step * static_cast<double>(n_az - 1) >= exclusion;
+  const std::size_t zone_half =
+      step > 0.0 ? static_cast<std::size_t>(std::ceil(exclusion / step)) : n_az;
+  // The per-column maxima of a lone member live on the stack (grids of up
+  // to kStackColumns azimuth columns), so confidence mode does not grow
+  // every link's workspace.
+  constexpr std::size_t kStackColumns = 256;
+  double stack_columns[kStackColumns];
+  double* columns = stack_columns;
+  if (confidence && (!single || n_az > kStackColumns)) {
+    ws.ensure_size(ws.column_best_, k_members * n_az);
+    columns = ws.column_best_.data();
+  }
+  for (const bool speculate : {confidence && seam_free, false}) {
+    for (std::size_t b = 0; b < k_members; ++b) {
+      detail::WalkMember& mb = walk_members[b];
+      mb.best = -1.0;  // below any W: the first visited tile always evaluates
+      mb.best_g = 0;
+      mb.rival = -1.0;
+      mb.peak_column = 0;
+      mb.rival_used = -1.0;
+    }
+    if (confidence) {
+      std::fill(columns, columns + k_members * n_az, -1.0);
+      if (single) {
+        walk<true, true>(pan, walk_members, 1, columns, ws, zone_half, speculate);
+      } else {
+        walk<true, false>(pan, walk_members, k_members, columns, ws, zone_half,
+                          speculate);
+      }
+    } else if (single) {
+      walk<false, true>(pan, walk_members, 1, columns, ws, zone_half, speculate);
+    } else {
+      walk<false, false>(pan, walk_members, k_members, columns, ws, zone_half, speculate);
+    }
+    bool exact = true;
+    for (std::size_t b = 0; b < k_members; ++b) {
+      const std::size_t g = walk_members[b].best_g;
+      ArgmaxResult& r = out[members[b]];
+      r = ArgmaxResult{g, walk_members[b].best, matrix_.directions()[g]};
+      if (!confidence) continue;
+      const double* column = columns + b * n_az;
+      for (std::size_t ia = 0; ia < n_az; ++ia) {
+        if (column[ia] > r.rival &&
+            azimuth_distance_deg(azimuth.value(ia), r.direction.azimuth_deg) >=
+                exclusion) {
+          r.rival = column[ia];
+        }
+      }
+      exact &= walk_members[b].rival_used <= r.rival;
+    }
+    if (exact) break;
+  }
+
+#ifndef NDEBUG
+  for (std::size_t b = 0; b < k_members; ++b) {
+    // The whole point of the bound algebra is that pruning, grouping and
+    // quantized screening change nothing; verify every walk against the
+    // reference surface when asserts are on.
+    const ArgmaxResult& r = out[members[b]];
+    const Grid2D reference = combined_surface(sweeps[members[b]]);
+    const std::vector<double>& rv = reference.values();
+    const auto it = std::max_element(rv.begin(), rv.end());
+    assert(static_cast<std::size_t>(it - rv.begin()) == r.index);
+    assert(*it == r.value);
+    if (rival_exclusion_deg) {
+      const AngularGrid& grid = matrix_.grid();
+      double rival = 0.0;
+      for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
+        if (azimuth_distance_deg(grid.azimuth.value(ia), r.direction.azimuth_deg) <
+            *rival_exclusion_deg) {
+          continue;
+        }
+        for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
+          rival = std::max(rival, reference.at(ia, ie));
+        }
+      }
+      assert(rival == r.rival);
+    }
+  }
+#endif
+}
+
+template <bool kConfidence, bool kSingle>
+void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
+                             std::size_t k_members, double* columns,
+                             CorrelationWorkspace& ws, std::size_t zone_half,
+                             bool speculate) const {
+  // The skip rules below are exact, not heuristic: a tile or point is
+  // skipped for a member only when its bound proves it cannot beat that
+  // member's best -- including the lowest-index tie rule Grid2D::peak
+  // applies -- or, in confidence mode, its running rival (which is never
+  // above the peak). So every member's peak matches the full surface bit
+  // for bit.
+  //
+  // A lone member walks in a local copy the compiler can keep in
+  // registers, screens into the stack, and its coarse bounds are the
+  // group's.
+  detail::WalkMember lone;
+  detail::WalkMember* const members = kSingle ? &lone : group;
+  if constexpr (kSingle) {
+    k_members = 1;
+    lone = *group;
+  }
+  const std::size_t m_count = pan.m();
+  const std::size_t n_az = matrix_.grid().azimuth.count;
+  detail::TileScreen lone_screens[SubsetPanel::kFinePerCoarse];
+  detail::TileScreen* const screens = kSingle ? lone_screens : ws.screens_.data();
+  const double* const member_bound =
+      kSingle ? ws.coarse_bound_.data() : ws.member_bound_.data();
+  // Is a point bounded by `bound` at grid index g0 still in play for
+  // member mb? The peak rule, or the running-rival rule in confidence mode.
+  auto in_play = [](const detail::WalkMember& mb, double bound, std::size_t g0) {
+    if constexpr (kConfidence) {
+      return bound >= mb.rival;
+    } else {
+      return bound > mb.best || (bound == mb.best && g0 <= mb.best_g);
+    }
+  };
+  auto threshold = [](const detail::WalkMember& mb) {
+    return kConfidence ? mb.rival : mb.best;
+  };
+  // Confidence mode: is column ia outside the running peak's zone?
+  [[maybe_unused]] auto outside = [zone_half](const detail::WalkMember& mb,
+                                              std::size_t ia) {
+    return ia + zone_half < mb.peak_column || ia > mb.peak_column + zone_half;
+  };
   double dsg[kTile];
+  [[maybe_unused]] double drg[kTile];
 
   for (const std::uint32_t c : ws.coarse_order_) {
     // The group bound is the max member bound, so once it drops below the
-    // weakest member's running best, no later tile can help anyone.
-    double min_best = kInf;
+    // weakest member's threshold, no later tile can help anyone.
+    double min_threshold = kInf;
     for (std::size_t b = 0; b < k_members; ++b) {
-      min_best = std::min(min_best, ws.batch_best_[b]);
+      min_threshold = std::min(min_threshold, threshold(members[b]));
     }
-    if (ws.coarse_bound_[c] < min_best) break;
+    if (ws.coarse_bound_[c] < min_threshold) break;
     const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
     bool any_active = false;
     for (std::size_t b = 0; b < k_members; ++b) {
-      const double mb = ws.batch_member_bound_[c * k_members + b];
-      // The single-sweep visit rule, per member: the tile can beat this
-      // member's best, or tie it at a lower grid index.
       const bool active =
-          mb > ws.batch_best_[b] ||
-          (mb == ws.batch_best_[b] && t0 * kTile <= ws.batch_best_g_[b]);
-      ws.batch_coarse_active_[b] = active ? 1 : 0;
+          in_play(members[b], member_bound[c * k_members + b], t0 * kTile);
+      members[b].coarse_active = active;
       any_active |= active;
     }
     if (!any_active) continue;
@@ -582,14 +565,14 @@ void CorrelationEngine::argmax_group(
       const std::size_t t = t0 + k;
       double group_bound = 0.0;
       for (std::size_t b = 0; b < k_members; ++b) {
-        if (!ws.batch_coarse_active_[b]) continue;
-        const double* abs_row = ws.batch_abs_.data() + b * 2 * m_count;
-        ws.batch_screens_[k * k_members + b] = detail::screen_tile_q(
-            abs_row, abs_row + m_count, pan.fine_q.data() + t * m_count,
-            pan.fine_q_scale[t], pan.fine_sqrt_min_norm[t], m_count,
-            ws.batch_inv_snr_[b], ws.batch_inv_rssi_[b]);
-        group_bound =
-            std::max(group_bound, ws.batch_screens_[k * k_members + b].bound);
+        if (!members[b].coarse_active) continue;
+        const double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
+        detail::TileScreen& s = screens[k * k_members + b];
+        s = detail::screen_tile_q(abs_row, abs_row + m_count,
+                                  pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
+                                  pan.fine_sqrt_min_norm[t], m_count,
+                                  members[b].inv_snr, members[b].inv_rssi);
+        group_bound = std::max(group_bound, s.bound);
       }
       fine_max[k] = group_bound;
       order[k] = k;
@@ -605,23 +588,21 @@ void CorrelationEngine::argmax_group(
     }
 
     for (std::size_t k = 0; k < nf; ++k) {
-      double min_active_best = kInf;
+      double min_active_threshold = kInf;
       for (std::size_t b = 0; b < k_members; ++b) {
-        if (!ws.batch_coarse_active_[b]) continue;
-        min_active_best = std::min(min_active_best, ws.batch_best_[b]);
+        if (members[b].coarse_active) {
+          min_active_threshold = std::min(min_active_threshold, threshold(members[b]));
+        }
       }
-      if (fine_max[order[k]] < min_active_best) break;
+      if (fine_max[order[k]] < min_active_threshold) break;
       const std::size_t t = t0 + order[k];
       const std::size_t g0 = t * kTile;
       bool tile_any = false;
       for (std::size_t b = 0; b < k_members; ++b) {
-        bool active = false;
-        if (ws.batch_coarse_active_[b]) {
-          const detail::TileScreen& s = ws.batch_screens_[order[k] * k_members + b];
-          active = s.bound > ws.batch_best_[b] ||
-                   (s.bound == ws.batch_best_[b] && g0 <= ws.batch_best_g_[b]);
-        }
-        ws.batch_tile_active_[b] = active ? 1 : 0;
+        const bool active =
+            members[b].coarse_active &&
+            in_play(members[b], screens[order[k] * k_members + b].bound, g0);
+        members[b].tile_active = active;
         tile_any |= active;
       }
       if (!tile_any) continue;
@@ -630,201 +611,85 @@ void CorrelationEngine::argmax_group(
       const double* norms = pan.norms_sq.data();
 
       // The tile's values are walked back to back for every surviving
-      // member while they are cache-hot -- this locality is the batch
-      // win; the per-member arithmetic is exactly the single-sweep path.
+      // member while they are cache-hot -- the batch win; the per-member
+      // arithmetic is exactly the single-sweep one.
       for (std::size_t b = 0; b < k_members; ++b) {
-        if (!ws.batch_tile_active_[b]) continue;
-        const detail::TileScreen& s = ws.batch_screens_[order[k] * k_members + b];
-        const double* ps = ws.batch_ps_[b];
-        const double* pr = ws.batch_pr_[b];
-        const double snr_norm = ws.batch_snr_norm_[b];
-        const double rssi_norm = ws.batch_rssi_norm_[b];
-        double best = ws.batch_best_[b];
-        std::size_t best_g = ws.batch_best_g_[b];
-        tile_dots(block, ps, nullptr, m_count, dsg, nullptr);
+        detail::WalkMember& mb = members[b];
+        if (!mb.tile_active) continue;
+        const detail::TileScreen& s = screens[order[k] * k_members + b];
+        const double* pr = mb.pr;
+        double best = mb.best;
+        std::size_t best_g = mb.best_g;
+        // Dense dots for the whole tile (the padded tail just computes
+        // zeros that `count` discards): SNR only for the peak, whose
+        // survivors are few, both for confidence, which evaluates more.
+        tile_dots(block, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
+                  kConfidence ? drg : nullptr);
+        [[maybe_unused]] double* column =
+            kConfidence ? columns + b * n_az : nullptr;
+        [[maybe_unused]] std::size_t ia = g0 % n_az;
         for (std::size_t gi = 0; gi < count; ++gi) {
           const std::size_t g = g0 + gi;
+          [[maybe_unused]] const std::size_t point_ia = ia;
+          if constexpr (kConfidence) {
+            if (++ia == n_az) ia = 0;
+          }
           const double n = norms[g];
           double w = 0.0;
           if (n > 0.0) {
+            // Multiply-only per-point screen (same slack argument as the
+            // tile bound): only survivors pay the sqrt and the divisions
+            // (and, for the peak, the RSSI dot).
             const double cs_scr = dsg[gi] * s.rs;
             const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
-            if (scr < best || (scr == best && g > best_g)) continue;
-            double dr = 0.0;
-            const double* col = block + gi;
-            for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
+            double dr;
+            if constexpr (kConfidence) {
+              if (scr < mb.rival) continue;
+              dr = drg[gi];
+            } else {
+              if (scr < best || (scr == best && g > best_g)) continue;
+              dr = 0.0;
+              const double* col = block + gi;
+              for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
+            }
             const double x_norm = std::sqrt(n);
-            const double cs = dsg[gi] / (snr_norm * x_norm);
-            const double cr = dr / (rssi_norm * x_norm);
+            const double cs = dsg[gi] / (mb.snr_norm * x_norm);
+            const double cr = dr / (mb.rssi_norm * x_norm);
             w = (cs * cs) * (cr * cr);
           }
-          if (w > best || (w == best && g < best_g)) {
+          const bool new_peak = w > best || (w == best && g < best_g);
+          if (new_peak) {
             best = w;
             best_g = g;
           }
-        }
-        ws.batch_best_[b] = best;
-        ws.batch_best_g_[b] = best_g;
-      }
-    }
-  }
-
-  for (std::size_t b = 0; b < k_members; ++b) {
-    const std::size_t g = ws.batch_best_g_[b];
-    out[members[b]] =
-        ArgmaxResult{g, ws.batch_best_[b], matrix_.directions()[g]};
-#ifndef NDEBUG
-    {
-      // Same exactness contract as the single-sweep path, member by
-      // member: batching and quantized screening must change nothing.
-      const Grid2D reference = combined_surface(sweeps[members[b]]);
-      const std::vector<double>& rv = reference.values();
-      const auto it = std::max_element(rv.begin(), rv.end());
-      assert(static_cast<std::size_t>(it - rv.begin()) == out[members[b]].index);
-      assert(*it == out[members[b]].value);
-    }
-#endif
-  }
-}
-
-void CorrelationEngine::combined_argmax_batch(
-    std::span<const std::span<const SectorReading>> sweeps,
-    std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const {
-  TALON_EXPECTS(out.size() == sweeps.size());
-  const std::size_t n = sweeps.size();
-  if (n == 0) return;
-
-  // Per-sweep probe vectors into reusable slots (only ever grown).
-  if (ws.batch_probes_.size() < n) {
-    ws.batch_probes_.resize(n);
-    ++ws.growth_events_;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ProbeVectors& p = ws.batch_probes_[i];
-    const std::size_t caps_before =
-        p.slots.capacity() + p.snr.capacity() + p.rssi.capacity();
-    collect_probes_into(sweeps[i], true, true, p);
-    if (p.slots.capacity() + p.snr.capacity() + p.rssi.capacity() != caps_before) {
-      ++ws.growth_events_;
-    }
-    TALON_EXPECTS(p.slots.size() >= 2);
-  }
-
-  // Group sweeps that probed the same slot sequence: sort the indices
-  // lexicographically by sequence (ties by index, for determinism) and
-  // take runs. No per-call key materialization, no allocation.
-  ws.ensure_size(ws.batch_order_, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.batch_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(ws.batch_order_.begin(), ws.batch_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::vector<int>& sa = ws.batch_probes_[a].slots;
-              const std::vector<int>& sb = ws.batch_probes_[b].slots;
-              if (sa == sb) return a < b;
-              return std::lexicographical_compare(sa.begin(), sa.end(),
-                                                  sb.begin(), sb.end());
-            });
-  std::size_t i0 = 0;
-  while (i0 < n) {
-    std::size_t i1 = i0 + 1;
-    while (i1 < n && ws.batch_probes_[ws.batch_order_[i1]].slots ==
-                         ws.batch_probes_[ws.batch_order_[i0]].slots) {
-      ++i1;
-    }
-    argmax_group(std::span<const std::uint32_t>(ws.batch_order_.data() + i0,
-                                                i1 - i0),
-                 sweeps, out, ws);
-    i0 = i1;
-  }
-}
-
-std::vector<CorrelationEngine::ArgmaxResult>
-CorrelationEngine::combined_argmax_batch(
-    std::span<const std::span<const SectorReading>> sweeps) const {
-  std::vector<ArgmaxResult> out(sweeps.size());
-  CorrelationWorkspace ws;
-  combined_argmax_batch(sweeps, std::span<ArgmaxResult>(out), ws);
-  return out;
-}
-
-std::vector<Grid2D> CorrelationEngine::combined_surface_batch(
-    std::span<const std::span<const SectorReading>> sweeps) const {
-  std::vector<Grid2D> out(sweeps.size());
-  if (sweeps.empty()) return out;
-
-  // Collect every sweep's probe vectors once, then group the sweeps whose
-  // usable probes hit the same slot sequence: those share the panel
-  // resolution and the per-point sqrt.
-  std::vector<ProbeVectors> probes;
-  probes.reserve(sweeps.size());
-  std::map<std::vector<int>, std::vector<std::size_t>> panels;
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    probes.push_back(collect_probes(sweeps[i], true, true));
-    TALON_EXPECTS(probes[i].slots.size() >= 2);
-    panels[probes[i].slots].push_back(i);
-  }
-
-  std::vector<const double*> ps;  // per-member probe vectors
-  std::vector<const double*> pr;
-  std::vector<double*> w;  // per-member output surfaces
-  std::vector<double> snr_norms;
-  std::vector<double> rssi_norms;
-  for (const auto& [slots, members] : panels) {
-    const std::size_t batch = members.size();
-    const std::shared_ptr<const SubsetPanel> panel = matrix_.panel(slots);
-    const SubsetPanel& pan = *panel;
-    const std::size_t m_count = pan.m();
-
-    ps.resize(batch);
-    pr.resize(batch);
-    w.resize(batch);
-    snr_norms.resize(batch);
-    rssi_norms.resize(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const ProbeVectors& p = probes[members[b]];
-      double snr_norm_sq = 0.0;
-      for (double v : p.snr) snr_norm_sq += v * v;
-      TALON_EXPECTS(snr_norm_sq > 0.0);
-      double rssi_norm_sq = 0.0;
-      for (double v : p.rssi) rssi_norm_sq += v * v;
-      TALON_EXPECTS(rssi_norm_sq > 0.0);
-      snr_norms[b] = std::sqrt(snr_norm_sq);
-      rssi_norms[b] = std::sqrt(rssi_norm_sq);
-      ps[b] = p.snr.data();
-      pr[b] = p.rssi.data();
-      out[members[b]] = Grid2D(matrix_.grid());
-      w[b] = out[members[b]].values().data();
-    }
-
-    double dot_snr[kTile];
-    double dot_rssi[kTile];
-    double x_norm[kTile];  // < 0 marks a zero-norm point
-    for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
-      const std::size_t g0 = t * kTile;
-      const std::size_t count = std::min(kTile, pan.points - g0);
-      const double* block = pan.tile_values(t);
-      for (std::size_t gi = 0; gi < count; ++gi) {
-        const double n = pan.norms_sq[g0 + gi];
-        x_norm[gi] = n > 0.0 ? std::sqrt(n) : -1.0;
-      }
-      for (std::size_t b = 0; b < batch; ++b) {
-        tile_dots(block, ps[b], pr[b], m_count, dot_snr, dot_rssi);
-        double* wb = w[b];
-        for (std::size_t gi = 0; gi < count; ++gi) {
-          const std::size_t g = g0 + gi;
-          if (x_norm[gi] < 0.0) {
-            wb[g] = 0.0;
-            continue;
+          if constexpr (kConfidence) {
+            const bool column_rose = w > column[point_ia];
+            if (column_rose) column[point_ia] = w;
+            if (!speculate) continue;
+            if (new_peak && point_ia != mb.peak_column) {
+              // The peak moved: its zone did too, so retake the rival
+              // over every column outside the new zone.
+              mb.peak_column = point_ia;
+              mb.rival = -1.0;
+              const std::size_t lo = point_ia > zone_half ? point_ia - zone_half : 0;
+              for (std::size_t j = 0; j < lo; ++j) {
+                mb.rival = std::max(mb.rival, column[j]);
+              }
+              for (std::size_t j = point_ia + zone_half + 1; j < n_az; ++j) {
+                mb.rival = std::max(mb.rival, column[j]);
+              }
+            } else if (column_rose && w > mb.rival && outside(mb, point_ia)) {
+              mb.rival = w;  // below the peak: the peak's column is inside
+            }
+            mb.rival_used = std::max(mb.rival_used, mb.rival);
           }
-          const double cs = dot_snr[gi] / (snr_norms[b] * x_norm[gi]);
-          const double cr = dot_rssi[gi] / (rssi_norms[b] * x_norm[gi]);
-          wb[g] = (cs * cs) * (cr * cr);
         }
+        mb.best = best;
+        mb.best_g = best_g;
       }
     }
   }
-  return out;
+  if constexpr (kSingle) *group = lone;
 }
 
 std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(

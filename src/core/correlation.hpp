@@ -11,15 +11,17 @@
 // (core/response_matrix.hpp): pattern responses resampled onto the search
 // grid once, compacted per probe subset into cached tile-blocked panels.
 // Eq. 5 runs as dense contiguous dot products with no per-element slot
-// indexing, either over the whole grid (combined_surface) or -- the
-// selection hot path -- as an exact branch-and-bound argmax
-// (combined_argmax) that prunes grid tiles with a Cauchy-Schwarz upper
-// bound and returns the bit-identical peak of the full surface without
-// materializing it.
+// indexing, either over the whole grid (combined_surface, for figures,
+// ablations and diagnostics) or -- the selection path -- as one exact
+// branch-and-bound walk (combined_argmax_batch) that prunes grid tiles
+// with a Cauchy-Schwarz upper bound and returns the bit-identical peak of
+// the full surface, and optionally its best rival, without materializing
+// it.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -86,13 +88,55 @@ struct ProbeVectors {
   std::size_t dropped{0};
 };
 
+/// The peak of combined_surface without materializing it, as found by
+/// the branch-and-bound walk (CorrelationEngine::combined_argmax_batch).
+struct ArgmaxResult {
+  /// Flat grid index of the peak (ties resolve to the lowest index,
+  /// exactly like Grid2D::peak on the full surface).
+  std::size_t index{0};
+  /// W at the peak -- bit-identical to the surface value there.
+  double value{0.0};
+  Direction direction{};
+  /// Largest W at least the requested exclusion radius of azimuth away
+  /// from the peak: the best rival direction hypothesis, bit-identical to
+  /// the maximum of the full surface over those points. 0 when no rival
+  /// was requested or the exclusion zone covers the whole grid.
+  double rival{0.0};
+};
+
+namespace detail {
+
+/// One sweep's state in a branch-and-bound walk: probe vectors, norms,
+/// the running peak and, in confidence mode, the running rival.
+struct WalkMember {
+  const double* ps{nullptr};
+  const double* pr{nullptr};
+  double snr_norm{0.0};
+  double rssi_norm{0.0};
+  double inv_snr{0.0};
+  double inv_rssi{0.0};
+  double best{0.0};
+  std::size_t best_g{0};
+  /// Confidence mode: the best W evaluated outside the exclusion zone of
+  /// the running peak's azimuth column (never above the peak), which the
+  /// walk prunes against; that column; and the largest rival any pruning
+  /// used -- the result is exact when the final rival reaches it.
+  double rival{-1.0};
+  std::size_t peak_column{0};
+  double rival_used{-1.0};
+  bool coarse_active{false};
+  bool tile_active{false};
+};
+
+}  // namespace detail
+
 /// Caller-owned scratch for the selection hot path (one per LinkSession /
-/// replay cell). Holds the collected probe vectors, the resolved subset
-/// panel and the branch-and-bound tile scratch, so that once warmed up --
-/// a few sweeps with the session's largest probe count -- repeated
-/// combined_argmax calls perform zero heap allocations. Not thread-safe;
-/// give each concurrent caller its own workspace (panels themselves are
-/// shared and immutable).
+/// replay cell / daemon). Holds the collected probe vectors, the resolved
+/// subset panel and the branch-and-bound tile scratch, so that once
+/// warmed up -- a few sweeps with the caller's largest probe count and
+/// batch size -- repeated argmax calls perform zero heap allocations. Not
+/// thread-safe; give each concurrent caller its own workspace (panels
+/// themselves are shared and immutable).
 class CorrelationWorkspace {
  public:
   /// Times any internal buffer had to grow (or a new panel had to be
@@ -103,6 +147,7 @@ class CorrelationWorkspace {
 
  private:
   friend class CorrelationEngine;
+  friend class CompressiveSectorSelector;
 
   /// resize() that charges capacity growth to the growth counter.
   template <typename T>
@@ -111,40 +156,35 @@ class CorrelationWorkspace {
     v.resize(n);
   }
 
-  ProbeVectors probes_;
-  /// Panel of the last subset seen; keyed by its exact slot sequence, so
-  /// the steady-state path skips the matrix cache (and its lock) entirely.
+  /// Per-sweep probe vectors of the current call (only ever grown).
+  std::vector<ProbeVectors> probes_;
+  /// Panel of the last single-group walk; keyed by its exact slot
+  /// sequence, so the steady-state path skips the matrix cache (and its
+  /// lock) entirely.
   std::shared_ptr<const SubsetPanel> panel_;
-  /// Per-coarse-tile upper bounds and the best-first visiting order. The
-  /// batched argmax reuses bound_ for the max-over-members bound.
+  /// Sweep order of a multi-sweep call, grouped by slot sequence.
+  std::vector<std::uint32_t> order_;
+  /// Per-coarse-tile group bounds (max over members) and the best-first
+  /// visiting order.
   std::vector<double> coarse_bound_;
   std::vector<std::uint32_t> coarse_order_;
-  /// |probe| vectors for the screening kernels (computed once per call
-  /// instead of per tile).
-  std::vector<double> abs_snr_;
-  std::vector<double> abs_rssi_;
-
-  // Batched-argmax scratch (combined_argmax_batch): per-sweep probe
-  // vectors, the slot-sequence grouping order, and the per-member walk
-  // state. All sized to the largest batch seen, then reused.
-  std::vector<ProbeVectors> batch_probes_;
-  std::vector<std::uint32_t> batch_order_;
-  /// Per (coarse tile, member) bounds of the current group, [c * K + b].
-  std::vector<double> batch_member_bound_;
-  /// Per (fine tile in coarse, member) screens, [k * K + b].
-  std::vector<detail::TileScreen> batch_screens_;
   /// Per-member |probe| rows, [b * 2 * M]: SNR row then RSSI row.
-  std::vector<double> batch_abs_;
-  std::vector<double> batch_snr_norm_;
-  std::vector<double> batch_rssi_norm_;
-  std::vector<double> batch_inv_snr_;
-  std::vector<double> batch_inv_rssi_;
-  std::vector<double> batch_best_;
-  std::vector<std::size_t> batch_best_g_;
-  std::vector<const double*> batch_ps_;
-  std::vector<const double*> batch_pr_;
-  std::vector<std::uint8_t> batch_coarse_active_;
-  std::vector<std::uint8_t> batch_tile_active_;
+  std::vector<double> member_abs_;
+  // Multi-member groups only (a lone member keeps these on the stack):
+  // walk state, per (coarse tile, member) bounds [c * K + b] and per
+  // (fine tile in coarse, member) screens [k * K + b].
+  std::vector<detail::WalkMember> members_;
+  std::vector<double> member_bound_;
+  std::vector<detail::TileScreen> screens_;
+  /// Confidence mode with several members (or a very wide grid): best
+  /// evaluated W per (member, azimuth column), [b * naz + ia].
+  std::vector<double> column_best_;
+
+  // Selection scratch (CompressiveSectorSelector's batch entry point):
+  // the sweeps that take the compressive path and their walk results.
+  std::vector<std::span<const SectorReading>> select_sweeps_;
+  std::vector<std::uint32_t> select_index_;
+  std::vector<ArgmaxResult> select_peaks_;
   std::size_t growth_events_{0};
 };
 
@@ -170,62 +210,46 @@ class CorrelationEngine {
   /// one fused grid pass (one panel walk for both dots and the product).
   Grid2D combined_surface(std::span<const SectorReading> readings) const;
 
-  /// The peak of combined_surface without materializing it.
-  struct ArgmaxResult {
-    /// Flat grid index of the peak (ties resolve to the lowest index,
-    /// exactly like Grid2D::peak on the full surface).
-    std::size_t index{0};
-    /// W at the peak -- bit-identical to the surface value there.
-    double value{0.0};
-    Direction direction{};
-  };
+  using ArgmaxResult = talon::ArgmaxResult;
 
-  /// Eq. 3 over the Eq. 5 surface as an exact branch-and-bound search:
-  /// grid tiles are visited best-bound-first and skipped when a rigorous
+  /// Eq. 3 over the Eq. 5 surface for one sweep: the K = 1 case of
+  /// combined_argmax_batch (same walk, no grouping). Same preconditions
+  /// as combined_surface.
+  ArgmaxResult combined_argmax(std::span<const SectorReading> readings,
+                               CorrelationWorkspace& ws,
+                               std::optional<double> rival_exclusion_deg = {}) const;
+
+  /// Eq. 3 over the Eq. 5 surface as an exact branch-and-bound search --
+  /// the repo's one selection kernel -- for K sweeps in one call, writing
+  /// out[i] for sweeps[i] (out.size() must equal sweeps.size()).
+  ///
+  /// Grid tiles are visited best-bound-first and skipped when a rigorous
   /// floating-point upper bound (per-tile response extrema + minimum
   /// subset norm, Cauchy-Schwarz on both correlation factors) cannot beat
   /// the running best; surviving points are evaluated with the exact
-  /// combined_surface arithmetic. Index and value are therefore
-  /// bit-identical to combined_surface(readings).peak() -- asserted in
-  /// debug builds -- at a fraction of its cost, with zero steady-state
-  /// allocations when `ws` is reused. Same preconditions as
-  /// combined_surface.
-  ArgmaxResult combined_argmax(std::span<const SectorReading> readings,
-                               CorrelationWorkspace& ws) const;
-
-  /// combined_argmax with a throwaway workspace (cold path / tests).
-  ArgmaxResult combined_argmax(std::span<const SectorReading> readings) const;
-
-  /// Batched branch-and-bound: the peak of combined_surface for K sweeps
-  /// in one call, writing out[i] for sweeps[i] (out.size() must equal
-  /// sweeps.size()). Sweeps whose usable probes map onto the same slot
-  /// sequence form a group that walks the tile pyramid ONCE: coarse and
-  /// fine tiles are screened for every member at each visit (ordered by
-  /// the best member bound), so the panel's tile values and statistics
-  /// are touched while cache-hot for all K links instead of K times cold.
-  /// Every member's pruning rules are exactly the single-sweep ones, so
-  /// each result is bit-identical to combined_argmax(sweeps[i]) -- and
-  /// therefore to combined_surface(sweeps[i]).peak() -- regardless of
-  /// grouping (asserted in debug builds). Steady state on stable sweep
-  /// shapes performs zero heap allocations; `ws` holds all scratch. Same
-  /// per-sweep preconditions as combined_argmax.
+  /// combined_surface arithmetic. Sweeps whose usable probes map onto the
+  /// same slot sequence form a group that walks the tile pyramid ONCE,
+  /// each tile screened for every member while cache-hot, every member
+  /// pruning by its own bound. Index and value are therefore
+  /// bit-identical to combined_surface(sweeps[i]).peak() regardless of
+  /// grouping -- asserted in debug builds.
+  ///
+  /// With `rival_exclusion_deg`, the same walk also finds each member's
+  /// best point at least that far in azimuth from its peak
+  /// (ArgmaxResult::rival) -- the peak-to-second-peak confidence without
+  /// a full surface: it records every evaluated point's W per azimuth
+  /// column and prunes with the same exact bounds against the running
+  /// rival instead of the peak. Should the peak move after pruning used
+  /// a rival the final one falls short of, the walk is redone without
+  /// pruning, so the rival is bit-identical to the full surface's either
+  /// way.
+  ///
+  /// Steady state on stable sweep shapes performs zero heap allocations;
+  /// `ws` holds all scratch. Every sweep needs >= 2 usable readings with
+  /// positive probe norms.
   void combined_argmax_batch(std::span<const std::span<const SectorReading>> sweeps,
-                             std::span<ArgmaxResult> out,
-                             CorrelationWorkspace& ws) const;
-
-  /// combined_argmax_batch with a throwaway workspace, returning the
-  /// results by value (cold path / tests).
-  std::vector<ArgmaxResult> combined_argmax_batch(
-      std::span<const std::span<const SectorReading>> sweeps) const;
-
-  /// Batched Eq. 5: one surface per input sweep. Sweeps whose usable
-  /// probes map onto the same slot sequence share one panel resolution and
-  /// one per-point sqrt pass. Results are bit-for-bit identical to calling
-  /// combined_surface on each element (same accumulation order per sweep),
-  /// so callers may batch opportunistically. Every sweep needs >= 2 usable
-  /// readings with positive probe norms, like the single-sweep path.
-  std::vector<Grid2D> combined_surface_batch(
-      std::span<const std::span<const SectorReading>> sweeps) const;
+                             std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
+                             std::optional<double> rival_exclusion_deg = {}) const;
 
   /// Number of readings that map onto table sectors.
   std::size_t usable_probe_count(std::span<const SectorReading> readings) const;
@@ -273,15 +297,32 @@ class CorrelationEngine {
   void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
                            bool need_rssi, ProbeVectors& out) const;
 
-  /// Resolve the subset panel for ws.probes_.slots, reusing ws.panel_ when
-  /// the sequence matches (no lock, no allocation).
-  const SubsetPanel& resolve_panel(CorrelationWorkspace& ws) const;
+  /// The subset panel for `slots`, reusing ws.panel_ when the sequence
+  /// matches (no lock, no allocation) and replacing it otherwise.
+  const SubsetPanel& resolve_panel(const std::vector<int>& slots,
+                                   CorrelationWorkspace& ws) const;
 
-  /// One slot-sequence group of the batched argmax: members are indices
-  /// into ws.batch_probes_ sharing one panel; writes out[members[b]].
-  void argmax_group(std::span<const std::uint32_t> members,
+  /// One slot-sequence group of the walk: members are indices into
+  /// `sweeps`, `out` and ws.probes_, all sharing `pan`.
+  void argmax_group(const SubsetPanel& pan, std::span<const std::uint32_t> members,
                     std::span<const std::span<const SectorReading>> sweeps,
-                    std::span<ArgmaxResult> out, CorrelationWorkspace& ws) const;
+                    std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
+                    std::optional<double> rival_exclusion_deg) const;
+
+  /// The tile-pyramid traversal of `members` in ws.coarse_order_.
+  /// kConfidence also records every evaluated point's W in `columns`
+  /// ([b * naz + ia], the best per azimuth column) and, when `speculate`,
+  /// prunes against each member's running rival (the best column more
+  /// than `zone_half` columns from the running peak's) instead of its
+  /// peak. kSingle compiles the one-member walk with its member loops
+  /// folded away. Each instantiation stays out of line: inlined into
+  /// argmax_group, all four would spread the K = 1 peak walk -- the
+  /// serving hot path -- over several times its size.
+  template <bool kConfidence, bool kSingle>
+  [[gnu::noinline]] void walk(const SubsetPanel& pan, detail::WalkMember* members,
+                              std::size_t k_members, double* columns,
+                              CorrelationWorkspace& ws, std::size_t zone_half,
+                              bool speculate) const;
 
   ResponseMatrix matrix_;
 };

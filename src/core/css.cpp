@@ -3,43 +3,19 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/antenna/codebook.hpp"
-#include "src/common/angles.hpp"
 #include "src/common/error.hpp"
 
 namespace talon {
 
 namespace {
 
-/// Largest surface value at least `exclusion_deg` of azimuth away from the
-/// main peak -- the best rival direction hypothesis. 0 when the exclusion
-/// zone swallows the whole grid.
-double runner_up_value(const Grid2D& surface, double peak_azimuth_deg,
-                       double exclusion_deg) {
-  const AngularGrid& grid = surface.grid();
-  double best = 0.0;
-  for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
-    if (azimuth_distance_deg(grid.azimuth.value(ia), peak_azimuth_deg) <
-        exclusion_deg) {
-      continue;
-    }
-    for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
-      best = std::max(best, surface.at(ia, ie));
-    }
-  }
-  return best;
-}
-
 /// Peak-to-second-peak ratio; infinity when no rival hypothesis has any
 /// correlation at all.
-double peak_confidence(const Grid2D& surface, const Grid2D::Peak& peak,
-                       double exclusion_deg) {
-  const double runner =
-      runner_up_value(surface, peak.direction.azimuth_deg, exclusion_deg);
-  if (runner <= 0.0) {
-    return peak.value > 0.0 ? std::numeric_limits<double>::infinity() : 1.0;
+double peak_confidence(double peak, double rival) {
+  if (rival <= 0.0) {
+    return peak > 0.0 ? std::numeric_limits<double>::infinity() : 1.0;
   }
-  return peak.value / runner;
+  return peak / rival;
 }
 
 }  // namespace
@@ -50,6 +26,7 @@ CompressiveSectorSelector::CompressiveSectorSelector(PatternTable patterns,
           std::move(patterns), config.search_grid, config.domain)),
       config_(config) {
   TALON_EXPECTS(config_.min_probes >= 2);
+  TALON_EXPECTS(config_.use_rssi || !config_.compute_confidence);
 }
 
 CompressiveSectorSelector::CompressiveSectorSelector(
@@ -57,103 +34,31 @@ CompressiveSectorSelector::CompressiveSectorSelector(
     : assets_(std::move(assets)), config_(config) {
   TALON_EXPECTS(assets_ != nullptr);
   TALON_EXPECTS(config_.min_probes >= 2);
+  TALON_EXPECTS(config_.use_rssi || !config_.compute_confidence);
   config_.search_grid = assets_->grid();
   config_.domain = assets_->domain();
 }
 
-std::optional<Direction> CompressiveSectorSelector::estimate_direction(
-    std::span<const SectorReading> probes, CorrelationWorkspace& ws) const {
-  if (engine().usable_probe_count(probes) < config_.min_probes) return std::nullopt;
-  if (config_.use_rssi) return engine().combined_argmax(probes, ws).direction;
-  return engine().surface(probes, SignalValue::kSnr).peak().direction;
-}
-
-std::optional<Direction> CompressiveSectorSelector::estimate_direction(
-    std::span<const SectorReading> probes) const {
-  CorrelationWorkspace ws;
-  return estimate_direction(probes, ws);
-}
-
-Grid2D CompressiveSectorSelector::correlation_surface(
-    std::span<const SectorReading> probes) const {
-  TALON_EXPECTS(engine().usable_probe_count(probes) >= config_.min_probes);
-  return config_.use_rssi ? engine().combined_surface(probes)
-                          : engine().surface(probes, SignalValue::kSnr);
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
-                                            std::span<const int> candidates,
-                                            CorrelationWorkspace& ws) const {
-  TALON_EXPECTS(!candidates.empty());
-  CssResult result;
-  if (probes.empty()) return result;  // invalid: keep previous selection
-
-  if (engine().usable_probe_count(probes) < config_.min_probes) {
-    // Too few decoded probes for a trustworthy correlation: fall back to
-    // the plain argmax over what was received (Eq. 1 on the subset).
-    const auto best = std::max_element(
-        probes.begin(), probes.end(),
-        [](const SectorReading& a, const SectorReading& b) { return a.snr_db < b.snr_db; });
-    result.valid = true;
-    result.sector_id = best->sector_id;
-    result.fallback_used = true;
-    return result;
+void CompressiveSectorSelector::compressive_peaks(
+    std::span<const std::span<const SectorReading>> sweeps,
+    CorrelationWorkspace& ws, bool with_rival) const {
+  ws.ensure_size(ws.select_sweeps_, sweeps.size());
+  ws.ensure_size(ws.select_index_, sweeps.size());
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
+    ws.select_sweeps_[k] = sweeps[i];
+    ws.select_index_[k] = static_cast<std::uint32_t>(i);
+    ++k;
   }
-
-  if (config_.use_rssi && !config_.compute_confidence) {
-    // Eq. 3/5 without the surface: the pruned argmax lands on the same
-    // (bit-identical) peak.
-    const CorrelationEngine::ArgmaxResult peak = engine().combined_argmax(probes, ws);
-    result.valid = true;
-    result.estimated_direction = peak.direction;
-    result.correlation_peak = peak.value;
-    result.sector_id = patterns().best_sector_at(peak.direction, candidates);
-    return result;
-  }
-
-  // Full-surface path: the SNR-only ablation (Eq. 2), and the confidence
-  // mode, which needs the whole surface to rank the second peak. The peak
-  // -- and therefore the selection -- is bit-identical to the argmax path.
-  const Grid2D surface = config_.use_rssi
-                             ? engine().combined_surface(probes)
-                             : engine().surface(probes, SignalValue::kSnr);
-  const Grid2D::Peak peak = surface.peak();
-  result.valid = true;
-  result.estimated_direction = peak.direction;
-  result.correlation_peak = peak.value;
-  result.sector_id = patterns().best_sector_at(peak.direction, candidates);
-  if (config_.compute_confidence) {
-    result.confidence =
-        peak_confidence(surface, peak, config_.confidence_exclusion_deg);
-  }
-  return result;
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
-                                            std::span<const int> candidates) const {
-  CorrelationWorkspace ws;
-  return select(probes, candidates, ws);
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
-                                            CorrelationWorkspace& ws) const {
-  // All table sectors except the quasi-omni receive pattern: feedback must
-  // name one of the peer's *transmit* sectors.
-  return select(probes, assets_->tx_candidates(), ws);
-}
-
-CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes) const {
-  CorrelationWorkspace ws;
-  return select(probes, assets_->tx_candidates(), ws);
-}
-
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps,
-    std::span<const int> candidates, CorrelationWorkspace& ws) const {
-  std::vector<CssResult> results(sweeps.size());
-  std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
-  select_batch(views, candidates, results, ws);
-  return results;
+  ws.select_sweeps_.resize(k);
+  ws.select_index_.resize(k);
+  ws.ensure_size(ws.select_peaks_, k);
+  if (k == 0) return;
+  engine().combined_argmax_batch(
+      ws.select_sweeps_, ws.select_peaks_, ws,
+      with_rival ? std::optional<double>(config_.confidence_exclusion_deg)
+                 : std::nullopt);
 }
 
 void CompressiveSectorSelector::select_batch(
@@ -162,93 +67,77 @@ void CompressiveSectorSelector::select_batch(
     CorrelationWorkspace& ws) const {
   TALON_EXPECTS(!candidates.empty());
   TALON_EXPECTS(out.size() == sweeps.size());
-  // Route every sweep that would take select()'s pruned-argmax fast path
-  // through ONE batched branch-and-bound walk: sweeps sharing a probe
-  // subset then traverse the tile pyramid together
-  // (CorrelationEngine::combined_argmax_batch), touching the panel's
-  // tiles once while cache-hot instead of once per sweep. Empty,
-  // under-probed, SNR-only and confidence-mode sweeps take the same code
-  // select() runs for them. Each result is bit-identical to select() per
-  // element -- the batched argmax is bit-identical to the single one.
-  const bool argmax_path = config_.use_rssi && !config_.compute_confidence;
-  std::vector<std::span<const SectorReading>> argmax_sweeps;
-  std::vector<std::size_t> argmax_index;
-  if (argmax_path) {
-    argmax_sweeps.reserve(sweeps.size());
-    argmax_index.reserve(sweeps.size());
-  }
+  if (config_.use_rssi) compressive_peaks(sweeps, ws, config_.compute_confidence);
+  auto estimated = [&](CssResult& result, const Direction& direction, double value) {
+    result.valid = true;
+    result.estimated_direction = direction;
+    result.correlation_peak = value;
+    result.sector_id = patterns().best_sector_at(direction, candidates);
+  };
+  std::size_t next = 0;  // cursor into the walk's (ascending) sweep indices
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (argmax_path && !sweeps[i].empty() &&
-        engine().usable_probe_count(sweeps[i]) >= config_.min_probes) {
-      argmax_sweeps.emplace_back(sweeps[i]);
-      argmax_index.push_back(i);
+    const std::span<const SectorReading> probes = sweeps[i];
+    CssResult& result = out[i];
+    result = CssResult{};
+    if (config_.use_rssi && next < ws.select_index_.size() &&
+        ws.select_index_[next] == i) {
+      const ArgmaxResult& peak = ws.select_peaks_[next++];
+      estimated(result, peak.direction, peak.value);
+      if (config_.compute_confidence) {
+        result.confidence = peak_confidence(peak.value, peak.rival);
+      }
       continue;
     }
-    out[i] = select(sweeps[i], candidates, ws);
-  }
-  if (!argmax_sweeps.empty()) {
-    std::vector<CorrelationEngine::ArgmaxResult> peaks(argmax_sweeps.size());
-    engine().combined_argmax_batch(argmax_sweeps, peaks, ws);
-    for (std::size_t j = 0; j < peaks.size(); ++j) {
-      CssResult& result = out[argmax_index[j]];
+    if (probes.empty()) continue;  // invalid: keep previous selection
+    if (config_.use_rssi || engine().usable_probe_count(probes) < config_.min_probes) {
+      // Too few decoded probes for a trustworthy correlation: fall back to
+      // the plain argmax over what was received (Eq. 1 on the subset).
+      const auto best = std::max_element(
+          probes.begin(), probes.end(),
+          [](const SectorReading& a, const SectorReading& b) { return a.snr_db < b.snr_db; });
       result.valid = true;
-      result.estimated_direction = peaks[j].direction;
-      result.correlation_peak = peaks[j].value;
-      result.sector_id = patterns().best_sector_at(peaks[j].direction, candidates);
+      result.sector_id = best->sector_id;
+      result.fallback_used = true;
+      continue;
     }
+    // The SNR-only ablation (Eq. 2) keeps its full surface.
+    const Grid2D::Peak peak = engine().surface(probes, SignalValue::kSnr).peak();
+    estimated(result, peak.direction, peak.value);
   }
 }
 
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps,
-    std::span<const int> candidates) const {
-  CorrelationWorkspace ws;
-  return select_batch(sweeps, candidates, ws);
+CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probes,
+                                            CorrelationWorkspace& ws) const {
+  // All table sectors except the quasi-omni receive pattern: feedback must
+  // name one of the peer's *transmit* sectors.
+  CssResult result;
+  select_batch({&probes, 1}, assets_->tx_candidates(), {&result, 1}, ws);
+  return result;
 }
 
-std::vector<CssResult> CompressiveSectorSelector::select_batch(
-    std::span<const std::vector<SectorReading>> sweeps) const {
-  CorrelationWorkspace ws;
-  return select_batch(sweeps, assets_->tx_candidates(), ws);
+std::optional<Direction> CompressiveSectorSelector::estimate_direction(
+    std::span<const SectorReading> probes, CorrelationWorkspace& ws) const {
+  std::optional<Direction> direction;
+  estimate_directions({&probes, 1}, {&direction, 1}, ws);
+  return direction;
 }
 
-std::vector<std::optional<Direction>> CompressiveSectorSelector::estimate_directions(
-    std::span<const std::vector<SectorReading>> sweeps,
-    CorrelationWorkspace& ws) const {
-  std::vector<std::optional<Direction>> results(sweeps.size());
+void CompressiveSectorSelector::estimate_directions(
+    std::span<const std::span<const SectorReading>> sweeps,
+    std::span<std::optional<Direction>> out, CorrelationWorkspace& ws) const {
+  TALON_EXPECTS(out.size() == sweeps.size());
+  std::fill(out.begin(), out.end(), std::nullopt);
   if (!config_.use_rssi) {
     for (std::size_t i = 0; i < sweeps.size(); ++i) {
-      results[i] = estimate_direction(sweeps[i], ws);
+      if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
+      out[i] = engine().surface(sweeps[i], SignalValue::kSnr).peak().direction;
     }
-    return results;
+    return;
   }
-  // Same batching as select_batch: every sweep with enough usable probes
-  // rides one batched argmax walk; the rest stay nullopt, exactly like
-  // the per-element path.
-  std::vector<std::span<const SectorReading>> argmax_sweeps;
-  std::vector<std::size_t> argmax_index;
-  argmax_sweeps.reserve(sweeps.size());
-  argmax_index.reserve(sweeps.size());
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    if (engine().usable_probe_count(sweeps[i]) >= config_.min_probes) {
-      argmax_sweeps.emplace_back(sweeps[i]);
-      argmax_index.push_back(i);
-    }
+  compressive_peaks(sweeps, ws, /*with_rival=*/false);
+  for (std::size_t k = 0; k < ws.select_peaks_.size(); ++k) {
+    out[ws.select_index_[k]] = ws.select_peaks_[k].direction;
   }
-  if (!argmax_sweeps.empty()) {
-    std::vector<CorrelationEngine::ArgmaxResult> peaks(argmax_sweeps.size());
-    engine().combined_argmax_batch(argmax_sweeps, peaks, ws);
-    for (std::size_t j = 0; j < peaks.size(); ++j) {
-      results[argmax_index[j]] = peaks[j].direction;
-    }
-  }
-  return results;
-}
-
-std::vector<std::optional<Direction>> CompressiveSectorSelector::estimate_directions(
-    std::span<const std::vector<SectorReading>> sweeps) const {
-  CorrelationWorkspace ws;
-  return estimate_directions(sweeps, ws);
 }
 
 }  // namespace talon

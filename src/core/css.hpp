@@ -34,10 +34,12 @@ struct CssConfig {
   /// select() falls back to the plain argmax over what was received.
   std::size_t min_probes{3};
   /// Compute CssResult::confidence (the peak-to-second-peak ratio of the
-  /// correlation surface over the probed subset). Costs one full surface
-  /// evaluation per select() instead of the pruned argmax, so it is off on
-  /// the figure/replay paths and enabled by the graceful-degradation layer
-  /// (driver/link_session.hpp). Selections are bit-identical either way.
+  /// correlation surface over the probed subset). The branch-and-bound
+  /// walk finds the rival peak alongside the peak, with no surface;
+  /// enabled by the graceful-degradation layer (driver/link_session.hpp),
+  /// off on the figure and replay paths. Selections are bit-identical
+  /// either way. Requires use_rssi (the SNR-only ablation has no
+  /// confidence).
   bool compute_confidence{false};
   /// Azimuth exclusion radius around the main peak when searching for the
   /// second peak (same idea as the matching pursuit's twin suppression:
@@ -79,68 +81,32 @@ class CompressiveSectorSelector {
   explicit CompressiveSectorSelector(std::shared_ptr<const PatternAssets> assets,
                                      CssConfig config = {});
 
-  /// Full CSS: estimate the path from `probes`, then select the best of
-  /// `candidates` (Eq. 4). The workspace-taking overload is the selection
-  /// hot path -- Eq. 3/5 runs as the allocation-free branch-and-bound
-  /// argmax (CorrelationEngine::combined_argmax) over `ws`; the others
-  /// spin up a throwaway workspace per call. All overloads return
-  /// bit-identical results.
-  CssResult select(std::span<const SectorReading> probes,
-                   std::span<const int> candidates,
-                   CorrelationWorkspace& ws) const;
-  CssResult select(std::span<const SectorReading> probes,
-                   std::span<const int> candidates) const;
-
-  /// select() with all pattern-table sectors as candidates.
-  CssResult select(std::span<const SectorReading> probes,
-                   CorrelationWorkspace& ws) const;
-  CssResult select(std::span<const SectorReading> probes) const;
-
-  /// Batched select(): one result per sweep, bit-for-bit identical to
-  /// calling select() on each element. Sweeps sharing a probe subset share
-  /// one cached response panel (and the workspace's warm scratch), so the
-  /// batch costs one argmax per sweep with no per-sweep setup.
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps,
-      std::span<const int> candidates, CorrelationWorkspace& ws) const;
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps,
-      std::span<const int> candidates) const;
-
-  /// select_batch() with all pattern-table sectors as candidates.
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps) const;
-
-  /// The zero-copy batched select the multi-link daemon drives: sweeps
-  /// arrive as spans (no per-sweep vector materialization) and results
-  /// land in caller-owned storage (out.size() == sweeps.size()). All
-  /// other select_batch overloads delegate here. Results are
-  /// bit-identical to select() per element; every sweep that would take
-  /// select()'s pruned-argmax fast path instead rides ONE batched
-  /// branch-and-bound walk (CorrelationEngine::combined_argmax_batch), so
-  /// sweeps sharing a probe subset traverse each tile while it is hot.
+  /// The selection entry point: full CSS for each of K sweeps -- estimate
+  /// the path, then select the best of `candidates` (Eq. 4) -- writing
+  /// out[i] for sweeps[i] (out.size() == sweeps.size()). Every sweep with
+  /// at least min_probes usable probes rides ONE branch-and-bound walk
+  /// (CorrelationEngine::combined_argmax_batch), so sweeps sharing a probe
+  /// subset traverse each tile while it is hot; empty sweeps come back
+  /// invalid and under-probed ones take the argmax fallback. Results are
+  /// independent of how sweeps are batched. Zero heap allocations once
+  /// `ws` is warm.
   void select_batch(std::span<const std::span<const SectorReading>> sweeps,
                     std::span<const int> candidates, std::span<CssResult> out,
                     CorrelationWorkspace& ws) const;
 
-  /// Batched estimate_direction(), same contract as select_batch().
-  std::vector<std::optional<Direction>> estimate_directions(
-      std::span<const std::vector<SectorReading>> sweeps,
-      CorrelationWorkspace& ws) const;
-  std::vector<std::optional<Direction>> estimate_directions(
-      std::span<const std::vector<SectorReading>> sweeps) const;
+  /// select_batch() for one sweep with all transmit sectors as candidates.
+  CssResult select(std::span<const SectorReading> probes,
+                   CorrelationWorkspace& ws) const;
 
   /// Step 1 only (Eq. 3/5): the estimated angle of arrival, or nullopt
   /// when fewer than min_probes probes decoded.
   std::optional<Direction> estimate_direction(
       std::span<const SectorReading> probes, CorrelationWorkspace& ws) const;
-  std::optional<Direction> estimate_direction(
-      std::span<const SectorReading> probes) const;
 
-  /// The raw Eq. 5 (or Eq. 2) correlation surface -- the input for
-  /// multipath extraction (core/multipath.hpp) and diagnostics.
-  /// Requires at least min_probes usable probes.
-  Grid2D correlation_surface(std::span<const SectorReading> probes) const;
+  /// Batched estimate_direction(), one walk like select_batch().
+  void estimate_directions(std::span<const std::span<const SectorReading>> sweeps,
+                           std::span<std::optional<Direction>> out,
+                           CorrelationWorkspace& ws) const;
 
   const PatternTable& patterns() const { return assets_->patterns(); }
   const CssConfig& config() const { return config_; }
@@ -150,6 +116,11 @@ class CompressiveSectorSelector {
 
  private:
   const CorrelationEngine& engine() const { return assets_->engine(); }
+
+  /// Run the walk over the sweeps with enough usable probes: their
+  /// indices land in ws.select_index_, their peaks in ws.select_peaks_.
+  void compressive_peaks(std::span<const std::span<const SectorReading>> sweeps,
+                         CorrelationWorkspace& ws, bool with_rival) const;
 
   std::shared_ptr<const PatternAssets> assets_;
   CssConfig config_;

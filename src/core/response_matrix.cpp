@@ -193,40 +193,6 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::panel(
   return built;
 }
 
-std::shared_ptr<const SubsetPanel> ResponseMatrix::cached_panel(
-    std::span<const int> slots) const {
-  const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-  const auto it = panel_cache_.find(slots);
-  if (it == panel_cache_.end()) return nullptr;
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-std::shared_ptr<const SubsetPanel> ResponseMatrix::panel_if_warm(
-    std::span<const int> slots) const {
-  if (std::shared_ptr<const SubsetPanel> hit = cached_panel(slots)) return hit;
-  {
-    const std::lock_guard<std::shared_mutex> lock(cache_mutex_);
-    const auto seen =
-        std::find_if(recent_direct_.begin(), recent_direct_.end(),
-                     [&](const std::vector<int>& s) {
-                       return std::equal(s.begin(), s.end(), slots.begin(),
-                                         slots.end());
-                     });
-    if (seen == recent_direct_.end()) {
-      // First sighting: remember it and let the caller walk directly.
-      if (recent_direct_.size() >= kRecentDirectSlots) {
-        recent_direct_.erase(recent_direct_.begin());
-      }
-      recent_direct_.emplace_back(slots.begin(), slots.end());
-      return nullptr;
-    }
-    recent_direct_.erase(seen);
-  }
-  // Second sighting: this subset repeats, so the build amortizes.
-  return panel(slots);
-}
-
 std::shared_ptr<const std::vector<double>> ResponseMatrix::norms_sq(
     std::span<const int> slots) const {
   std::shared_ptr<const SubsetPanel> p = panel(slots);

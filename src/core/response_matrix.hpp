@@ -169,23 +169,6 @@ class ResponseMatrix {
   /// lock, only the builder that inserts takes an exclusive one.
   std::shared_ptr<const SubsetPanel> panel(std::span<const int> slots) const;
 
-  /// Lookup-only variant: the cached panel for this slot sequence, or
-  /// nullptr without building one. Lets one-shot small-M surfaces choose
-  /// the direct matrix walk instead of paying a panel build they would
-  /// use once (counts as a hit when found; a miss counts nothing).
-  std::shared_ptr<const SubsetPanel> cached_panel(
-      std::span<const int> slots) const;
-
-  /// cached_panel with one-shot detection: the first sighting of a slot
-  /// sequence returns nullptr (the caller should walk the matrix
-  /// directly -- a panel build would cost more than the walk it
-  /// replaces); a repeat sighting builds and caches the panel, so
-  /// repeated callers converge onto the compacted tile path after two
-  /// calls. Thread-safe; the sighting ring holds the last
-  /// kRecentDirectSlots sequences.
-  std::shared_ptr<const SubsetPanel> panel_if_warm(
-      std::span<const int> slots) const;
-
   /// Per-grid-point sum of squared responses over `slots`, accumulated in
   /// sequence order (so a cache hit is bit-identical to a fresh pass).
   /// Duplicate slots contribute once per occurrence, matching a probe
@@ -247,12 +230,6 @@ class ResponseMatrix {
       panel_cache_;
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};
-
-  /// One-shot detector for panel_if_warm: slot sequences direct-walked
-  /// once but not yet promoted to a cached panel (FIFO ring, guarded by
-  /// cache_mutex_'s exclusive lock).
-  static constexpr std::size_t kRecentDirectSlots = 8;
-  mutable std::vector<std::vector<int>> recent_direct_;
 };
 
 }  // namespace talon

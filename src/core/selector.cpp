@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "src/antenna/codebook.hpp"
 #include "src/core/ssw.hpp"
 
 namespace talon {
@@ -42,10 +41,29 @@ CssResult SswArgmaxSelector::select(std::span<const SectorReading> probes,
   return result;
 }
 
+namespace {
+
+/// `candidates`, or all transmit sectors when empty.
+std::span<const int> or_tx(std::span<const int> candidates,
+                           const CompressiveSectorSelector& css) {
+  return candidates.empty() ? std::span<const int>(css.assets()->tx_candidates())
+                            : candidates;
+}
+
+/// One sweep through the selector's batch entry point.
+CssResult select_one(const CompressiveSectorSelector& css,
+                     std::span<const SectorReading> probes,
+                     std::span<const int> candidates, CorrelationWorkspace& ws) {
+  CssResult result;
+  css.select_batch({&probes, 1}, or_tx(candidates, css), {&result, 1}, ws);
+  return result;
+}
+
+}  // namespace
+
 CssResult CssSelector::select(std::span<const SectorReading> probes,
                               std::span<const int> candidates) {
-  return candidates.empty() ? css_->select(probes, ws_)
-                            : css_->select(probes, candidates, ws_);
+  return select_one(*css_, probes, candidates, ws_);
 }
 
 std::optional<Direction> CssSelector::estimate_direction(
@@ -56,30 +74,32 @@ std::optional<Direction> CssSelector::estimate_direction(
 std::vector<CssResult> CssSelector::select_batch(
     std::span<const std::vector<SectorReading>> sweeps,
     std::span<const int> candidates) {
-  return candidates.empty() ? css_->select_batch(sweeps, css_->assets()->tx_candidates(), ws_)
-                            : css_->select_batch(sweeps, candidates, ws_);
+  const std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
+  std::vector<CssResult> results(sweeps.size());
+  css_->select_batch(views, or_tx(candidates, *css_), results, ws_);
+  return results;
 }
 
 std::vector<std::optional<Direction>> CssSelector::estimate_directions(
     std::span<const std::vector<SectorReading>> sweeps) {
-  return css_->estimate_directions(sweeps, ws_);
+  const std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
+  std::vector<std::optional<Direction>> results(sweeps.size());
+  css_->estimate_directions(views, results, ws_);
+  return results;
 }
 
 CssResult TrackingCssSelector::select(std::span<const SectorReading> probes,
                                       std::span<const int> candidates) {
-  CssResult result = candidates.empty() ? css_->select(probes, ws_)
-                                        : css_->select(probes, candidates, ws_);
+  return track(select_one(*css_, probes, candidates, ws_), candidates);
+}
+
+CssResult TrackingCssSelector::track(CssResult result, std::span<const int> candidates) {
   if (result.valid && result.estimated_direction) {
     // Re-run Eq. 4 on the smoothed direction instead of this sweep's raw
     // estimate.
     const Direction tracked = tracker_.update(*result.estimated_direction);
-    if (candidates.empty()) {
-      std::vector<int> ids = css_->patterns().ids();
-      std::erase(ids, kRxQuasiOmniSectorId);
-      result.sector_id = css_->patterns().best_sector_at(tracked, ids);
-    } else {
-      result.sector_id = css_->patterns().best_sector_at(tracked, candidates);
-    }
+    result.sector_id =
+        css_->patterns().best_sector_at(tracked, or_tx(candidates, *css_));
     result.estimated_direction = tracked;
   }
   return result;

@@ -6,17 +6,7 @@ namespace talon {
 
 CssDaemon::CssDaemon(std::shared_ptr<const PatternAssets> assets,
                      CssDaemonConfig defaults)
-    : assets_(std::move(assets)), defaults_(defaults) {
-  TALON_EXPECTS(assets_ != nullptr);
-}
-
-CssDaemon::CssDaemon(Wil6210Driver& driver, const PatternTable& patterns,
-                     const CssDaemonConfig& config, Rng rng)
-    : assets_(PatternAssetsRegistry::global().get_or_create(
-          patterns, CssConfig{}.search_grid, CssConfig{}.domain)),
-      defaults_(config) {
-  add_link(0, driver, rng);
-}
+    : epoch_(std::move(assets)), defaults_(defaults) {}
 
 LinkSession& CssDaemon::add_link(int link_id, Wil6210Driver& driver, Rng rng) {
   return add_link(link_id, driver, rng, defaults_);
@@ -26,7 +16,7 @@ LinkSession& CssDaemon::add_link(int link_id, Wil6210Driver& driver, Rng rng,
                                  const CssDaemonConfig& config) {
   return insert_session(
       link_id,
-      std::make_unique<LinkSession>(driver, assets_, config, rng, link_id));
+      std::make_unique<LinkSession>(driver, assets(), config, rng, link_id));
 }
 
 LinkSession& CssDaemon::add_headless_link(int link_id, Rng rng) {
@@ -35,7 +25,7 @@ LinkSession& CssDaemon::add_headless_link(int link_id, Rng rng) {
 
 LinkSession& CssDaemon::add_headless_link(int link_id, Rng rng,
                                           const CssDaemonConfig& config) {
-  return add_headless_link(link_id, rng, config, assets_);
+  return add_headless_link(link_id, rng, config, assets());
 }
 
 LinkSession& CssDaemon::add_headless_link(
@@ -86,54 +76,48 @@ std::vector<int> CssDaemon::link_ids() const {
   return ids;
 }
 
-LinkSession& CssDaemon::first_session() {
-  if (sessions_.empty()) throw StateError("daemon has no link sessions");
-  return *sessions_.begin()->second;
+void CssDaemon::swap_assets(std::shared_ptr<const PatternAssets> next) {
+  TALON_EXPECTS(next != nullptr);
+  epoch_.swap(std::move(next));
 }
 
-const LinkSession& CssDaemon::first_session() const {
-  if (sessions_.empty()) throw StateError("daemon has no link sessions");
-  return *sessions_.begin()->second;
-}
-
-std::vector<int> CssDaemon::next_probe_subset() {
-  return first_session().next_probe_subset();
-}
-
-std::optional<CssResult> CssDaemon::process_sweep() {
-  return first_session().process_sweep();
-}
-
-bool CssDaemon::joins_batch(const LinkSession& session) const {
-  return session.pending_batchable() && session.assets().get() == assets_.get();
+bool CssDaemon::joins_batch(const LinkSession& session, const PatternAssets* current) {
+  return session.sweep_pending() && !session.in_fallback() &&
+         session.assets().get() == current;
 }
 
 void CssDaemon::complete_prepared(std::map<int, std::optional<CssResult>>* out) {
+  const AssetsEpoch::ReadGuard current = epoch_.read();
   batch_links_.clear();
   batch_sweeps_.clear();
+  // Sessions on one assets generation differ only in whether they gate
+  // on confidence; the walk computes it when any member does.
+  const LinkSession* lead = nullptr;
   for (auto& [id, session] : sessions_) {
-    if (!session->sweep_pending() || !joins_batch(*session)) continue;
+    if (!joins_batch(*session, current.get())) continue;
     batch_links_.push_back(session.get());
     batch_sweeps_.emplace_back(session->pending_readings());
+    if (lead == nullptr || (session->css().config().compute_confidence &&
+                            !lead->css().config().compute_confidence)) {
+      lead = session.get();
+    }
   }
-  if (!batch_links_.empty()) {
-    // Batchable sessions run the stateless CSS fast path with the shared
-    // default CssConfig (prepare_sweep() excludes tracking and
-    // degradation, the only knobs session construction changes) over the
-    // daemon's own assets (joins_batch() excludes per-link tables), so
-    // one selector -- the first batchable session's -- computes every
-    // member's selection bit-identically to its own.
+  if (lead != nullptr) {
     batch_results_.resize(batch_links_.size());
-    batch_links_.front()->css().select_batch(batch_sweeps_,
-                                             assets_->tx_candidates(),
-                                             batch_results_, batch_ws_);
+    lead->css().select_batch(batch_sweeps_, current->tx_candidates(), batch_results_,
+                             batch_ws_);
   }
-  // Complete in session (map) order; batchable sessions consume their
-  // batched result, the rest select with their own stateful selector.
+  // Complete in session (map) order; batched sessions consume their
+  // result (dropping a confidence they did not ask for, so each matches
+  // its own selector bit for bit), the rest select on their own.
   std::size_t j = 0;
   for (auto& [id, session] : sessions_) {
     if (!session->sweep_pending()) continue;
-    const CssResult* batched = joins_batch(*session) ? &batch_results_[j++] : nullptr;
+    CssResult* batched = nullptr;
+    if (joins_batch(*session, current.get())) {
+      batched = &batch_results_[j++];
+      if (!session->css().config().compute_confidence) batched->confidence = 0.0;
+    }
     std::optional<CssResult> result = session->complete_sweep(batched);
     if (out != nullptr) (*out)[id] = std::move(result);
   }
@@ -144,16 +128,6 @@ std::map<int, std::optional<CssResult>> CssDaemon::process_sweeps() {
   std::map<int, std::optional<CssResult>> out;
   complete_prepared(&out);
   return out;
-}
-
-std::size_t CssDaemon::rounds() const { return first_session().rounds(); }
-
-std::size_t CssDaemon::current_probes() const {
-  return first_session().current_probes();
-}
-
-const std::optional<Direction>& CssDaemon::tracked_direction() const {
-  return first_session().tracked_direction();
 }
 
 FaultStats CssDaemon::total_fault_stats() const {

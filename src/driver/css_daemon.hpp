@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/assets_epoch.hpp"
 #include "src/core/pattern_assets.hpp"
 #include "src/driver/link_session.hpp"
 #include "src/driver/wil6210.hpp"
@@ -28,14 +29,6 @@ class CssDaemon {
   /// without an explicit one.
   explicit CssDaemon(std::shared_ptr<const PatternAssets> assets,
                      CssDaemonConfig defaults = {});
-
-  /// Single-link convenience (the original daemon shape): resolves the
-  /// assets through the global registry -- daemons built from the same
-  /// measured table share one response matrix -- and immediately binds
-  /// `driver` as link 0. The session loads the research patches on
-  /// construction when missing.
-  CssDaemon(Wil6210Driver& driver, const PatternTable& patterns,
-            const CssDaemonConfig& config, Rng rng);
 
   // --- session management ---------------------------------------------------
 
@@ -55,10 +48,10 @@ class CssDaemon {
                                  const CssDaemonConfig& config);
 
   /// Headless with per-link assets: the session rides `assets` instead
-  /// of the daemon's shared table (a link measured against a different
-  /// codebook, or mid-rollout of a recalibration). Such sessions never
-  /// join the shared batched-selection walk -- complete_prepared()
-  /// routes them through their own selector.
+  /// of the daemon's current generation (a link measured against a
+  /// different codebook, or mid-rollout of a recalibration). Such
+  /// sessions never join the shared batched-selection walk --
+  /// complete_prepared() routes them through their own selector.
   LinkSession& add_headless_link(int link_id, Rng rng,
                                  const CssDaemonConfig& config,
                                  std::shared_ptr<const PatternAssets> assets);
@@ -78,50 +71,43 @@ class CssDaemon {
   /// Registered link ids, ascending (snapshot/serve iteration order).
   std::vector<int> link_ids() const;
 
-  /// The immutable assets every session shares (never null).
-  const std::shared_ptr<const PatternAssets>& assets() const { return assets_; }
+  // --- assets generations ----------------------------------------------------
 
-  // --- single-link forwarding (first session by id) -------------------------
-  // The original one-link daemon API, kept for the single-AP tools and
-  // tests; requires at least one session.
+  /// The current assets generation (never null). The epoch domain below
+  /// is its only owner; sessions hold the generation they were built or
+  /// last rebound on.
+  std::shared_ptr<const PatternAssets> assets() const { return epoch_.current(); }
 
-  /// Probe subset to use for the next training round.
-  std::vector<int> next_probe_subset();
+  /// The epoch-RCU domain publishing the current generation: pin it with
+  /// read() to compare a session's assets against it without refcount
+  /// traffic.
+  const AssetsEpoch& epoch() const { return epoch_; }
 
-  /// Consume the just-finished round: read the ring buffer, select, and
-  /// force the sector. Returns the selection, or nullopt when nothing was
-  /// decoded (the previous override stays in place).
-  std::optional<CssResult> process_sweep();
+  /// Publish `next` as the current generation and retire the previous
+  /// one, which is reclaimed once no reader pins it and no session rides
+  /// it (sessions move over with LinkSession::rebind_assets). Links added
+  /// afterwards start on `next`.
+  void swap_assets(std::shared_ptr<const PatternAssets> next);
 
   // --- multi-link batched round ---------------------------------------------
 
   /// Finish a round for every session with a parked sweep (see
-  /// LinkSession::prepare_sweep): the batchable sessions' selections run
-  /// as ONE CorrelationEngine::combined_argmax_batch walk over the shared
-  /// assets -- links probing the same subset traverse each response tile
-  /// while it is cache-hot -- and the rest (tracking, degradation,
-  /// fallback rounds, empty sweeps) complete with their own selectors.
-  /// Results land in `out[link_id]` (entries for links without a parked
-  /// sweep are untouched). Bit-identical to calling complete_sweep() on
-  /// each session in isolation. Scratch lives on the daemon, so repeated
-  /// rounds are allocation-free once warm.
+  /// LinkSession::prepare_sweep): every compressive round on the current
+  /// assets -- plain, tracked or degradation-gated -- rides ONE
+  /// CompressiveSectorSelector::select_batch walk, so links probing the
+  /// same subset traverse each response tile while it is cache-hot.
+  /// Full-sweep rounds and sessions on other assets complete with their
+  /// own selectors. Results land in `out[link_id]` (entries for links
+  /// without a parked sweep are untouched). Bit-identical to calling
+  /// complete_sweep() on each session in isolation. Scratch lives on the
+  /// daemon, so repeated rounds are allocation-free once warm.
   void complete_prepared(
       std::map<int, std::optional<CssResult>>* out = nullptr);
 
   /// prepare_sweep() on every session, then complete_prepared(): the
-  /// whole-fleet analogue of per-session process_sweep(), one batched
-  /// selection walk per round. Returns one result per session, keyed by
-  /// link id.
+  /// whole-fleet round, one batched selection walk. Returns one result
+  /// per session, keyed by link id.
   std::map<int, std::optional<CssResult>> process_sweeps();
-
-  /// Number of sweeps processed (first session).
-  std::size_t rounds() const;
-
-  std::size_t current_probes() const;
-
-  /// The smoothed path direction (empty unless track_path is on and at
-  /// least one valid estimate arrived).
-  const std::optional<Direction>& tracked_direction() const;
 
   // --- robustness observability ---------------------------------------------
 
@@ -137,16 +123,12 @@ class CssDaemon {
   LifecycleStats total_lifecycle_stats() const;
 
  private:
-  LinkSession& first_session();
-  const LinkSession& first_session() const;
   LinkSession& insert_session(int link_id, std::unique_ptr<LinkSession> session);
-  /// May this parked sweep join the shared batched walk? Requires the
-  /// session's batchable verdict AND that it rides the daemon's own
-  /// assets -- a per-link or hot-swapped table must go through the
-  /// session's own selector.
-  bool joins_batch(const LinkSession& session) const;
+  /// Does this parked sweep join the shared walk? A compressive round
+  /// (not a full-sweep one) on the daemon's current assets.
+  static bool joins_batch(const LinkSession& session, const PatternAssets* current);
 
-  std::shared_ptr<const PatternAssets> assets_;
+  AssetsEpoch epoch_;
   CssDaemonConfig defaults_;
   /// Keyed by link id; unique_ptr keeps session addresses stable across
   /// insertions (sessions hand out references).

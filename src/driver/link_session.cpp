@@ -12,8 +12,8 @@ namespace {
 
 CssConfig session_css_config(const CssDaemonConfig& config) {
   CssConfig css;
-  // Confidence gating needs the full-surface peak-to-second-peak ratio;
-  // without degradation the selector keeps the pruned argmax fast path.
+  // Confidence gating needs the peak-to-second-peak ratio (the walk's
+  // rival); without degradation the walk prunes against the peak alone.
   css.compute_confidence = config.degradation.enabled;
   return css;
 }
@@ -256,27 +256,18 @@ std::optional<CssResult> LinkSession::process_report(
   return complete_sweep();
 }
 
-bool LinkSession::prepare_sweep() {
+void LinkSession::prepare_sweep() {
   TALON_EXPECTS(driver_ != nullptr);
-  return prepare_report(driver_->read_sweep_readings());
+  prepare_report(driver_->read_sweep_readings());
 }
 
-bool LinkSession::prepare_report(std::vector<SectorReading> readings) {
+void LinkSession::prepare_report(std::vector<SectorReading> readings) {
   TALON_EXPECTS(!sweep_pending_);
   ++rounds_;
   pending_full_sweep_ = in_fallback();
   pending_readings_ = std::move(readings);
   if (injector_) apply_reading_faults(pending_readings_);
   sweep_pending_ = true;
-  // Batchable iff complete_sweep() would run the plain stateless CSS
-  // select: a tracked or degradation-gated selection depends on per-link
-  // selector state the batched walk does not carry, a full-sweep round
-  // uses the SSW argmax, and an empty sweep short-circuits before
-  // selecting at all.
-  pending_batchable_ = !pending_full_sweep_ && tracking_ == nullptr &&
-                       !config_.degradation.enabled &&
-                       !pending_readings_.empty();
-  return pending_batchable_;
 }
 
 std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
@@ -289,10 +280,11 @@ std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
     return std::nullopt;
   }
   note_unknown_sectors(readings);
-  TALON_EXPECTS(batched == nullptr || pending_batchable_);
-  CssResult result = batched != nullptr ? *batched
-                     : full_sweep_round ? ssw_fallback_.select(readings)
-                                        : strategy_->select(readings);
+  TALON_EXPECTS(batched == nullptr || !full_sweep_round);
+  CssResult result = full_sweep_round   ? ssw_fallback_.select(readings)
+                     : batched == nullptr ? strategy_->select(readings)
+                     : tracking_ != nullptr ? tracking_->track(*batched)
+                                            : *batched;
   bool healthy = result.valid && !result.fallback_used;
   bool withhold = false;
   if (!full_sweep_round && config_.degradation.enabled && result.valid) {

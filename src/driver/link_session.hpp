@@ -186,31 +186,27 @@ class LinkSession {
   // The daemon's batched path runs each round in two phases so that the
   // per-link work (ring-buffer drain, fault injection) can happen per
   // link while the selection itself is batched across links into ONE
-  // CorrelationEngine::combined_argmax_batch walk. The sequence
+  // branch-and-bound walk (CompressiveSectorSelector::select_batch). The
+  // sequence
   //   prepare_sweep(); complete_sweep(&batched_result_for_this_link);
   // is bit-identical to process_sweep() when the batched result equals
-  // what this session's selector would have computed -- which
-  // CssDaemon::process_sweeps() guarantees by batching only sessions
-  // whose selection is the plain stateless CSS fast path.
+  // what css().select_batch() computes for pending_readings() -- the
+  // session applies its own tracking step and confidence gate on top.
 
   /// Phase 1: count the round, drain the ring buffer and apply reading
-  /// faults; the sweep is parked until complete_sweep(). Returns true
-  /// when the parked selection is BATCHABLE -- a plain compressive
-  /// select with no per-link selector state (no tracking, no
-  /// degradation gating, not a full-sweep fallback round, sweep
-  /// non-empty) -- so the caller may compute it externally via
-  /// css().select_batch() and hand it to complete_sweep().
-  bool prepare_sweep();
+  /// faults; the sweep is parked until complete_sweep().
+  void prepare_sweep();
 
   /// prepare_sweep() with caller-supplied readings instead of a ring
-  /// drain (the report-driven ingest path). Same return contract.
-  bool prepare_report(std::vector<SectorReading> readings);
+  /// drain (the report-driven ingest path).
+  void prepare_report(std::vector<SectorReading> readings);
 
   /// Phase 2: select -- from `batched` when given, else with this
-  /// session's own selector -- then gate, install and account exactly
-  /// like process_sweep(). Callers must pass `batched` only when
-  /// prepare_sweep() returned true, and it must hold the CSS result for
-  /// pending_readings().
+  /// session's own selector -- then track, gate, install and account
+  /// exactly like process_sweep(). `batched` must hold css()'s CSS result
+  /// for pending_readings() (with confidence iff css() computes it), and
+  /// must be null on a full-sweep round (in_fallback()), which uses the
+  /// SSW argmax instead.
   std::optional<CssResult> complete_sweep(const CssResult* batched = nullptr);
 
   /// The sweep parked by prepare_sweep() (valid until complete_sweep()).
@@ -220,9 +216,6 @@ class LinkSession {
 
   /// True between prepare_sweep() and complete_sweep().
   bool sweep_pending() const { return sweep_pending_; }
-
-  /// Last prepare_sweep() verdict: may this round's selection be batched?
-  bool pending_batchable() const { return pending_batchable_; }
 
   /// The stateless selector core (for the daemon's batched select).
   const CompressiveSectorSelector& css() const { return css_; }
@@ -236,9 +229,6 @@ class LinkSession {
   /// warnings are capped at kMaxWarnedUnknownIds distinct IDs so a
   /// misconfigured codebook cannot flood the log from the sweep path.
   std::size_t dropped_probes() const { return dropped_probes_; }
-
-  /// Distinct unknown sector IDs warned about so far (<= the cap).
-  std::size_t warned_unknown_count() const { return warned_unknown_.size(); }
 
   /// Warn-once cap on distinct unknown sector IDs.
   static constexpr std::size_t kMaxWarnedUnknownIds = 16;
@@ -358,7 +348,6 @@ class LinkSession {
   std::vector<SectorReading> pending_readings_;
   bool pending_full_sweep_{false};
   bool sweep_pending_{false};
-  bool pending_batchable_{false};
   std::size_t dropped_probes_{0};
   /// Unknown sector IDs already warned about (warn once per ID, capped).
   std::set<int> warned_unknown_;

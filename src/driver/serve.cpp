@@ -23,10 +23,9 @@ std::string link_label(int link_id) {
 
 ServeDaemon::ServeDaemon(std::shared_ptr<const PatternAssets> assets,
                          CssDaemonConfig session_defaults, ServeConfig config)
-    : daemon_(assets, session_defaults),
+    : daemon_(std::move(assets), session_defaults),
       session_defaults_(session_defaults),
       config_(config),
-      epoch_(std::move(assets)),
       queue_(config.queue_capacity) {}
 
 ServeDaemon::~ServeDaemon() { stop(); }
@@ -42,8 +41,7 @@ LinkSession& ServeDaemon::add_link(int link_id, Rng rng,
   }
   // Register against the CURRENT assets generation so links added after
   // a hot swap never start on a retired table.
-  LinkSession& session =
-      daemon_.add_headless_link(link_id, rng, config, epoch_.current());
+  LinkSession& session = daemon_.add_headless_link(link_id, rng, config);
   claims_.emplace(link_id, std::make_unique<std::atomic<std::uint64_t>>(0));
   LinkIngest& ingest = ingest_[link_id];
   ingest.link_id = link_id;
@@ -122,9 +120,9 @@ void ServeDaemon::process_link(LinkIngest& ingest) {
     // Epoch-pinned staleness check: a raw pointer compare against the
     // pinned current generation. Rebinding takes the slow path once per
     // swap per link; every other round costs two loads.
-    AssetsEpoch::ReadGuard guard = epoch_.read();
+    AssetsEpoch::ReadGuard guard = daemon_.epoch().read();
     if (guard.get() != session.assets().get()) {
-      session.rebind_assets(epoch_.current());
+      session.rebind_assets(daemon_.assets());
       rebinds_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -206,7 +204,7 @@ std::size_t ServeDaemon::drain_all() {
 }
 
 void ServeDaemon::swap_assets(std::shared_ptr<const PatternAssets> next) {
-  epoch_.swap(std::move(next));
+  daemon_.swap_assets(std::move(next));
   telemetry_.counter("serve_assets_swaps_total").inc();
 }
 
@@ -255,7 +253,7 @@ void ServeDaemon::publish_session_metrics() {
   telemetry_.counter("serve_lifecycle_trips_total").set(lifecycle.trips);
   telemetry_.counter("serve_lifecycle_recoveries_total").set(lifecycle.recoveries);
 
-  // PR4/PR8 panel-cache traffic of the current assets generation.
+  // Panel-cache traffic of the current assets generation.
   const auto cache = daemon_.assets()->engine().response_matrix().cache_stats();
   telemetry_.counter("serve_panel_cache_hits_total").set(cache.hits);
   telemetry_.counter("serve_panel_cache_misses_total").set(cache.misses);

@@ -131,11 +131,11 @@ class ServeDaemon {
   void swap_assets(std::shared_ptr<const PatternAssets> next);
 
   std::shared_ptr<const PatternAssets> current_assets() const {
-    return epoch_.current();
+    return daemon_.assets();
   }
 
   /// Swap count so far.
-  std::uint64_t assets_epoch() const { return epoch_.epoch(); }
+  std::uint64_t assets_epoch() const { return daemon_.epoch().epoch(); }
 
   // --- observability --------------------------------------------------------
 
@@ -183,7 +183,6 @@ class ServeDaemon {
   CssDaemon daemon_;
   CssDaemonConfig session_defaults_;
   ServeConfig config_;
-  AssetsEpoch epoch_;
   MpscQueue<SweepReport> queue_;
   TelemetryRegistry telemetry_;
 

@@ -154,15 +154,8 @@ std::vector<EstimationErrorRow> estimation_error_analysis(
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        std::vector<std::optional<Direction>> estimates;
-        if (options.batch) {
-          estimates = worker->estimate_directions(sweeps);
-        } else {
-          estimates.reserve(sweeps.size());
-          for (const std::vector<SectorReading>& probes : sweeps) {
-            estimates.push_back(worker->estimate_direction(probes));
-          }
-        }
+        const std::vector<std::optional<Direction>> estimates =
+            worker->estimate_directions(sweeps);
 
         CellErrors& out = results[c];
         for (std::size_t k = 0; k < sweeps.size(); ++k) {
@@ -284,15 +277,7 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        std::vector<CssResult> selected;
-        if (options.batch) {
-          selected = worker->select_batch(sweeps, all_tx);
-        } else {
-          selected.reserve(sweeps.size());
-          for (const std::vector<SectorReading>& probes : sweeps) {
-            selected.push_back(worker->select(probes, all_tx));
-          }
-        }
+        const std::vector<CssResult> selected = worker->select_batch(sweeps, all_tx);
 
         std::vector<int> selections;
         SnrLossTracker loss;

@@ -31,16 +31,14 @@
 
 namespace talon {
 
-/// Execution knobs of the offline replay engine. Neither knob changes any
-/// result: threads only distribute independent trial cells, and the batched
-/// Eq. 5 kernel is bit-for-bit equal to the scalar path.
+/// Execution knobs of the offline replay engine. Threads only distribute
+/// independent trial cells, so no result depends on them. Each cell's
+/// sweeps go to its selector as one batch (SectorSelector::select_batch),
+/// which a CssSelector resolves in one branch-and-bound walk.
 struct ReplayOptions {
   /// Worker threads; <= 0 means default_thread_count() (the --threads /
   /// TALON_THREADS override when set, hardware concurrency otherwise).
   int threads{0};
-  /// Evaluate each cell's sweeps through the batched kernel
-  /// (combined_surface_batch); false forces the scalar per-sweep path.
-  bool batch{true};
 };
 
 /// One recorded full sweep at one rotation-head pose.

@@ -8,7 +8,7 @@
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
-#include "src/driver/css_daemon.hpp"
+#include "src/driver/link_session.hpp"
 #include "src/mac/schedule.hpp"
 #include "src/sim/event_engine.hpp"
 #include "src/sim/scenario.hpp"
@@ -40,7 +40,7 @@ struct WorldState {
 };
 
 /// One selection strategy's private rig: its own venue (nodes +
-/// environment copy), channel, driver, daemon, and episode tracker. Arm
+/// environment copy), channel, driver, link session, and episode tracker. Arm
 /// events touch nothing outside their own rec (plus the read-only world
 /// snapshot), which is what lets the three arms fan out in parallel.
 struct ArmRec {
@@ -77,13 +77,16 @@ struct ArmRec {
         daemon_config.degradation.enabled = true;
         break;
     }
-    daemon = std::make_unique<CssDaemon>(
-        driver, table, daemon_config,
+    const CssConfig css;
+    session = std::make_unique<LinkSession>(
+        driver,
+        PatternAssetsRegistry::global().get_or_create(table, css.search_grid, css.domain),
+        daemon_config,
         Rng(substream_seed(config.seed, streams::event_entity_tag(entity_id), 2)));
     if (arm == MobilityArm::kSswArgmax) {
       // Trip the pinned fallback with one empty drain (no readings, no
       // channel draws): from round 0 on the arm probes every sector.
-      daemon->process_sweep();
+      session->process_sweep();
     }
   }
 
@@ -93,7 +96,7 @@ struct ArmRec {
   LinkSimulator link;
   Wil6210Driver driver;
   RayTracedEnvironment* environment{nullptr};
-  std::unique_ptr<CssDaemon> daemon;
+  std::unique_ptr<LinkSession> session;
   // Campaign accumulators.
   std::uint64_t rounds{0};
   std::uint64_t outage_rounds{0};
@@ -307,8 +310,8 @@ MobilityRunResult MobilitySimulator::run() {
                                                      kRxQuasiOmniSectorId));
         }
         rec.link.transmit_sweep(*rec.venue.dut, *rec.venue.peer,
-                                probing_burst_schedule(rec.daemon->next_probe_subset()));
-        rec.daemon->process_sweep();
+                                probing_burst_schedule(rec.session->next_probe_subset()));
+        rec.session->process_sweep();
         // The beam the STA actually rides: the standing override, or the
         // firmware's stock argmax when nothing was installed yet.
         const FullMacFirmware& fw = rec.venue.peer->firmware();
@@ -381,7 +384,7 @@ MobilityRunResult MobilitySimulator::run() {
       out.worst_realign_s = *std::max_element(rec->realign_latencies_s.begin(),
                                               rec->realign_latencies_s.end());
     }
-    out.lifecycle = rec->daemon->total_lifecycle_stats();
+    out.lifecycle = rec->session->lifecycle_stats();
     result.arms.push_back(out);
   }
   return result;

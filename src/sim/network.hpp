@@ -133,9 +133,7 @@ class NetworkSimulator {
   CssDaemon& daemon() { return daemon_; }
   const CssDaemon& daemon() const { return daemon_; }
 
-  const std::shared_ptr<const PatternAssets>& assets() const {
-    return daemon_.assets();
-  }
+  std::shared_ptr<const PatternAssets> assets() const { return daemon_.assets(); }
 
   const Node& initiator(int link) const { return *links_[link].initiator; }
   const Node& responder(int link) const { return *links_[link].responder; }

@@ -45,8 +45,9 @@ void expect_matches_surface(const CorrelationEngine& engine,
   EXPECT_EQ(fast.value, expected.value);  // bit-identical, not approximate
   EXPECT_EQ(fast.direction.azimuth_deg, expected.direction.azimuth_deg);
   EXPECT_EQ(fast.direction.elevation_deg, expected.direction.elevation_deg);
-  // The throwaway-workspace overload must agree with the reused one.
-  const auto cold = engine.combined_argmax(probes);
+  // A fresh workspace must agree with the reused one.
+  CorrelationWorkspace fresh;
+  const auto cold = engine.combined_argmax(probes, fresh);
   EXPECT_EQ(cold.index, fast.index);
   EXPECT_EQ(cold.value, fast.value);
 }
@@ -151,8 +152,9 @@ TEST(CombinedArgmax, ZeroProbeNormThrowsLikeSurface) {
       SectorReading{.sector_id = 1, .snr_db = 0.0, .rssi_dbm = 0.0},
       SectorReading{.sector_id = 2, .snr_db = 0.0, .rssi_dbm = 0.0},
   };
+  CorrelationWorkspace ws;
   EXPECT_THROW(engine.combined_surface(probes), PreconditionError);
-  EXPECT_THROW(engine.combined_argmax(probes), PreconditionError);
+  EXPECT_THROW(engine.combined_argmax(probes, ws), PreconditionError);
 }
 
 TEST(CombinedArgmax, PreconditionsMatchSurface) {

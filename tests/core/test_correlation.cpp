@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "tests/core/synthetic_table.hpp"
 
@@ -202,7 +204,7 @@ TEST(Correlation, EmptyTableRejected) {
   EXPECT_THROW(CorrelationEngine(empty, synthetic_grid()), PreconditionError);
 }
 
-// --- combined_surface_batch: bit-for-bit equality with the scalar path ----
+// --- combined_argmax_batch: every member's peak is its own surface's ------
 
 /// A panel member: the given sector ids at `truth`, with a deterministic
 /// per-member perturbation so members differ while sharing a slot sequence.
@@ -220,16 +222,16 @@ std::vector<SectorReading> panel_member(std::span<const int> ids,
 void expect_batch_matches_single(const CorrelationEngine& engine,
                                  const std::vector<std::vector<SectorReading>>& panel) {
   const std::vector<std::span<const SectorReading>> spans(panel.begin(), panel.end());
-  const std::vector<Grid2D> batch = engine.combined_surface_batch(spans);
-  ASSERT_EQ(batch.size(), panel.size());
+  std::vector<ArgmaxResult> batch(panel.size());
+  CorrelationWorkspace ws;
+  engine.combined_argmax_batch(spans, batch, ws);
   for (std::size_t b = 0; b < panel.size(); ++b) {
-    const Grid2D single = engine.combined_surface(panel[b]);
-    ASSERT_EQ(batch[b].values().size(), single.values().size());
-    for (std::size_t i = 0; i < single.values().size(); ++i) {
-      // EXPECT_EQ on doubles: the batched kernel must preserve the scalar
-      // path's accumulation order exactly, not just approximately.
-      EXPECT_EQ(batch[b].values()[i], single.values()[i]) << "member " << b;
-    }
+    const std::vector<double> single = engine.combined_surface(panel[b]).values();
+    const auto peak = std::max_element(single.begin(), single.end());
+    // EXPECT_EQ on doubles: grouping must change nothing, not just little.
+    EXPECT_EQ(batch[b].index, static_cast<std::size_t>(peak - single.begin()))
+        << "member " << b;
+    EXPECT_EQ(batch[b].value, *peak) << "member " << b;
   }
 }
 
@@ -273,7 +275,9 @@ TEST(CorrelationBatch, RaggedBatchOf64MatchesSingle) {
 TEST(CorrelationBatch, EmptyBatchReturnsNoSurfaces) {
   const CorrelationEngine engine = make_engine();
   const std::vector<std::span<const SectorReading>> none;
-  EXPECT_TRUE(engine.combined_surface_batch(none).empty());
+  CorrelationWorkspace ws;
+  EXPECT_NO_THROW(engine.combined_argmax_batch(none, {}, ws));
+  EXPECT_EQ(ws.growth_events(), 0u);
 }
 
 TEST(CorrelationBatch, MemberWithTooFewProbesThrows) {
@@ -281,7 +285,9 @@ TEST(CorrelationBatch, MemberWithTooFewProbesThrows) {
   const auto good = panel_member(std::vector<int>{1, 3, 5}, {0.0, 0.0}, 0);
   const auto bad = ideal_probes(synthetic_table(), {1}, {0.0, 0.0});
   const std::vector<std::span<const SectorReading>> panel{good, bad};
-  EXPECT_THROW(engine.combined_surface_batch(panel), PreconditionError);
+  std::vector<ArgmaxResult> out(panel.size());
+  CorrelationWorkspace ws;
+  EXPECT_THROW(engine.combined_argmax_batch(panel, out, ws), PreconditionError);
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ TEST(Css, SelectsBestSectorWithIdealProbes) {
   const CompressiveSectorSelector css(table, synthetic_config());
   // Truth at -35 deg: sector 2 peaks exactly there.
   const auto probes = ideal_probes(table, {1, 3, 5, 7, 9}, {-35.0, 0.0});
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_FALSE(r.fallback_used);
   EXPECT_EQ(r.sector_id, 2);  // selected although sector 2 was never probed
@@ -38,7 +39,8 @@ TEST(Css, CandidateCountExceedsProbeCount) {
   const PatternTable table = synthetic_table();
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7, 9}, {24.0, 0.0});
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.sector_id, 6);  // peak at +25, never probed
 }
@@ -47,7 +49,8 @@ TEST(Css, ElevatedPathSelectsElevatedSector) {
   const PatternTable table = synthetic_table();
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {2, 4, 6, 8, 9}, {0.0, 20.0});
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.sector_id, 8);
   EXPECT_GT(r.estimated_direction->elevation_deg, 10.0);
@@ -58,7 +61,10 @@ TEST(Css, RestrictedCandidatesRespected) {
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7}, {-35.0, 0.0});
   const std::vector<int> candidates{5, 6, 7};
-  const CssResult r = css.select(probes, candidates);
+  const std::span<const SectorReading> sweep(probes);
+  CssResult r;
+  CorrelationWorkspace ws;
+  css.select_batch({&sweep, 1}, candidates, {&r, 1}, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.sector_id == 5 || r.sector_id == 6 || r.sector_id == 7);
 }
@@ -66,7 +72,8 @@ TEST(Css, RestrictedCandidatesRespected) {
 TEST(Css, EmptyProbesInvalidResult) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   const std::vector<SectorReading> none;
-  const CssResult r = css.select(none);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(none, ws);
   EXPECT_FALSE(r.valid);
 }
 
@@ -76,7 +83,8 @@ TEST(Css, FallbackArgmaxBelowMinProbes) {
   config.min_probes = 4;
   const CompressiveSectorSelector css(table, config);
   const auto probes = ideal_probes(table, {3, 6}, {25.0, 0.0});
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.fallback_used);
   EXPECT_FALSE(r.estimated_direction.has_value());
@@ -87,7 +95,8 @@ TEST(Css, FallbackArgmaxBelowMinProbes) {
 TEST(Css, EstimateDirectionNulloptOnTooFewProbes) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   const auto probes = ideal_probes(synthetic_table(), {3, 6}, {25.0, 0.0});
-  EXPECT_FALSE(css.estimate_direction(probes).has_value());
+  CorrelationWorkspace ws;
+  EXPECT_FALSE(css.estimate_direction(probes, ws).has_value());
 }
 
 TEST(Css, RobustToSnrOutlierViaRssiProduct) {
@@ -96,7 +105,8 @@ TEST(Css, RobustToSnrOutlierViaRssiProduct) {
   const Direction truth{-20.0, 0.0};
   auto probes = ideal_probes(table, {1, 2, 3, 4, 5, 6, 7}, truth);
   probes[6].snr_db = 12.0;  // bogus spike on sector 7 (peak at +40)
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   ASSERT_TRUE(r.valid);
   // The well-constrained azimuth axis must survive the outlier.
   EXPECT_LE(azimuth_distance_deg(r.estimated_direction->azimuth_deg,
@@ -115,9 +125,10 @@ TEST(Css, SnrOnlyModeIsMoreSensitiveToOutliers) {
   CssConfig with_rssi = synthetic_config();
   CssConfig snr_only = synthetic_config();
   snr_only.use_rssi = false;
+  CorrelationWorkspace ws;
   const CssResult r_product =
-      CompressiveSectorSelector(table, with_rssi).select(probes);
-  const CssResult r_snr = CompressiveSectorSelector(table, snr_only).select(probes);
+      CompressiveSectorSelector(table, with_rssi).select(probes, ws);
+  const CssResult r_snr = CompressiveSectorSelector(table, snr_only).select(probes, ws);
   const double err_product =
       angular_separation_deg(*r_product.estimated_direction, truth);
   const double err_snr = angular_separation_deg(*r_snr.estimated_direction, truth);
@@ -131,9 +142,19 @@ TEST(Css, DefaultCandidatesExcludeRxSector) {
   table.add(kRxQuasiOmniSectorId, omni);
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7}, {10.0, 0.0});
-  const CssResult r = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult r = css.select(probes, ws);
   EXPECT_TRUE(r.valid);
   EXPECT_NE(r.sector_id, kRxQuasiOmniSectorId);
+}
+
+TEST(Css, ConfidenceRequiresTheRssiProduct) {
+  // The SNR-only ablation keeps its full surface and has no confidence.
+  CssConfig config = synthetic_config();
+  config.use_rssi = false;
+  config.compute_confidence = true;
+  EXPECT_THROW(CompressiveSectorSelector(synthetic_table(), config),
+               PreconditionError);
 }
 
 TEST(Css, MinProbesBelowTwoRejected) {

@@ -53,7 +53,8 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   const auto probes = ideal_probes(synthetic_table(),
                                    {1, 2, 3, 4, 5, 6, 7}, {-20.0, 0.0});
   // Default candidates.
-  const CssResult direct = css.select(probes);
+  CorrelationWorkspace ws;
+  const CssResult direct = css.select(probes, ws);
   const CssResult routed = selector.select(probes);
   EXPECT_EQ(routed.valid, direct.valid);
   EXPECT_EQ(routed.sector_id, direct.sector_id);
@@ -68,11 +69,14 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   // Restricted candidates.
   const std::vector<int> candidates{2, 4, 6};
   const CssResult restricted = selector.select(probes, candidates);
-  EXPECT_EQ(restricted.sector_id, css.select(probes, candidates).sector_id);
+  const std::span<const SectorReading> sweep(probes);
+  CssResult expected_restricted;
+  css.select_batch({&sweep, 1}, candidates, {&expected_restricted, 1}, ws);
+  EXPECT_EQ(restricted.sector_id, expected_restricted.sector_id);
 
   // Direction estimate pass-through.
   const auto est = selector.estimate_direction(probes);
-  const auto expected = css.estimate_direction(probes);
+  const auto expected = css.estimate_direction(probes, ws);
   ASSERT_EQ(est.has_value(), expected.has_value());
   if (expected) {
     EXPECT_EQ(est->azimuth_deg, expected->azimuth_deg);

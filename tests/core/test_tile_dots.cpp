@@ -17,21 +17,23 @@
 //      bit-identical to the full surface peak.
 //
 // Plus the batched argmax (one pyramid walk for K sweeps) against the
-// single-sweep argmax, the SubsetPanel alignment contract on grids
-// whose point count leaves every kind of ragged tail tile, and
-// combined_surface's small-M one-shot policy (direct walk on first
-// sighting, panel promotion on repeat).
+// single-sweep argmax, the walk's peak and rival against the full surface
+// on hostile sweeps, and the SubsetPanel alignment contract on grids
+// whose point count leaves every kind of ragged tail tile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "src/common/aligned.hpp"
+#include "src/common/angles.hpp"
 #include "src/common/cpufeatures.hpp"
 #include "src/core/correlation.hpp"
+#include "src/core/css.hpp"
 #include "src/core/response_matrix.hpp"
 #include "src/core/tile_dots.hpp"
 #include "tests/core/synthetic_table.hpp"
@@ -135,6 +137,183 @@ TEST(TileDots, SnrOnlyShapeBitIdentical) {
     tile_dots(block.data(), ps.data(), nullptr, m, out_s.data(), nullptr);
     expect_rows_equal(ref_s.data(), out_s.data());
   }
+}
+
+// --- hostile sweeps: the walk against the Grid2D reference -------------------
+
+/// Largest surface value at least `exclusion_deg` of azimuth away from the
+/// main peak -- the best rival direction hypothesis; 0 when the exclusion
+/// zone swallows the whole grid. The full-surface reference for the
+/// walk's rival pass.
+double runner_up_value(const Grid2D& surface, double peak_azimuth_deg,
+                       double exclusion_deg) {
+  const AngularGrid& grid = surface.grid();
+  double best = 0.0;
+  for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
+    if (azimuth_distance_deg(grid.azimuth.value(ia), peak_azimuth_deg) <
+        exclusion_deg) {
+      continue;
+    }
+    for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
+      best = std::max(best, surface.at(ia, ie));
+    }
+  }
+  return best;
+}
+
+/// Seeded sweeps of every hostile kind: all probes at the -7 dB reporting
+/// floor, one probe above the floor, exact ties (uniform readings, so
+/// every all-floor grid point ties at the peak), duplicate sector IDs,
+/// and readings clamped at the 12 dB ceiling -- plus two two-path sweeps
+/// whose peak moves after the running rival has pruned, so a 20 deg
+/// exclusion on the synthetic grid forces the walk's unpruned redo, and
+/// three three-path sweeps whose peak moves twice, so on the fine grid the
+/// rival retaken after a move must count as used by pruning (15, 20 and
+/// 30 deg exclusions).
+std::vector<std::vector<SectorReading>> hostile_sweeps(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> sector(1, 9);
+  std::uniform_int_distribution<std::size_t> count(3, 9);
+  std::uniform_real_distribution<double> az(-60.0, 60.0);
+  std::uniform_real_distribution<double> el(0.0, 30.0);
+  std::uniform_real_distribution<double> level(-7.0, 12.0);
+  auto random_ids = [&] {
+    std::vector<int> ids(count(rng));
+    for (int& id : ids) id = sector(rng);
+    return ids;
+  };
+  auto uniform = [&](double snr, double rssi) {
+    std::vector<SectorReading> sweep;
+    for (int id : random_ids()) {
+      sweep.push_back(SectorReading{.sector_id = id, .snr_db = snr, .rssi_dbm = rssi});
+    }
+    return sweep;
+  };
+  std::vector<std::vector<SectorReading>> sweeps;
+  for (int round = 0; round < 4; ++round) {
+    sweeps.push_back(uniform(-7.0, -7.0));  // all at the floor
+    auto one = uniform(-7.0, -7.0);          // one probe above the floor
+    one[std::uniform_int_distribution<std::size_t>(0, one.size() - 1)(rng)] =
+        SectorReading{.sector_id = sector(rng), .snr_db = level(rng), .rssi_dbm = 4.0};
+    sweeps.push_back(std::move(one));
+    const double tie = level(rng);  // exact ties
+    sweeps.push_back(uniform(tie, tie + 0.25));
+    auto dup = ideal_probes(synthetic_table(), random_ids(), {az(rng), el(rng)});
+    dup.push_back(dup.front());  // duplicate sector IDs, one with new values
+    dup.push_back(SectorReading{.sector_id = dup.front().sector_id,
+                                .snr_db = level(rng), .rssi_dbm = level(rng)});
+    sweeps.push_back(std::move(dup));
+    auto clamped = ideal_probes(synthetic_table(), random_ids(), {az(rng), el(rng)});
+    for (SectorReading& r : clamped) {  // the 12 dB report ceiling
+      r.snr_db = std::min(12.0, r.snr_db + 6.0);
+      r.rssi_dbm = std::min(12.0, r.rssi_dbm + 6.0);
+    }
+    clamped.front().snr_db = 12.0;
+    clamped.front().rssi_dbm = 12.0;
+    sweeps.push_back(std::move(clamped));
+  }
+  sweeps.push_back({{1, 7.6479309934518698, 7.8819461427025557},
+                    {1, 6.6123533364792699, 6.3966426680915074},
+                    {7, -7.5321914811679136, -7.2406389637120698},
+                    {7, -6.1268318164462343, -6.6165248295642876},
+                    {5, -6.0189984856275336, -6.5488700656354082}});
+  sweeps.push_back({{6, -6.5651773337787631, -6.2524748179618079},
+                    {7, -7.7499893151708816, -7.3626979252676827},
+                    {6, -5.5877495406302833, -5.8564082480464297},
+                    {9, -6.6903268785097101, -7.5141531252332063}});
+  sweeps.push_back({{2, -3.3728065212858378, -3.4487559590451577},
+                    {1, 5.9472259259823463, 6.0304663148613162},
+                    {3, 3.6474803830518603, 3.8705399174262309}});
+  sweeps.push_back({{1, -5.9205789711805359, -5.8923773121040544},
+                    {2, -5.6260612098052212, -5.7567178560488346},
+                    {2, -5.6458335778621995, -5.7879567847043853},
+                    {8, 7.9158572802993641, 8.1078186269652637},
+                    {3, -5.9542470249700363, -6.1151069863600149}});
+  sweeps.push_back({{1, -7.8991333207156984, -7.6701963418312982},
+                    {6, -7.5510091524363681, -7.4900564899875093},
+                    {3, 3.7316981221707, 3.4455012217894025},
+                    {6, -7.8931375412900389, -8.0338835581811132},
+                    {3, 3.7825270195598062, 3.6904742837286104},
+                    {9, -7.6029151664399839, -7.6827487837722339}});
+  return sweeps;
+}
+
+/// Peak index, value, rival and CSS confidence of every hostile sweep --
+/// walked one at a time (K = 1) and up to sixteen at a time -- equal the
+/// Grid2D reference bit for bit, including exclusion radii that leave no
+/// rival at all.
+void expect_hostile_sweeps_match_surface() {
+  const PatternTable table = synthetic_table();
+  const AngularGrid fine{make_axis(-60.0, 60.0, 1.5), make_axis(0.0, 30.0, 2.0)};
+  const auto sweeps = hostile_sweeps(8086);
+  ASSERT_GE(sweeps.size(), 16u);
+  for (const CorrelationDomain domain :
+       {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
+    for (const AngularGrid& grid : {synthetic_grid(), fine}) {
+      const CorrelationEngine engine(table, grid, domain);
+      for (const double exclusion : {10.0, 15.0, 20.0, 30.0, 45.0, 180.0, 200.0}) {
+        SCOPED_TRACE("exclusion " + std::to_string(exclusion));
+        CorrelationWorkspace single_ws;
+        CorrelationWorkspace batch_ws;
+        for (std::size_t i0 = 0; i0 < sweeps.size(); i0 += 16) {
+          const std::vector<std::span<const SectorReading>> views(
+              sweeps.begin() + static_cast<std::ptrdiff_t>(i0),
+              sweeps.begin() +
+                  static_cast<std::ptrdiff_t>(std::min(i0 + 16, sweeps.size())));
+          std::vector<ArgmaxResult> batched(views.size());
+          engine.combined_argmax_batch(views, batched, batch_ws, exclusion);
+          for (std::size_t b = 0; b < views.size(); ++b) {
+            const Grid2D surface = engine.combined_surface(views[b]);
+            const Grid2D::Peak peak = surface.peak();
+            const auto it =
+                std::max_element(surface.values().begin(), surface.values().end());
+            const auto index = static_cast<std::size_t>(it - surface.values().begin());
+            const double rival =
+                runner_up_value(surface, peak.direction.azimuth_deg, exclusion);
+            const ArgmaxResult single =
+                engine.combined_argmax(views[b], single_ws, exclusion);
+            for (const ArgmaxResult& r : {single, batched[b]}) {
+              EXPECT_EQ(r.index, index) << "sweep " << i0 + b;
+              EXPECT_EQ(r.value, peak.value) << "sweep " << i0 + b;
+              EXPECT_EQ(r.rival, rival) << "sweep " << i0 + b;
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // The selector's confidence: the peak-to-rival ratio of the reference
+  // surface, infinity (or 1 on a zero peak) when no rival exists.
+  for (const double exclusion : {10.0, 20.0, 180.0}) {
+    CssConfig config;
+    config.search_grid = fine;
+    config.compute_confidence = true;
+    config.confidence_exclusion_deg = exclusion;
+    const CompressiveSectorSelector css(table, config);
+    const std::vector<std::span<const SectorReading>> views(sweeps.begin(),
+                                                            sweeps.end());
+    std::vector<CssResult> batched(views.size());
+    CorrelationWorkspace ws;
+    css.select_batch(views, css.assets()->tx_candidates(), batched, ws);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const Grid2D surface = css.assets()->engine().combined_surface(views[i]);
+      const Grid2D::Peak peak = surface.peak();
+      const double rival =
+          runner_up_value(surface, peak.direction.azimuth_deg, exclusion);
+      const double no_rival =
+          peak.value > 0.0 ? std::numeric_limits<double>::infinity() : 1.0;
+      const double expected = rival <= 0.0 ? no_rival : peak.value / rival;
+      CorrelationWorkspace single_ws;
+      EXPECT_EQ(css.select(views[i], single_ws).confidence, expected) << "sweep " << i;
+      EXPECT_EQ(batched[i].confidence, expected) << "sweep " << i;
+      EXPECT_EQ(batched[i].correlation_peak, peak.value) << "sweep " << i;
+    }
+  }
+}
+
+TEST(ArgmaxBatch, HostileSweepsMatchTheSurfaceBitForBit) {
+  expect_hostile_sweeps_match_surface();
 }
 
 // --- runtime dispatch -------------------------------------------------------
@@ -416,9 +595,10 @@ TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
         EXPECT_EQ(batched[i].direction.elevation_deg,
                   single.direction.elevation_deg);
       }
-      // The throwaway-workspace overload agrees.
-      const auto cold = engine.combined_argmax_batch(views);
-      ASSERT_EQ(cold.size(), k);
+      // A fresh workspace agrees.
+      CorrelationWorkspace fresh;
+      std::vector<CorrelationEngine::ArgmaxResult> cold(k);
+      engine.combined_argmax_batch(views, cold, fresh);
       for (std::size_t i = 0; i < k; ++i) {
         EXPECT_EQ(cold[i].index, batched[i].index);
         EXPECT_EQ(cold[i].value, batched[i].value);
@@ -479,56 +659,17 @@ TEST_F(ForcedScalarDispatch, BatchBitIdenticalOnScalarFallback) {
   std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
   std::vector<CorrelationEngine::ArgmaxResult> out(sweeps.size());
   engine.combined_argmax_batch(views, out, ws);
+  CorrelationWorkspace single_ws;
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const auto single = engine.combined_argmax(sweeps[i]);
+    const auto single = engine.combined_argmax(sweeps[i], single_ws);
     EXPECT_EQ(out[i].index, single.index);
     EXPECT_EQ(out[i].value, single.value);
   }
 }
 
-TEST(DirectSurface, OneShotWalksDirectRepeatPromotesToPanel) {
-  // combined_surface's small-M policy: the first sighting of a subset
-  // walks the matrix directly without paying a panel build, the second
-  // sighting promotes it to a cached panel (repeated callers converge
-  // onto the compacted SIMD tile walk) -- and every call returns the
-  // same bits either way.
-  const CorrelationEngine engine(synthetic_table(), synthetic_grid());
-  const auto probes =
-      ideal_probes(synthetic_table(), {1, 3, 5, 8}, {-10.0, 5.0});
-  ASSERT_LE(engine.collect_probes(probes, true, true).slots.size(), 8u);
-
-  EXPECT_EQ(engine.response_matrix().cached_subset_count(), 0u);
-  const Grid2D direct = engine.combined_surface(probes);
-  EXPECT_EQ(engine.response_matrix().cached_subset_count(), 0u)
-      << "first sighting must not build a panel";
-  const Grid2D promoted = engine.combined_surface(probes);
-  EXPECT_EQ(engine.response_matrix().cached_subset_count(), 1u)
-      << "second sighting must build and cache the panel";
-  const Grid2D tiled = engine.combined_surface(probes);
-  EXPECT_EQ(engine.response_matrix().cached_subset_count(), 1u);
-
-  ASSERT_EQ(direct.values().size(), tiled.values().size());
-  for (std::size_t i = 0; i < direct.values().size(); ++i) {
-    EXPECT_EQ(direct.values()[i], promoted.values()[i]) << i;
-    EXPECT_EQ(direct.values()[i], tiled.values()[i]) << i;
-  }
-}
-
-TEST(DirectSurface, PanelAlreadyCachedSkipsTheDirectWalk) {
-  // A subset some other path already compacted (here: the argmax
-  // workspace) goes straight to the tile walk -- same bits, and the
-  // one-shot ring is never consulted.
-  const CorrelationEngine engine(synthetic_table(), synthetic_grid());
-  const auto probes =
-      ideal_probes(synthetic_table(), {2, 4, 6, 9}, {15.0, 10.0});
-  CorrelationWorkspace ws;
-  (void)engine.combined_argmax(probes, ws);  // resolves + caches the panel
-  const std::size_t cached = engine.response_matrix().cached_subset_count();
-  EXPECT_GE(cached, 1u);
-  const Grid2D surface = engine.combined_surface(probes);
-  EXPECT_EQ(engine.response_matrix().cached_subset_count(), cached);
-  const auto peak = engine.combined_argmax(probes, ws);
-  EXPECT_EQ(surface.values()[peak.index], peak.value);
+TEST_F(ForcedScalarDispatch, HostileSweepsMatchTheSurfaceOnScalarFallback) {
+  ASSERT_EQ(tile_dots_dispatch_level(), SimdLevel::kScalar);
+  expect_hostile_sweeps_match_surface();
 }
 
 }  // namespace

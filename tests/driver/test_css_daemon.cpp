@@ -32,17 +32,17 @@ class CssDaemonTest : public ::testing::Test {
 
 TEST_F(CssDaemonTest, LoadsPatchesOnConstruction) {
   EXPECT_FALSE(driver_.research_patches_loaded());
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(1));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(1));
   EXPECT_TRUE(driver_.research_patches_loaded());
-  EXPECT_EQ(daemon.current_probes(), 14u);
+  EXPECT_EQ(session.current_probes(), 14u);
 }
 
 TEST_F(CssDaemonTest, SubsetsAreValidAndVary) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(2));
-  const auto a = daemon.next_probe_subset();
-  const auto b = daemon.next_probe_subset();
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(2));
+  const auto a = session.next_probe_subset();
+  const auto b = session.next_probe_subset();
   EXPECT_EQ(a.size(), 14u);
   EXPECT_NE(a, b);
   for (int id : a) {
@@ -52,16 +52,16 @@ TEST_F(CssDaemonTest, SubsetsAreValidAndVary) {
 }
 
 TEST_F(CssDaemonTest, ProcessSweepSelectsAndForcesSector) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(3));
-  const auto subset = daemon.next_probe_subset();
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(3));
+  const auto subset = session.next_probe_subset();
   link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-  const auto result = daemon.process_sweep();
+  const auto result = session.process_sweep();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->valid);
   EXPECT_TRUE(driver_.sector_forced());
   EXPECT_EQ(lab_.peer->firmware().sector_override(), result->sector_id);
-  EXPECT_EQ(daemon.rounds(), 1u);
+  EXPECT_EQ(session.rounds(), 1u);
 
   // The forced sector is near-optimal toward the DUT.
   double best = -1e9;
@@ -75,10 +75,10 @@ TEST_F(CssDaemonTest, ProcessSweepSelectsAndForcesSector) {
 }
 
 TEST_F(CssDaemonTest, EmptySweepKeepsPreviousOverride) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(4));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(4));
   // No sweep happened: the ring buffer is empty.
-  const auto result = daemon.process_sweep();
+  const auto result = session.process_sweep();
   EXPECT_FALSE(result.has_value());
   EXPECT_FALSE(driver_.sector_forced());
 }
@@ -86,21 +86,21 @@ TEST_F(CssDaemonTest, EmptySweepKeepsPreviousOverride) {
 TEST_F(CssDaemonTest, AdaptiveModeAdjustsProbeCount) {
   CssDaemonConfig config;
   config.adaptive = true;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(5));
-  const std::size_t initial = daemon.current_probes();
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(5));
+  const std::size_t initial = session.current_probes();
   for (int round = 0; round < 30; ++round) {
-    const auto subset = daemon.next_probe_subset();
+    const auto subset = session.next_probe_subset();
     link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-    daemon.process_sweep();
+    session.process_sweep();
   }
   // Static scene at a dominant-sector pose: probes decay below the start.
-  EXPECT_LT(daemon.current_probes(), initial);
+  EXPECT_LT(session.current_probes(), initial);
 }
 
 TEST_F(CssDaemonTest, RunsWithPrePatchedFirmware) {
   driver_.load_research_patches();
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(6));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(6));
   EXPECT_TRUE(driver_.research_patches_loaded());
 }
 
@@ -143,8 +143,8 @@ TEST_F(CssDaemonTest, TwoSessionsShareOnePatternAssetsInstance) {
 }
 
 TEST_F(CssDaemonTest, DuplicateLinkIdThrows) {
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(8));
+  CssDaemon daemon(ExperimentWorld::instance().assets());
+  daemon.add_link(0, driver_, Rng(8));
   Scenario second = make_lab_scenario(42);
   Wil6210Driver second_driver(second.peer->firmware());
   EXPECT_THROW(daemon.add_link(0, second_driver, Rng(9)), StateError);
@@ -157,8 +157,8 @@ TEST_F(CssDaemonTest, UnknownSectorsAreDroppedCountedAndWarnedOnce) {
   // table never covered (e.g. a codebook/campaign mismatch). The session
   // must drop them from selection, count them, and warn exactly once per
   // distinct unknown ID -- not once per sweep.
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(11));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(11));
   auto inject_unknown = [&](int id) {
     FullMacFirmware& fw = lab_.peer->firmware();
     fw.begin_peer_sweep();
@@ -171,21 +171,21 @@ TEST_F(CssDaemonTest, UnknownSectorsAreDroppedCountedAndWarnedOnce) {
   ::testing::internal::CaptureStderr();
   // Round 1: a real sweep plus two readings of unknown sector 40.
   link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                       probing_burst_schedule(daemon.next_probe_subset()));
+                       probing_burst_schedule(session.next_probe_subset()));
   inject_unknown(40);
   inject_unknown(40);
-  const auto first = daemon.process_sweep();
+  const auto first = session.process_sweep();
   ASSERT_TRUE(first.has_value());
   EXPECT_TRUE(first->valid);  // the known readings still select
-  EXPECT_EQ(daemon.session(0).dropped_probes(), 2u);
+  EXPECT_EQ(session.dropped_probes(), 2u);
 
   // Round 2: sector 40 again (already warned) plus new unknown sector 41.
   link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                       probing_burst_schedule(daemon.next_probe_subset()));
+                       probing_burst_schedule(session.next_probe_subset()));
   inject_unknown(40);
   inject_unknown(41);
-  ASSERT_TRUE(daemon.process_sweep().has_value());
-  EXPECT_EQ(daemon.session(0).dropped_probes(), 4u);
+  ASSERT_TRUE(session.process_sweep().has_value());
+  EXPECT_EQ(session.dropped_probes(), 4u);
 
   const std::string log = ::testing::internal::GetCapturedStderr();
   auto occurrences = [&](const std::string& needle) {
@@ -205,15 +205,15 @@ TEST_F(CssDaemonTest, SteadySubsetsHitThePanelCache) {
   // subset; with the default random policy the cache still amortizes --
   // every sweep is one miss at most, and the selection path adds no
   // lookup traffic beyond it.
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(12));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                      Rng(12));
   const ResponseMatrix& matrix =
-      daemon.assets()->engine().response_matrix();
+      session.assets()->engine().response_matrix();
   const auto before = matrix.cache_stats();
   for (int round = 0; round < 10; ++round) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    ASSERT_TRUE(daemon.process_sweep().has_value());
+                         probing_burst_schedule(session.next_probe_subset()));
+    ASSERT_TRUE(session.process_sweep().has_value());
   }
   const auto after = matrix.cache_stats();
   EXPECT_LE(after.misses - before.misses, 10u);
@@ -222,10 +222,12 @@ TEST_F(CssDaemonTest, SteadySubsetsHitThePanelCache) {
 TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
   // Two mirrored three-link worlds, identical seeds: world A completes
   // each round with per-session process_sweep(), world B with the
-  // daemon's batched process_sweeps() (one combined_argmax_batch walk
-  // for the batchable sessions, own-selector completion for the
-  // tracking one). Every selection -- including the installed overrides
-  // -- must match bit for bit, round after round.
+  // daemon's batched process_sweeps() -- one walk for all three links:
+  // a plain one, a degradation-gated one (confidence from the walk's
+  // rival pass) and a tracking one (the tracker post-processes its
+  // batched direction). Every selection -- including the installed
+  // overrides and the confidence -- must match bit for bit, round after
+  // round.
   const CssConfig defaults;
   const auto assets = PatternAssetsRegistry::global().get_or_create(
       ExperimentWorld::instance().table, defaults.search_grid, defaults.domain);
@@ -253,15 +255,17 @@ TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
   LinkSimulator lb1 = b1.make_link(Rng(102));
   LinkSimulator lb2 = b2.make_link(Rng(103));
 
+  CssDaemonConfig gated;
+  gated.degradation.enabled = true;
   CssDaemonConfig tracked;
-  tracked.track_path = true;  // link 2 is NOT batchable (stateful selector)
+  tracked.track_path = true;
   CssDaemon daemon_a(assets, CssDaemonConfig{});
   daemon_a.add_link(0, da0, Rng(21));
-  daemon_a.add_link(1, da1, Rng(22));
+  daemon_a.add_link(1, da1, Rng(22), gated);
   daemon_a.add_link(2, da2, Rng(23), tracked);
   CssDaemon daemon_b(assets, CssDaemonConfig{});
   daemon_b.add_link(0, db0, Rng(21));
-  daemon_b.add_link(1, db1, Rng(22));
+  daemon_b.add_link(1, db1, Rng(22), gated);
   daemon_b.add_link(2, db2, Rng(23), tracked);
 
   Scenario* const sa[3] = {&a0, &a1, &a2};
@@ -330,7 +334,7 @@ TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
 
 TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
   // Three headless links: 0 and 1 ride the daemon's shared assets (and
-  // stay batchable), 2 is registered with its OWN assets built from a
+  // join the shared walk), 2 is registered with its OWN assets built from a
   // genuinely different codebook. The batched round must (a) keep links
   // 0/1 bit-identical to solo processing, (b) route link 2 through its
   // own table -- never through the shared fingerprint.
@@ -402,7 +406,7 @@ TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
       const PatternTable& table =
           i == 2 ? warped->patterns() : shared->patterns();
       reports.push_back(testutil::make_report(4242, i, round, table));
-      ASSERT_TRUE(daemon.session(i).prepare_report(reports.back()));
+      daemon.session(i).prepare_report(reports.back());
     }
     std::map<int, std::optional<CssResult>> out;
     daemon.complete_prepared(&out);
@@ -427,8 +431,8 @@ TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
 TEST_F(CssDaemonTest, PathTrackingStabilizesSelections) {
   CssDaemonConfig tracked_config;
   tracked_config.track_path = true;
-  CssDaemon tracked(driver_, ExperimentWorld::instance().table, tracked_config,
-                    Rng(7));
+  LinkSession tracked(driver_, ExperimentWorld::instance().assets(), tracked_config,
+                      Rng(7));
   std::vector<int> selections;
   for (int round = 0; round < 25; ++round) {
     const auto subset = tracked.next_probe_subset();

@@ -167,6 +167,68 @@ TEST(ServeDeterminism, HotSwapMidStreamDropsNothingAndRebindsEveryLink) {
   EXPECT_EQ(serve.current_assets().get(), recalibrated.get());
 }
 
+/// The value of the unlabeled series `name` in a scrape.
+std::uint64_t scraped(const std::string& scrape, const std::string& name) {
+  std::istringstream in(scrape);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(name + " ", 0) == 0) return std::stoull(line.substr(name.size() + 1));
+  }
+  ADD_FAILURE() << "no series " << name;
+  return 0;
+}
+
+TEST(ServeDeterminism, SwapRetiresGenerationZeroAndScrapeFollowsTheNewOne) {
+  // The epoch domain is the only owner of "current assets": after a swap
+  // and a drain that moves every link over, nothing keeps generation 0
+  // alive, and the scrape reports the new generation's panel cache.
+  std::atomic<int> destroyed{0};
+  std::shared_ptr<const PatternAssets> gen0(
+      new PatternAssets(testutil::synthetic_table(), testutil::synthetic_grid(),
+                        CorrelationDomain::kLinear),
+      [&destroyed](const PatternAssets* p) {
+        destroyed.fetch_add(1, std::memory_order_relaxed);
+        delete p;
+      });
+  const PatternTable table = gen0->patterns();
+  ServeConfig serve_config;
+  serve_config.threads = 2;
+  CssDaemonConfig plain;  // every round a compressive one
+  plain.probes = 6;
+  ServeDaemon serve(gen0, plain, serve_config);
+  for (int id = 0; id < kLinks; ++id) serve.add_link(id, link_rng(id));
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    for (int id = 0; id < kLinks; ++id) {
+      serve.submit(id, make_report(kReportSeed, id, r, table));
+    }
+  }
+  serve.drain_all();
+  const auto gen0_cache = gen0->engine().response_matrix().cache_stats();
+  const std::string before = serve.scrape();
+  EXPECT_EQ(scraped(before, "serve_panel_cache_misses_total"), gen0_cache.misses);
+  EXPECT_GT(gen0_cache.misses, 0u);
+
+  const auto gen1 = make_serve_assets(0.7);
+  gen0.reset();
+  serve.swap_assets(gen1);
+  EXPECT_EQ(destroyed.load(), 0);  // links still ride it until they rebind
+  for (std::uint64_t r = 4; r < 6; ++r) {
+    for (int id = 0; id < kLinks; ++id) {
+      serve.submit(id, make_report(kReportSeed, id, r, table));
+    }
+  }
+  serve.drain_all();
+  EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kLinks));
+  EXPECT_EQ(destroyed.load(), 1);
+
+  const auto gen1_cache = gen1->engine().response_matrix().cache_stats();
+  const std::string after = serve.scrape();
+  EXPECT_EQ(scraped(after, "serve_panel_cache_misses_total"), gen1_cache.misses);
+  EXPECT_EQ(scraped(after, "serve_panel_cache_hits_total"), gen1_cache.hits);
+  EXPECT_GT(gen1_cache.misses + gen1_cache.hits, 0u);
+  EXPECT_EQ(serve.current_assets().get(), gen1.get());
+}
+
 TEST(ServeDeterminism, TrySubmitAppliesBackpressureWhenFull) {
   auto assets = make_serve_assets();
   ServeConfig serve_config;

@@ -24,10 +24,10 @@ class FaultFallbackTest : public ::testing::Test {
     lab_.set_head(25.0, 0.0);
   }
 
-  std::optional<CssResult> round(CssDaemon& daemon) {
+  std::optional<CssResult> round(LinkSession& session) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    return daemon.process_sweep();
+                         probing_burst_schedule(session.next_probe_subset()));
+    return session.process_sweep();
   }
 
   Scenario lab_;
@@ -36,9 +36,9 @@ class FaultFallbackTest : public ::testing::Test {
 };
 
 TEST_F(FaultFallbackTest, ConfidenceModeSelectsBitIdentically) {
-  // The confidence computation walks the full surface instead of the
-  // pruned argmax; the selection must not move by a single bit (this is
-  // what keeps the frozen figure CSVs valid).
+  // The confidence computation makes the walk find the rival too; the
+  // selection must not move by a single bit (this is what keeps the
+  // frozen figure CSVs valid).
   driver_.load_research_patches();
   const std::vector<int> subset{2, 5, 9, 12, 15, 18, 21, 24, 27, 30};
   link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
@@ -51,8 +51,9 @@ TEST_F(FaultFallbackTest, ConfidenceModeSelectsBitIdentically) {
   const CompressiveSectorSelector gated(ExperimentWorld::instance().table,
                                         with_confidence);
 
-  const CssResult a = plain.select(readings);
-  const CssResult b = gated.select(readings);
+  CorrelationWorkspace ws;
+  const CssResult a = plain.select(readings, ws);
+  const CssResult b = gated.select(readings, ws);
   ASSERT_TRUE(a.valid);
   ASSERT_TRUE(b.valid);
   EXPECT_EQ(a.sector_id, b.sector_id);
@@ -73,9 +74,9 @@ TEST_F(FaultFallbackTest, LowConfidenceWithholdsTheInstall) {
   config.degradation.enabled = true;
   config.degradation.min_confidence = 1e9;  // nothing can clear this bar
   config.degradation.max_consecutive_failures = 1000;  // stay in CSS mode
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(2));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(2));
 
-  const auto result = round(daemon);
+  const auto result = round(session);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->valid);
   // The distrusted estimate is still reported, with its confidence...
@@ -85,7 +86,7 @@ TEST_F(FaultFallbackTest, LowConfidenceWithholdsTheInstall) {
   // ...but never installed: the link keeps its current beam (here the
   // firmware's own stock selection -- no override was ever forced).
   EXPECT_FALSE(driver_.sector_forced());
-  const DegradationStats& stats = daemon.session(0).degradation_stats();
+  const DegradationStats& stats = session.degradation_stats();
   EXPECT_EQ(stats.low_confidence_events, 1u);
   EXPECT_EQ(stats.failed_rounds, 1u);
   EXPECT_EQ(stats.css_rounds, 0u);
@@ -97,27 +98,26 @@ TEST_F(FaultFallbackTest, RepeatedFailuresTripFullSweepMode) {
   config.degradation.min_confidence = 1e9;
   config.degradation.max_consecutive_failures = 3;
   config.degradation.recovery_rounds = 2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(3));
-  LinkSession& session = daemon.session(0);
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(3));
 
   // Three low-confidence rounds trip the fallback...
   for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(round(daemon).has_value());
+    ASSERT_TRUE(round(session).has_value());
   }
   EXPECT_TRUE(session.in_fallback());
   EXPECT_EQ(session.degradation_stats().fallback_entries, 1u);
 
   // ...where the session probes every transmit sector and selects with the
   // stock argmax (which needs no confidence, so these rounds succeed).
-  const auto subset = daemon.next_probe_subset();
+  const auto subset = session.next_probe_subset();
   EXPECT_EQ(subset.size(), talon_tx_sector_ids().size());
   link_.transmit_sweep(*lab_.dut, *lab_.peer, probing_burst_schedule(subset));
-  const auto full = daemon.process_sweep();
+  const auto full = session.process_sweep();
   ASSERT_TRUE(full.has_value());
   EXPECT_TRUE(full->valid);
   EXPECT_TRUE(session.in_fallback());  // one recovery round left
 
-  ASSERT_TRUE(round(daemon).has_value());
+  ASSERT_TRUE(round(session).has_value());
   EXPECT_FALSE(session.in_fallback());  // window served, CSS gets retried
   const DegradationStats& stats = session.degradation_stats();
   EXPECT_EQ(stats.full_sweep_rounds, 2u);
@@ -139,13 +139,13 @@ TEST_F(FaultFallbackTest, EmptySweepsCountAsFailures) {
   CssDaemonConfig config;
   config.degradation.enabled = true;
   config.degradation.max_consecutive_failures = 3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(4));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(4));
   // Nothing was ever transmitted: three empty drains trip the fallback.
   for (int r = 0; r < 3; ++r) {
-    EXPECT_FALSE(daemon.process_sweep().has_value());
+    EXPECT_FALSE(session.process_sweep().has_value());
   }
-  EXPECT_TRUE(daemon.session(0).in_fallback());
-  EXPECT_EQ(daemon.session(0).degradation_stats().failed_rounds, 3u);
+  EXPECT_TRUE(session.in_fallback());
+  EXPECT_EQ(session.degradation_stats().failed_rounds, 3u);
 }
 
 TEST_F(FaultFallbackTest, HealthyRoundsResetTheFailureCount) {
@@ -153,17 +153,17 @@ TEST_F(FaultFallbackTest, HealthyRoundsResetTheFailureCount) {
   config.degradation.enabled = true;
   config.degradation.min_confidence = 0.0;  // confidence can never trip
   config.degradation.max_consecutive_failures = 3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(5));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(5));
 
   // failure, failure, healthy, failure, failure: never three in a row.
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  ASSERT_TRUE(round(daemon).has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  EXPECT_FALSE(daemon.process_sweep().has_value());
-  EXPECT_FALSE(daemon.session(0).in_fallback());
+  EXPECT_FALSE(session.process_sweep().has_value());
+  EXPECT_FALSE(session.process_sweep().has_value());
+  ASSERT_TRUE(round(session).has_value());
+  EXPECT_FALSE(session.process_sweep().has_value());
+  EXPECT_FALSE(session.process_sweep().has_value());
+  EXPECT_FALSE(session.in_fallback());
 
-  const DegradationStats& stats = daemon.session(0).degradation_stats();
+  const DegradationStats& stats = session.degradation_stats();
   EXPECT_EQ(stats.css_rounds, 1u);
   EXPECT_EQ(stats.failed_rounds, 4u);
   EXPECT_EQ(stats.fallback_entries, 0u);
@@ -176,12 +176,12 @@ TEST_F(FaultFallbackTest, PersistentFailureCyclesThroughRecoveryWindows) {
   config.degradation.max_consecutive_failures = 2;
   config.degradation.recovery_rounds = 2;
   config.degradation.max_recovery_backoff = 1;  // fixed-size windows
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(6));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(6));
   for (int r = 0; r < 12; ++r) {
-    ASSERT_TRUE(round(daemon).has_value()) << "round " << r;
+    ASSERT_TRUE(round(session).has_value()) << "round " << r;
   }
   // 12 rounds = 3 cycles of (2 failing CSS rounds + 2 full sweeps).
-  const DegradationStats& stats = daemon.session(0).degradation_stats();
+  const DegradationStats& stats = session.degradation_stats();
   EXPECT_EQ(stats.css_rounds, 0u);
   EXPECT_EQ(stats.failed_rounds, 6u);
   EXPECT_EQ(stats.full_sweep_rounds, 6u);
@@ -196,13 +196,13 @@ TEST_F(FaultFallbackTest, RecoveryWindowsBackOffExponentially) {
   config.degradation.max_consecutive_failures = 1;
   config.degradation.recovery_rounds = 1;
   config.degradation.max_recovery_backoff = 4;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(7));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(7));
   // Persistent failure: each re-entry doubles the window up to the cap.
   //   fail, 1 full, fail, 2 full, fail, 4 full, fail, 4 full, ...
   for (int r = 0; r < 15; ++r) {
-    ASSERT_TRUE(round(daemon).has_value()) << "round " << r;
+    ASSERT_TRUE(round(session).has_value()) << "round " << r;
   }
-  const DegradationStats& stats = daemon.session(0).degradation_stats();
+  const DegradationStats& stats = session.degradation_stats();
   EXPECT_EQ(stats.failed_rounds, 4u);      // rounds 1, 3, 6, 11
   EXPECT_EQ(stats.full_sweep_rounds, 11u); // 1 + 2 + 4 + 4 (capped)
   EXPECT_EQ(stats.fallback_entries, 4u);
@@ -219,10 +219,10 @@ TEST_F(FaultFallbackTest, UnderfilledSweepsAreDistrusted) {
   plan->seed = 11;
   plan->loss.probability = 0.95;  // ~0.7 of 14 probes survive on average
   config.faults = plan;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config, Rng(8));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config, Rng(8));
 
-  for (int r = 0; r < 10; ++r) round(daemon);
-  const DegradationStats& stats = daemon.session(0).degradation_stats();
+  for (int r = 0; r < 10; ++r) round(session);
+  const DegradationStats& stats = session.degradation_stats();
   // Every non-empty sweep fell below 7 of the 14 requested probes, so no
   // selection was ever trusted enough to install.
   EXPECT_GT(stats.underfilled_rounds, 0u);
@@ -242,9 +242,9 @@ TEST_F(FaultFallbackTest, DisabledDegradationReproducesLegacySelections) {
   CssDaemonConfig gated;
   gated.degradation.enabled = true;
   gated.degradation.min_confidence = 0.0;
-  CssDaemon legacy(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                   Rng(9));
-  CssDaemon robust(other_driver, ExperimentWorld::instance().table, gated, Rng(9));
+  LinkSession legacy(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                     Rng(9));
+  LinkSession robust(other_driver, ExperimentWorld::instance().assets(), gated, Rng(9));
 
   for (int r = 0; r < 8; ++r) {
     const auto subset_a = legacy.next_probe_subset();
@@ -261,8 +261,8 @@ TEST_F(FaultFallbackTest, DisabledDegradationReproducesLegacySelections) {
       EXPECT_EQ(a->correlation_peak, b->correlation_peak) << "round " << r;
     }
   }
-  EXPECT_EQ(robust.total_degradation_stats().css_rounds, 8u);
-  EXPECT_EQ(robust.total_degradation_stats().fallback_entries, 0u);
+  EXPECT_EQ(robust.degradation_stats().css_rounds, 8u);
+  EXPECT_EQ(robust.degradation_stats().fallback_entries, 0u);
 }
 
 }  // namespace

@@ -30,10 +30,10 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   /// One training round driven through the daemon's first session.
-  std::optional<CssResult> round(CssDaemon& daemon) {
+  std::optional<CssResult> round(LinkSession& session) {
     link_.transmit_sweep(*lab_.dut, *lab_.peer,
-                         probing_burst_schedule(daemon.next_probe_subset()));
-    return daemon.process_sweep();
+                         probing_burst_schedule(session.next_probe_subset()));
+    return session.process_sweep();
   }
 
   Scenario lab_;
@@ -42,25 +42,25 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, NullAndEmptyPlansInstallNoInjector) {
-  CssDaemon plain(driver_, ExperimentWorld::instance().table, CssDaemonConfig{},
-                  Rng(1));
-  EXPECT_EQ(plain.session(0).fault_injector(), nullptr);
-  EXPECT_EQ(plain.session(0).fault_stats(), FaultStats{});
+  LinkSession plain(driver_, ExperimentWorld::instance().assets(), CssDaemonConfig{},
+                    Rng(1));
+  EXPECT_EQ(plain.fault_injector(), nullptr);
+  EXPECT_EQ(plain.fault_stats(), FaultStats{});
 
   // A present-but-empty plan behaves exactly like no plan.
   Scenario second = make_lab_scenario(42);
   Wil6210Driver second_driver(second.peer->firmware());
-  CssDaemon empty(second_driver, ExperimentWorld::instance().table,
-                  config_with(FaultPlan{.seed = 5}), Rng(1));
-  EXPECT_EQ(empty.session(0).fault_injector(), nullptr);
+  LinkSession empty(second_driver, ExperimentWorld::instance().assets(),
+                    config_with(FaultPlan{.seed = 5}), Rng(1));
+  EXPECT_EQ(empty.fault_injector(), nullptr);
 }
 
 TEST_F(FaultInjectionTest, SessionSharesItsInjectorWithTheFirmware) {
   FaultPlan plan{.seed = 7};
   plan.loss.probability = 0.2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(2));
-  const auto& injector = daemon.session(0).fault_injector();
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(2));
+  const auto& injector = session.fault_injector();
   ASSERT_NE(injector, nullptr);
   EXPECT_EQ(lab_.peer->firmware().fault_injector().get(), injector.get());
   EXPECT_EQ(injector->link_id(), 0);
@@ -69,13 +69,13 @@ TEST_F(FaultInjectionTest, SessionSharesItsInjectorWithTheFirmware) {
 TEST_F(FaultInjectionTest, ProbeLossThinsTheSweepButSelectionSurvives) {
   FaultPlan plan{.seed = 11};
   plan.loss.probability = 0.3;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(3));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(3));
   std::size_t selected = 0;
   for (int r = 0; r < 10; ++r) {
-    if (round(daemon)) ++selected;
+    if (round(session)) ++selected;
   }
-  const FaultStats stats = daemon.session(0).fault_stats();
+  const FaultStats stats = session.fault_stats();
   EXPECT_GT(stats.probes_lost, 10u);   // ~0.3 * 14 * 10
   EXPECT_LT(stats.probes_lost, 100u);
   // 14 probes minus ~30% still clears min_probes comfortably.
@@ -85,13 +85,13 @@ TEST_F(FaultInjectionTest, ProbeLossThinsTheSweepButSelectionSurvives) {
 TEST_F(FaultInjectionTest, TotalLossYieldsEmptySweeps) {
   FaultPlan plan{.seed = 13};
   plan.loss.probability = 1.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(4));
-  EXPECT_FALSE(round(daemon).has_value());
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(4));
+  EXPECT_FALSE(round(session).has_value());
   EXPECT_FALSE(driver_.sector_forced());
   // Every decoded probe of the sweep was eaten (the channel may have
   // missed a few before the injector even saw them).
-  const FaultStats stats = daemon.session(0).fault_stats();
+  const FaultStats stats = session.fault_stats();
   EXPECT_GT(stats.probes_lost, 0u);
   EXPECT_LE(stats.probes_lost, 14u);
 }
@@ -100,10 +100,10 @@ TEST_F(FaultInjectionTest, CorruptionCountersTrackTheSweepPath) {
   FaultPlan plan{.seed = 17};
   plan.corruption.snr_outlier_probability = 0.5;
   plan.corruption.floor_clamp_probability = 0.2;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(5));
-  for (int r = 0; r < 10; ++r) round(daemon);
-  const FaultStats stats = daemon.session(0).fault_stats();
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(5));
+  for (int r = 0; r < 10; ++r) round(session);
+  const FaultStats stats = session.fault_stats();
   EXPECT_GT(stats.snr_outliers, 30u);
   EXPECT_GT(stats.floor_clamps, 5u);
   EXPECT_EQ(stats.rssi_outliers, 0u);
@@ -194,12 +194,12 @@ TEST_F(FaultInjectionTest, DroppedFeedbackRetriesWithExponentialBackoff) {
   plan.feedback.drop_probability = 1.0;  // every attempt lost
   plan.feedback.max_retries = 3;
   plan.feedback.backoff_base_us = 100.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(6));
-  const auto result = round(daemon);
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(6));
+  const auto result = round(session);
   ASSERT_TRUE(result.has_value());  // the selection itself succeeded
   EXPECT_FALSE(driver_.sector_forced());  // ...but never reached the chip
-  const FaultStats stats = daemon.session(0).fault_stats();
+  const FaultStats stats = session.fault_stats();
   EXPECT_EQ(stats.feedback_drops, 4u);  // 1 attempt + 3 retries
   EXPECT_EQ(stats.feedback_retries, 3u);
   EXPECT_EQ(stats.feedback_failures, 1u);
@@ -211,14 +211,14 @@ TEST_F(FaultInjectionTest, RetriesRecoverFromPartialFeedbackLoss) {
   FaultPlan plan{.seed = 41};
   plan.feedback.drop_probability = 0.5;
   plan.feedback.max_retries = 8;  // 9 attempts: loss of all is ~0.2%
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(7));
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(7));
   std::size_t forced_rounds = 0;
   for (int r = 0; r < 10; ++r) {
-    if (round(daemon) && driver_.sector_forced()) ++forced_rounds;
+    if (round(session) && driver_.sector_forced()) ++forced_rounds;
   }
   EXPECT_GE(forced_rounds, 9u);
-  const FaultStats stats = daemon.session(0).fault_stats();
+  const FaultStats stats = session.fault_stats();
   EXPECT_GT(stats.feedback_drops, 0u);
   EXPECT_EQ(stats.feedback_retries, stats.feedback_drops - stats.feedback_failures);
 }
@@ -227,11 +227,11 @@ TEST_F(FaultInjectionTest, FeedbackDelayAccumulatesLatency) {
   FaultPlan plan{.seed = 43};
   plan.feedback.delay_probability = 1.0;
   plan.feedback.delay_us = 500.0;
-  CssDaemon daemon(driver_, ExperimentWorld::instance().table, config_with(plan),
-                   Rng(8));
-  ASSERT_TRUE(round(daemon).has_value());
+  LinkSession session(driver_, ExperimentWorld::instance().assets(), config_with(plan),
+                      Rng(8));
+  ASSERT_TRUE(round(session).has_value());
   EXPECT_TRUE(driver_.sector_forced());  // delayed, not dropped
-  const FaultStats stats = daemon.session(0).fault_stats();
+  const FaultStats stats = session.fault_stats();
   EXPECT_EQ(stats.feedback_delays, 1u);
   EXPECT_EQ(stats.feedback_latency_us, 500.0);
 }

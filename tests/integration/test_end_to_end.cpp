@@ -60,6 +60,7 @@ TEST(EndToEnd, UserSpaceCssViaFirmwareInterfaces) {
   // WMI, CSS in "user space", override via WMI, feedback carries it.
   const ExperimentWorld& world = ExperimentWorld::instance();
   const CompressiveSectorSelector css(world.table);
+  CorrelationWorkspace ws;
 
   Scenario lab = make_lab_scenario(42);
   lab.set_head(-30.0, 0.0);
@@ -81,7 +82,7 @@ TEST(EndToEnd, UserSpaceCssViaFirmwareInterfaces) {
     probes.push_back(SectorReading{
         .sector_id = e.sector_id, .snr_db = e.snr_db, .rssi_dbm = e.rssi_dbm});
   }
-  const CssResult result = css.select(probes);
+  const CssResult result = css.select(probes, ws);
   ASSERT_TRUE(result.valid);
 
   // Estimated direction should be near the physical one (+30 in device frame).
@@ -135,6 +136,8 @@ TEST(EndToEnd, PatternTableSurvivesCsvRoundTripIntoCss) {
   const PatternTable reloaded = PatternTable::from_csv(world.table.to_csv());
   const CompressiveSectorSelector css_a(world.table);
   const CompressiveSectorSelector css_b(reloaded);
+  CorrelationWorkspace ws_a;
+  CorrelationWorkspace ws_b;
 
   Scenario lab = make_lab_scenario(42);
   lab.set_head(20.0, 0.0);
@@ -145,8 +148,8 @@ TEST(EndToEnd, PatternTableSurvivesCsvRoundTripIntoCss) {
     const auto subset = policy.choose(talon_tx_sector_ids(), 14, rng);
     const SweepOutcome sweep =
         link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset));
-    const CssResult a = css_a.select(sweep.measurement.readings);
-    const CssResult b = css_b.select(sweep.measurement.readings);
+    const CssResult a = css_a.select(sweep.measurement.readings, ws_a);
+    const CssResult b = css_b.select(sweep.measurement.readings, ws_b);
     EXPECT_EQ(a.valid, b.valid);
     if (a.valid) {
       EXPECT_EQ(a.sector_id, b.sector_id);
@@ -160,6 +163,7 @@ TEST(EndToEnd, AdaptiveControllerConvergesInStaticScene) {
   // stable runs decay the count toward the floor.
   const ExperimentWorld& world = ExperimentWorld::instance();
   const CompressiveSectorSelector css(world.table);
+  CorrelationWorkspace ws;
   Scenario lab = make_lab_scenario(42);
   // Head at 20 deg: one sector clearly dominates there (no boresight tie),
   // so a static link yields a stable selection stream.
@@ -174,7 +178,7 @@ TEST(EndToEnd, AdaptiveControllerConvergesInStaticScene) {
         talon_tx_sector_ids(), controller.current_probes(), rng);
     const SweepOutcome out =
         link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset));
-    const CssResult r = css.select(out.measurement.readings);
+    const CssResult r = css.select(out.measurement.readings, ws);
     const int chosen = r.valid ? r.sector_id : previous;
     if (chosen < 0) continue;
     previous = chosen;
@@ -191,6 +195,7 @@ TEST(EndToEnd, BlockageRecoveryViaReflectedPath) {
   // usable link.
   const ExperimentWorld& world = ExperimentWorld::instance();
   const CompressiveSectorSelector css(world.table);
+  CorrelationWorkspace ws;
 
   Scenario conf = make_conference_scenario(42);
   conf.set_head(0.0, 0.0);
@@ -204,7 +209,7 @@ TEST(EndToEnd, BlockageRecoveryViaReflectedPath) {
     const auto subset = policy.choose(talon_tx_sector_ids(), 20, rng);
     const SweepOutcome out =
         link.transmit_sweep(*conf.dut, *conf.peer, probing_burst_schedule(subset));
-    return css.select(out.measurement.readings);
+    return css.select(out.measurement.readings, ws);
   };
 
   const CssResult clear = select_once();

@@ -118,7 +118,8 @@ TEST_P(CssRecoveryProperty, IdealProbesRecoverEveryInPlaneDirection) {
   const double truth_az = GetParam();
   const auto probes =
       testutil::ideal_probes(table, {1, 3, 5, 7, 9}, {truth_az, 0.0});
-  const auto estimated = css.estimate_direction(probes);
+  CorrelationWorkspace ws;
+  const auto estimated = css.estimate_direction(probes, ws);
   ASSERT_TRUE(estimated.has_value());
   EXPECT_LE(azimuth_distance_deg(estimated->azimuth_deg, truth_az), 9.0)
       << "truth " << truth_az;

@@ -21,6 +21,14 @@ struct ExperimentWorld {
     return world;
   }
 
+  /// The table's shared assets on the default CSS search grid (what a
+  /// link session built from the measured table rides).
+  std::shared_ptr<const PatternAssets> assets() const {
+    const CssConfig css;
+    return PatternAssetsRegistry::global().get_or_create(table, css.search_grid,
+                                                         css.domain);
+  }
+
  private:
   static ExperimentWorld build() {
     ExperimentWorld world;

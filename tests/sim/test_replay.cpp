@@ -1,7 +1,6 @@
 // Determinism contract of the parallel replay engine: every analysis must
-// produce bit-identical rows at any thread count (including 1) and with
-// the batched kernel on or off. EXPECT_EQ on doubles throughout -- the
-// contract is exact equality, not tolerance.
+// produce bit-identical rows at any thread count (including 1). EXPECT_EQ
+// on doubles throughout -- the contract is exact equality, not tolerance.
 #include <gtest/gtest.h>
 
 #include "src/sim/experiment.hpp"
@@ -14,11 +13,9 @@ using testutil::ExperimentWorld;
 
 const std::vector<ReplayOptions>& all_modes() {
   static const std::vector<ReplayOptions> modes{
-      ReplayOptions{.threads = 1, .batch = false},
-      ReplayOptions{.threads = 1, .batch = true},
-      ReplayOptions{.threads = 2, .batch = true},
-      ReplayOptions{.threads = 7, .batch = true},
-      ReplayOptions{.threads = 7, .batch = false},
+      ReplayOptions{.threads = 1},
+      ReplayOptions{.threads = 2},
+      ReplayOptions{.threads = 7},
   };
   return modes;
 }
@@ -37,14 +34,14 @@ class ReplayDeterminismTest : public ::testing::Test {
 TEST_F(ReplayDeterminismTest, EstimationErrorRowsIdenticalAcrossModes) {
   const auto baseline = estimation_error_analysis(
       world_.lab_records, selector_, probes_, policy_, 4242,
-      ReplayOptions{.threads = 1, .batch = false});
+      ReplayOptions{.threads = 1});
   for (const ReplayOptions& mode : all_modes()) {
     const auto rows = estimation_error_analysis(world_.lab_records, selector_,
                                                 probes_, policy_, 4242, mode);
     ASSERT_EQ(rows.size(), baseline.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(mode.threads) +
-                   " batch=" + std::to_string(mode.batch) + " row " + std::to_string(i));
+      SCOPED_TRACE("threads=" + std::to_string(mode.threads) + " row " +
+                   std::to_string(i));
       EXPECT_EQ(rows[i].probes, baseline[i].probes);
       EXPECT_EQ(rows[i].samples, baseline[i].samples);
       EXPECT_EQ(rows[i].azimuth_error.median, baseline[i].azimuth_error.median);
@@ -63,14 +60,14 @@ TEST_F(ReplayDeterminismTest, EstimationErrorRowsIdenticalAcrossModes) {
 TEST_F(ReplayDeterminismTest, SelectionQualityRowsIdenticalAcrossModes) {
   const auto baseline = selection_quality_analysis(
       world_.conference_records, selector_, probes_, policy_, 2121,
-      ReplayOptions{.threads = 1, .batch = false});
+      ReplayOptions{.threads = 1});
   for (const ReplayOptions& mode : all_modes()) {
     const auto rows = selection_quality_analysis(world_.conference_records, selector_,
                                                  probes_, policy_, 2121, mode);
     ASSERT_EQ(rows.size(), baseline.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(mode.threads) +
-                   " batch=" + std::to_string(mode.batch) + " row " + std::to_string(i));
+      SCOPED_TRACE("threads=" + std::to_string(mode.threads) + " row " +
+                   std::to_string(i));
       EXPECT_EQ(rows[i].probes, baseline[i].probes);
       EXPECT_EQ(rows[i].css_stability, baseline[i].css_stability);
       EXPECT_EQ(rows[i].ssw_stability, baseline[i].ssw_stability);
@@ -82,8 +79,8 @@ TEST_F(ReplayDeterminismTest, SelectionQualityRowsIdenticalAcrossModes) {
 
 TEST_F(ReplayDeterminismTest, TrackingSelectorIdenticalAcrossThreadCounts) {
   // The stateful selector: forks restart the tracker per cell, so thread
-  // count must still not matter (batch stays on; TrackingCssSelector's
-  // default select_batch preserves in-cell sequencing).
+  // count must still not matter (TrackingCssSelector's default
+  // select_batch preserves in-cell sequencing).
   TrackingCssSelector tracking(css_);
   const auto baseline = selection_quality_analysis(
       world_.conference_records, tracking, probes_, policy_, 99,
