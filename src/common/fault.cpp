@@ -33,23 +33,6 @@ bool FaultPlan::any_enabled() const {
          feedback.any();
 }
 
-FaultStats& FaultStats::operator+=(const FaultStats& other) {
-  probes_lost += other.probes_lost;
-  burst_losses += other.burst_losses;
-  snr_outliers += other.snr_outliers;
-  rssi_outliers += other.rssi_outliers;
-  floor_clamps += other.floor_clamps;
-  ring_duplicates += other.ring_duplicates;
-  ring_stale += other.ring_stale;
-  ring_overflows += other.ring_overflows;
-  feedback_drops += other.feedback_drops;
-  feedback_retries += other.feedback_retries;
-  feedback_failures += other.feedback_failures;
-  feedback_delays += other.feedback_delays;
-  feedback_latency_us += other.feedback_latency_us;
-  return *this;
-}
-
 LinkFaultInjector::LinkFaultInjector(std::shared_ptr<const FaultPlan> plan,
                                      int link_id)
     : plan_(std::move(plan)),
@@ -63,14 +46,14 @@ LinkFaultInjector::LinkFaultInjector(std::shared_ptr<const FaultPlan> plan,
 }
 
 void LinkFaultInjector::reseed() {
-  loss_rng_ = category_rng(*plan_, kLossStream, link_id_, round_);
-  corruption_rng_ = category_rng(*plan_, kCorruptionStream, link_id_, round_);
-  ring_rng_ = category_rng(*plan_, kRingStream, link_id_, round_);
-  feedback_rng_ = category_rng(*plan_, kFeedbackStream, link_id_, round_);
+  loss_rng_ = category_rng(*plan_, kLossStream, link_id_, state_.round);
+  corruption_rng_ = category_rng(*plan_, kCorruptionStream, link_id_, state_.round);
+  ring_rng_ = category_rng(*plan_, kRingStream, link_id_, state_.round);
+  feedback_rng_ = category_rng(*plan_, kFeedbackStream, link_id_, state_.round);
 }
 
 void LinkFaultInjector::next_round() {
-  ++round_;
+  ++state_.round;
   reseed();
 }
 
@@ -82,18 +65,18 @@ bool LinkFaultInjector::drop_probe() {
   }
   if (plan_->burst.enabled) {
     // Advance the chain, then draw the current state's loss.
-    if (ge_bad_) {
-      if (loss_rng_.bernoulli(plan_->burst.p_bad_to_good)) ge_bad_ = false;
+    if (state_.ge_bad) {
+      if (loss_rng_.bernoulli(plan_->burst.p_bad_to_good)) state_.ge_bad = false;
     } else {
-      if (loss_rng_.bernoulli(plan_->burst.p_good_to_bad)) ge_bad_ = true;
+      if (loss_rng_.bernoulli(plan_->burst.p_good_to_bad)) state_.ge_bad = true;
     }
-    const double p = ge_bad_ ? plan_->burst.loss_in_bad : plan_->burst.loss_in_good;
+    const double p = state_.ge_bad ? plan_->burst.loss_in_bad : plan_->burst.loss_in_good;
     if (p > 0.0 && loss_rng_.bernoulli(p)) {
-      if (!lost) ++stats_.burst_losses;
+      if (!lost) ++state_.stats.burst_losses;
       lost = true;
     }
   }
-  if (lost) ++stats_.probes_lost;
+  if (lost) ++state_.stats.probes_lost;
   return lost;
 }
 
@@ -102,31 +85,31 @@ void LinkFaultInjector::corrupt_reading(double& snr_db, double& rssi_dbm) {
   if (c.snr_outlier_probability > 0.0 &&
       corruption_rng_.bernoulli(c.snr_outlier_probability)) {
     snr_db += corruption_rng_.uniform(-c.outlier_magnitude_db, c.outlier_magnitude_db);
-    ++stats_.snr_outliers;
+    ++state_.stats.snr_outliers;
   }
   if (c.rssi_outlier_probability > 0.0 &&
       corruption_rng_.bernoulli(c.rssi_outlier_probability)) {
     rssi_dbm += corruption_rng_.uniform(-c.outlier_magnitude_db, c.outlier_magnitude_db);
-    ++stats_.rssi_outliers;
+    ++state_.stats.rssi_outliers;
   }
   if (c.floor_clamp_probability > 0.0 &&
       corruption_rng_.bernoulli(c.floor_clamp_probability)) {
     snr_db = c.floor_db;
-    ++stats_.floor_clamps;
+    ++state_.stats.floor_clamps;
   }
 }
 
 bool LinkFaultInjector::inject_duplicate() {
   if (plan_->ring.duplicate_probability <= 0.0) return false;
   if (!ring_rng_.bernoulli(plan_->ring.duplicate_probability)) return false;
-  ++stats_.ring_duplicates;
+  ++state_.stats.ring_duplicates;
   return true;
 }
 
 bool LinkFaultInjector::inject_stale() {
   if (plan_->ring.stale_probability <= 0.0) return false;
   if (!ring_rng_.bernoulli(plan_->ring.stale_probability)) return false;
-  ++stats_.ring_stale;
+  ++state_.stats.ring_stale;
   return true;
 }
 
@@ -135,30 +118,30 @@ std::size_t LinkFaultInjector::overflow_burst() {
     return 0;
   }
   if (!ring_rng_.bernoulli(plan_->ring.overflow_probability)) return 0;
-  ++stats_.ring_overflows;
+  ++state_.stats.ring_overflows;
   return plan_->ring.overflow_burst;
 }
 
 bool LinkFaultInjector::drop_feedback_attempt() {
   if (plan_->feedback.drop_probability <= 0.0) return false;
   if (!feedback_rng_.bernoulli(plan_->feedback.drop_probability)) return false;
-  ++stats_.feedback_drops;
+  ++state_.stats.feedback_drops;
   return true;
 }
 
 double LinkFaultInjector::feedback_delay_us() {
   if (plan_->feedback.delay_probability <= 0.0) return 0.0;
   if (!feedback_rng_.bernoulli(plan_->feedback.delay_probability)) return 0.0;
-  ++stats_.feedback_delays;
-  stats_.feedback_latency_us += plan_->feedback.delay_us;
+  ++state_.stats.feedback_delays;
+  state_.stats.feedback_latency_us += plan_->feedback.delay_us;
   return plan_->feedback.delay_us;
 }
 
 void LinkFaultInjector::note_feedback_retry(double backoff_us) {
-  ++stats_.feedback_retries;
-  stats_.feedback_latency_us += backoff_us;
+  ++state_.stats.feedback_retries;
+  state_.stats.feedback_latency_us += backoff_us;
 }
 
-void LinkFaultInjector::note_feedback_failure() { ++stats_.feedback_failures; }
+void LinkFaultInjector::note_feedback_failure() { ++state_.stats.feedback_failures; }
 
 }  // namespace talon

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/common/fields.hpp"
 #include "src/common/rng.hpp"
 
 namespace talon {
@@ -121,7 +122,23 @@ struct FaultStats {
   /// Simulated latency accumulated by backoff and delivery delays [us].
   double feedback_latency_us{0.0};
 
-  FaultStats& operator+=(const FaultStats& other);
+  /// The one field list (common/fields.hpp): +=, the snapshot record and
+  /// the serve_fault_* scrape series all derive from it.
+  static constexpr auto kFields = std::make_tuple(
+      field("probes_lost", &FaultStats::probes_lost),
+      field("burst_losses", &FaultStats::burst_losses),
+      field("snr_outliers", &FaultStats::snr_outliers),
+      field("rssi_outliers", &FaultStats::rssi_outliers),
+      field("floor_clamps", &FaultStats::floor_clamps),
+      field("ring_duplicates", &FaultStats::ring_duplicates),
+      field("ring_stale", &FaultStats::ring_stale),
+      field("ring_overflows", &FaultStats::ring_overflows),
+      field("feedback_drops", &FaultStats::feedback_drops),
+      field("feedback_retries", &FaultStats::feedback_retries),
+      field("feedback_failures", &FaultStats::feedback_failures),
+      field("feedback_delays", &FaultStats::feedback_delays),
+      field("feedback_latency_us", &FaultStats::feedback_latency_us));
+
   friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
@@ -138,7 +155,7 @@ class LinkFaultInjector {
   int link_id() const { return link_id_; }
 
   /// Round whose substreams the draws currently come from (0-based).
-  std::uint64_t round() const { return round_; }
+  std::uint64_t round() const { return state_.round; }
 
   /// Advance every fault category to the next round's substream. Call once
   /// per training round, after the round's draws are done.
@@ -170,10 +187,7 @@ class LinkFaultInjector {
   void note_feedback_retry(double backoff_us);
   void note_feedback_failure();
 
-  /// True while the Gilbert-Elliott chain sits in the bad state.
-  bool in_burst() const { return ge_bad_; }
-
-  const FaultStats& stats() const { return stats_; }
+  const FaultStats& stats() const { return state_.stats; }
 
   /// Mutable cross-round state: the current round, the Gilbert-Elliott
   /// chain position and the cumulative stats. The four category Rngs are
@@ -185,12 +199,12 @@ class LinkFaultInjector {
     std::uint64_t round{0};
     bool ge_bad{false};
     FaultStats stats;
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State export_state() const { return State{round_, ge_bad_, stats_}; }
+  State export_state() const { return state_; }
   void import_state(const State& state) {
-    round_ = state.round;
-    ge_bad_ = state.ge_bad;
-    stats_ = state.stats;
+    state_ = state;
     reseed();
   }
 
@@ -199,13 +213,11 @@ class LinkFaultInjector {
 
   std::shared_ptr<const FaultPlan> plan_;
   int link_id_;
-  std::uint64_t round_{0};
-  bool ge_bad_{false};
+  State state_;
   Rng loss_rng_;
   Rng corruption_rng_;
   Rng ring_rng_;
   Rng feedback_rng_;
-  FaultStats stats_;
 };
 
 }  // namespace talon

@@ -7,42 +7,43 @@
 namespace talon {
 
 AdaptiveProbeController::AdaptiveProbeController(const AdaptiveProbeConfig& config)
-    : config_(config), probes_(config.initial_probes) {
+    : config_(config), state_{.probes = config.initial_probes} {
   TALON_EXPECTS(config_.min_probes >= 2);
   TALON_EXPECTS(config_.min_probes <= config_.initial_probes);
   TALON_EXPECTS(config_.initial_probes <= config_.max_probes);
   TALON_EXPECTS(config_.window >= 2);
   TALON_EXPECTS(config_.grow_new_ids >= 1);
-  window_.reserve(config_.window);
+  state_.window.reserve(config_.window);
 }
 
 void AdaptiveProbeController::report_selection(int sector_id) {
-  window_.push_back(sector_id);
-  if (window_.size() < config_.window) return;
+  state_.window.push_back(sector_id);
+  if (state_.window.size() < config_.window) return;
 
-  std::vector<int> ids = window_;
+  std::vector<int> ids = state_.window;
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
 
-  if (has_previous_) {
+  if (state_.has_previous) {
     std::size_t new_ids = 0;
     for (int id : ids) {
-      if (!std::binary_search(previous_window_ids_.begin(),
-                              previous_window_ids_.end(), id)) {
+      if (!std::binary_search(state_.previous_window_ids.begin(),
+                              state_.previous_window_ids.end(), id)) {
         ++new_ids;
       }
     }
+    std::size_t& probes = state_.probes;
     if (new_ids >= config_.grow_new_ids) {
-      probes_ = std::min(config_.max_probes, probes_ + config_.increase_step);
+      probes = std::min(config_.max_probes, probes + config_.increase_step);
     } else if (new_ids == 0) {
-      probes_ = std::max(config_.min_probes,
-                         probes_ - std::min(probes_, config_.decrease_step));
+      probes = std::max(config_.min_probes,
+                        probes - std::min(probes, config_.decrease_step));
     }
     // Exactly one new ID: inconclusive (a single noisy selection), hold.
   }
-  previous_window_ids_ = std::move(ids);
-  has_previous_ = true;
-  window_.clear();
+  state_.previous_window_ids = std::move(ids);
+  state_.has_previous = true;
+  state_.window.clear();
 }
 
 }  // namespace talon

@@ -34,14 +34,14 @@ class AdaptiveProbeController {
   explicit AdaptiveProbeController(const AdaptiveProbeConfig& config = {});
 
   /// Probe count to use for the next sweep.
-  std::size_t current_probes() const { return probes_; }
+  std::size_t current_probes() const { return state_.probes; }
 
   /// Report the sector the last sweep selected; adapts the probe count
   /// once per full window.
   void report_selection(int sector_id);
 
   /// Selections accumulated toward the next decision.
-  std::size_t pending() const { return window_.size(); }
+  std::size_t pending() const { return state_.window.size(); }
 
   /// Complete mutable state (config excluded -- the owner reconstructs
   /// with the same config). Snapshot/restore round-trips exactly: after
@@ -50,25 +50,17 @@ class AdaptiveProbeController {
   struct State {
     std::size_t probes{0};
     std::vector<int> window;
-    std::vector<int> previous_window_ids;
+    std::vector<int> previous_window_ids;  ///< sorted unique IDs of last window
     bool has_previous{false};
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State export_state() const {
-    return State{probes_, window_, previous_window_ids_, has_previous_};
-  }
-  void import_state(State state) {
-    probes_ = state.probes;
-    window_ = std::move(state.window);
-    previous_window_ids_ = std::move(state.previous_window_ids);
-    has_previous_ = state.has_previous;
-  }
+  State export_state() const { return state_; }
+  void import_state(State state) { state_ = std::move(state); }
 
  private:
   AdaptiveProbeConfig config_;
-  std::size_t probes_;
-  std::vector<int> window_;
-  std::vector<int> previous_window_ids_;  // sorted unique IDs of last window
-  bool has_previous_{false};
+  State state_;
 };
 
 }  // namespace talon

@@ -119,6 +119,18 @@ std::size_t CorrelationEngine::usable_probe_count(
   return n;
 }
 
+bool CorrelationEngine::numerically_usable(const SectorReading& reading) const {
+  const auto usable = [&](double db) {
+    // Within +-1000 dB the square is finite in both domains and positive
+    // in the linear one; only the rare rest pays for the conversion.
+    if (std::abs(db) <= 1000.0) return true;
+    const double v = to_domain(db, matrix_.domain());
+    const double term = v * v;
+    return std::isfinite(term) && term > 0.0;
+  };
+  return usable(reading.snr_db) && usable(reading.rssi_dbm);
+}
+
 void CorrelationEngine::collect_probes_into(std::span<const SectorReading> readings,
                                             bool need_snr, bool need_rssi,
                                             ProbeVectors& out) const {

@@ -254,6 +254,12 @@ class CorrelationEngine {
   /// Number of readings that map onto table sectors.
   std::size_t usable_probe_count(std::span<const SectorReading> readings) const;
 
+  /// False when the reading cannot enter Eq. 5: its SNR or RSSI is
+  /// non-finite, or lies beyond +-1000 dB with a squared value in this
+  /// engine's domain (its term of the probe norm) that overflows to
+  /// infinity or underflows to zero.
+  bool numerically_usable(const SectorReading& reading) const;
+
   /// Usable probes of one sweep in reading order, with readings of
   /// unknown sectors dropped (and counted).
   ProbeVectors collect_probes(std::span<const SectorReading> readings,

@@ -25,25 +25,8 @@ const char* to_string(LinkEvent event) {
   return "?";
 }
 
-LifecycleStats& LifecycleStats::operator+=(const LifecycleStats& other) {
-  ignitions += other.ignitions;
-  acquisitions += other.acquisitions;
-  destabilizations += other.destabilizations;
-  recoveries += other.recoveries;
-  trips += other.trips;
-  drops += other.drops;
-  healthy_events += other.healthy_events;
-  failure_events += other.failure_events;
-  rejected_events += other.rejected_events;
-  up_time += other.up_time;
-  unstable_time += other.unstable_time;
-  acquisition_time += other.acquisition_time;
-  down_time += other.down_time;
-  return *this;
-}
-
 LinkLifecycle::LinkLifecycle(LinkLifecycleConfig config, LinkState initial)
-    : config_(config), state_(initial) {}
+    : config_(config), state_{.state = initial} {}
 
 bool LinkLifecycle::permitted(LinkState state, LinkEvent event) {
   switch (state) {
@@ -64,68 +47,68 @@ bool LinkLifecycle::permitted(LinkState state, LinkEvent event) {
 }
 
 TransitionOutcome LinkLifecycle::apply(LinkEvent event) {
-  if (!permitted(state_, event)) {
-    ++stats_.rejected_events;
+  if (!permitted(state_.state, event)) {
+    ++state_.stats.rejected_events;
     return TransitionOutcome::kRejected;
   }
   switch (event) {
     case LinkEvent::kIgnite: {
-      ++stats_.ignitions;
-      consecutive_failures_ = 0;
-      window_left_ = config_.ignition_rounds;
-      if (window_left_ == 0) {
+      ++state_.stats.ignitions;
+      state_.consecutive_failures = 0;
+      state_.window_left = config_.ignition_rounds;
+      if (state_.window_left == 0) {
         // Degenerate zero-round ignition: association is instantaneous.
-        ++stats_.acquisitions;
-        move_to(LinkState::kUp);
+        ++state_.stats.acquisitions;
+        state_.state = LinkState::kUp;
       } else {
-        move_to(LinkState::kAcquisition);
+        state_.state = LinkState::kAcquisition;
       }
       return TransitionOutcome::kMoved;
     }
     case LinkEvent::kAcquireRound: {
-      if (--window_left_ == 0) {
-        ++stats_.acquisitions;
-        consecutive_failures_ = 0;
-        move_to(LinkState::kUp);
+      if (--state_.window_left == 0) {
+        ++state_.stats.acquisitions;
+        state_.consecutive_failures = 0;
+        state_.state = LinkState::kUp;
         return TransitionOutcome::kMoved;
       }
       return TransitionOutcome::kHeld;
     }
     case LinkEvent::kHealthy: {
-      ++stats_.healthy_events;
-      consecutive_failures_ = 0;
-      backoff_ = 1;
-      if (state_ == LinkState::kUnstable) {
-        ++stats_.recoveries;
-        move_to(LinkState::kUp);
+      ++state_.stats.healthy_events;
+      state_.consecutive_failures = 0;
+      state_.backoff = 1;
+      if (state_.state == LinkState::kUnstable) {
+        ++state_.stats.recoveries;
+        state_.state = LinkState::kUp;
         return TransitionOutcome::kMoved;
       }
       return TransitionOutcome::kHeld;
     }
     case LinkEvent::kFailure: {
-      ++stats_.failure_events;
-      if (++consecutive_failures_ >= config_.max_consecutive_failures) {
+      ++state_.stats.failure_events;
+      if (++state_.consecutive_failures >= config_.max_consecutive_failures) {
         // Trip: install a full-SSW window scaled by the backoff, then
         // double the backoff for the next trip (kHealthy resets it).
-        ++stats_.trips;
-        window_left_ = config_.recovery_rounds * backoff_;
-        backoff_ = std::min(backoff_ * 2, config_.max_recovery_backoff);
-        consecutive_failures_ = 0;
-        if (window_left_ > 0) {
-          move_to(LinkState::kAcquisition);
+        ++state_.stats.trips;
+        state_.window_left = config_.recovery_rounds * state_.backoff;
+        state_.backoff = std::min(state_.backoff * 2, config_.max_recovery_backoff);
+        state_.consecutive_failures = 0;
+        if (state_.window_left > 0) {
+          state_.state = LinkState::kAcquisition;
           return TransitionOutcome::kMoved;
         }
         // Zero-length window: nothing to serve, bounce straight back to
         // steady state (the legacy encoding never entered fallback).
-        if (state_ == LinkState::kUnstable) {
-          move_to(LinkState::kUp);
+        if (state_.state == LinkState::kUnstable) {
+          state_.state = LinkState::kUp;
           return TransitionOutcome::kMoved;
         }
         return TransitionOutcome::kHeld;
       }
-      if (state_ == LinkState::kUp) {
-        ++stats_.destabilizations;
-        move_to(LinkState::kUnstable);
+      if (state_.state == LinkState::kUp) {
+        ++state_.stats.destabilizations;
+        state_.state = LinkState::kUnstable;
         return TransitionOutcome::kMoved;
       }
       return TransitionOutcome::kHeld;
@@ -134,10 +117,10 @@ TransitionOutcome LinkLifecycle::apply(LinkEvent event) {
       // Outage wipes the failure streak and any pending window but keeps
       // the backoff: a link that was flapping before the drop should not
       // get a fresh short window right after re-ignition.
-      ++stats_.drops;
-      consecutive_failures_ = 0;
-      window_left_ = 0;
-      move_to(LinkState::kDown);
+      ++state_.stats.drops;
+      state_.consecutive_failures = 0;
+      state_.window_left = 0;
+      state_.state = LinkState::kDown;
       return TransitionOutcome::kMoved;
     }
   }
@@ -145,14 +128,12 @@ TransitionOutcome LinkLifecycle::apply(LinkEvent event) {
 }
 
 void LinkLifecycle::advance(double dt) {
-  switch (state_) {
-    case LinkState::kDown: stats_.down_time += dt; return;
-    case LinkState::kAcquisition: stats_.acquisition_time += dt; return;
-    case LinkState::kUp: stats_.up_time += dt; return;
-    case LinkState::kUnstable: stats_.unstable_time += dt; return;
+  switch (state_.state) {
+    case LinkState::kDown: state_.stats.down_time += dt; return;
+    case LinkState::kAcquisition: state_.stats.acquisition_time += dt; return;
+    case LinkState::kUp: state_.stats.up_time += dt; return;
+    case LinkState::kUnstable: state_.stats.unstable_time += dt; return;
   }
 }
-
-void LinkLifecycle::move_to(LinkState next) { state_ = next; }
 
 }  // namespace talon

@@ -41,6 +41,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/common/fields.hpp"
+
 namespace talon {
 
 /// The four lifecycle states. kDown/kAcquisition/kUp keep the numeric
@@ -118,7 +120,23 @@ struct LifecycleStats {
   double acquisition_time{0.0};
   double down_time{0.0};
 
-  LifecycleStats& operator+=(const LifecycleStats& other);
+  /// The one field list (common/fields.hpp). The four times export as
+  /// one labelled family, serve_lifecycle_time_in_state{state="..."}.
+  static constexpr auto kFields = std::make_tuple(
+      field("ignitions", &LifecycleStats::ignitions),
+      field("acquisitions", &LifecycleStats::acquisitions),
+      field("destabilizations", &LifecycleStats::destabilizations),
+      field("recoveries", &LifecycleStats::recoveries),
+      field("trips", &LifecycleStats::trips),
+      field("drops", &LifecycleStats::drops),
+      field("healthy_events", &LifecycleStats::healthy_events),
+      field("failure_events", &LifecycleStats::failure_events),
+      field("rejected_events", &LifecycleStats::rejected_events),
+      field("time_in_state", &LifecycleStats::up_time, "state=\"up\""),
+      field("time_in_state", &LifecycleStats::unstable_time, "state=\"unstable\""),
+      field("time_in_state", &LifecycleStats::acquisition_time,
+            "state=\"acquisition\""),
+      field("time_in_state", &LifecycleStats::down_time, "state=\"down\""));
   friend bool operator==(const LifecycleStats&, const LifecycleStats&) = default;
 };
 
@@ -127,7 +145,7 @@ class LinkLifecycle {
   explicit LinkLifecycle(LinkLifecycleConfig config = {},
                          LinkState initial = LinkState::kUp);
 
-  LinkState state() const { return state_; }
+  LinkState state() const { return state_.state; }
 
   /// The full transition contract: true iff `event` is accepted in
   /// `state`. Everything apply() does is gated on this table.
@@ -140,17 +158,17 @@ class LinkLifecycle {
   void advance(double dt);
 
   /// kFailure events since the last healthy round / served window.
-  int consecutive_failures() const { return consecutive_failures_; }
+  int consecutive_failures() const { return state_.consecutive_failures; }
 
   /// Remaining acquisition rounds of the current window (0 outside
   /// Acquisition).
-  std::size_t acquisition_rounds_left() const { return window_left_; }
+  std::size_t acquisition_rounds_left() const { return state_.window_left; }
 
   /// Current trip-window multiplier (doubles per trip, reset by
   /// kHealthy).
-  std::size_t recovery_backoff() const { return backoff_; }
+  std::size_t recovery_backoff() const { return state_.backoff; }
 
-  const LifecycleStats& stats() const { return stats_; }
+  const LifecycleStats& stats() const { return state_.stats; }
 
   const LinkLifecycleConfig& config() const { return config_; }
 
@@ -163,27 +181,15 @@ class LinkLifecycle {
     std::size_t window_left{0};
     std::size_t backoff{1};
     LifecycleStats stats;
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State export_state() const {
-    return State{state_, consecutive_failures_, window_left_, backoff_, stats_};
-  }
-  void import_state(const State& state) {
-    state_ = state.state;
-    consecutive_failures_ = state.consecutive_failures;
-    window_left_ = state.window_left;
-    backoff_ = state.backoff;
-    stats_ = state.stats;
-  }
+  State export_state() const { return state_; }
+  void import_state(const State& state) { state_ = state; }
 
  private:
-  void move_to(LinkState next);
-
   LinkLifecycleConfig config_;
-  LinkState state_;
-  int consecutive_failures_{0};
-  std::size_t window_left_{0};
-  std::size_t backoff_{1};
-  LifecycleStats stats_;
+  State state_;
 };
 
 }  // namespace talon

@@ -38,6 +38,7 @@
 
 #include "src/antenna/pattern.hpp"
 #include "src/common/aligned.hpp"
+#include "src/common/fields.hpp"
 #include "src/common/grid.hpp"
 
 namespace talon {
@@ -186,6 +187,12 @@ class ResponseMatrix {
   struct CacheStats {
     std::uint64_t hits{0};
     std::uint64_t misses{0};
+
+    /// The one field list (common/fields.hpp); exported as
+    /// serve_panel_cache_*.
+    static constexpr auto kFields =
+        std::make_tuple(field("hits", &CacheStats::hits),
+                        field("misses", &CacheStats::misses));
   };
   CacheStats cache_stats() const {
     return {cache_hits_.load(std::memory_order_relaxed),

@@ -23,34 +23,30 @@ PathTracker::PathTracker(const PathTrackerConfig& config) : config_(config) {
 }
 
 Direction PathTracker::update(const Direction& estimate) {
-  if (!track_) {
-    track_ = estimate;
-    return *track_;
+  std::optional<Direction>& track = state_.track;
+  std::optional<Direction>& candidate = state_.jump_candidate;
+  if (!track) {
+    track = estimate;
+    return *track;
   }
-  if (angular_separation_deg(estimate, *track_) <= config_.gate_deg) {
+  if (angular_separation_deg(estimate, *track) <= config_.gate_deg) {
     // In-gate: smooth and clear any pending jump.
-    track_ = blend(*track_, estimate, config_.smoothing);
-    jump_run_ = 0;
-    jump_candidate_.reset();
-    return *track_;
+    track = blend(*track, estimate, config_.smoothing);
+    state_.jump_run = 0;
+    candidate.reset();
+    return *track;
   }
   // Out-of-gate: hold the track, accumulate evidence for a path change.
-  ++jump_run_;
-  jump_candidate_ = jump_candidate_
-                        ? blend(*jump_candidate_, estimate, config_.smoothing)
-                        : estimate;
-  if (jump_run_ >= config_.confirm_jumps) {
-    track_ = *jump_candidate_;
-    jump_run_ = 0;
-    jump_candidate_.reset();
+  ++state_.jump_run;
+  candidate = candidate ? blend(*candidate, estimate, config_.smoothing) : estimate;
+  if (state_.jump_run >= config_.confirm_jumps) {
+    track = *candidate;
+    state_.jump_run = 0;
+    candidate.reset();
   }
-  return *track_;
+  return *track;
 }
 
-void PathTracker::reset() {
-  track_.reset();
-  jump_candidate_.reset();
-  jump_run_ = 0;
-}
+void PathTracker::reset() { state_ = State{}; }
 
 }  // namespace talon

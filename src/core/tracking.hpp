@@ -35,12 +35,12 @@ class PathTracker {
   Direction update(const Direction& estimate);
 
   /// The current track, empty before the first update (or after reset).
-  const std::optional<Direction>& current() const { return track_; }
+  const std::optional<Direction>& current() const { return state_.track; }
 
   const PathTrackerConfig& config() const { return config_; }
 
   /// Far estimates seen in a row (diagnostics).
-  int pending_jumps() const { return jump_run_; }
+  int pending_jumps() const { return state_.jump_run; }
 
   void reset();
 
@@ -50,19 +50,15 @@ class PathTracker {
     std::optional<Direction> track;
     std::optional<Direction> jump_candidate;
     int jump_run{0};
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State export_state() const { return State{track_, jump_candidate_, jump_run_}; }
-  void import_state(const State& state) {
-    track_ = state.track;
-    jump_candidate_ = state.jump_candidate;
-    jump_run_ = state.jump_run;
-  }
+  State export_state() const { return state_; }
+  void import_state(const State& state) { state_ = state; }
 
  private:
   PathTrackerConfig config_;
-  std::optional<Direction> track_;
-  std::optional<Direction> jump_candidate_;
-  int jump_run_{0};
+  State state_;
 };
 
 }  // namespace talon

@@ -1,8 +1,25 @@
 #include "src/driver/css_daemon.hpp"
 
+#include <functional>
+#include <type_traits>
+
 #include "src/common/error.hpp"
 
 namespace talon {
+
+namespace {
+
+/// Sum of one per-session counter struct (`get` reads it off a session)
+/// over every session.
+template <class Get>
+auto sum_sessions(const std::map<int, std::unique_ptr<LinkSession>>& sessions,
+                  Get get) {
+  std::remove_cvref_t<std::invoke_result_t<Get, const LinkSession&>> total{};
+  for (const auto& [id, session] : sessions) total += std::invoke(get, *session);
+  return total;
+}
+
+}  // namespace
 
 CssDaemon::CssDaemon(std::shared_ptr<const PatternAssets> assets,
                      CssDaemonConfig defaults)
@@ -131,25 +148,15 @@ std::map<int, std::optional<CssResult>> CssDaemon::process_sweeps() {
 }
 
 FaultStats CssDaemon::total_fault_stats() const {
-  FaultStats total;
-  for (const auto& [id, session] : sessions_) total += session->fault_stats();
-  return total;
+  return sum_sessions(sessions_, &LinkSession::fault_stats);
 }
 
 DegradationStats CssDaemon::total_degradation_stats() const {
-  DegradationStats total;
-  for (const auto& [id, session] : sessions_) {
-    total += session->degradation_stats();
-  }
-  return total;
+  return sum_sessions(sessions_, &LinkSession::degradation_stats);
 }
 
 LifecycleStats CssDaemon::total_lifecycle_stats() const {
-  LifecycleStats total;
-  for (const auto& [id, session] : sessions_) {
-    total += session->lifecycle_stats();
-  }
-  return total;
+  return sum_sessions(sessions_, &LinkSession::lifecycle_stats);
 }
 
 }  // namespace talon

@@ -28,56 +28,6 @@ LinkLifecycleConfig session_lifecycle_config(const DegradationConfig& d) {
 
 }  // namespace
 
-bool operator==(const LinkSessionState& a, const LinkSessionState& b) {
-  auto lifecycle_eq = [](const LinkLifecycle::State& x,
-                         const LinkLifecycle::State& y) {
-    return x.state == y.state &&
-           x.consecutive_failures == y.consecutive_failures &&
-           x.window_left == y.window_left && x.backoff == y.backoff &&
-           x.stats == y.stats;
-  };
-  auto controller_eq = [](const AdaptiveProbeController::State& x,
-                          const AdaptiveProbeController::State& y) {
-    return x.probes == y.probes && x.window == y.window &&
-           x.previous_window_ids == y.previous_window_ids &&
-           x.has_previous == y.has_previous;
-  };
-  auto tracker_eq = [](const std::optional<PathTracker::State>& x,
-                       const std::optional<PathTracker::State>& y) {
-    if (x.has_value() != y.has_value()) return false;
-    if (!x) return true;
-    return x->track == y->track && x->jump_candidate == y->jump_candidate &&
-           x->jump_run == y->jump_run;
-  };
-  auto injector_eq = [](const std::optional<LinkFaultInjector::State>& x,
-                        const std::optional<LinkFaultInjector::State>& y) {
-    if (x.has_value() != y.has_value()) return false;
-    if (!x) return true;
-    return x->round == y->round && x->ge_bad == y->ge_bad &&
-           x->stats == y->stats;
-  };
-  return a.link_id == b.link_id && a.rounds == b.rounds &&
-         a.dropped_probes == b.dropped_probes &&
-         a.warned_unknown == b.warned_unknown &&
-         a.warn_cap_announced == b.warn_cap_announced &&
-         a.rng_state == b.rng_state &&
-         controller_eq(a.controller, b.controller) &&
-         lifecycle_eq(a.lifecycle, b.lifecycle) &&
-         a.degradation == b.degradation && tracker_eq(a.tracker, b.tracker) &&
-         injector_eq(a.injector, b.injector) &&
-         a.last_installed_sector == b.last_installed_sector;
-}
-
-DegradationStats& DegradationStats::operator+=(const DegradationStats& other) {
-  css_rounds += other.css_rounds;
-  failed_rounds += other.failed_rounds;
-  low_confidence_events += other.low_confidence_events;
-  underfilled_rounds += other.underfilled_rounds;
-  fallback_entries += other.fallback_entries;
-  full_sweep_rounds += other.full_sweep_rounds;
-  return *this;
-}
-
 LinkSession::LinkSession(Wil6210Driver& driver,
                          std::shared_ptr<const PatternAssets> assets,
                          const CssDaemonConfig& config, Rng rng, int link_id)
@@ -266,8 +216,17 @@ void LinkSession::prepare_report(std::vector<SectorReading> readings) {
   ++rounds_;
   pending_full_sweep_ = in_fallback();
   pending_readings_ = std::move(readings);
+  drop_unusable_readings(pending_readings_);
   if (injector_) apply_reading_faults(pending_readings_);
   sweep_pending_ = true;
+}
+
+void LinkSession::drop_unusable_readings(std::vector<SectorReading>& readings) {
+  const CorrelationEngine& engine = css_.assets()->engine();
+  const auto unusable = [&](const SectorReading& r) {
+    return !engine.numerically_usable(r);
+  };
+  dropped_probes_ += static_cast<std::size_t>(std::erase_if(readings, unusable));
 }
 
 std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {

@@ -89,7 +89,14 @@ struct DegradationStats {
   std::uint64_t fallback_entries{0};   ///< CSS -> full-sweep transitions
   std::uint64_t full_sweep_rounds{0};  ///< rounds served by the SSW fallback
 
-  DegradationStats& operator+=(const DegradationStats& other);
+  /// The one field list (common/fields.hpp).
+  static constexpr auto kFields = std::make_tuple(
+      field("css_rounds", &DegradationStats::css_rounds),
+      field("failed_rounds", &DegradationStats::failed_rounds),
+      field("low_confidence_events", &DegradationStats::low_confidence_events),
+      field("underfilled_rounds", &DegradationStats::underfilled_rounds),
+      field("fallback_entries", &DegradationStats::fallback_entries),
+      field("full_sweep_rounds", &DegradationStats::full_sweep_rounds));
   friend bool operator==(const DegradationStats&, const DegradationStats&) = default;
 };
 
@@ -135,10 +142,8 @@ struct LinkSessionState {
   /// Last sector override delivered (never set when none was yet).
   std::optional<int> last_installed_sector;
 
-  friend bool operator==(const LinkSessionState&, const LinkSessionState&);
+  friend bool operator==(const LinkSessionState&, const LinkSessionState&) = default;
 };
-
-bool operator==(const LinkSessionState& a, const LinkSessionState& b);
 
 class LinkSession {
  public:
@@ -223,10 +228,13 @@ class LinkSession {
   /// Number of sweeps processed on this link.
   std::size_t rounds() const { return rounds_; }
 
-  /// Cumulative readings dropped because their sector ID has no slot in
-  /// the shared pattern table (firmware reported a sector the codebook
-  /// was never measured for). The counter is the source of truth; stderr
-  /// warnings are capped at kMaxWarnedUnknownIds distinct IDs so a
+  /// Cumulative readings dropped before selection: readings whose sector
+  /// ID has no slot in the shared pattern table (firmware reported a
+  /// sector the codebook was never measured for), and readings Eq. 5
+  /// cannot use (CorrelationEngine::numerically_usable: a NaN or infinite
+  /// value, or one whose squared probe value overflows or underflows to
+  /// zero). The counter is the source of truth; stderr warnings about
+  /// unknown IDs are capped at kMaxWarnedUnknownIds distinct IDs so a
   /// misconfigured codebook cannot flood the log from the sweep path.
   std::size_t dropped_probes() const { return dropped_probes_; }
 
@@ -317,6 +325,10 @@ class LinkSession {
   /// (Re)build strategy_/tracking_ over the current css_.
   void build_strategy();
   void note_unknown_sectors(std::span<const SectorReading> readings);
+  /// Remove (and count in dropped_probes_) the readings Eq. 5 cannot use,
+  /// so a hostile report can neither trip the kernel's norm check nor
+  /// install a selection computed from infinities.
+  void drop_unusable_readings(std::vector<SectorReading>& readings);
   /// Probe loss + reading corruption on the drained sweep, in order.
   void apply_reading_faults(std::vector<SectorReading>& readings);
   /// Install the override; bounded retry with exponential backoff under

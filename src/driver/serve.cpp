@@ -1,8 +1,11 @@
 #include "src/driver/serve.hpp"
 
 #include <chrono>
+#include <string_view>
+#include <type_traits>
 
 #include "src/common/error.hpp"
+#include "src/common/fields.hpp"
 #include "src/common/parallel.hpp"
 
 namespace talon {
@@ -17,6 +20,22 @@ std::uint64_t steady_now_ns() {
 
 std::string link_label(int link_id) {
   return "link=\"" + std::to_string(link_id) + "\"";
+}
+
+/// Export every field of a counter struct from its field list as
+/// serve_<family>_<name>: integer fields as `_total` counters, doubles as
+/// gauges. A labelled entry is one series of that family.
+template <class Stats>
+void publish_fields(TelemetryRegistry& registry, std::string_view family,
+                    const Stats& stats) {
+  for_each_field(stats, [&](const auto& entry, const auto& value) {
+    const std::string name = "serve_" + std::string(family) + "_" + entry.name;
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(value)>>) {
+      registry.counter(name + "_total", entry.label).set(value);
+    } else {
+      registry.gauge(name, entry.label).set(value);
+    }
+  });
 }
 
 }  // namespace
@@ -220,43 +239,25 @@ void ServeDaemon::publish_session_metrics() {
   telemetry_.gauge("serve_queue_depth").set(static_cast<double>(queue_.approx_size()));
   telemetry_.gauge("serve_links").set(static_cast<double>(daemon_.session_count()));
 
-  // Aggregate session state: selection rounds, the PR5 fault and
-  // degradation counters, the PR7 lifecycle time-in-state aggregates.
+  // Aggregate session state: selection rounds, dropped readings and
+  // every field of the fault, degradation, lifecycle (time in state in
+  // rounds) and panel-cache counter structs.
   std::uint64_t rounds = 0;
-  for (int id : daemon_.link_ids()) rounds += daemon_.session(id).rounds();
+  std::uint64_t dropped_probes = 0;
+  for (int id : daemon_.link_ids()) {
+    const LinkSession& session = daemon_.session(id);
+    rounds += session.rounds();
+    dropped_probes += session.dropped_probes();
+  }
   telemetry_.counter("serve_rounds_total").set(rounds);
-
-  const FaultStats faults = daemon_.total_fault_stats();
-  telemetry_.counter("serve_fault_probes_lost_total").set(faults.probes_lost);
-  telemetry_.counter("serve_fault_feedback_drops_total").set(faults.feedback_drops);
-  telemetry_.counter("serve_fault_feedback_failures_total")
-      .set(faults.feedback_failures);
-
-  const DegradationStats degradation = daemon_.total_degradation_stats();
-  telemetry_.counter("serve_degradation_css_rounds_total").set(degradation.css_rounds);
-  telemetry_.counter("serve_degradation_failed_rounds_total")
-      .set(degradation.failed_rounds);
-  telemetry_.counter("serve_degradation_fallback_entries_total")
-      .set(degradation.fallback_entries);
-  telemetry_.counter("serve_degradation_full_sweep_rounds_total")
-      .set(degradation.full_sweep_rounds);
-
-  const LifecycleStats lifecycle = daemon_.total_lifecycle_stats();
-  telemetry_.gauge("serve_lifecycle_time_in_state",
-                   "state=\"up\"").set(lifecycle.up_time);
-  telemetry_.gauge("serve_lifecycle_time_in_state",
-                   "state=\"unstable\"").set(lifecycle.unstable_time);
-  telemetry_.gauge("serve_lifecycle_time_in_state",
-                   "state=\"acquisition\"").set(lifecycle.acquisition_time);
-  telemetry_.gauge("serve_lifecycle_time_in_state",
-                   "state=\"down\"").set(lifecycle.down_time);
-  telemetry_.counter("serve_lifecycle_trips_total").set(lifecycle.trips);
-  telemetry_.counter("serve_lifecycle_recoveries_total").set(lifecycle.recoveries);
+  telemetry_.counter("serve_dropped_probes_total").set(dropped_probes);
+  publish_fields(telemetry_, "fault", daemon_.total_fault_stats());
+  publish_fields(telemetry_, "degradation", daemon_.total_degradation_stats());
+  publish_fields(telemetry_, "lifecycle", daemon_.total_lifecycle_stats());
 
   // Panel-cache traffic of the current assets generation.
   const auto cache = daemon_.assets()->engine().response_matrix().cache_stats();
-  telemetry_.counter("serve_panel_cache_hits_total").set(cache.hits);
-  telemetry_.counter("serve_panel_cache_misses_total").set(cache.misses);
+  publish_fields(telemetry_, "panel_cache", cache);
   const std::uint64_t lookups = cache.hits + cache.misses;
   telemetry_.gauge("serve_panel_cache_hit_rate")
       .set(lookups == 0 ? 0.0

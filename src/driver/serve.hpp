@@ -25,10 +25,11 @@
 //    ever stalls on the writer and no torn table is ever observed.
 //
 // Telemetry: every counter the daemon's layers accumulate -- ingest and
-// processing totals, PR5 fault/degradation counters, PR7 lifecycle
-// time-in-state, PR4/PR8 panel-cache hit rates, and the selection
-// latency histogram -- is exported through a TelemetryRegistry in the
-// text exposition format (scrape()).
+// processing totals, dropped readings, every field of the fault,
+// degradation, lifecycle and panel-cache counter structs (named from
+// their field lists, common/fields.hpp), and the selection latency
+// histogram -- is exported through a TelemetryRegistry in the text
+// exposition format (scrape()).
 #pragma once
 
 #include <atomic>

@@ -1,89 +1,101 @@
 #include "src/driver/snapshot.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/fields.hpp"
 
 namespace talon {
 namespace {
 
-// --- primitive writers (little-endian, append-only) --------------------------
+// --- the two directions of one record layout ---------------------------------
+//
+// Writer appends each field it is handed; Reader assigns it from the
+// bytes, bounds-checked. Both take the same calls, so session_record()
+// below states the layout once for encode and decode alike. All integers
+// are little-endian; doubles travel as their IEEE-754 bit pattern.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u32(std::uint32_t v) { put(v, 4); }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void operator()(std::uint64_t v) { put(v, 8); }
+  void operator()(std::int32_t v) { put(static_cast<std::uint32_t>(v), 4); }
+  void operator()(double v) { put(std::bit_cast<std::uint64_t>(v), 8); }
+  void operator()(bool v) { put(v ? 1 : 0, 1); }
+  void operator()(LinkState v) { put(static_cast<std::uint8_t>(v), 1); }
+  void operator()(const std::string& v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    out_.insert(out_.end(), v.begin(), v.end());
+  }
+  void operator()(const std::vector<int>& v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    for (int x : v) (*this)(x);
+  }
 
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+  /// Presence byte, then `fields(*v)` when present.
+  template <class T, class F>
+  void optional(const std::optional<T>& v, F&& fields) {
+    (*this)(v.has_value());
+    if (v) fields(*v);
+  }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+ private:
+  void put(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_int_vector(std::vector<std::uint8_t>& out, const std::vector<int>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (int x : v) put_i32(out, x);
-}
-
-// --- bounds-checked reader ---------------------------------------------------
+  std::vector<std::uint8_t>& out_;
+};
 
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8() { return take(1)[0]; }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
 
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{b[i]} << (8 * i);
-    return v;
+  void operator()(std::uint64_t& v) { v = get(8); }
+  void operator()(std::int32_t& v) { v = static_cast<std::int32_t>(get(4)); }
+  void operator()(double& v) { v = std::bit_cast<double>(get(8)); }
+  void operator()(bool& v) {
+    const std::uint8_t b = take(1)[0];
+    if (b > 1) throw SnapshotError("snapshot boolean field holds " + std::to_string(b));
+    v = b != 0;
   }
-
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{b[i]} << (8 * i);
-    return v;
+  void operator()(LinkState& v) {
+    const std::uint8_t b = take(1)[0];
+    if (b >= kLinkStateCount) {
+      throw SnapshotError("snapshot lifecycle state out of range: " + std::to_string(b));
+    }
+    v = static_cast<LinkState>(b);
   }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) throw SnapshotError("snapshot boolean field holds " + std::to_string(v));
-    return v != 0;
+  void operator()(std::string& v) {
+    const auto b = take(u32());
+    v.assign(b.begin(), b.end());
   }
-
-  std::string string() {
-    const std::uint32_t n = u32();
-    const auto b = take(n);
-    return std::string(b.begin(), b.end());
-  }
-
-  std::vector<int> int_vector() {
+  void operator()(std::vector<int>& v) {
     const std::uint32_t n = u32();
     if (n > remaining() / 4) {
       throw SnapshotError("snapshot array length exceeds the payload");
     }
-    std::vector<int> v(n);
-    for (std::uint32_t i = 0; i < n; ++i) v[i] = i32();
-    return v;
+    v.resize(n);
+    for (int& x : v) (*this)(x);
+  }
+
+  /// Presence byte, then `fields(value)` into a freshly engaged value.
+  template <class T, class F>
+  void optional(std::optional<T>& v, F&& fields) {
+    bool present = false;
+    (*this)(present);
+    v.reset();
+    if (present) fields(v.emplace());
   }
 
   /// Sub-reader over the next `n` bytes (a length-prefixed record).
@@ -92,6 +104,13 @@ class Reader {
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
+  std::uint64_t get(int bytes) {
+    const auto b = take(static_cast<std::size_t>(bytes));
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) v |= std::uint64_t{b[i]} << (8 * i);
+    return v;
+  }
+
   std::span<const std::uint8_t> take(std::size_t n) {
     if (remaining() < n) {
       throw SnapshotError("snapshot truncated: need " + std::to_string(n) +
@@ -106,187 +125,49 @@ class Reader {
   std::size_t pos_{0};
 };
 
-// --- per-component codecs ----------------------------------------------------
-
-void encode_lifecycle_stats(std::vector<std::uint8_t>& out,
-                            const LifecycleStats& s) {
-  put_u64(out, s.ignitions);
-  put_u64(out, s.acquisitions);
-  put_u64(out, s.destabilizations);
-  put_u64(out, s.recoveries);
-  put_u64(out, s.trips);
-  put_u64(out, s.drops);
-  put_u64(out, s.healthy_events);
-  put_u64(out, s.failure_events);
-  put_u64(out, s.rejected_events);
-  put_f64(out, s.up_time);
-  put_f64(out, s.unstable_time);
-  put_f64(out, s.acquisition_time);
-  put_f64(out, s.down_time);
+/// A counter struct's record: its field list, in list order.
+template <class Io, class Stats>
+void stats_record(Io& io, Stats& stats) {
+  for_each_field(stats, [&](const auto&, auto& value) { io(value); });
 }
 
-LifecycleStats decode_lifecycle_stats(Reader& in) {
-  LifecycleStats s;
-  s.ignitions = in.u64();
-  s.acquisitions = in.u64();
-  s.destabilizations = in.u64();
-  s.recoveries = in.u64();
-  s.trips = in.u64();
-  s.drops = in.u64();
-  s.healthy_events = in.u64();
-  s.failure_events = in.u64();
-  s.rejected_events = in.u64();
-  s.up_time = in.f64();
-  s.unstable_time = in.f64();
-  s.acquisition_time = in.f64();
-  s.down_time = in.f64();
-  return s;
-}
-
-void encode_fault_stats(std::vector<std::uint8_t>& out, const FaultStats& s) {
-  put_u64(out, s.probes_lost);
-  put_u64(out, s.burst_losses);
-  put_u64(out, s.snr_outliers);
-  put_u64(out, s.rssi_outliers);
-  put_u64(out, s.floor_clamps);
-  put_u64(out, s.ring_duplicates);
-  put_u64(out, s.ring_stale);
-  put_u64(out, s.ring_overflows);
-  put_u64(out, s.feedback_drops);
-  put_u64(out, s.feedback_retries);
-  put_u64(out, s.feedback_failures);
-  put_u64(out, s.feedback_delays);
-  put_f64(out, s.feedback_latency_us);
-}
-
-FaultStats decode_fault_stats(Reader& in) {
-  FaultStats s;
-  s.probes_lost = in.u64();
-  s.burst_losses = in.u64();
-  s.snr_outliers = in.u64();
-  s.rssi_outliers = in.u64();
-  s.floor_clamps = in.u64();
-  s.ring_duplicates = in.u64();
-  s.ring_stale = in.u64();
-  s.ring_overflows = in.u64();
-  s.feedback_drops = in.u64();
-  s.feedback_retries = in.u64();
-  s.feedback_failures = in.u64();
-  s.feedback_delays = in.u64();
-  s.feedback_latency_us = in.f64();
-  return s;
-}
-
-void encode_direction(std::vector<std::uint8_t>& out,
-                      const std::optional<Direction>& d) {
-  put_u8(out, d.has_value() ? 1 : 0);
-  if (d) {
-    put_f64(out, d->azimuth_deg);
-    put_f64(out, d->elevation_deg);
-  }
-}
-
-std::optional<Direction> decode_direction(Reader& in) {
-  if (!in.boolean()) return std::nullopt;
-  Direction d;
-  d.azimuth_deg = in.f64();
-  d.elevation_deg = in.f64();
-  return d;
-}
-
-void encode_session(std::vector<std::uint8_t>& out,
-                    const LinkSessionState& s) {
-  put_i32(out, s.link_id);
-  put_u64(out, s.rounds);
-  put_u64(out, s.dropped_probes);
-  put_int_vector(out, s.warned_unknown);
-  put_u8(out, s.warn_cap_announced ? 1 : 0);
-  put_string(out, s.rng_state);
+/// The session record's layout, for both directions (`S` is const when
+/// writing).
+template <class Io, class S>
+void session_record(Io& io, S& s) {
+  io(s.link_id);
+  io(s.rounds);
+  io(s.dropped_probes);
+  io(s.warned_unknown);
+  io(s.warn_cap_announced);
+  io(s.rng_state);
   // Adaptive controller.
-  put_u64(out, s.controller.probes);
-  put_int_vector(out, s.controller.window);
-  put_int_vector(out, s.controller.previous_window_ids);
-  put_u8(out, s.controller.has_previous ? 1 : 0);
+  io(s.controller.probes);
+  io(s.controller.window);
+  io(s.controller.previous_window_ids);
+  io(s.controller.has_previous);
   // Lifecycle machine.
-  put_u8(out, static_cast<std::uint8_t>(s.lifecycle.state));
-  put_i32(out, s.lifecycle.consecutive_failures);
-  put_u64(out, s.lifecycle.window_left);
-  put_u64(out, s.lifecycle.backoff);
-  encode_lifecycle_stats(out, s.lifecycle.stats);
-  // Degradation counters.
-  put_u64(out, s.degradation.css_rounds);
-  put_u64(out, s.degradation.failed_rounds);
-  put_u64(out, s.degradation.low_confidence_events);
-  put_u64(out, s.degradation.underfilled_rounds);
-  put_u64(out, s.degradation.fallback_entries);
-  put_u64(out, s.degradation.full_sweep_rounds);
-  // Tracker (optional).
-  put_u8(out, s.tracker.has_value() ? 1 : 0);
-  if (s.tracker) {
-    encode_direction(out, s.tracker->track);
-    encode_direction(out, s.tracker->jump_candidate);
-    put_i32(out, s.tracker->jump_run);
-  }
-  // Fault injector (optional).
-  put_u8(out, s.injector.has_value() ? 1 : 0);
-  if (s.injector) {
-    put_u64(out, s.injector->round);
-    put_u8(out, s.injector->ge_bad ? 1 : 0);
-    encode_fault_stats(out, s.injector->stats);
-  }
-  // Last installed override (optional).
-  put_u8(out, s.last_installed_sector.has_value() ? 1 : 0);
-  if (s.last_installed_sector) put_i32(out, *s.last_installed_sector);
-}
-
-LinkSessionState decode_session(Reader& in) {
-  LinkSessionState s;
-  s.link_id = in.i32();
-  s.rounds = in.u64();
-  s.dropped_probes = in.u64();
-  s.warned_unknown = in.int_vector();
-  s.warn_cap_announced = in.boolean();
-  s.rng_state = in.string();
-  s.controller.probes = in.u64();
-  s.controller.window = in.int_vector();
-  s.controller.previous_window_ids = in.int_vector();
-  s.controller.has_previous = in.boolean();
-  const std::uint8_t lifecycle_state = in.u8();
-  if (lifecycle_state >= kLinkStateCount) {
-    throw SnapshotError("snapshot lifecycle state out of range: " +
-                        std::to_string(lifecycle_state));
-  }
-  s.lifecycle.state = static_cast<LinkState>(lifecycle_state);
-  s.lifecycle.consecutive_failures = in.i32();
-  s.lifecycle.window_left = in.u64();
-  s.lifecycle.backoff = in.u64();
-  s.lifecycle.stats = decode_lifecycle_stats(in);
-  s.degradation.css_rounds = in.u64();
-  s.degradation.failed_rounds = in.u64();
-  s.degradation.low_confidence_events = in.u64();
-  s.degradation.underfilled_rounds = in.u64();
-  s.degradation.fallback_entries = in.u64();
-  s.degradation.full_sweep_rounds = in.u64();
-  if (in.boolean()) {
-    PathTracker::State tracker;
-    tracker.track = decode_direction(in);
-    tracker.jump_candidate = decode_direction(in);
-    tracker.jump_run = in.i32();
-    s.tracker = std::move(tracker);
-  }
-  if (in.boolean()) {
-    LinkFaultInjector::State injector;
-    injector.round = in.u64();
-    injector.ge_bad = in.boolean();
-    injector.stats = decode_fault_stats(in);
-    s.injector = injector;
-  }
-  if (in.boolean()) s.last_installed_sector = in.i32();
-  if (in.remaining() != 0) {
-    throw SnapshotError("snapshot session record carries " +
-                        std::to_string(in.remaining()) + " trailing bytes");
-  }
-  return s;
+  io(s.lifecycle.state);
+  io(s.lifecycle.consecutive_failures);
+  io(s.lifecycle.window_left);
+  io(s.lifecycle.backoff);
+  stats_record(io, s.lifecycle.stats);
+  stats_record(io, s.degradation);
+  const auto direction = [&](auto& d) {
+    io(d.azimuth_deg);
+    io(d.elevation_deg);
+  };
+  io.optional(s.tracker, [&](auto& tracker) {
+    io.optional(tracker.track, direction);
+    io.optional(tracker.jump_candidate, direction);
+    io(tracker.jump_run);
+  });
+  io.optional(s.injector, [&](auto& injector) {
+    io(injector.round);
+    io(injector.ge_bad);
+    stats_record(io, injector.stats);
+  });
+  io.optional(s.last_installed_sector, [&](auto& sector) { io(sector); });
 }
 
 }  // namespace
@@ -294,14 +175,16 @@ LinkSessionState decode_session(Reader& in) {
 std::vector<std::uint8_t> encode_session_states(
     std::span<const LinkSessionState> states) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kSnapshotMagic);
-  put_u32(out, kSnapshotVersion);
-  put_u32(out, static_cast<std::uint32_t>(states.size()));
+  Writer header(out);
+  header.u32(kSnapshotMagic);
+  header.u32(kSnapshotVersion);
+  header.u32(static_cast<std::uint32_t>(states.size()));
   std::vector<std::uint8_t> record;
   for (const LinkSessionState& s : states) {
     record.clear();
-    encode_session(record, s);
-    put_u32(out, static_cast<std::uint32_t>(record.size()));
+    Writer writer(record);
+    session_record(writer, s);
+    header.u32(static_cast<std::uint32_t>(record.size()));
     out.insert(out.end(), record.begin(), record.end());
   }
   return out;
@@ -322,11 +205,18 @@ std::vector<LinkSessionState> decode_session_states(
   }
   const std::uint32_t count = in.u32();
   std::vector<LinkSessionState> states;
-  states.reserve(count);
+  // Every record costs at least its length prefix, so a forged count
+  // cannot reserve more than the payload could hold.
+  states.reserve(std::min<std::size_t>(count, in.remaining() / 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t length = in.u32();
     Reader record = in.slice(length);
-    states.push_back(decode_session(record));
+    LinkSessionState& s = states.emplace_back();
+    session_record(record, s);
+    if (record.remaining() != 0) {
+      throw SnapshotError("snapshot session record carries " +
+                          std::to_string(record.remaining()) + " trailing bytes");
+    }
   }
   if (in.remaining() != 0) {
     throw SnapshotError("snapshot carries " + std::to_string(in.remaining()) +

@@ -1,11 +1,16 @@
 // Shared helpers for the serving-layer tests: synthetic assets built on
-// the core test table, and deterministic per-(link, round) sweep-report
+// the core test table, deterministic per-(link, round) sweep-report
 // synthesis -- independent of submission order and thread count, exactly
-// like the serving layer itself requires.
+// like the serving layer itself requires -- and golden-file loading.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -13,7 +18,22 @@
 #include "src/phy/measurement.hpp"
 #include "tests/core/synthetic_table.hpp"
 
+#ifndef TALON_REPO_DIR
+#error "TALON_REPO_DIR must point at the repository root (set by CMake)"
+#endif
+
 namespace talon::testutil {
+
+/// Contents of a committed golden file, by repository-relative path;
+/// empty (and the calling test fails) when the file is missing.
+inline std::string read_golden(const std::string& relative) {
+  const std::string path = std::string(TALON_REPO_DIR) + "/" + relative;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 /// Synthetic table with every lobe's peak shifted by `peak_delta_db`:
 /// structurally identical to synthetic_table() but a DIFFERENT codebook

@@ -4,13 +4,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/fault.hpp"
 #include "src/common/rng.hpp"
 #include "src/driver/css_daemon.hpp"
 #include "tests/driver/serve_testutil.hpp"
@@ -20,6 +23,7 @@ namespace {
 
 using testutil::make_report;
 using testutil::make_serve_assets;
+using testutil::read_golden;
 
 constexpr std::uint64_t kReportSeed = 555;
 constexpr int kLinks = 5;
@@ -110,6 +114,51 @@ TEST(ServeDeterminism, AsyncMatchesSyncBitIdenticallyAtAnyThreadCount) {
           << "threads=" << threads << ": telemetry diverged across thread counts";
     }
   }
+}
+
+TEST(ServeDeterminism, ScrapeMatchesCommittedGolden) {
+  // The whole exposition, pinned on a run where every exported family is
+  // live: faulty, tracking, degradation-gated links (lifecycle trips and
+  // time in state), a reading from a sector the table lacks (dropped
+  // probes) and per-link series. One worker, so even the panel-cache
+  // hit/miss split is deterministic. A failure here means the scrape
+  // changed: new series are additions, anything else breaks scrapers.
+  CssDaemonConfig config = session_config();
+  config.adaptive = false;  // keep every report at the requested count
+  auto plan = std::make_shared<FaultPlan>();
+  plan->seed = 91;
+  plan->loss.probability = 0.1;
+  plan->burst.enabled = true;
+  plan->burst.p_good_to_bad = 0.02;
+  plan->corruption.snr_outlier_probability = 0.1;
+  plan->corruption.rssi_outlier_probability = 0.1;
+  plan->corruption.floor_clamp_probability = 0.05;
+  plan->feedback.drop_probability = 0.3;
+  plan->feedback.delay_probability = 0.2;
+  config.faults = std::move(plan);
+  ServeConfig serve_config;
+  serve_config.threads = 1;
+  serve_config.measure_latency = false;
+  serve_config.per_link_metrics = true;
+  auto assets = make_serve_assets();
+  ServeDaemon serve(assets, config, serve_config);
+  constexpr int kGoldenLinks = 4;
+  for (int id = 0; id < kGoldenLinks; ++id) serve.add_link(id, link_rng(id));
+  ::testing::internal::CaptureStderr();  // the unknown-sector warning
+  for (std::uint64_t r = 0; r < 40; ++r) {
+    for (int id = 0; id < kGoldenLinks; ++id) {
+      // Reports repeat every 6 rounds, so probe subsets hit the panel cache.
+      std::vector<SectorReading> report =
+          make_report(kReportSeed, id, r % 6, assets->patterns());
+      if (r % 7 == 3) {
+        report.push_back({.sector_id = 999, .snr_db = 3.0, .rssi_dbm = 3.0});
+      }
+      serve.submit(id, std::move(report));
+    }
+  }
+  serve.drain_all();
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(serve.scrape(), read_golden("tests/driver/golden/serve_scrape.txt"));
 }
 
 TEST(ServeDeterminism, HotSwapMidStreamDropsNothingAndRebindsEveryLink) {
@@ -293,6 +342,47 @@ TEST(ServeDeterminism, GuardsItsSingleConsumerAndTopologyContracts) {
   serve.stop();
   EXPECT_NO_THROW(serve.add_link(4, link_rng(4)));
   EXPECT_EQ(serve.daemon().session_count(), 2u);
+
+  // Readings Eq. 5 cannot use are dropped and counted at the session
+  // boundary instead of reaching the kernel: NaN and infinite values, and
+  // dB values whose linear square overflows (1e308) or underflows
+  // (-1e308). What is left selects exactly as the clean report does, and
+  // an all-NaN report takes the empty-sweep path.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> hostile = {
+      {nan, -60.0}, {3.0, nan},    {inf, -60.0},   {-inf, -60.0},
+      {3.0, inf},   {1e308, -60.0}, {3.0, -1e308}, {-1e308, 3.0}};
+  CssDaemon twin(assets, CssDaemonConfig{});
+  twin.add_headless_link(3, link_rng(3));
+  std::uint64_t expected_drops = 0;
+  for (std::size_t r = 0; r < hostile.size(); ++r) {
+    const std::vector<SectorReading> clean =
+        make_report(kReportSeed, 3, r, assets->patterns());
+    std::vector<SectorReading> dirty = clean;
+    dirty.insert(dirty.begin() + static_cast<long>(r % clean.size()),
+                 SectorReading{.sector_id = clean[0].sector_id,
+                               .snr_db = hostile[r].first,
+                               .rssi_dbm = hostile[r].second});
+    serve.submit(3, std::move(dirty));
+    twin.process_report(3, clean);
+    ++expected_drops;
+  }
+  std::vector<SectorReading> all_nan =
+      make_report(kReportSeed, 3, hostile.size(), assets->patterns());
+  for (SectorReading& reading : all_nan) reading.snr_db = nan;
+  expected_drops += all_nan.size();
+  serve.submit(3, std::move(all_nan));
+  twin.process_report(3, {});
+  EXPECT_EQ(serve.drain_all(), hostile.size() + 1);
+  LinkSessionState served = serve.daemon().session(3).export_state();
+  EXPECT_EQ(served.dropped_probes, expected_drops);
+  EXPECT_TRUE(served.last_installed_sector.has_value());
+  served.dropped_probes = 0;
+  EXPECT_EQ(served, twin.session(3).export_state());
+  EXPECT_NE(serve.scrape().find("serve_dropped_probes_total " +
+                                std::to_string(expected_drops) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

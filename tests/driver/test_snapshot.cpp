@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -18,6 +23,7 @@ namespace {
 
 using testutil::make_report;
 using testutil::make_serve_assets;
+using testutil::read_golden;
 
 constexpr std::uint64_t kReportSeed = 2024;
 
@@ -80,6 +86,80 @@ std::vector<LinkSessionState> export_all(const CssDaemon& daemon) {
   return states;
 }
 
+/// A random VALID session state: every field drawn independently, with
+/// the codec's edge values (u64 and int extremes, -0.0, subnormals, NaN
+/// with payloads, infinities) mixed in at high rates.
+LinkSessionState fuzzed_state(Rng& rng) {
+  auto u64 = [&]() -> std::uint64_t {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return 0;
+      case 1: return std::numeric_limits<std::uint64_t>::max();
+      case 2: return std::uint64_t{1} << 63;
+      default:
+        return (static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)) << 34) ^
+               static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+    }
+  };
+  auto i32 = [&]() -> int {
+    switch (rng.uniform_int(0, 3)) {
+      case 0: return std::numeric_limits<int>::min();
+      case 1: return std::numeric_limits<int>::max();
+      case 2: return -1;
+      default: return rng.uniform_int(-100000, 100000);
+    }
+  };
+  auto f64 = [&]() -> double {
+    switch (rng.uniform_int(0, 7)) {
+      case 0: return -0.0;
+      case 1: return std::numeric_limits<double>::denorm_min();
+      case 2: return -std::numeric_limits<double>::denorm_min() * 3.0;
+      case 3: return std::numeric_limits<double>::quiet_NaN();
+      case 4: return std::bit_cast<double>(0x7ff0'0000'dead'beefULL);  // NaN payload
+      case 5: return rng.uniform_int(0, 1) ? std::numeric_limits<double>::infinity()
+                                           : -std::numeric_limits<double>::max();
+      default: return rng.uniform(-1e6, 1e6);
+    }
+  };
+  auto ints = [&] {
+    std::vector<int> v(static_cast<std::size_t>(rng.uniform_int(0, 6)));
+    for (int& x : v) x = i32();
+    return v;
+  };
+  auto yes = [&] { return rng.uniform_int(0, 1) == 1; };
+  auto direction = [&]() -> std::optional<Direction> {
+    if (!yes()) return std::nullopt;
+    return Direction{f64(), f64()};
+  };
+
+  LinkSessionState s;
+  s.link_id = i32();
+  s.rounds = u64();
+  s.dropped_probes = u64();
+  s.warned_unknown = ints();
+  s.warn_cap_announced = yes();
+  for (int i = rng.uniform_int(0, 24); i > 0; --i) {
+    s.rng_state.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+  }
+  s.controller = {u64(), ints(), ints(), yes()};
+  s.lifecycle.state =
+      static_cast<LinkState>(rng.uniform_int(0, static_cast<int>(kLinkStateCount) - 1));
+  s.lifecycle.consecutive_failures = i32();
+  s.lifecycle.window_left = u64();
+  s.lifecycle.backoff = u64();
+  s.lifecycle.stats = {u64(), u64(), u64(), u64(), u64(), u64(), u64(),
+                       u64(), u64(), f64(), f64(), f64(), f64()};
+  s.degradation = {u64(), u64(), u64(), u64(), u64(), u64()};
+  if (yes()) s.tracker = PathTracker::State{direction(), direction(), i32()};
+  if (yes()) {
+    s.injector = LinkFaultInjector::State{
+        u64(), yes(),
+        FaultStats{u64(), u64(), u64(), u64(), u64(), u64(), u64(), u64(),
+                   u64(), u64(), u64(), u64(), f64()}};
+  }
+  if (yes()) s.last_installed_sector = i32();
+  return s;
+}
+
 TEST(Snapshot, EncodeDecodeRoundTripIsExact) {
   auto assets = make_serve_assets();
   auto daemon = make_daemon(assets);
@@ -95,6 +175,110 @@ TEST(Snapshot, EncodeDecodeRoundTripIsExact) {
   // Re-encoding the decode reproduces the blob byte for byte (doubles
   // travel as bit patterns -- nothing is lost to formatting).
   EXPECT_EQ(encode_session_states(decoded), bytes);
+
+  // Fuzzed valid states, one blob each and one blob of all of them. A
+  // state holding a NaN is not == to itself, so those compare by the
+  // re-encoded bytes alone (which also catch a -0.0 decoded as +0.0).
+  Rng rng(8128);
+  std::vector<LinkSessionState> fuzzed;
+  for (int i = 0; i < 300; ++i) fuzzed.push_back(fuzzed_state(rng));
+  for (const LinkSessionState& s : fuzzed) {
+    const std::vector<std::uint8_t> blob = encode_session_states({&s, 1});
+    const std::vector<LinkSessionState> back = decode_session_states(blob);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(encode_session_states(back), blob) << "link " << s.link_id;
+    if (s == s) {
+      EXPECT_EQ(back[0], s) << "link " << s.link_id;
+    }
+  }
+  const std::vector<std::uint8_t> all = encode_session_states(fuzzed);
+  EXPECT_EQ(encode_session_states(decode_session_states(all)), all);
+}
+
+/// The sessions pinned by golden/session_snapshot.hex: tracker, injector
+/// and last sector each present and absent, one record per lifecycle
+/// state, every counter a distinct nonzero value (a swapped field order
+/// cannot decode back to these).
+std::vector<LinkSessionState> golden_states() {
+  std::vector<LinkSessionState> states(4);
+  std::uint64_t next = 1;
+  auto lifecycle_stats = [&] {
+    LifecycleStats s{next, next + 1, next + 2, next + 3, next + 4, next + 5,
+                     next + 6, next + 7, next + 8, 10.5, 2.25, 7.0, 0.125};
+    next += 9;
+    return s;
+  };
+  auto degradation = [&] {
+    DegradationStats s{next, next + 1, next + 2, next + 3, next + 4, next + 5};
+    next += 6;
+    return s;
+  };
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    LinkSessionState& s = states[i];
+    s.link_id = static_cast<int>(i) * 10 + 1;
+    s.rounds = 100 + i;
+    s.dropped_probes = i;
+    s.rng_state = "rng state " + std::to_string(i);
+    s.controller.probes = 6 + i;
+    s.lifecycle.stats = lifecycle_stats();
+    s.degradation = degradation();
+  }
+  // Plain session, healthy: nothing optional present.
+  states[0].lifecycle.state = LinkState::kUp;
+  // Tracking, one failure in: tracker with a track but no jump candidate.
+  states[1].warned_unknown = {40, 41};
+  states[1].controller.window = {3, 3, 7, 12};
+  states[1].controller.previous_window_ids = {1, 5, 9};
+  states[1].controller.has_previous = true;
+  states[1].lifecycle.state = LinkState::kUnstable;
+  states[1].lifecycle.consecutive_failures = 1;
+  states[1].tracker = PathTracker::State{Direction{-12.5, 4.0}, std::nullopt, 0};
+  states[1].last_installed_sector = 17;
+  // Faulty session mid-backoff in an acquisition window.
+  states[2].warn_cap_announced = true;
+  states[2].lifecycle.state = LinkState::kAcquisition;
+  states[2].lifecycle.window_left = 11;
+  states[2].lifecycle.backoff = 4;
+  states[2].injector = LinkFaultInjector::State{
+      42, true, FaultStats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1350.5}};
+  states[2].last_installed_sector = -3;
+  // Everything optional present, link down.
+  states[3].lifecycle.state = LinkState::kDown;
+  states[3].lifecycle.backoff = 8;
+  states[3].tracker =
+      PathTracker::State{Direction{30.0, -2.5}, Direction{-45.0, 10.0}, 2};
+  states[3].injector = LinkFaultInjector::State{
+      7, false, FaultStats{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 0.25}};
+  return states;
+}
+
+std::vector<std::uint8_t> parse_hex(const std::string& text) {
+  std::vector<std::uint8_t> bytes;
+  std::string digits;
+  for (char c : text) {
+    if (std::isxdigit(static_cast<unsigned char>(c))) digits.push_back(c);
+  }
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2) {
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoi(digits.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(Snapshot, CommittedGoldenDecodesAndReencodesByteIdentically) {
+  // The version-1 wire format, pinned: a blob written by an earlier build
+  // must decode to the same states and re-encode to the same bytes.
+  const std::vector<std::uint8_t> golden =
+      parse_hex(read_golden("tests/driver/golden/session_snapshot.hex"));
+  ASSERT_FALSE(golden.empty());
+  const std::vector<LinkSessionState> expected = golden_states();
+  const std::vector<LinkSessionState> decoded = decode_session_states(golden);
+  ASSERT_EQ(decoded.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(decoded[i], expected[i]) << "record " << i;
+  }
+  EXPECT_EQ(encode_session_states(decoded), golden);
+  EXPECT_EQ(encode_session_states(expected), golden);
 }
 
 TEST(Snapshot, RestoreResumesByteIdenticalSelections) {

@@ -3,27 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "src/common/error.hpp"
-
-#ifndef TALON_REPO_DIR
-#error "TALON_REPO_DIR must point at the repository root (set by CMake)"
-#endif
+#include "tests/driver/serve_testutil.hpp"
 
 namespace talon {
 namespace {
 
-std::string read_golden(const std::string& relative) {
-  const std::string path = std::string(TALON_REPO_DIR) + "/" + relative;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+using testutil::read_golden;
 
 TEST(Telemetry, EmptyRegistryRendersEmpty) {
   TelemetryRegistry registry;

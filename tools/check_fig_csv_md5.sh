@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Audit: the paper-figure CSVs are bit-frozen.
+# Audit: the paper-figure CSVs and the bench_fault campaign CSVs are
+# bit-frozen.
 #
-# Every kernel/selection change must leave fig 7/8/9/11 byte-identical --
-# the selection pipeline promises bit-identical results across refactors,
-# thread counts and the branch-and-bound argmax (it may only skip work,
-# never change arithmetic). This regenerates the CSVs at several thread
-# counts and checks them against the committed md5 manifest. If a change
-# is *supposed* to alter the figures (a modelling change, not a kernel
-# change), regenerate the manifest in the same commit and say so:
-#   cd <fresh dir> && <build>/bench/bench_fig{7,8,9,11} --threads 1
+# Every kernel/selection change must leave fig 7/8/9/11 and bench_fault
+# byte-identical -- the selection pipeline promises bit-identical results
+# across refactors, thread counts and the branch-and-bound argmax (it may
+# only skip work, never change arithmetic). This regenerates the CSVs at
+# several thread counts and checks them against the committed md5
+# manifest. If a change is *supposed* to alter them (a modelling change,
+# not a kernel change), regenerate the manifest in the same commit and
+# say so:
+#   cd <fresh dir> && for b in fig7 fig8 fig9 fig11 fault; do
+#     <build>/bench/bench_$b --threads 1; done
 #   md5sum *.csv | sort -k2 > tools/fig_csv_md5.manifest
 #
 # Usage: tools/check_fig_csv_md5.sh [build_dir] [threads...]
@@ -24,8 +27,9 @@ threads=("$@")
 manifest="$(pwd)/tools/fig_csv_md5.manifest"
 [ -f "${manifest}" ] || { echo "missing ${manifest}" >&2; exit 1; }
 
-for fig in 7 8 9 11; do
-  bin="${build_dir}/bench/bench_fig${fig}"
+benches=(fig7 fig8 fig9 fig11 fault)
+for bench in "${benches[@]}"; do
+  bin="${build_dir}/bench/bench_${bench}"
   [ -x "${bin}" ] || { echo "missing ${bin} (build the bench targets first)" >&2; exit 1; }
 done
 # Resolve the binaries before we cd into scratch dirs.
@@ -39,13 +43,13 @@ for t in "${threads[@]}"; do
   dir="${scratch}/t${t}"
   mkdir -p "${dir}"
   if ( cd "${dir}"
-       for fig in 7 8 9 11; do
-         "${build_abs}/bench/bench_fig${fig}" --threads "${t}" > /dev/null
+       for bench in "${benches[@]}"; do
+         "${build_abs}/bench/bench_${bench}" --threads "${t}" > /dev/null
        done
        md5sum -c "${manifest}" > /dev/null ); then
-    echo "OK: fig 7/8/9/11 CSVs match the manifest at --threads ${t}"
+    echo "OK: fig 7/8/9/11 and bench_fault CSVs match the manifest at --threads ${t}"
   else
-    echo "FAIL: figure CSVs diverge from tools/fig_csv_md5.manifest at --threads ${t}:"
+    echo "FAIL: frozen CSVs diverge from tools/fig_csv_md5.manifest at --threads ${t}:"
     ( cd "${dir}" && md5sum -c "${manifest}" 2>&1 | grep -v ': OK$' ) || true
     status=1
   fi
