@@ -1,15 +1,18 @@
-// Dense-deployment benchmark: per-round wall time and peak RSS of the
+// Dense-deployment experiment: per-round wall time and peak RSS of the
 // multi-link NetworkSimulator vs the number of co-channel pairs K and the
 // thread count.
 //
-// The point of the measurement: with PatternAssets shared behind the
+// The point of the experiment: with PatternAssets shared behind the
 // registry, K links pay for K sessions and 2K nodes but ONE pattern
 // table, response matrix and norm cache -- so bytes per link must FALL as
 // K grows (sub-linear total growth), and the per-round wall time must
 // scale with the per-link physical work, not with K copies of the assets.
 // A cross-thread check reruns the smallest sweep at several thread counts
 // and verifies the selection sequence is bit-identical (the
-// substream-per-link determinism contract). Timings feed BENCH_dense.json.
+// substream-per-link determinism contract). Exits 1 on a wrong training
+// count or a thread-dependent selection. The printed timings are one
+// run's wall clock on whatever host runs it; speed claims belong to
+// perfbench/.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -18,7 +21,6 @@
 
 #include "bench/common.hpp"
 #include "src/core/css.hpp"
-#include "src/core/subset_policy.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/scenario.hpp"
 
@@ -43,9 +45,6 @@ NetworkConfig dense_config(int links, std::size_t rounds, int threads,
   config.threads = threads;
   return config;
 }
-
-/// Keeps the timing loops' results observable without google-benchmark.
-volatile std::size_t benchmark_do_not_optimize_sink = 0;
 
 /// The full selection sequence of a run, for exact cross-thread comparison.
 std::vector<int> selection_sequence(const NetworkRunResult& result) {
@@ -137,73 +136,6 @@ int main(int argc, char** argv) {
               measured_mib, marginal_mib_per_link, assets_mib, unshared_mib,
               unshared_mib - measured_mib,
               (1.0 - measured_mib / unshared_mib) * 100.0);
-
-  // --- batched argmax: the daemon's K-link selection walk -------------------
-  // K links probing the same subset resolve their Eq. 5 peaks in ONE
-  // branch-and-bound walk (combined_argmax_batch) instead of K
-  // independent ones; the per-link gain is the panel staying cache-hot
-  // across members. Results are verified bit-identical in the loop.
-  {
-    const CorrelationEngine& engine = assets->engine();
-    Scenario lab = make_lab_scenario(bench::kDutSeed);
-    lab.set_head(20.0, 0.0);
-    RandomSubsetPolicy policy;
-    Rng subset_rng(91);
-    const auto subset = policy.choose(talon_tx_sector_ids(), 14, subset_rng);
-    std::printf("\nbatched selection (shared 14-probe subset, argmax only):\n");
-    std::printf("    K | single [us/link] | batched [us/link] | per-link speedup\n");
-    std::printf("------+------------------+-------------------+-----------------\n");
-    for (int k : {16, 64}) {
-      std::vector<std::vector<SectorReading>> sweeps;
-      for (int b = 0; b < k; ++b) {
-        LinkSimulator link = lab.make_link(Rng(substream_seed(kSeed, 5,
-                                                              static_cast<std::uint64_t>(b))));
-        sweeps.push_back(
-            link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset))
-                .measurement.readings);
-      }
-      const std::vector<std::span<const SectorReading>> views(sweeps.begin(),
-                                                              sweeps.end());
-      CorrelationWorkspace single_ws, batch_ws;
-      std::vector<CorrelationEngine::ArgmaxResult> batched(views.size());
-      std::vector<CorrelationEngine::ArgmaxResult> singles(views.size());
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        singles[i] = engine.combined_argmax(views[i], single_ws);  // warm
-      }
-      engine.combined_argmax_batch(views, batched, batch_ws);  // warm
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        if (batched[i].index != singles[i].index ||
-            batched[i].value != singles[i].value) {
-          std::printf("FAILED: batched argmax diverged at K=%d link %zu\n", k, i);
-          return 1;
-        }
-      }
-      const int reps = run.fidelity == bench::Fidelity::kFull ? 200 : 50;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < reps; ++rep) {
-        for (const auto& view : views) {
-          benchmark_do_not_optimize_sink =
-              benchmark_do_not_optimize_sink +
-              engine.combined_argmax(view, single_ws).index;
-        }
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < reps; ++rep) {
-        engine.combined_argmax_batch(views, batched, batch_ws);
-        benchmark_do_not_optimize_sink =
-            benchmark_do_not_optimize_sink + batched[0].index;
-      }
-      const auto t2 = std::chrono::steady_clock::now();
-      const double single_us =
-          std::chrono::duration<double, std::micro>(t1 - t0).count() /
-          static_cast<double>(reps * k);
-      const double batch_us =
-          std::chrono::duration<double, std::micro>(t2 - t1).count() /
-          static_cast<double>(reps * k);
-      std::printf("%5d | %16.2f | %17.2f | %16.2fx\n", k, single_us, batch_us,
-                  single_us / batch_us);
-    }
-  }
 
   // --- thread sweep: same workload, any thread count, same bits -------------
   std::printf("\ncross-thread determinism (K=4, %zu rounds):\n", rounds);

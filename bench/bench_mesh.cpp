@@ -1,13 +1,14 @@
-// City-scale mesh benchmark: the controller/minion layer on the
+// City-scale mesh experiment: the controller/minion layer on the
 // discrete-event core, at a scale the link-accurate dense simulator
 // cannot touch (thousands of links, hundreds of APs, aggregated traffic
 // for millions of users).
 //
-// The acceptance bar this bench measures: >= 1000 links simulate FASTER
-// THAN REAL TIME on one core (wall time < simulated horizon), and the
-// full MeshRunResult -- every per-link record, every channel counter,
-// every double -- is bit-identical at any thread count. Timings feed
-// BENCH_mesh.json.
+// The acceptance bar this driver enforces (exit 1 otherwise): >= 1000
+// links simulate FASTER THAN REAL TIME (wall time < simulated horizon),
+// and the full MeshRunResult -- every per-link record, every channel
+// counter, every double -- is bit-identical at any thread count. The
+// printed timings are one run's wall clock; speed claims belong to
+// perfbench/.
 #include <chrono>
 #include <cstdio>
 #include <vector>

@@ -3,9 +3,17 @@
 // sectors" (Sec. 7); these benches quantify the host-side compute of one
 // selection against the probe count and the search-grid resolution, plus
 // the baseline argmax and the firmware-path primitives.
+//
+// The selection benches time a seeded pool of realistic sweeps, not one
+// probe vector: lab and conference venues, heads spread over +-60 deg, a
+// fresh random subset per sweep. Each iteration selects the next sweep of
+// the pool, so ns/iteration is one selection averaged over the pool. Use
+// it for same-host kernel A/B runs; the repository's speed numbers live
+// in perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <map>
 #include <string_view>
 #include <vector>
 
@@ -32,15 +40,56 @@ const PatternTable& shared_table() {
   return table;
 }
 
-std::vector<SectorReading> make_probes(std::size_t m, std::uint64_t seed) {
+using Sweeps = std::vector<std::vector<SectorReading>>;
+
+/// `count` seeded sweeps of `m` probes, alternating the lab and the
+/// conference venue, each at a head azimuth drawn uniformly over +-60 deg.
+/// Every sweep draws a fresh random subset unless `shared_subset`, in
+/// which case all of them probe one subset drawn once.
+Sweeps make_sweeps(std::size_t count, std::size_t m, bool shared_subset) {
   Scenario lab = make_lab_scenario(bench::kDutSeed);
-  lab.set_head(20.0, 0.0);
-  LinkSimulator link = lab.make_link(Rng(seed));
+  Scenario conference = make_conference_scenario(bench::kDutSeed);
   RandomSubsetPolicy policy;
-  Rng rng(seed + 1);
-  const auto subset = policy.choose(talon_tx_sector_ids(), m, rng);
-  return link.transmit_sweep(*lab.dut, *lab.peer, probing_burst_schedule(subset))
-      .measurement.readings;
+  Rng rng(7 + m);
+  const std::vector<int> shared = policy.choose(talon_tx_sector_ids(), m, rng);
+  Sweeps sweeps;
+  for (std::size_t i = 0; i < count; ++i) {
+    Scenario& venue = i % 2 == 0 ? lab : conference;
+    venue.set_head(rng.uniform(-60.0, 60.0), 0.0);
+    const std::vector<int> subset =
+        shared_subset ? shared : policy.choose(talon_tx_sector_ids(), m, rng);
+    LinkSimulator link = venue.make_link(rng.fork());
+    sweeps.push_back(
+        link.transmit_sweep(*venue.dut, *venue.peer, probing_burst_schedule(subset))
+            .measurement.readings);
+  }
+  return sweeps;
+}
+
+/// The 64-sweep pool of m-probe sweeps the selection benches cycle through.
+const Sweeps& sweep_pool(std::size_t m) {
+  static std::map<std::size_t, Sweeps> pools;
+  auto [it, inserted] = pools.try_emplace(m);
+  if (inserted) it->second = make_sweeps(64, m, /*shared_subset=*/false);
+  return it->second;
+}
+
+/// Runs `select` once over the pool untimed (panel builds and workspace
+/// growth stay out of the measurement), then times one sweep per
+/// iteration, cycling through the pool.
+template <typename Select>
+void cycle_pool(benchmark::State& state, const Sweeps& pool, Select select) {
+  for (const auto& sweep : pool) benchmark::DoNotOptimize(select(sweep));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(select(pool[i]));
+    if (++i == pool.size()) i = 0;
+  }
+}
+
+CorrelationEngine default_grid_engine() {
+  return CorrelationEngine(shared_table(), AngularGrid{make_axis(-90.0, 90.0, 1.5),
+                                                       make_axis(0.0, 32.0, 2.0)});
 }
 
 void BM_CssSelect(benchmark::State& state) {
@@ -48,11 +97,9 @@ void BM_CssSelect(benchmark::State& state) {
   // steady state): probe collection, the branch-and-bound walk and the
   // Eq. 4 sector mapping.
   const CompressiveSectorSelector css(shared_table());
-  const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 7);
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
+             [&](const auto& sweep) { return css.select(sweep, ws); });
 }
 BENCHMARK(BM_CssSelect)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
 
@@ -62,11 +109,9 @@ void BM_CssSelectConfidence(benchmark::State& state) {
   CssConfig config;
   config.compute_confidence = true;
   const CompressiveSectorSelector css(shared_table(), config);
-  const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 7);
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
+             [&](const auto& sweep) { return css.select(sweep, ws); });
 }
 BENCHMARK(BM_CssSelectConfidence)->Arg(14);
 
@@ -76,11 +121,9 @@ void BM_CssSelectGridResolution(benchmark::State& state) {
   CssConfig config;
   config.search_grid.azimuth = make_axis(-90.0, 90.0, step);
   const CompressiveSectorSelector css(shared_table(), config);
-  const auto probes = make_probes(14, 11);
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(css.select(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(14),
+             [&](const auto& sweep) { return css.select(sweep, ws); });
 }
 BENCHMARK(BM_CssSelectGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);
 
@@ -89,14 +132,10 @@ void BM_CombinedArgmax(benchmark::State& state) {
   // caller-owned workspace (the LinkSession steady state). Compare against
   // BM_CorrelationSurface at the same probe count for the pruning gain --
   // both return the identical peak.
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 17);
+  const CorrelationEngine engine = default_grid_engine();
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.combined_argmax(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
+             [&](const auto& sweep) { return engine.combined_argmax(sweep, ws); });
 }
 BENCHMARK(BM_CombinedArgmax)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
 
@@ -108,30 +147,21 @@ void BM_CombinedArgmaxGridResolution(benchmark::State& state) {
   const CorrelationEngine engine(shared_table(),
                                  AngularGrid{make_axis(-90.0, 90.0, step),
                                              make_axis(0.0, 32.0, 2.0)});
-  const auto probes = make_probes(14, 11);
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.combined_argmax(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(14),
+             [&](const auto& sweep) { return engine.combined_argmax(sweep, ws); });
 }
 BENCHMARK(BM_CombinedArgmaxGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);
 
 void BM_CombinedArgmaxBatch(benchmark::State& state) {
-  // K links sharing one probing subset, resolved in ONE batched pyramid
-  // walk (the dense-deployment daemon path). items/s is argmaxes per
-  // second; compare the per-item time against BM_CombinedArgmax/14 for
-  // the batching gain -- the results are bit-identical either way.
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  std::vector<std::vector<SectorReading>> sweeps;
-  for (std::size_t b = 0; b < static_cast<std::size_t>(state.range(0)); ++b) {
-    sweeps.push_back(make_probes(14, 17));  // same seed: same slot sequence
-    for (SectorReading& r : sweeps.back()) {
-      r.snr_db += 0.01 * static_cast<double>(b);
-      r.rssi_dbm += 0.01 * static_cast<double>(b);
-    }
-  }
+  // K links sharing one probing subset (heads still spread like the
+  // pool's), resolved in ONE batched pyramid walk (the dense-deployment
+  // daemon path). items/s is argmaxes per second; compare the per-item
+  // time against BM_CombinedArgmax/14 for the batching gain -- the
+  // results are bit-identical either way.
+  const CorrelationEngine engine = default_grid_engine();
+  const Sweeps sweeps =
+      make_sweeps(static_cast<std::size_t>(state.range(0)), 14, /*shared_subset=*/true);
   const std::vector<std::span<const SectorReading>> views(sweeps.begin(),
                                                           sweeps.end());
   std::vector<CorrelationEngine::ArgmaxResult> out(views.size());
@@ -149,48 +179,35 @@ void BM_CombinedArgmaxScalarDispatch(benchmark::State& state) {
   // against the default-dispatch run is the SIMD speedup on this host
   // (zero on machines whose detected level is already scalar).
   set_simd_level_override(SimdLevel::kScalar);
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  const auto probes = make_probes(14, 17);
+  const CorrelationEngine engine = default_grid_engine();
   CorrelationWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.combined_argmax(probes, ws));
-  }
+  cycle_pool(state, sweep_pool(14),
+             [&](const auto& sweep) { return engine.combined_argmax(sweep, ws); });
   clear_simd_level_override();
 }
 BENCHMARK(BM_CombinedArgmaxScalarDispatch);
 
 void BM_SswArgmax(benchmark::State& state) {
-  const auto probes = make_probes(34, 13);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep_select(probes));
-  }
+  cycle_pool(state, sweep_pool(34),
+             [](const auto& sweep) { return sweep_select(sweep); });
 }
 BENCHMARK(BM_SswArgmax);
 
 void BM_CorrelationSurface(benchmark::State& state) {
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  const auto probes = make_probes(static_cast<std::size_t>(state.range(0)), 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.combined_surface(probes));
-  }
+  const CorrelationEngine engine = default_grid_engine();
+  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
+             [&](const auto& sweep) { return engine.combined_surface(sweep); });
 }
 BENCHMARK(BM_CorrelationSurface)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
 
 void BM_MatchingPursuit(benchmark::State& state) {
   // Cost per pursuit call; the grid scan dominates, so ns/iteration is
   // roughly ns/call divided by the number of extracted paths.
-  const CorrelationEngine engine(shared_table(),
-                                 AngularGrid{make_axis(-90.0, 90.0, 1.5),
-                                             make_axis(0.0, 32.0, 2.0)});
-  const auto probes = make_probes(14, 17);
+  const CorrelationEngine engine = default_grid_engine();
   const int max_paths = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.matching_pursuit(probes, max_paths, 0.05));
-  }
+  cycle_pool(state, sweep_pool(14), [&](const auto& sweep) {
+    return engine.matching_pursuit(sweep, max_paths, 0.05);
+  });
 }
 BENCHMARK(BM_MatchingPursuit)->Arg(1)->Arg(2)->Arg(4);
 

@@ -7,9 +7,9 @@
 //   1. outage fraction and re-alignment latency vs walking speed
 //      (blockage held at the reference rate), and
 //   2. the same vs body-blockage rate (walking held at 1.2 m/s).
-// Series feed BENCH_mobility.json; CSVs land next to the binary.
+// Both series are printed and written as CSVs into the working directory.
 //
-// The acceptance bar this bench enforces: the FULL campaign record --
+// The acceptance bar this driver enforces: the FULL campaign record --
 // every per-arm double, every world-process counter -- is bit-identical
 // at every thread count; the bench exits non-zero otherwise.
 #include <chrono>

@@ -1,7 +1,6 @@
 #include "bench/common.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include "src/common/args.hpp"
 #include "src/common/parallel.hpp"
@@ -19,13 +18,6 @@ RunOptions run_options_from_args(int argc, char** argv) {
   run.fidelity = args.has_flag("--full") ? Fidelity::kFull : Fidelity::kQuick;
   run.threads = apply_thread_count_option(args);
   return run;
-}
-
-Fidelity fidelity_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) return Fidelity::kFull;
-  }
-  return Fidelity::kQuick;
 }
 
 PatternTable standard_pattern_table(Fidelity fidelity) {

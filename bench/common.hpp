@@ -35,10 +35,6 @@ struct RunOptions {
 /// Parse --full and --threads N from argv (strict: unknown options throw).
 RunOptions run_options_from_args(int argc, char** argv);
 
-/// Parse --full from argv (tolerant legacy helper; prefer
-/// run_options_from_args).
-Fidelity fidelity_from_args(int argc, char** argv);
-
 /// Run the Sec. 4.5 anechoic campaign for the standard DUT and return the
 /// measured 3-D pattern table (az +-90, el 0..32.4). The table is moved
 /// out of the campaign result -- never copied.

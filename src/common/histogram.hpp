@@ -64,13 +64,6 @@ class LatencyHistogram {
     return counts_[k].load(std::memory_order_relaxed);
   }
 
-  /// Smallest bucket upper bound covering quantile q of the recorded
-  /// observations (conservative: the true quantile is <= the returned
-  /// bound unless it fell in the overflow bucket, where the bound of the
-  /// last finite bucket is returned and `saturated` -- if given -- is set).
-  /// Returns 0 when empty.
-  std::uint64_t quantile_bound_us(double q, bool* saturated = nullptr) const;
-
   /// The bucket an observation lands in.
   static std::size_t bucket_index(std::uint64_t us) {
     for (std::size_t k = 0; k < kBuckets; ++k) {

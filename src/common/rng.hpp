@@ -44,9 +44,9 @@ inline constexpr std::uint64_t kMeshPlacement = 13;  ///< (link, 0, salt)
 inline constexpr std::uint64_t kMeshJitter = 14;     ///< (link, slot, salt)
 inline constexpr std::uint64_t kMeshChurn = 15;      ///< (link, slot, salt)
 
-// bench/bench_serve.cpp + driver/serve.cpp -- serving-layer report
-// synthesis (per-link, per-report streams, independent of submission
-// order and thread count).
+// tests/driver/serve_testutil.hpp + tools/talon_cli.cpp -- serving-layer
+// report synthesis (per-link, per-report streams, independent of
+// submission order and thread count).
 inline constexpr std::uint64_t kServeReport = 16;  ///< (link, report)
 
 /// Reserved for event-engine entities: an entity e of a discrete-event

@@ -50,8 +50,8 @@ class PatternAssets {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Approximate resident size of the shared data [bytes]: table grids
-  /// plus the response matrix. Reported by bench_dense to show what K
-  /// links amortize.
+  /// plus the response matrix: what K links sharing these assets
+  /// amortize (printed by bench_dense).
   std::size_t shared_bytes() const;
 
  private:

@@ -50,30 +50,6 @@ TEST(LatencyHistogram, ObserveAccumulatesCountSumAndBuckets) {
   EXPECT_EQ(h.bucket_count(LatencyHistogram::kBuckets), 0u);
 }
 
-TEST(LatencyHistogram, QuantileBoundIsConservative) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.quantile_bound_us(0.99), 0u);  // empty
-  for (int i = 0; i < 90; ++i) h.observe_us(3);    // bucket 2, bound 4
-  for (int i = 0; i < 10; ++i) h.observe_us(900);  // bucket 10, bound 1024
-  EXPECT_EQ(h.quantile_bound_us(0.5), 4u);
-  EXPECT_EQ(h.quantile_bound_us(0.90), 4u);
-  EXPECT_EQ(h.quantile_bound_us(0.99), 1024u);
-  bool saturated = true;
-  EXPECT_EQ(h.quantile_bound_us(1.0, &saturated), 1024u);
-  EXPECT_FALSE(saturated);
-}
-
-TEST(LatencyHistogram, OverflowObservationsSaturateQuantile) {
-  LatencyHistogram h;
-  h.observe_us(std::uint64_t{1} << 30);  // past the last finite bucket
-  bool saturated = false;
-  const std::uint64_t bound = h.quantile_bound_us(0.99, &saturated);
-  EXPECT_TRUE(saturated);
-  EXPECT_EQ(bound,
-            LatencyHistogram::bucket_bound_us(LatencyHistogram::kBuckets - 1));
-  EXPECT_EQ(h.bucket_count(LatencyHistogram::kBuckets), 1u);
-}
-
 TEST(LatencyHistogram, CopyIsAScrapeSnapshot) {
   LatencyHistogram h;
   h.observe_us(5);

@@ -214,6 +214,12 @@ TEST(ServeDeterminism, HotSwapMidStreamDropsNothingAndRebindsEveryLink) {
   EXPECT_EQ(rounds, serve.processed());
   EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kSwapLinks));
   EXPECT_EQ(serve.current_assets().get(), recalibrated.get());
+  // Every processed report left one latency observation, none of them
+  // past the last finite bucket.
+  const LatencyHistogram& latency =
+      serve.telemetry().histogram("serve_selection_latency_us");
+  EXPECT_EQ(latency.count(), serve.processed());
+  EXPECT_EQ(latency.bucket_count(LatencyHistogram::kBuckets), 0u);
 }
 
 /// The value of the unlabeled series `name` in a scrape.

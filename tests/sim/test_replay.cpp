@@ -15,6 +15,7 @@ const std::vector<ReplayOptions>& all_modes() {
   static const std::vector<ReplayOptions> modes{
       ReplayOptions{.threads = 1},
       ReplayOptions{.threads = 2},
+      ReplayOptions{.threads = 4},
       ReplayOptions{.threads = 7},
   };
   return modes;

@@ -479,8 +479,8 @@ int cmd_serve(const ArgParser& args) {
     std::printf("restored %d sessions from %s\n", links, path->c_str());
   }
 
-  // Deterministic report stream: the same substreams the serve tests and
-  // bench_serve draw from, so a run is reproducible from its seed.
+  // Deterministic report stream: the same substreams the serve tests draw
+  // from, so a run is reproducible from its seed.
   const PatternTable& patterns = assets->patterns();
   const std::vector<int> ids = patterns.ids();
   auto make_report = [&](int link, std::uint64_t round) {
