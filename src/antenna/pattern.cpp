@@ -103,10 +103,21 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
   const std::size_t col_val = table.column("value_db");
   if (table.rows.empty()) throw ParseError("pattern csv: no data rows");
 
-  // Reconstruct the grid from the distinct sorted azimuth/elevation values.
+  // Per-row checks, then reconstruct the grid from the distinct sorted
+  // azimuth/elevation values.
   std::vector<double> azs;
   std::vector<double> els;
-  for (const auto& row : table.rows) {
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    const auto& row = table.rows[r];
+    const double id = row[col_id];
+    if (!(std::trunc(id) == id && std::fabs(id) <= std::numeric_limits<int>::max())) {
+      throw ParseError("pattern csv: row " + std::to_string(r) +
+                       ": sector_id is not an integer");
+    }
+    if (!std::isfinite(row[col_val])) {
+      throw ParseError("pattern csv: row " + std::to_string(r) +
+                       ": value_db is not finite");
+    }
     azs.push_back(row[col_az]);
     els.push_back(row[col_el]);
   }
@@ -133,7 +144,7 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
   // Group rows by sector and fill grids.
   std::vector<int> sector_ids;
   for (const auto& row : table.rows) {
-    const int id = static_cast<int>(std::lround(row[col_id]));
+    const int id = static_cast<int>(row[col_id]);
     if (std::find(sector_ids.begin(), sector_ids.end(), id) == sector_ids.end()) {
       sector_ids.push_back(id);
     }
@@ -142,9 +153,16 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
   for (int id : sector_ids) {
     Grid2D pattern(grid, std::numeric_limits<double>::quiet_NaN());
     for (const auto& row : table.rows) {
-      if (static_cast<int>(std::lround(row[col_id])) != id) continue;
+      if (static_cast<int>(row[col_id]) != id) continue;
       const std::size_t ia = grid.azimuth.nearest_index(row[col_az]);
       const std::size_t ie = grid.elevation.nearest_index(row[col_el]);
+      // Every value is finite, so a non-NaN cell was already filled.
+      if (!std::isnan(pattern.at(ia, ie))) {
+        throw ParseError("pattern csv: duplicate row for sector " +
+                         std::to_string(id) + " at azimuth " +
+                         std::to_string(row[col_az]) + ", elevation " +
+                         std::to_string(row[col_el]));
+      }
       pattern.set(ia, ie, row[col_val]);
     }
     for (double v : pattern.values()) {

@@ -56,7 +56,8 @@ class PatternTable {
   CsvTable to_csv() const;
 
   /// Parse from to_csv() output; validates that every sector covers the
-  /// same complete grid.
+  /// same complete grid exactly once, with integral sector IDs and finite
+  /// values. Throws ParseError naming the first violation.
   static PatternTable from_csv(const CsvTable& table);
 
  private:

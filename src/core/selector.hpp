@@ -119,14 +119,6 @@ class TrackingCssSelector final : public SectorSelector {
   std::optional<Direction> estimate_direction(
       std::span<const SectorReading> probes) override;
 
-  /// The tracking step select() applies to each compressive result:
-  /// feed the estimate to the tracker and re-run Eq. 4 on the tracked
-  /// direction over `candidates` (empty: all transmit sectors). Results
-  /// without an estimate pass through. A result computed elsewhere --
-  /// the daemon's shared walk -- comes out exactly as select() would
-  /// have returned it.
-  CssResult track(CssResult result, std::span<const int> candidates = {});
-
   /// Forks restart with an empty tracker: accumulated path state is the
   /// kind of cross-cell coupling fork() exists to sever.
   std::unique_ptr<SectorSelector> fork() const override {
@@ -139,6 +131,12 @@ class TrackingCssSelector final : public SectorSelector {
   PathTracker& tracker() { return tracker_; }
 
  private:
+  /// The tracking step select() applies to each compressive result:
+  /// feed the estimate to the tracker and re-run Eq. 4 on the tracked
+  /// direction over `candidates` (empty: all transmit sectors). Results
+  /// without an estimate pass through.
+  CssResult track(CssResult result, std::span<const int> candidates);
+
   const CompressiveSectorSelector* css_;
   PathTracker tracker_;
   CorrelationWorkspace ws_;

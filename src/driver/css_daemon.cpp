@@ -42,16 +42,8 @@ LinkSession& CssDaemon::add_headless_link(int link_id, Rng rng) {
 
 LinkSession& CssDaemon::add_headless_link(int link_id, Rng rng,
                                           const CssDaemonConfig& config) {
-  return add_headless_link(link_id, rng, config, assets());
-}
-
-LinkSession& CssDaemon::add_headless_link(
-    int link_id, Rng rng, const CssDaemonConfig& config,
-    std::shared_ptr<const PatternAssets> assets) {
-  TALON_EXPECTS(assets != nullptr);
-  return insert_session(link_id,
-                        std::make_unique<LinkSession>(std::move(assets), config,
-                                                      rng, link_id));
+  return insert_session(
+      link_id, std::make_unique<LinkSession>(assets(), config, rng, link_id));
 }
 
 LinkSession& CssDaemon::insert_session(int link_id,
@@ -96,55 +88,6 @@ std::vector<int> CssDaemon::link_ids() const {
 void CssDaemon::swap_assets(std::shared_ptr<const PatternAssets> next) {
   TALON_EXPECTS(next != nullptr);
   epoch_.swap(std::move(next));
-}
-
-bool CssDaemon::joins_batch(const LinkSession& session, const PatternAssets* current) {
-  return session.sweep_pending() && !session.in_fallback() &&
-         session.assets().get() == current;
-}
-
-void CssDaemon::complete_prepared(std::map<int, std::optional<CssResult>>* out) {
-  const AssetsEpoch::ReadGuard current = epoch_.read();
-  batch_links_.clear();
-  batch_sweeps_.clear();
-  // Sessions on one assets generation differ only in whether they gate
-  // on confidence; the walk computes it when any member does.
-  const LinkSession* lead = nullptr;
-  for (auto& [id, session] : sessions_) {
-    if (!joins_batch(*session, current.get())) continue;
-    batch_links_.push_back(session.get());
-    batch_sweeps_.emplace_back(session->pending_readings());
-    if (lead == nullptr || (session->css().config().compute_confidence &&
-                            !lead->css().config().compute_confidence)) {
-      lead = session.get();
-    }
-  }
-  if (lead != nullptr) {
-    batch_results_.resize(batch_links_.size());
-    lead->css().select_batch(batch_sweeps_, current->tx_candidates(), batch_results_,
-                             batch_ws_);
-  }
-  // Complete in session (map) order; batched sessions consume their
-  // result (dropping a confidence they did not ask for, so each matches
-  // its own selector bit for bit), the rest select on their own.
-  std::size_t j = 0;
-  for (auto& [id, session] : sessions_) {
-    if (!session->sweep_pending()) continue;
-    CssResult* batched = nullptr;
-    if (joins_batch(*session, current.get())) {
-      batched = &batch_results_[j++];
-      if (!session->css().config().compute_confidence) batched->confidence = 0.0;
-    }
-    std::optional<CssResult> result = session->complete_sweep(batched);
-    if (out != nullptr) (*out)[id] = std::move(result);
-  }
-}
-
-std::map<int, std::optional<CssResult>> CssDaemon::process_sweeps() {
-  for (auto& [id, session] : sessions_) session->prepare_sweep();
-  std::map<int, std::optional<CssResult>> out;
-  complete_prepared(&out);
-  return out;
 }
 
 FaultStats CssDaemon::total_fault_stats() const {

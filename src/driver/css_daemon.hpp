@@ -41,20 +41,12 @@ class CssDaemon {
                         const CssDaemonConfig& config);
 
   /// Create and own a HEADLESS session (no chip; report-driven, see
-  /// LinkSession's headless mode) under `link_id`. This is what the
-  /// serving layer registers by the thousands.
+  /// LinkSession's headless mode) under `link_id`, riding the daemon's
+  /// current assets generation. This is what the serving layer registers
+  /// by the thousands.
   LinkSession& add_headless_link(int link_id, Rng rng);
   LinkSession& add_headless_link(int link_id, Rng rng,
                                  const CssDaemonConfig& config);
-
-  /// Headless with per-link assets: the session rides `assets` instead
-  /// of the daemon's current generation (a link measured against a
-  /// different codebook, or mid-rollout of a recalibration). Such
-  /// sessions never join the shared batched-selection walk --
-  /// complete_prepared() routes them through their own selector.
-  LinkSession& add_headless_link(int link_id, Rng rng,
-                                 const CssDaemonConfig& config,
-                                 std::shared_ptr<const PatternAssets> assets);
 
   /// Feed one externally produced sweep report to `link_id`'s session
   /// (LinkSession::process_report). Throws StateError when absent.
@@ -89,26 +81,6 @@ class CssDaemon {
   /// afterwards start on `next`.
   void swap_assets(std::shared_ptr<const PatternAssets> next);
 
-  // --- multi-link batched round ---------------------------------------------
-
-  /// Finish a round for every session with a parked sweep (see
-  /// LinkSession::prepare_sweep): every compressive round on the current
-  /// assets -- plain, tracked or degradation-gated -- rides ONE
-  /// CompressiveSectorSelector::select_batch walk, so links probing the
-  /// same subset traverse each response tile while it is cache-hot.
-  /// Full-sweep rounds and sessions on other assets complete with their
-  /// own selectors. Results land in `out[link_id]` (entries for links
-  /// without a parked sweep are untouched). Bit-identical to calling
-  /// complete_sweep() on each session in isolation. Scratch lives on the
-  /// daemon, so repeated rounds are allocation-free once warm.
-  void complete_prepared(
-      std::map<int, std::optional<CssResult>>* out = nullptr);
-
-  /// prepare_sweep() on every session, then complete_prepared(): the
-  /// whole-fleet round, one batched selection walk. Returns one result
-  /// per session, keyed by link id.
-  std::map<int, std::optional<CssResult>> process_sweeps();
-
   // --- robustness observability ---------------------------------------------
 
   /// Sum of all sessions' fault counters (robustness campaign); all zero
@@ -124,20 +96,12 @@ class CssDaemon {
 
  private:
   LinkSession& insert_session(int link_id, std::unique_ptr<LinkSession> session);
-  /// Does this parked sweep join the shared walk? A compressive round
-  /// (not a full-sweep one) on the daemon's current assets.
-  static bool joins_batch(const LinkSession& session, const PatternAssets* current);
 
   AssetsEpoch epoch_;
   CssDaemonConfig defaults_;
   /// Keyed by link id; unique_ptr keeps session addresses stable across
   /// insertions (sessions hand out references).
   std::map<int, std::unique_ptr<LinkSession>> sessions_;
-  /// Batched-selection scratch (complete_prepared), reused across rounds.
-  CorrelationWorkspace batch_ws_;
-  std::vector<LinkSession*> batch_links_;
-  std::vector<std::span<const SectorReading>> batch_sweeps_;
-  std::vector<CssResult> batch_results_;
 };
 
 }  // namespace talon

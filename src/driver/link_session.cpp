@@ -72,7 +72,6 @@ void LinkSession::build_strategy() {
 
 void LinkSession::rebind_assets(std::shared_ptr<const PatternAssets> next) {
   TALON_EXPECTS(next != nullptr);
-  TALON_EXPECTS(!sweep_pending_);
   if (next == css_.assets()) return;
   css_ = CompressiveSectorSelector(std::move(next), session_css_config(config_));
   // The strategy must be rebuilt, not repointed: its workspace may cache
@@ -196,29 +195,8 @@ void LinkSession::finish_round(bool healthy, bool full_sweep_round) {
 }
 
 std::optional<CssResult> LinkSession::process_sweep() {
-  prepare_sweep();
-  return complete_sweep();
-}
-
-std::optional<CssResult> LinkSession::process_report(
-    std::vector<SectorReading> readings) {
-  prepare_report(std::move(readings));
-  return complete_sweep();
-}
-
-void LinkSession::prepare_sweep() {
   TALON_EXPECTS(driver_ != nullptr);
-  prepare_report(driver_->read_sweep_readings());
-}
-
-void LinkSession::prepare_report(std::vector<SectorReading> readings) {
-  TALON_EXPECTS(!sweep_pending_);
-  ++rounds_;
-  pending_full_sweep_ = in_fallback();
-  pending_readings_ = std::move(readings);
-  drop_unusable_readings(pending_readings_);
-  if (injector_) apply_reading_faults(pending_readings_);
-  sweep_pending_ = true;
+  return process_report(driver_->read_sweep_readings());
 }
 
 void LinkSession::drop_unusable_readings(std::vector<SectorReading>& readings) {
@@ -229,21 +207,19 @@ void LinkSession::drop_unusable_readings(std::vector<SectorReading>& readings) {
   dropped_probes_ += static_cast<std::size_t>(std::erase_if(readings, unusable));
 }
 
-std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
-  TALON_EXPECTS(sweep_pending_);
-  sweep_pending_ = false;
-  const bool full_sweep_round = pending_full_sweep_;
-  std::vector<SectorReading>& readings = pending_readings_;
+std::optional<CssResult> LinkSession::process_report(
+    std::vector<SectorReading> readings) {
+  ++rounds_;
+  const bool full_sweep_round = in_fallback();
+  drop_unusable_readings(readings);
+  if (injector_) apply_reading_faults(readings);
   if (readings.empty()) {
     finish_round(/*healthy=*/false, full_sweep_round);
     return std::nullopt;
   }
   note_unknown_sectors(readings);
-  TALON_EXPECTS(batched == nullptr || !full_sweep_round);
-  CssResult result = full_sweep_round   ? ssw_fallback_.select(readings)
-                     : batched == nullptr ? strategy_->select(readings)
-                     : tracking_ != nullptr ? tracking_->track(*batched)
-                                            : *batched;
+  CssResult result = full_sweep_round ? ssw_fallback_.select(readings)
+                                      : strategy_->select(readings);
   bool healthy = result.valid && !result.fallback_used;
   bool withhold = false;
   if (!full_sweep_round && config_.degradation.enabled && result.valid) {
@@ -279,7 +255,6 @@ std::optional<CssResult> LinkSession::complete_sweep(const CssResult* batched) {
 }
 
 LinkSessionState LinkSession::export_state() const {
-  TALON_EXPECTS(!sweep_pending_);
   LinkSessionState state;
   state.link_id = link_id_;
   state.rounds = rounds_;
@@ -297,7 +272,6 @@ LinkSessionState LinkSession::export_state() const {
 }
 
 void LinkSession::import_state(const LinkSessionState& state) {
-  TALON_EXPECTS(!sweep_pending_);
   if (state.link_id != link_id_) {
     throw SnapshotError("snapshot state for link " +
                         std::to_string(state.link_id) +

@@ -156,13 +156,12 @@ class LinkSession {
               const CssDaemonConfig& config, Rng rng, int link_id = 0);
 
   /// Headless session: no chip behind it. Sweeps arrive as externally
-  /// produced reports (process_report()/prepare_report()) and the
-  /// selected sector is recorded in last_installed_sector() instead of
-  /// being forced into a firmware. This is what lets a serving daemon
-  /// hold tens of thousands of link sessions: a FullMacFirmware carries
-  /// hundreds of kilobytes of chip memory per link, a headless session a
-  /// few hundred bytes. Selection arithmetic is identical to the
-  /// driver-backed mode.
+  /// produced reports (process_report()) and the selected sector is
+  /// recorded in last_installed_sector() instead of being forced into a
+  /// firmware. This is what lets a serving daemon hold tens of thousands
+  /// of link sessions: a FullMacFirmware carries hundreds of kilobytes of
+  /// chip memory per link, a headless session a few hundred bytes.
+  /// Selection arithmetic is identical to the driver-backed mode.
   LinkSession(std::shared_ptr<const PatternAssets> assets,
               const CssDaemonConfig& config, Rng rng, int link_id = 0);
 
@@ -171,59 +170,18 @@ class LinkSession {
   /// session is degraded to full-sweep mode.
   std::vector<int> next_probe_subset();
 
-  /// Consume the just-finished round: read the ring buffer, apply the
-  /// fault plan (if any), select -- compressively, or with the stock SSW
-  /// argmax while degraded -- and install the sector override (with
-  /// bounded retry under feedback faults). Returns the selection, or
-  /// nullopt when nothing was decoded (the previous override stays).
-  /// Exactly prepare_sweep() followed by complete_sweep(). Requires a
-  /// driver-backed session.
+  /// Consume the just-finished round: read the ring buffer and hand it to
+  /// process_report(). Requires a driver-backed session.
   std::optional<CssResult> process_sweep();
 
-  /// Consume one externally produced sweep report: identical to
-  /// process_sweep() except the readings arrive from the caller instead
-  /// of the driver's ring buffer. Works on headless AND driver-backed
-  /// sessions (the serving daemon feeds both kinds the same way).
+  /// Consume one sweep report: count the round, drop unusable readings,
+  /// apply the fault plan (if any), select -- compressively, or with the
+  /// stock SSW argmax while degraded -- gate, and install the sector
+  /// override (with bounded retry under feedback faults). Returns the
+  /// selection, or nullopt when nothing was decoded (the previous
+  /// override stays). Works on headless AND driver-backed sessions (the
+  /// serving daemon feeds both kinds the same way).
   std::optional<CssResult> process_report(std::vector<SectorReading> readings);
-
-  // --- split-phase sweep processing (multi-link batched selection) ----------
-  //
-  // The daemon's batched path runs each round in two phases so that the
-  // per-link work (ring-buffer drain, fault injection) can happen per
-  // link while the selection itself is batched across links into ONE
-  // branch-and-bound walk (CompressiveSectorSelector::select_batch). The
-  // sequence
-  //   prepare_sweep(); complete_sweep(&batched_result_for_this_link);
-  // is bit-identical to process_sweep() when the batched result equals
-  // what css().select_batch() computes for pending_readings() -- the
-  // session applies its own tracking step and confidence gate on top.
-
-  /// Phase 1: count the round, drain the ring buffer and apply reading
-  /// faults; the sweep is parked until complete_sweep().
-  void prepare_sweep();
-
-  /// prepare_sweep() with caller-supplied readings instead of a ring
-  /// drain (the report-driven ingest path).
-  void prepare_report(std::vector<SectorReading> readings);
-
-  /// Phase 2: select -- from `batched` when given, else with this
-  /// session's own selector -- then track, gate, install and account
-  /// exactly like process_sweep(). `batched` must hold css()'s CSS result
-  /// for pending_readings() (with confidence iff css() computes it), and
-  /// must be null on a full-sweep round (in_fallback()), which uses the
-  /// SSW argmax instead.
-  std::optional<CssResult> complete_sweep(const CssResult* batched = nullptr);
-
-  /// The sweep parked by prepare_sweep() (valid until complete_sweep()).
-  std::span<const SectorReading> pending_readings() const {
-    return pending_readings_;
-  }
-
-  /// True between prepare_sweep() and complete_sweep().
-  bool sweep_pending() const { return sweep_pending_; }
-
-  /// The stateless selector core (for the daemon's batched select).
-  const CompressiveSectorSelector& css() const { return css_; }
 
   /// Number of sweeps processed on this link.
   std::size_t rounds() const { return rounds_; }
@@ -256,7 +214,7 @@ class LinkSession {
   /// response panel keyed only by the probe-slot sequence, which would
   /// silently reuse gains from the previous table; tracker state is
   /// transplanted so the smoothed path survives the swap. Must be called
-  /// between rounds (no sweep pending).
+  /// between rounds.
   void rebind_assets(std::shared_ptr<const PatternAssets> next);
 
   /// True when no chip sits behind this session (report-driven only).
@@ -277,10 +235,10 @@ class LinkSession {
 
   // --- snapshot/restore ------------------------------------------------------
 
-  /// Capture the complete mutable state. Must be called between rounds
-  /// (no sweep pending); with a fault injector attached this coincides
-  /// with a round boundary, where the injector's category streams are a
-  /// pure function of its round counter.
+  /// Capture the complete mutable state. Must be called between rounds;
+  /// with a fault injector attached this coincides with a round
+  /// boundary, where the injector's category streams are a pure function
+  /// of its round counter.
   LinkSessionState export_state() const;
 
   /// Restore state captured by export_state() on a session built with
@@ -354,12 +312,6 @@ class LinkSession {
   Rng rng_;
   int link_id_{0};
   std::size_t rounds_{0};
-  /// Sweep parked between prepare_sweep() and complete_sweep(). Member
-  /// (not per-call) storage so the split-phase path stays allocation-free
-  /// once warm, like the single-call path's local reuse.
-  std::vector<SectorReading> pending_readings_;
-  bool pending_full_sweep_{false};
-  bool sweep_pending_{false};
   std::size_t dropped_probes_{0};
   /// Unknown sector IDs already warned about (warn once per ID, capped).
   std::set<int> warned_unknown_;

@@ -24,16 +24,12 @@ constexpr std::uint64_t kSessionStream = streams::kNetworkSession;
 constexpr std::uint64_t kPhaseStream = streams::kNetworkPhase;
 
 // Priority phases of one training round on the event engine: the
-// commuting per-link physical phase first, then the serial batched
-// selection phase on the daemon entity (one
-// CssDaemon::complete_prepared walk for all K parked sweeps), then the
+// commuting per-link phase first (sweep, select, install), then the
 // serial channel arbitration that consumes the round's outputs.
-// Priorities are barriers, so every sweep is parked before the batch
-// runs and every selection is installed before contention accounts the
-// round.
-constexpr int kPhysicalPhase = 0;
-constexpr int kSelectionPhase = 1;
-constexpr int kContentionPhase = 2;
+// Priorities are barriers, so every selection is installed before
+// contention accounts the round.
+constexpr int kLinkPhase = 0;
+constexpr int kContentionPhase = 1;
 
 std::uint64_t link_salt(const NetworkConfig& config, std::size_t link) {
   return link < config.link_seed_salts.size() ? config.link_seed_salts[link] : 0;
@@ -115,15 +111,15 @@ void NetworkSimulator::train_link(std::size_t l, std::size_t round,
                            probing_burst_schedule(subset));
   out.training_success = training.success;
 
-  // User space, phase 1: drain the responder's ring and park the sweep.
-  // The selection itself -- and the override install that shapes the
-  // next round's feedback -- happens in the serial kSelectionPhase
-  // event, where the daemon batches all K links' argmaxes into one
-  // cache-hot walk over the shared response matrix. Bit-identical to
-  // the old per-link process_sweep() (the batched argmax is
-  // bit-identical to the single one, and no cross-link state is read
-  // between the phases).
-  session.prepare_sweep();
+  // User space: drain the responder's ring, select, and install the
+  // override that shapes the next round's feedback. Only this link's
+  // session and the thread-safe panel cache are touched.
+  const std::optional<CssResult> selection = session.process_sweep();
+  if (!selection) return;
+  out.selected = true;
+  out.sector_id = selection->sector_id;
+  out.snr_db = link.true_snr_db(*links_[l].initiator, out.sector_id,
+                                *links_[l].responder, kRxQuasiOmniSectorId);
 }
 
 NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
@@ -136,10 +132,11 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
   for (NetworkRound& round : result.rounds) round.links.resize(k);
 
   // The compatibility facade over the discrete-event core: round r is one
-  // engine timestamp r * period. The physical phase is K commuting
-  // per-link events (each worker touches only its own link's nodes,
-  // firmware and session -- the same ownership rule the old parallel_for
-  // obeyed), and the contention phase is one event of the channel-arbiter
+  // engine timestamp r * period. The link phase is K commuting per-link
+  // events (each worker touches only its own link's nodes, firmware and
+  // session -- the same ownership rule the old parallel_for obeyed --
+  // plus the shared assets' thread-safe panel cache), and the contention
+  // phase is one event of the channel-arbiter
   // entity, which serializes the round's trainings with the exact
   // arithmetic of the round-based loop. Selections, deferrals and airtime
   // are bit-identical to the pre-engine simulator at any thread count.
@@ -150,10 +147,7 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
     link_entities.push_back(engine.add_entity("link-" + std::to_string(l)));
   }
   const EntityId arbiter_entity = engine.add_entity("channel-arbiter");
-  const EntityId daemon_entity = engine.add_entity("css-daemon");
   ChannelArbiter arbiter;
-  // Reused across rounds by the selection phase (serial, so no races).
-  std::map<int, std::optional<CssResult>> round_selections;
 
   for (std::size_t r = 0; r < config_.rounds; ++r) {
     const double round_start_s = static_cast<double>(r) * period_s;
@@ -162,40 +156,10 @@ NetworkRunResult NetworkSimulator::run(const ThroughputModel& throughput) {
       engine.schedule(
           EventSpec{.time_s = round_start_s,
                     .entity = link_entities[l],
-                    .priority = kPhysicalPhase,
+                    .priority = kLinkPhase,
                     .commuting = true},
           [this, l, r, &round](EventContext&) { train_link(l, r, round.links[l]); });
     }
-    engine.schedule(
-        EventSpec{.time_s = round_start_s,
-                  .entity = daemon_entity,
-                  .priority = kSelectionPhase,
-                  .commuting = false},
-        [this, r, k, &round, &round_selections](EventContext&) {
-          // Selection phase: one batched branch-and-bound walk computes
-          // every parked sweep's argmax (per-link completion installs
-          // the overrides in link order). The true-SNR probe of each
-          // selection rebuilds the link's channel view from the same
-          // substream the physical phase used -- true_snr_db draws no
-          // randomness, so the outcome is bit-identical to evaluating
-          // it inside train_link.
-          round_selections.clear();
-          daemon_.complete_prepared(&round_selections);
-          for (std::size_t l = 0; l < k; ++l) {
-            const auto it = round_selections.find(static_cast<int>(l));
-            if (it == round_selections.end() || !it->second.has_value()) continue;
-            LinkRoundOutcome& out = round.links[l];
-            out.selected = true;
-            out.sector_id = it->second->sector_id;
-            LinkSimulator link(
-                *environment_, config_.radio, config_.measurement,
-                Rng(substream_seed(config_.seed, kChannelStream,
-                                   static_cast<std::uint64_t>(l), r)));
-            out.snr_db =
-                link.true_snr_db(*links_[l].initiator, out.sector_id,
-                                 *links_[l].responder, kRxQuasiOmniSectorId);
-          }
-        });
     engine.schedule(
         EventSpec{.time_s = round_start_s,
                   .entity = arbiter_entity,

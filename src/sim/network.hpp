@@ -5,27 +5,28 @@
 // the pair's LinkSession (owned by one shared CssDaemon) drains the
 // responder's sweep-info ring, runs compressive selection on the shared
 // PatternAssets, and installs the sector override that steers the next
-// round's feedback. Because quasi-omni reception makes every sweep pollute
-// the whole channel, the round's K trainings are serialized on the single
-// channel with sim/contention's arithmetic -- deferrals and airtime fall
-// out of the same model the closed-form estimate uses.
+// round's feedback -- one process_sweep() call per link and round, as
+// the station's own host would run it. Because quasi-omni reception
+// makes every sweep pollute the whole channel, the round's K trainings
+// are serialized on the single channel with sim/contention's arithmetic
+// -- deferrals and airtime fall out of the same model the closed-form
+// estimate uses.
 //
 // Since the discrete-event refactor this class is a thin compatibility
-// facade over sim/event_engine: round r is one engine timestamp, the
-// per-link physical work is a commuting event batch (one link entity per
-// worker), then a serial daemon event runs the round's selections as ONE
-// batched argmax walk (CssDaemon::complete_prepared -- links probing the
-// same subset traverse each response tile while cache-hot), and finally
-// the contention phase is a channel-arbiter entity event
-// (sim/contention's ChannelArbiter). The facade's selections, deferrals
-// and airtime are bit-identical to the pre-engine round-based loop at any
-// thread count (pinned by tests/sim/test_network.cpp's golden sequence).
+// facade over sim/event_engine: round r is one engine timestamp, each
+// link's training and selection is one event of a commuting batch (one
+// link entity per worker), and the contention phase is a
+// channel-arbiter entity event (sim/contention's ChannelArbiter). The
+// facade's selections, deferrals and airtime are bit-identical to the
+// pre-engine round-based loop at any thread count (pinned by
+// tests/sim/test_network.cpp's golden sequence).
 //
 // Determinism contract: all randomness is drawn from substream_seed
 // families whose coordinates are (stream tag, link id, round); a link's
-// state (nodes, firmware, session RNG, adaptive controller) is touched
-// only by the worker that owns its entity's events, so results are
-// bit-identical at any thread count.
+// state (nodes, firmware, session RNG, adaptive controller, tracker) is
+// touched only by the worker that owns its entity's events, and the
+// shared panel cache returns the same panel whichever worker builds it,
+// so results are bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -147,9 +148,8 @@ class NetworkSimulator {
     double phase_s{0.0};
   };
 
-  /// The physical phase of one link in one round (the commuting event
-  /// body): sweep, drain the ring, and park the sweep for the serial
-  /// selection phase (the daemon's batched complete_prepared event).
+  /// One link's round (the commuting event body): sweep, select from the
+  /// drained ring, install the override, and record the outcome.
   void train_link(std::size_t link, std::size_t round, LinkRoundOutcome& out);
 
   NetworkConfig config_;

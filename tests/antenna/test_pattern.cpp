@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/common/error.hpp"
 
@@ -104,6 +107,47 @@ TEST(PatternTable, FromCsvRejectsIncompleteGrid) {
   CsvTable csv = table.to_csv();
   csv.rows.pop_back();  // drop one grid cell
   EXPECT_THROW(PatternTable::from_csv(csv), ParseError);
+}
+
+/// The ParseError message from_csv() throws for `csv` (empty if none).
+std::string from_csv_error(const CsvTable& csv) {
+  try {
+    PatternTable::from_csv(csv);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+CsvTable two_sector_csv() {
+  PatternTable table;
+  table.add(1, constant_pattern(small_grid(), 1.0));
+  table.add(2, constant_pattern(small_grid(), 2.0));
+  return table.to_csv();
+}
+
+TEST(PatternTable, FromCsvRejectsInfiniteValue) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    CsvTable csv = two_sector_csv();
+    csv.rows[3][3] = bad;
+    EXPECT_NE(from_csv_error(csv).find("value_db is not finite"), std::string::npos)
+        << bad;
+  }
+}
+
+TEST(PatternTable, FromCsvRejectsDuplicateCell) {
+  CsvTable csv = two_sector_csv();
+  std::vector<double> again = csv.rows[4];
+  again[3] = 9.0;  // a second, different value for the same cell
+  csv.rows.push_back(again);
+  EXPECT_NE(from_csv_error(csv).find("duplicate row for sector 1"), std::string::npos);
+}
+
+TEST(PatternTable, FromCsvRejectsNonIntegralSectorId) {
+  CsvTable csv = two_sector_csv();
+  csv.rows[2][0] = 1.4;  // would round onto sector 1
+  EXPECT_NE(from_csv_error(csv).find("sector_id is not an integer"), std::string::npos);
 }
 
 TEST(PatternTable, FromCsvRejectsEmpty) {

@@ -125,6 +125,22 @@ TEST_F(CssDaemonTest, TwoSessionsShareOnePatternAssetsInstance) {
   EXPECT_EQ(daemon.session(0).assets().get(), assets.get());
   EXPECT_EQ(daemon.session(1).assets().get(), assets.get());
 
+  // The registry deduplicates by content: the same table resolves to the
+  // same instance, a different codebook to a different instance and
+  // fingerprint -- sessions on different tables never alias.
+  const AngularGrid grid = testutil::synthetic_grid();
+  const auto synthetic = PatternAssetsRegistry::global().get_or_create(
+      testutil::synthetic_table(), grid, CorrelationDomain::kLinear);
+  const auto shifted = PatternAssetsRegistry::global().get_or_create(
+      testutil::shifted_table(0.7), grid, CorrelationDomain::kLinear);
+  EXPECT_NE(synthetic.get(), shifted.get());
+  EXPECT_NE(synthetic->fingerprint(), shifted->fingerprint());
+  EXPECT_EQ(PatternAssetsRegistry::global()
+                .get_or_create(testutil::synthetic_table(), grid,
+                               CorrelationDomain::kLinear)
+                .get(),
+            synthetic.get());
+
   // ...and both still select independently through their own drivers.
   LinkSimulator second_link = second.make_link(Rng(52));
   link_.transmit_sweep(*lab_.dut, *lab_.peer,
@@ -217,215 +233,6 @@ TEST_F(CssDaemonTest, SteadySubsetsHitThePanelCache) {
   }
   const auto after = matrix.cache_stats();
   EXPECT_LE(after.misses - before.misses, 10u);
-}
-
-TEST(CssDaemonBatch, ProcessSweepsBitIdenticalToPerSessionProcessing) {
-  // Two mirrored three-link worlds, identical seeds: world A completes
-  // each round with per-session process_sweep(), world B with the
-  // daemon's batched process_sweeps() -- one walk for all three links:
-  // a plain one, a degradation-gated one (confidence from the walk's
-  // rival pass) and a tracking one (the tracker post-processes its
-  // batched direction). Every selection -- including the installed
-  // overrides and the confidence -- must match bit for bit, round after
-  // round.
-  const CssConfig defaults;
-  const auto assets = PatternAssetsRegistry::global().get_or_create(
-      ExperimentWorld::instance().table, defaults.search_grid, defaults.domain);
-
-  Scenario a0 = make_lab_scenario(42);
-  Scenario a1 = make_lab_scenario(42);
-  Scenario a2 = make_lab_scenario(42);
-  Scenario b0 = make_lab_scenario(42);
-  Scenario b1 = make_lab_scenario(42);
-  Scenario b2 = make_lab_scenario(42);
-  a0.set_head(25.0, 0.0);
-  b0.set_head(25.0, 0.0);
-  a1.set_head(-10.0, 0.0);
-  b1.set_head(-10.0, 0.0);
-  a2.set_head(5.0, 0.0);
-  b2.set_head(5.0, 0.0);
-  Wil6210Driver da0(a0.peer->firmware()), da1(a1.peer->firmware()),
-      da2(a2.peer->firmware());
-  Wil6210Driver db0(b0.peer->firmware()), db1(b1.peer->firmware()),
-      db2(b2.peer->firmware());
-  LinkSimulator la0 = a0.make_link(Rng(101));
-  LinkSimulator la1 = a1.make_link(Rng(102));
-  LinkSimulator la2 = a2.make_link(Rng(103));
-  LinkSimulator lb0 = b0.make_link(Rng(101));
-  LinkSimulator lb1 = b1.make_link(Rng(102));
-  LinkSimulator lb2 = b2.make_link(Rng(103));
-
-  CssDaemonConfig gated;
-  gated.degradation.enabled = true;
-  CssDaemonConfig tracked;
-  tracked.track_path = true;
-  CssDaemon daemon_a(assets, CssDaemonConfig{});
-  daemon_a.add_link(0, da0, Rng(21));
-  daemon_a.add_link(1, da1, Rng(22), gated);
-  daemon_a.add_link(2, da2, Rng(23), tracked);
-  CssDaemon daemon_b(assets, CssDaemonConfig{});
-  daemon_b.add_link(0, db0, Rng(21));
-  daemon_b.add_link(1, db1, Rng(22), gated);
-  daemon_b.add_link(2, db2, Rng(23), tracked);
-
-  Scenario* const sa[3] = {&a0, &a1, &a2};
-  Scenario* const sb[3] = {&b0, &b1, &b2};
-  LinkSimulator* const la[3] = {&la0, &la1, &la2};
-  LinkSimulator* const lb[3] = {&lb0, &lb1, &lb2};
-  Wil6210Driver* const dvb[3] = {&db0, &db1, &db2};
-
-  auto expect_equal = [](const std::optional<CssResult>& x,
-                         const std::optional<CssResult>& y) {
-    ASSERT_EQ(x.has_value(), y.has_value());
-    if (!x) return;
-    EXPECT_EQ(x->valid, y->valid);
-    EXPECT_EQ(x->sector_id, y->sector_id);
-    EXPECT_EQ(x->correlation_peak, y->correlation_peak);  // bit-identical
-    EXPECT_EQ(x->fallback_used, y->fallback_used);
-    EXPECT_EQ(x->confidence, y->confidence);
-    ASSERT_EQ(x->estimated_direction.has_value(),
-              y->estimated_direction.has_value());
-    if (x->estimated_direction) {
-      EXPECT_EQ(x->estimated_direction->azimuth_deg,
-                y->estimated_direction->azimuth_deg);
-      EXPECT_EQ(x->estimated_direction->elevation_deg,
-                y->estimated_direction->elevation_deg);
-    }
-  };
-
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      const auto sub_a = daemon_a.session(i).next_probe_subset();
-      const auto sub_b = daemon_b.session(i).next_probe_subset();
-      ASSERT_EQ(sub_a, sub_b);
-      la[i]->transmit_sweep(*sa[i]->dut, *sa[i]->peer,
-                            probing_burst_schedule(sub_a));
-      lb[i]->transmit_sweep(*sb[i]->dut, *sb[i]->peer,
-                            probing_burst_schedule(sub_b));
-    }
-    std::map<int, std::optional<CssResult>> reference;
-    for (int i = 0; i < 3; ++i) {
-      reference[i] = daemon_a.session(i).process_sweep();
-    }
-    const auto batched = daemon_b.process_sweeps();
-    ASSERT_EQ(batched.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-      SCOPED_TRACE("round " + std::to_string(round) + " link " +
-                   std::to_string(i));
-      expect_equal(reference.at(i), batched.at(i));
-      if (reference.at(i).has_value()) {
-        EXPECT_EQ(dvb[i]->sector_forced(), true);
-        EXPECT_EQ(sb[i]->peer->firmware().sector_override(),
-                  sa[i]->peer->firmware().sector_override());
-      }
-    }
-  }
-
-  // An all-empty round (nothing transmitted): every entry is nullopt on
-  // both paths and no override moves.
-  std::map<int, std::optional<CssResult>> reference;
-  for (int i = 0; i < 3; ++i) reference[i] = daemon_a.session(i).process_sweep();
-  const auto batched = daemon_b.process_sweeps();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(reference.at(i).has_value());
-    EXPECT_FALSE(batched.at(i).has_value());
-  }
-}
-
-TEST(CssDaemonCrossAssets, PerLinkAssetsNeverAliasIntoTheSharedBatchWalk) {
-  // Three headless links: 0 and 1 ride the daemon's shared assets (and
-  // join the shared walk), 2 is registered with its OWN assets built from a
-  // genuinely different codebook. The batched round must (a) keep links
-  // 0/1 bit-identical to solo processing, (b) route link 2 through its
-  // own table -- never through the shared fingerprint.
-  const AngularGrid grid = testutil::synthetic_grid();
-  const PatternTable shared_table = testutil::synthetic_table();
-  // Per-sector gain tilt: a different codebook whose selections cannot
-  // coincide numerically with the shared one (a uniform shift would --
-  // normalized correlation is scale-invariant).
-  PatternTable warped_table;
-  for (int id : shared_table.ids()) {
-    Grid2D pattern = shared_table.pattern(id);
-    for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
-      for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
-        pattern.set(ia, ie, pattern.at(ia, ie) + 0.7 * id);
-      }
-    }
-    warped_table.add(id, std::move(pattern));
-  }
-
-  const auto shared = PatternAssetsRegistry::global().get_or_create(
-      shared_table, grid, CorrelationDomain::kLinear);
-  const auto warped = PatternAssetsRegistry::global().get_or_create(
-      warped_table, grid, CorrelationDomain::kLinear);
-  // The registry deduplicates by content: the same table resolves to the
-  // same instance, different fingerprints never alias.
-  ASSERT_NE(shared.get(), warped.get());
-  ASSERT_NE(shared->fingerprint(), warped->fingerprint());
-  EXPECT_EQ(PatternAssetsRegistry::global()
-                .get_or_create(testutil::synthetic_table(), grid,
-                               CorrelationDomain::kLinear)
-                .get(),
-            shared.get());
-
-  CssDaemonConfig config;
-  config.probes = 6;
-  CssDaemon daemon(shared, config);
-  daemon.add_headless_link(0, Rng(31));
-  daemon.add_headless_link(1, Rng(32));
-  daemon.add_headless_link(2, Rng(33), config, warped);
-  EXPECT_EQ(daemon.session(0).assets().get(), shared.get());
-  EXPECT_EQ(daemon.session(1).assets().get(), shared.get());
-  EXPECT_EQ(daemon.session(2).assets().get(), warped.get());
-
-  // Solo references: links 0/1 over the shared assets, link 2 over its
-  // own, plus an ALIAS DETECTOR -- link 2's exact seed and reports over
-  // the shared assets, which is what a buggy batch walk would compute.
-  CssDaemon solo_shared(shared, config);
-  solo_shared.add_headless_link(0, Rng(31));
-  solo_shared.add_headless_link(1, Rng(32));
-  CssDaemon solo_warped(warped, config);
-  solo_warped.add_headless_link(2, Rng(33));
-  CssDaemon alias_detector(shared, config);
-  alias_detector.add_headless_link(2, Rng(33));
-
-  auto expect_equal = [](const std::optional<CssResult>& x,
-                         const std::optional<CssResult>& y) {
-    ASSERT_EQ(x.has_value(), y.has_value());
-    if (!x) return;
-    EXPECT_EQ(x->valid, y->valid);
-    EXPECT_EQ(x->sector_id, y->sector_id);
-    EXPECT_EQ(x->correlation_peak, y->correlation_peak);
-    EXPECT_EQ(x->confidence, y->confidence);
-  };
-
-  bool alias_would_differ = false;
-  for (std::uint64_t round = 0; round < 5; ++round) {
-    std::vector<std::vector<SectorReading>> reports;
-    for (int i = 0; i < 3; ++i) {
-      const PatternTable& table =
-          i == 2 ? warped->patterns() : shared->patterns();
-      reports.push_back(testutil::make_report(4242, i, round, table));
-      daemon.session(i).prepare_report(reports.back());
-    }
-    std::map<int, std::optional<CssResult>> out;
-    daemon.complete_prepared(&out);
-    ASSERT_EQ(out.size(), 3u);
-
-    SCOPED_TRACE("round " + std::to_string(round));
-    expect_equal(out.at(0), solo_shared.process_report(0, reports[0]));
-    expect_equal(out.at(1), solo_shared.process_report(1, reports[1]));
-    expect_equal(out.at(2), solo_warped.process_report(2, reports[2]));
-    const auto aliased = alias_detector.process_report(2, reports[2]);
-    if (out.at(2) && aliased &&
-        (out.at(2)->correlation_peak != aliased->correlation_peak ||
-         out.at(2)->sector_id != aliased->sector_id)) {
-      alias_would_differ = true;
-    }
-  }
-  // The detector must have disagreed somewhere: otherwise this test
-  // could not tell a correctly routed link 2 from an aliased one.
-  EXPECT_TRUE(alias_would_differ);
 }
 
 TEST_F(CssDaemonTest, PathTrackingStabilizesSelections) {

@@ -89,20 +89,42 @@ TEST(NetworkSimulatorTest, BitIdenticalAcrossThreadCounts) {
   // The acceptance bar: the K-link run is bit-identical at any thread
   // count, because every random draw is substream-addressed by
   // (stream, link, round) and each worker only touches its own link.
-  NetworkSimulator serial(small_config(1), shared_room(), shared_assets());
-  const NetworkRunResult baseline = serial.run();
-  const std::vector<Decision> expected = decisions(baseline);
+  // Selection runs inside each link's commuting event, so the second
+  // input turns on every stateful session feature: a path tracker, the
+  // adaptive probe count and the confidence-gated degradation machine.
+  CssDaemonConfig stateful;
+  stateful.track_path = true;
+  stateful.adaptive = true;
+  stateful.degradation.enabled = true;
+  for (const CssDaemonConfig& session : {CssDaemonConfig{}, stateful}) {
+    SCOPED_TRACE(session.track_path ? "stateful sessions" : "default sessions");
+    NetworkConfig config = small_config(1);
+    config.session = session;
+    NetworkSimulator serial(config, shared_room(), shared_assets());
+    const NetworkRunResult baseline = serial.run();
+    const std::vector<Decision> expected = decisions(baseline);
+    if (session.degradation.enabled) {
+      // The gate accounted every one of the 3 x 4 link rounds.
+      const DegradationStats& d = baseline.degradation_totals;
+      EXPECT_EQ(d.css_rounds + d.failed_rounds + d.full_sweep_rounds, 12u);
+    }
 
-  for (int threads : {2, 7}) {
-    NetworkSimulator sim(small_config(threads), shared_room(), shared_assets());
-    const NetworkRunResult result = sim.run();
-    EXPECT_EQ(decisions(result), expected) << "threads=" << threads;
-    EXPECT_EQ(result.training_airtime_share, baseline.training_airtime_share)
-        << "threads=" << threads;
-    EXPECT_EQ(result.deferred_trainings, baseline.deferred_trainings)
-        << "threads=" << threads;
-    EXPECT_EQ(result.worst_defer_ms, baseline.worst_defer_ms)
-        << "threads=" << threads;
+    for (int threads : {2, 7}) {
+      config.threads = threads;
+      NetworkSimulator sim(config, shared_room(), shared_assets());
+      const NetworkRunResult result = sim.run();
+      EXPECT_EQ(decisions(result), expected) << "threads=" << threads;
+      EXPECT_EQ(result.training_airtime_share, baseline.training_airtime_share)
+          << "threads=" << threads;
+      EXPECT_EQ(result.deferred_trainings, baseline.deferred_trainings)
+          << "threads=" << threads;
+      EXPECT_EQ(result.worst_defer_ms, baseline.worst_defer_ms)
+          << "threads=" << threads;
+      EXPECT_EQ(result.degradation_totals, baseline.degradation_totals)
+          << "threads=" << threads;
+      EXPECT_EQ(result.lifecycle_totals, baseline.lifecycle_totals)
+          << "threads=" << threads;
+    }
   }
 }
 
