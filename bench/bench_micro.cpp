@@ -9,7 +9,11 @@
 // fresh random subset per sweep. Each iteration selects the next sweep of
 // the pool, so ns/iteration is one selection averaged over the pool. Use
 // it for same-host kernel A/B runs; the repository's speed numbers live
-// in perfbench/.
+// in perfbench/. BM_CombinedArgmax and BM_CssSelectConfidence also report
+// the walk's counters over one untimed pass of the pool: eval_tile_share
+// (fine tiles evaluated per selection over the grid's fine tiles) and
+// point_pass_share (points passing the per-point screen over points
+// screened).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -87,6 +91,27 @@ void cycle_pool(benchmark::State& state, const Sweeps& pool, Select select) {
   }
 }
 
+/// One more untimed pass over the pool, reporting what the walk did per
+/// selection: the share of the grid's fine tiles it evaluated and the
+/// share of the screened points that paid the exact W.
+template <typename Select>
+void report_walk_shares(benchmark::State& state, const Sweeps& pool,
+                        const CorrelationWorkspace& ws, const ResponseMatrix& matrix,
+                        Select select) {
+  const WalkStats before = ws.walk_stats();
+  for (const auto& sweep : pool) benchmark::DoNotOptimize(select(sweep));
+  const WalkStats& after = ws.walk_stats();
+  const double grid_tiles = static_cast<double>(matrix.tiles().fine_tiles);
+  const double evaluated =
+      static_cast<double>(after.fine_evaluated - before.fine_evaluated);
+  const double screened =
+      static_cast<double>(after.points_screened - before.points_screened);
+  const double passed = static_cast<double>(after.points_passed - before.points_passed);
+  state.counters["eval_tile_share"] =
+      evaluated / (grid_tiles * static_cast<double>(pool.size()));
+  state.counters["point_pass_share"] = screened > 0.0 ? passed / screened : 0.0;
+}
+
 CorrelationEngine default_grid_engine() {
   return CorrelationEngine(shared_table(), AngularGrid{make_axis(-90.0, 90.0, 1.5),
                                                        make_axis(0.0, 32.0, 2.0)});
@@ -110,8 +135,10 @@ void BM_CssSelectConfidence(benchmark::State& state) {
   config.compute_confidence = true;
   const CompressiveSectorSelector css(shared_table(), config);
   CorrelationWorkspace ws;
-  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
-             [&](const auto& sweep) { return css.select(sweep, ws); });
+  const Sweeps& pool = sweep_pool(static_cast<std::size_t>(state.range(0)));
+  const auto select = [&](const auto& sweep) { return css.select(sweep, ws); };
+  cycle_pool(state, pool, select);
+  report_walk_shares(state, pool, ws, css.assets()->engine().response_matrix(), select);
 }
 BENCHMARK(BM_CssSelectConfidence)->Arg(14);
 
@@ -134,8 +161,12 @@ void BM_CombinedArgmax(benchmark::State& state) {
   // both return the identical peak.
   const CorrelationEngine engine = default_grid_engine();
   CorrelationWorkspace ws;
-  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
-             [&](const auto& sweep) { return engine.combined_argmax(sweep, ws); });
+  const Sweeps& pool = sweep_pool(static_cast<std::size_t>(state.range(0)));
+  const auto select = [&](const auto& sweep) {
+    return engine.combined_argmax(sweep, ws);
+  };
+  cycle_pool(state, pool, select);
+  report_walk_shares(state, pool, ws, engine.response_matrix(), select);
 }
 BENCHMARK(BM_CombinedArgmax)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
 

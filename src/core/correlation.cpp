@@ -176,16 +176,17 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
   const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
 
+  const TileMap& tiles = matrix_.tiles();
   Grid2D out(matrix_.grid());
   std::vector<double>& w = out.values();
   double dot[kTile];
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
-    const std::size_t g0 = t * kTile;
-    const std::size_t count = std::min(kTile, pan.points - g0);
+    const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
+    const std::size_t count = tiles.count(t);
     const double* block = pan.tile_values(t);
     tile_dots(block, p.data(), nullptr, m_count, dot, nullptr);
     for (std::size_t gi = 0; gi < count; ++gi) {
-      const std::size_t g = g0 + gi;
+      const std::size_t g = tile_points[gi];
       const double x_norm_sq = pan.norms_sq[g];
       if (x_norm_sq <= 0.0) {
         w[g] = 0.0;
@@ -223,16 +224,17 @@ Grid2D CorrelationEngine::combined_surface(
   const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
 
+  const TileMap& tiles = matrix_.tiles();
   double dot_snr[kTile];
   double dot_rssi[kTile];
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
-    const std::size_t g0 = t * kTile;
-    const std::size_t count = std::min(kTile, pan.points - g0);
+    const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
+    const std::size_t count = tiles.count(t);
     const double* block = pan.tile_values(t);
     tile_dots(block, probes.snr.data(), probes.rssi.data(), m_count, dot_snr,
               dot_rssi);
     for (std::size_t gi = 0; gi < count; ++gi) {
-      const std::size_t g = g0 + gi;
+      const std::size_t g = tile_points[gi];
       const double x_norm_sq = pan.norms_sq[g];
       if (x_norm_sq <= 0.0) {
         w[g] = 0.0;
@@ -525,17 +527,19 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
   }
   const std::size_t m_count = pan.m();
   const std::size_t n_az = matrix_.grid().azimuth.count;
+  const TileMap& tiles = matrix_.tiles();
   detail::TileScreen lone_screens[SubsetPanel::kFinePerCoarse];
   detail::TileScreen* const screens = kSingle ? lone_screens : ws.screens_.data();
   const double* const member_bound =
       kSingle ? ws.coarse_bound_.data() : ws.member_bound_.data();
-  // Is a point bounded by `bound` at grid index g0 still in play for
-  // member mb? The peak rule, or the running-rival rule in confidence mode.
-  auto in_play = [](const detail::WalkMember& mb, double bound, std::size_t g0) {
+  // Is a tile bounded by `bound` whose smallest flat grid index is g_min
+  // still in play for member mb? The peak rule, or the running-rival rule
+  // in confidence mode.
+  auto in_play = [](const detail::WalkMember& mb, double bound, std::size_t g_min) {
     if constexpr (kConfidence) {
       return bound >= mb.rival;
     } else {
-      return bound > mb.best || (bound == mb.best && g0 <= mb.best_g);
+      return bound > mb.best || (bound == mb.best && g_min <= mb.best_g);
     }
   };
   auto threshold = [](const detail::WalkMember& mb) {
@@ -557,17 +561,16 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
       min_threshold = std::min(min_threshold, threshold(members[b]));
     }
     if (ws.coarse_bound_[c] < min_threshold) break;
-    const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
     bool any_active = false;
     for (std::size_t b = 0; b < k_members; ++b) {
       const bool active =
-          in_play(members[b], member_bound[c * k_members + b], t0 * kTile);
+          in_play(members[b], member_bound[c * k_members + b], tiles.coarse_min[c]);
       members[b].coarse_active = active;
       any_active |= active;
     }
     if (!any_active) continue;
-    const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse, pan.fine_tiles);
-    const std::size_t nf = t1 - t0;
+    const std::size_t t0 = tiles.first_fine(c);
+    const std::size_t nf = tiles.last_fine(c) - t0;
 
     // Level 2: fine screens for the members still in play, visited in
     // order of the best member fine bound.
@@ -579,6 +582,7 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
       for (std::size_t b = 0; b < k_members; ++b) {
         if (!members[b].coarse_active) continue;
         const double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
+        ++ws.walk_stats_.fine_screened;
         detail::TileScreen& s = screens[k * k_members + b];
         s = detail::screen_tile_q(abs_row, abs_row + m_count,
                                   pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
@@ -608,19 +612,22 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
       }
       if (fine_max[order[k]] < min_active_threshold) break;
       const std::size_t t = t0 + order[k];
-      const std::size_t g0 = t * kTile;
       bool tile_any = false;
       for (std::size_t b = 0; b < k_members; ++b) {
         const bool active =
             members[b].coarse_active &&
-            in_play(members[b], screens[order[k] * k_members + b].bound, g0);
+            in_play(members[b], screens[order[k] * k_members + b].bound,
+                    tiles.fine_min[t]);
         members[b].tile_active = active;
         tile_any |= active;
       }
       if (!tile_any) continue;
-      const std::size_t count = std::min(kTile, pan.points - g0);
+      const std::size_t count = tiles.count(t);
       const double* block = pan.tile_values(t);
       const double* norms = pan.norms_sq.data();
+      const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
+      [[maybe_unused]] const std::uint32_t* tile_columns =
+          tiles.column.data() + t * kTile;
 
       // The tile's values are walked back to back for every surviving
       // member while they are cache-hot -- the batch win; the per-member
@@ -632,6 +639,7 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
         const double* pr = mb.pr;
         double best = mb.best;
         std::size_t best_g = mb.best_g;
+        std::uint64_t passed = 0;
         // Dense dots for the whole tile (the padded tail just computes
         // zeros that `count` discards): SNR only for the peak, whose
         // survivors are few, both for confidence, which evaluates more.
@@ -639,13 +647,10 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
                   kConfidence ? drg : nullptr);
         [[maybe_unused]] double* column =
             kConfidence ? columns + b * n_az : nullptr;
-        [[maybe_unused]] std::size_t ia = g0 % n_az;
         for (std::size_t gi = 0; gi < count; ++gi) {
-          const std::size_t g = g0 + gi;
-          [[maybe_unused]] const std::size_t point_ia = ia;
-          if constexpr (kConfidence) {
-            if (++ia == n_az) ia = 0;
-          }
+          const std::size_t g = tile_points[gi];
+          [[maybe_unused]] const std::size_t point_ia =
+              kConfidence ? tile_columns[gi] : 0;
           const double n = norms[g];
           double w = 0.0;
           if (n > 0.0) {
@@ -664,6 +669,7 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
               const double* col = block + gi;
               for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
             }
+            ++passed;
             const double x_norm = std::sqrt(n);
             const double cs = dsg[gi] / (mb.snr_norm * x_norm);
             const double cr = dr / (mb.rssi_norm * x_norm);
@@ -698,6 +704,9 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
         }
         mb.best = best;
         mb.best_g = best_g;
+        ++ws.walk_stats_.fine_evaluated;
+        ws.walk_stats_.points_screened += count;
+        ws.walk_stats_.points_passed += passed;
       }
     }
   }

@@ -20,12 +20,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "src/antenna/pattern.hpp"
+#include "src/common/fields.hpp"
 #include "src/common/grid.hpp"
 #include "src/core/response_matrix.hpp"
 #include "src/phy/measurement.hpp"
@@ -130,6 +132,29 @@ struct WalkMember {
 
 }  // namespace detail
 
+/// What the branch-and-bound walk did, summed over every member walk
+/// (a confidence-mode redo walks again and counts again). Diagnostics
+/// only: the counts never feed back into a result.
+struct WalkStats {
+  /// Fine tiles whose bound was computed (their coarse tile was in play).
+  std::uint64_t fine_screened{0};
+  /// Fine tiles whose points were evaluated (their bound was in play).
+  std::uint64_t fine_evaluated{0};
+  /// Valid points of evaluated tiles (zero-norm points among them score
+  /// 0 without a screen).
+  std::uint64_t points_screened{0};
+  /// Points that passed the per-point screen and paid the exact W.
+  std::uint64_t points_passed{0};
+
+  /// The one field list (common/fields.hpp).
+  static constexpr auto kFields = std::make_tuple(
+      field("fine_screened", &WalkStats::fine_screened),
+      field("fine_evaluated", &WalkStats::fine_evaluated),
+      field("points_screened", &WalkStats::points_screened),
+      field("points_passed", &WalkStats::points_passed));
+  friend bool operator==(const WalkStats&, const WalkStats&) = default;
+};
+
 /// Caller-owned scratch for the selection hot path (one per LinkSession /
 /// replay cell / daemon). Holds the collected probe vectors, the resolved
 /// subset panel and the branch-and-bound tile scratch, so that once
@@ -144,6 +169,9 @@ class CorrelationWorkspace {
   /// on a fixed probe subset holds this constant -- the zero-allocation
   /// tests pin their loop on it.
   std::size_t growth_events() const { return growth_events_; }
+
+  /// Walk counters accumulated since construction.
+  const WalkStats& walk_stats() const { return walk_stats_; }
 
  private:
   friend class CorrelationEngine;
@@ -186,6 +214,7 @@ class CorrelationWorkspace {
   std::vector<std::uint32_t> select_index_;
   std::vector<ArgmaxResult> select_peaks_;
   std::size_t growth_events_{0};
+  WalkStats walk_stats_;
 };
 
 class CorrelationEngine {

@@ -42,11 +42,69 @@ double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q) {
   return scale;
 }
 
+/// Every flat grid index, ordered into elevation bands of about
+/// `band_rows` rows, column by column within a band (rows ascending),
+/// alternate bands right to left.
+std::vector<std::uint32_t> band_order(std::size_t n_az, std::size_t n_el,
+                                      std::size_t band_rows) {
+  const std::size_t bands = std::max<std::size_t>(1, (n_el + band_rows / 2) / band_rows);
+  std::vector<std::uint32_t> order;
+  order.reserve(n_az * n_el);
+  for (std::size_t band = 0; band < bands; ++band) {
+    // Rows ie with ie * bands / n_el == band.
+    const std::size_t ie0 = (band * n_el + bands - 1) / bands;
+    const std::size_t ie1 = ((band + 1) * n_el + bands - 1) / bands;
+    for (std::size_t c = 0; c < n_az; ++c) {
+      const std::size_t ia = band % 2 == 0 ? c : n_az - 1 - c;
+      for (std::size_t ie = ie0; ie < ie1; ++ie) {
+        order.push_back(static_cast<std::uint32_t>(ie * n_az + ia));
+      }
+    }
+  }
+  return order;
+}
+
 }  // namespace
+
+TileMap::TileMap(const AngularGrid& grid) {
+  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  constexpr std::size_t kCoarse = kTile * SubsetPanel::kFinePerCoarse;
+  const std::size_t n_az = grid.azimuth.count;
+  const std::size_t n_el = grid.elevation.count;
+  const std::size_t points = grid.size();
+  TALON_EXPECTS(points <= std::numeric_limits<std::uint32_t>::max());
+  // Cut the coarse-band order into coarse runs, then lay each run's
+  // points out in fine-band order: walking the whole fine-band order once
+  // and appending every point to its run keeps both passes linear.
+  const std::vector<std::uint32_t> coarse_order = band_order(n_az, n_el, kCoarseBandRows);
+  std::vector<std::uint32_t> run_of(points);  // coarse run of each flat index
+  for (std::size_t i = 0; i < points; ++i) {
+    run_of[coarse_order[i]] = static_cast<std::uint32_t>(i / kCoarse);
+  }
+  std::vector<std::size_t> cursor((points + kCoarse - 1) / kCoarse);
+  for (std::size_t r = 0; r < cursor.size(); ++r) cursor[r] = r * kCoarse;
+  point.resize(points);
+  for (const std::uint32_t g : band_order(n_az, n_el, kFineBandRows)) {
+    point[cursor[run_of[g]]++] = g;
+  }
+
+  fine_tiles = (points + kTile - 1) / kTile;
+  coarse_tiles = (fine_tiles + SubsetPanel::kFinePerCoarse - 1) / SubsetPanel::kFinePerCoarse;
+  column.resize(points);
+  fine_min.assign(fine_tiles, std::numeric_limits<std::uint32_t>::max());
+  coarse_min.assign(coarse_tiles, std::numeric_limits<std::uint32_t>::max());
+  for (std::size_t i = 0; i < points; ++i) {
+    column[i] = static_cast<std::uint32_t>(point[i] % n_az);
+    std::uint32_t& fine = fine_min[i / kTile];
+    fine = std::min(fine, point[i]);
+    std::uint32_t& coarse = coarse_min[i / kCoarse];
+    coarse = std::min(coarse, point[i]);
+  }
+}
 
 ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
                                CorrelationDomain domain)
-    : grid_(grid), domain_(domain) {
+    : grid_(grid), domain_(domain), tiles_(grid_) {
   TALON_EXPECTS(!patterns.empty());
   sector_ids_ = patterns.ids();
   const std::size_t points = grid_.size();
@@ -90,10 +148,9 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   panel->slots.assign(slots.begin(), slots.end());
   const std::size_t points = grid_.size();
   panel->points = points;
-  const std::size_t fine = (points + kTile - 1) / kTile;
+  const std::size_t fine = tiles_.fine_tiles;
   panel->fine_tiles = fine;
-  panel->coarse_tiles =
-      (fine + SubsetPanel::kFinePerCoarse - 1) / SubsetPanel::kFinePerCoarse;
+  panel->coarse_tiles = tiles_.coarse_tiles;
 
   panel->values.assign(fine * kTile * m, 0.0);
   // The allocator promises the base pointer; the static_assert in the
@@ -103,9 +160,10 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
          0);
   panel->norms_sq.resize(points);
   const std::size_t stride = sector_ids_.size();
-  for (std::size_t g = 0; g < points; ++g) {
+  for (std::size_t i = 0; i < points; ++i) {
+    const std::size_t g = tiles_.point[i];
     const double* row = values_.data() + g * stride;
-    double* block = panel->values.data() + (g / kTile) * m * kTile + g % kTile;
+    double* block = panel->values.data() + (i / kTile) * m * kTile + i % kTile;
     double sum = 0.0;
     for (std::size_t mm = 0; mm < m; ++mm) {
       const double x = row[static_cast<std::size_t>(slots[mm])];
@@ -118,13 +176,13 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   panel->fine_abs_norm_max.assign(fine * m, 0.0);
   panel->fine_sqrt_min_norm.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
-    const std::size_t g0 = t * kTile;
-    const std::size_t count = std::min(kTile, points - g0);
+    const std::uint32_t* tile_points = tiles_.point.data() + t * kTile;
+    const std::size_t count = tiles_.count(t);
     const double* block = panel->tile_values(t);
     double* u = panel->fine_abs_norm_max.data() + t * m;
     double min_pos = kInf;
     for (std::size_t gi = 0; gi < count; ++gi) {
-      const double n = panel->norms_sq[g0 + gi];
+      const double n = panel->norms_sq[tile_points[gi]];
       if (n <= 0.0) continue;  // zero-norm points score exactly 0
       if (n < min_pos) min_pos = n;
       const double inv_norm = 1.0 / std::sqrt(n);
@@ -139,8 +197,8 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);
   panel->coarse_sqrt_min_norm.resize(panel->coarse_tiles);
   for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
-    const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
-    const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse, fine);
+    const std::size_t t0 = tiles_.first_fine(c);
+    const std::size_t t1 = tiles_.last_fine(c);
     for (std::size_t mm = 0; mm < m; ++mm) {
       double hi = 0.0;
       for (std::size_t t = t0; t < t1; ++t) {

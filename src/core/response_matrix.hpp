@@ -13,10 +13,11 @@
 //
 // On top of the full matrix sits the subset-panel cache: for one probe
 // slot-sequence, a SubsetPanel compacts the probed columns into a dense
-// tile-blocked `points x M` array (no per-element slot indexing in the hot
-// loop), carries the per-point subset norms (the Eq. 2 denominator,
-// accumulated in sequence order so cache hits stay bit-identical to a
-// fresh pass), and precomputes per-tile response extrema plus the minimum
+// `points x M` array blocked into compact azimuth x elevation tiles (the
+// grid's TileMap; no per-element slot indexing in the hot loop), carries
+// the per-point subset norms (the Eq. 2 denominator, accumulated in
+// sequence order so cache hits stay bit-identical to a fresh pass), and
+// precomputes per-tile response extrema plus the minimum
 // positive subset norm -- the ingredients of the Cauchy-Schwarz upper
 // bound the branch-and-bound argmax (core/correlation.hpp) prunes with.
 // Panels are keyed on the exact slot sequence (not the set) and shared
@@ -28,6 +29,7 @@
 // are exposed for diagnostics.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -52,15 +54,19 @@ enum class CorrelationDomain : std::uint8_t { kLinear, kDb };
 /// One probe subset's compacted view of the response matrix, immutable
 /// once built and shared behind shared_ptr<const>.
 ///
-/// Grid points are blocked into fine tiles of kTilePoints consecutive flat
-/// indices, and fine tiles into coarse tiles of kFinePerCoarse; inside a
-/// tile the responses are stored sequence-position-major, so the Eq. 5 dot
-/// product runs as M contiguous multiply-accumulate rows over the tile's
-/// points (vectorizable without reassociating any per-point sum: point g's
-/// accumulation order over m is unchanged). The ragged tail tile is padded
-/// with zeros; all statistics cover valid points only.
+/// Grid points are blocked into fine tiles of kTilePoints points each and
+/// fine tiles into coarse tiles of kFinePerCoarse consecutive fine tiles,
+/// following the matrix's TileMap (below): a fine tile is a compact
+/// azimuth x elevation block of the grid, so the per-tile bound only has
+/// to cover sector responses over a few degrees in each direction. Inside
+/// a tile the responses are stored sequence-position-major, so the Eq. 5
+/// dot product runs as M contiguous multiply-accumulate rows over the
+/// tile's points (vectorizable without reassociating any per-point sum:
+/// point g's accumulation order over m is unchanged). Only the last tile
+/// can be ragged; its padding slots are zero, and all statistics cover
+/// valid points only.
 struct SubsetPanel {
-  /// Grid points per fine tile (one pruning granule, flat-index order).
+  /// Grid points per fine tile (one pruning granule).
   static constexpr std::size_t kTilePoints = 32;
   /// Fine tiles per coarse tile (the second pyramid level).
   static constexpr std::size_t kFinePerCoarse = 8;
@@ -83,13 +89,15 @@ struct SubsetPanel {
   std::size_t fine_tiles{0};
   std::size_t coarse_tiles{0};
 
-  /// Tile-blocked responses: the response of sequence position m at grid
-  /// point g lives at values[(tile(g) * M + m) * kTilePoints + g % kTilePoints]
-  /// with tile(g) = g / kTilePoints; tail entries beyond `points` are 0.
-  /// Over-aligned per the kValuesAlignment contract above.
+  /// Tile-blocked responses: the response of sequence position m at the
+  /// point in tile slot i = t * kTilePoints + gi (grid point
+  /// TileMap::point[i]) lives at values[(t * M + m) * kTilePoints + gi];
+  /// padding slots (i >= points) are 0. Over-aligned per the
+  /// kValuesAlignment contract above.
   std::vector<double, AlignedAllocator<double, kValuesAlignment>> values;
   /// ||x(g)||^2 restricted to `slots`, accumulated in sequence order
-  /// (duplicate slots contribute once per occurrence), indexed by g.
+  /// (duplicate slots contribute once per occurrence), indexed by the flat
+  /// grid index g (not by tile slot).
   std::vector<double> norms_sq;
 
   /// Per fine tile, per sequence position: max over the tile's
@@ -139,6 +147,55 @@ struct SubsetPanel {
   }
 };
 
+/// Which grid points share a tile: one layout per grid, shared by every
+/// SubsetPanel of the matrix (panels hold no copy).
+///
+/// Points are ordered into elevation bands of about kFineBandRows rows,
+/// each band walked column by column in azimuth (alternate bands right to
+/// left, so a tile that straddles two bands stays at one edge of the
+/// grid), and cut into runs of kTilePoints: every fine tile is a compact
+/// block of about kTilePoints / kFineBandRows columns by kFineBandRows
+/// rows. Coarse tiles get the same treatment one level up: the grid is
+/// first cut into runs of kFinePerCoarse * kTilePoints points along
+/// kCoarseBandRows-row bands, and each run is then ordered into fine
+/// tiles, so a coarse tile is a compact block of its eight fine tiles.
+/// Every tile but the last is full, so the grid takes
+/// ceil(points / kTilePoints) tiles, no more than a flat-index blocking.
+struct TileMap {
+  /// Target rows of a fine / coarse elevation band (fixed by measuring
+  /// how many tiles the branch-and-bound evaluates on realistic sweeps).
+  static constexpr std::size_t kFineBandRows = 8;
+  static constexpr std::size_t kCoarseBandRows = 16;
+
+  std::size_t fine_tiles{0};
+  std::size_t coarse_tiles{0};
+  /// Flat grid index of the point in tile slot i = t * kTilePoints + gi
+  /// (one entry per valid point; only the last tile has padding slots).
+  std::vector<std::uint32_t> point;
+  /// Azimuth column of the point in tile slot i.
+  std::vector<std::uint32_t> column;
+  /// Smallest flat grid index in each fine / coarse tile: the tie rule of
+  /// the branch-and-bound asks whether a tile could hold a lower-index
+  /// point than the running peak.
+  std::vector<std::uint32_t> fine_min;
+  std::vector<std::uint32_t> coarse_min;
+
+  explicit TileMap(const AngularGrid& grid);
+
+  /// Valid points in fine tile t.
+  std::size_t count(std::size_t t) const {
+    return std::min(SubsetPanel::kTilePoints,
+                    point.size() - t * SubsetPanel::kTilePoints);
+  }
+  /// Fine tiles [first, last) of coarse tile c.
+  std::size_t first_fine(std::size_t c) const {
+    return c * SubsetPanel::kFinePerCoarse;
+  }
+  std::size_t last_fine(std::size_t c) const {
+    return std::min(first_fine(c) + SubsetPanel::kFinePerCoarse, fine_tiles);
+  }
+};
+
 class ResponseMatrix {
  public:
   ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
@@ -164,6 +221,9 @@ class ResponseMatrix {
 
   /// Precomputed direction of every grid point (AngularGrid::index order).
   const std::vector<Direction>& directions() const { return directions_; }
+
+  /// The tile layout every subset panel of this matrix is blocked by.
+  const TileMap& tiles() const { return tiles_; }
 
   /// The compacted panel for this exact slot sequence (>= 1 valid slots),
   /// built on first use and cached. Thread-safe: readers take a shared
@@ -227,6 +287,7 @@ class ResponseMatrix {
   /// point g, in the chosen domain.
   std::vector<double> values_;
   std::vector<Direction> directions_;
+  TileMap tiles_;
 
   /// Bounds cache growth under adversarial subset churn; beyond the cap,
   /// panels are computed but not retained.

@@ -208,6 +208,33 @@ TEST(CorrelationWorkspace, SubsetSwitchChargesGrowthOnce) {
   EXPECT_EQ(ws.growth_events(), after_switch);
 }
 
+TEST(CorrelationWorkspace, WalkStatsCountTheWalkAndSumByFieldList) {
+  // The counters describe the walk without steering it: the same sweeps
+  // give the same results and the same counts in any workspace, the
+  // counts are consistent with each other, and two runs' counts add up
+  // through the field list.
+  const CorrelationEngine engine(synthetic_table(), synthetic_grid());
+  const auto a = ideal_probes(synthetic_table(), {1, 3, 5, 7}, {-20.0, 5.0});
+  const auto b = ideal_probes(synthetic_table(), {2, 4, 8, 9}, {25.0, 15.0});
+  CorrelationWorkspace first;
+  CorrelationWorkspace second;
+  CorrelationWorkspace both;
+  EXPECT_EQ(first.walk_stats(), WalkStats{});
+  const auto peak_a = engine.combined_argmax(a, first);
+  const auto peak_b = engine.combined_argmax(b, second, 10.0);
+  EXPECT_EQ(engine.combined_argmax(a, both).index, peak_a.index);
+  EXPECT_EQ(engine.combined_argmax(b, both, 10.0).rival, peak_b.rival);
+  WalkStats sum = first.walk_stats();
+  sum += second.walk_stats();
+  EXPECT_EQ(both.walk_stats(), sum);
+  for (const WalkStats& s : {first.walk_stats(), second.walk_stats()}) {
+    EXPECT_GT(s.fine_evaluated, 0u);
+    EXPECT_LE(s.fine_evaluated, s.fine_screened);
+    EXPECT_LE(s.points_screened, s.fine_evaluated * SubsetPanel::kTilePoints);
+    EXPECT_LE(s.points_passed, s.points_screened);
+  }
+}
+
 TEST(CssSelectorWorkspace, RepeatedSelectionAllocatesNothing) {
   // End-to-end through the strategy seam: a CssSelector owns one workspace
   // and its select() hot path must go allocation-quiet on a fixed subset.

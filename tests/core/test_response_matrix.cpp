@@ -129,29 +129,94 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
                               CorrelationDomain::kLinear);
   const std::vector<int> subset{1, 4, 4, 7};  // duplicate kept per occurrence
   const auto panel = matrix.panel(subset);
+  const TileMap& tiles = matrix.tiles();
   ASSERT_EQ(panel->points, matrix.points());
   ASSERT_EQ(panel->m(), subset.size());
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
   ASSERT_EQ(panel->fine_tiles, (matrix.points() + kTile - 1) / kTile);
+  ASSERT_EQ(panel->fine_tiles, tiles.fine_tiles);
   ASSERT_EQ(panel->coarse_tiles,
             (panel->fine_tiles + SubsetPanel::kFinePerCoarse - 1) /
                 SubsetPanel::kFinePerCoarse);
-  for (std::size_t g = 0; g < matrix.points(); ++g) {
+  ASSERT_EQ(panel->coarse_tiles, tiles.coarse_tiles);
+  // Every valid point sits in exactly one tile slot.
+  ASSERT_EQ(tiles.point.size(), matrix.points());
+  std::vector<int> seen(matrix.points(), 0);
+  for (const std::uint32_t g : tiles.point) {
+    ASSERT_LT(g, matrix.points());
+    ++seen[g];
+  }
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](int n) { return n == 1; }));
+  // Each slot holds its point's responses, column and tile minimum.
+  for (std::size_t i = 0; i < matrix.points(); ++i) {
+    const std::size_t t = i / kTile;
+    const std::size_t g = tiles.point[i];
+    EXPECT_EQ(tiles.column[i], g % synthetic_grid().azimuth.count) << "slot " << i;
+    EXPECT_LE(tiles.fine_min[t], g);
+    EXPECT_LE(tiles.coarse_min[t / SubsetPanel::kFinePerCoarse], g);
     const std::span<const double> row = matrix.point(g);
-    const double* block = panel->tile_values(g / kTile);
+    const double* block = panel->tile_values(t);
     for (std::size_t mm = 0; mm < subset.size(); ++mm) {
-      EXPECT_EQ(block[mm * kTile + g % kTile],
+      EXPECT_EQ(block[mm * kTile + i % kTile],
                 row[static_cast<std::size_t>(subset[mm])])
           << "g=" << g << " m=" << mm;
     }
   }
-  // The ragged tail tile is zero-padded past `points`.
+  // The minima are attained: each is some point of its tile.
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
+    const auto first = tiles.point.begin() + static_cast<std::ptrdiff_t>(t * kTile);
+    EXPECT_EQ(tiles.fine_min[t],
+              *std::min_element(first, first + static_cast<std::ptrdiff_t>(tiles.count(t))));
+  }
+  for (std::size_t c = 0; c < tiles.coarse_tiles; ++c) {
+    std::uint32_t lowest = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t t = tiles.first_fine(c); t < tiles.last_fine(c); ++t) {
+      lowest = std::min(lowest, tiles.fine_min[t]);
+    }
+    EXPECT_EQ(tiles.coarse_min[c], lowest);
+  }
+  // Only the last tile is ragged, and its padding slots are zero.
+  for (std::size_t t = 0; t + 1 < tiles.fine_tiles; ++t) EXPECT_EQ(tiles.count(t), kTile);
   const std::size_t tail = panel->fine_tiles - 1;
   const double* tail_block = panel->tile_values(tail);
-  for (std::size_t gi = matrix.points() - tail * kTile; gi < kTile; ++gi) {
+  for (std::size_t gi = tiles.count(tail); gi < kTile; ++gi) {
     for (std::size_t mm = 0; mm < subset.size(); ++mm) {
       EXPECT_EQ(tail_block[mm * kTile + gi], 0.0);
     }
+  }
+}
+
+TEST(ResponseMatrix, TilesAreCompactAngularBlocks) {
+  // On the 121 x 17 selection grid a fine tile spans a few azimuth
+  // columns and about half the elevation rows -- not a 32-column strip --
+  // and a coarse tile a few dozen columns.
+  const AngularGrid grid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)};
+  const ResponseMatrix matrix(synthetic_table(), grid, CorrelationDomain::kLinear);
+  const TileMap& tiles = matrix.tiles();
+  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  ASSERT_EQ(tiles.fine_tiles, (grid.size() + kTile - 1) / kTile);
+  const auto span_of = [&](std::size_t i0, std::size_t i1) {
+    std::size_t az_lo = grid.azimuth.count, az_hi = 0, el_lo = grid.elevation.count,
+                el_hi = 0;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::size_t ia = tiles.point[i] % grid.azimuth.count;
+      const std::size_t ie = tiles.point[i] / grid.azimuth.count;
+      az_lo = std::min(az_lo, ia);
+      az_hi = std::max(az_hi, ia);
+      el_lo = std::min(el_lo, ie);
+      el_hi = std::max(el_hi, ie);
+    }
+    return std::pair{az_hi - az_lo + 1, el_hi - el_lo + 1};
+  };
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
+    const auto [az, el] = span_of(t * kTile, t * kTile + tiles.count(t));
+    EXPECT_LE(az, 9u) << "tile " << t;  // a band-straddling tile spans two bands
+    EXPECT_GE(el, 2u) << "tile " << t;
+  }
+  for (std::size_t c = 0; c < tiles.coarse_tiles; ++c) {
+    const std::size_t i0 = tiles.first_fine(c) * kTile;
+    const std::size_t i1 = std::min(tiles.last_fine(c) * kTile, grid.size());
+    EXPECT_LE(span_of(i0, i1).first, 17u) << "coarse tile " << c;
   }
 }
 
@@ -159,25 +224,26 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
   // fine_abs_norm_max must be the exact per-slot max of |x_m(g)|/||x(g)||
   // over the tile's positive-norm points, and fine_sqrt_min_norm the exact
   // sqrt of the minimum positive norm -- the argmax's pruning bound is only
-  // rigorous if these dominate every point they summarize.
+  // rigorous if these dominate every point they summarize. The tile's
+  // points are the ones the tile map assigns to it.
   const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
                               CorrelationDomain::kLinear);
   const std::vector<int> subset{0, 2, 5};
   const auto panel = matrix.panel(subset);
+  const TileMap& tiles = matrix.tiles();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
   const std::size_t m = subset.size();
   for (std::size_t t = 0; t < panel->fine_tiles; ++t) {
-    const std::size_t g0 = t * kTile;
-    const std::size_t count = std::min(kTile, matrix.points() - g0);
     std::vector<double> u(m, 0.0);
     double min_norm = std::numeric_limits<double>::infinity();
-    for (std::size_t gi = 0; gi < count; ++gi) {
-      const double n = panel->norms_sq[g0 + gi];
+    for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
+      const std::size_t g = tiles.point[t * kTile + gi];
+      const double n = panel->norms_sq[g];
       if (n <= 0.0) continue;
       min_norm = std::min(min_norm, n);
       const double inv_norm = 1.0 / std::sqrt(n);
       for (std::size_t mm = 0; mm < m; ++mm) {
-        const double x = matrix.point(g0 + gi)[static_cast<std::size_t>(subset[mm])];
+        const double x = matrix.point(g)[static_cast<std::size_t>(subset[mm])];
         u[mm] = std::max(u[mm], std::abs(x) * inv_norm);
       }
     }
@@ -188,10 +254,7 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
   }
   // Coarse aggregates dominate their fine tiles.
   for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
-    const std::size_t t0 = c * SubsetPanel::kFinePerCoarse;
-    const std::size_t t1 = std::min(t0 + SubsetPanel::kFinePerCoarse,
-                                    panel->fine_tiles);
-    for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t t = tiles.first_fine(c); t < tiles.last_fine(c); ++t) {
       for (std::size_t mm = 0; mm < m; ++mm) {
         EXPECT_GE(panel->coarse_abs_norm_max[c * m + mm],
                   panel->fine_abs_norm_max[t * m + mm]);

@@ -491,7 +491,9 @@ TEST(PanelAlignment, EveryTileRowHonorsTheAlignmentContract) {
     const ProbeVectors pv = engine.collect_probes(probes, true, true);
     const auto pan = engine.response_matrix().panel(pv.slots);
     const std::size_t m = pan->m();
+    const TileMap& tiles = engine.response_matrix().tiles();
     ASSERT_GT(pan->fine_tiles, 0u);
+    ASSERT_EQ(pan->fine_tiles, tiles.fine_tiles);
     for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
       for (std::size_t mm = 0; mm < m; ++mm) {
         const double* row = pan->tile_values(t) + mm * kTile;
@@ -501,23 +503,25 @@ TEST(PanelAlignment, EveryTileRowHonorsTheAlignmentContract) {
             << "tile " << t << " row " << mm;
       }
     }
-    // The ragged tail is zero-padded beyond `points`.
-    const std::size_t tail = pan->points % kTile;
-    if (tail != 0) {
-      const double* last = pan->tile_values(pan->fine_tiles - 1);
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        for (std::size_t g = tail; g < kTile; ++g) {
-          EXPECT_EQ(last[mm * kTile + g], 0.0);
+    // Every tile slot past the tile map's valid points is zero-padded;
+    // only the last tile has such slots.
+    std::size_t padding = 0;
+    for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
+      for (std::size_t gi = tiles.count(t); gi < kTile; ++gi, ++padding) {
+        for (std::size_t mm = 0; mm < m; ++mm) {
+          EXPECT_EQ(pan->tile_values(t)[mm * kTile + gi], 0.0);
         }
       }
     }
+    EXPECT_EQ(padding, pan->fine_tiles * kTile - pan->points);
+    EXPECT_EQ(padding, (kTile - pan->points % kTile) % kTile);
   }
 }
 
 TEST(PanelAlignment, RaggedTailGridsKeepArgmaxExact) {
-  // End-to-end on the same tail shapes: the argmax (SIMD kernels +
-  // quantized screening + small-M direct path all in play) must still
-  // equal the surface peak bit for bit.
+  // End-to-end on the same tail shapes: the argmax (SIMD kernels and
+  // quantized screening both in play) must still equal the surface peak
+  // bit for bit.
   std::mt19937_64 rng(2468);
   std::uniform_real_distribution<double> noise(-1.5, 1.5);
   for (const AngularGrid& grid :
