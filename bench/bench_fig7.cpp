@@ -45,7 +45,7 @@ RecordingConfig conference_recording(bench::Fidelity fidelity) {
 }
 
 void run_venue(const char* name, Scenario scenario, const RecordingConfig& rec,
-               SectorSelector& selector, const std::string& csv_path) {
+               const CssSelector& selector, const std::string& csv_path) {
   const auto records = record_sweeps(scenario, rec);
   const std::vector<std::size_t> probe_counts{4,  6,  8,  10, 12, 14, 16, 18,
                                               20, 22, 24, 26, 28, 30, 32, 34};

@@ -201,12 +201,16 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
 
 Grid2D CorrelationEngine::combined_surface(
     std::span<const SectorReading> readings) const {
+  const ProbeVectors probes = collect_probes(readings, true, true);
+  TALON_EXPECTS(probes.slots.size() >= 2);
+  return surface_on_panel(*matrix_.panel(probes.slots), probes);
+}
+
+Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
+                                           const ProbeVectors& probes) const {
   // Fused Eq. 5: one panel walk computes the SNR dot, the RSSI dot and
   // the surface product. The pattern vector x (and so its norm) is shared
   // by both channels; only the probe vector differs.
-  const ProbeVectors probes = collect_probes(readings, true, true);
-  TALON_EXPECTS(probes.slots.size() >= 2);
-
   double snr_norm_sq = 0.0;
   for (double v : probes.snr) snr_norm_sq += v * v;
   TALON_EXPECTS(snr_norm_sq > 0.0);
@@ -219,9 +223,6 @@ Grid2D CorrelationEngine::combined_surface(
 
   Grid2D out(matrix_.grid());
   std::vector<double>& w = out.values();
-
-  const std::shared_ptr<const SubsetPanel> panel = matrix_.panel(probes.slots);
-  const SubsetPanel& pan = *panel;
   const std::size_t m_count = pan.m();
 
   const TileMap& tiles = matrix_.tiles();
@@ -295,7 +296,7 @@ void CorrelationEngine::combined_argmax_batch(
     // grouping, and the workspace's panel follows the link's subset.
     static constexpr std::uint32_t kOnly = 0;
     argmax_group(resolve_panel(ws.probes_[0].slots, ws),
-                 std::span<const std::uint32_t>(&kOnly, 1), sweeps, out, ws,
+                 std::span<const std::uint32_t>(&kOnly, 1), out, ws,
                  rival_exclusion_deg);
     return;
   }
@@ -328,17 +329,15 @@ void CorrelationEngine::combined_argmax_batch(
       pan = local_panel.get();
     }
     argmax_group(*pan, std::span<const std::uint32_t>(ws.order_.data() + i0, i1 - i0),
-                 sweeps, out, ws, rival_exclusion_deg);
+                 out, ws, rival_exclusion_deg);
     i0 = i1;
   }
 }
 
 void CorrelationEngine::argmax_group(
     const SubsetPanel& pan, std::span<const std::uint32_t> members,
-    std::span<const std::span<const SectorReading>> sweeps,
     std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
     std::optional<double> rival_exclusion_deg) const {
-  (void)sweeps;  // only the debug-build cross-check below reads them
   const std::size_t k_members = members.size();
   const bool single = k_members == 1;
   const std::size_t m_count = pan.m();
@@ -479,9 +478,11 @@ void CorrelationEngine::argmax_group(
   for (std::size_t b = 0; b < k_members; ++b) {
     // The whole point of the bound algebra is that pruning, grouping and
     // quantized screening change nothing; verify every walk against the
-    // reference surface when asserts are on.
+    // reference surface when asserts are on. The reference rides the
+    // walk's own panel and probes, so the check leaves the panel cache's
+    // counters as a release build leaves them.
     const ArgmaxResult& r = out[members[b]];
-    const Grid2D reference = combined_surface(sweeps[members[b]]);
+    const Grid2D reference = surface_on_panel(pan, ws.probes_[members[b]]);
     const std::vector<double>& rv = reference.values();
     const auto it = std::max_element(rv.begin(), rv.end());
     assert(static_cast<std::size_t>(it - rv.begin()) == r.index);
@@ -817,14 +818,15 @@ std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
     // Subtract the explained component: residual -= alpha * x, with alpha
     // the least-squares projection (powers are additive, so this is the
     // path's contribution).
+    // Both buffers outlive the subtraction loop that reads fx.
     std::array<double, 64> row_buf;
+    std::vector<double> heap_buf;
     const double* fx;
     if (keep_dictionary) {
       fx = floored.data() + best_g * m_count;
     } else {
       // Dictionary was not kept: refloor the single winning row.
       const std::span<const double> row = matrix_.point(best_g);
-      std::vector<double> heap_buf;
       double* dst = row_buf.data();
       if (m_count > row_buf.size()) {
         heap_buf.resize(m_count);

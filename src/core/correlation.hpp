@@ -332,15 +332,18 @@ class CorrelationEngine {
   void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
                            bool need_rssi, ProbeVectors& out) const;
 
+  /// combined_surface's arithmetic over a resolved panel and the probes
+  /// it was resolved for.
+  Grid2D surface_on_panel(const SubsetPanel& pan, const ProbeVectors& probes) const;
+
   /// The subset panel for `slots`, reusing ws.panel_ when the sequence
   /// matches (no lock, no allocation) and replacing it otherwise.
   const SubsetPanel& resolve_panel(const std::vector<int>& slots,
                                    CorrelationWorkspace& ws) const;
 
   /// One slot-sequence group of the walk: members are indices into
-  /// `sweeps`, `out` and ws.probes_, all sharing `pan`.
+  /// `out` and ws.probes_, all sharing `pan`.
   void argmax_group(const SubsetPanel& pan, std::span<const std::uint32_t> members,
-                    std::span<const std::span<const SectorReading>> sweeps,
                     std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
                     std::optional<double> rival_exclusion_deg) const;
 

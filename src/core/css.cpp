@@ -41,7 +41,7 @@ CompressiveSectorSelector::CompressiveSectorSelector(
 
 void CompressiveSectorSelector::compressive_peaks(
     std::span<const std::span<const SectorReading>> sweeps,
-    CorrelationWorkspace& ws, bool with_rival) const {
+    CorrelationWorkspace& ws) const {
   ws.ensure_size(ws.select_sweeps_, sweeps.size());
   ws.ensure_size(ws.select_index_, sweeps.size());
   std::size_t k = 0;
@@ -57,8 +57,9 @@ void CompressiveSectorSelector::compressive_peaks(
   if (k == 0) return;
   engine().combined_argmax_batch(
       ws.select_sweeps_, ws.select_peaks_, ws,
-      with_rival ? std::optional<double>(config_.confidence_exclusion_deg)
-                 : std::nullopt);
+      config_.compute_confidence
+          ? std::optional<double>(config_.confidence_exclusion_deg)
+          : std::nullopt);
 }
 
 void CompressiveSectorSelector::select_batch(
@@ -67,7 +68,7 @@ void CompressiveSectorSelector::select_batch(
     CorrelationWorkspace& ws) const {
   TALON_EXPECTS(!candidates.empty());
   TALON_EXPECTS(out.size() == sweeps.size());
-  if (config_.use_rssi) compressive_peaks(sweeps, ws, config_.compute_confidence);
+  if (config_.use_rssi) compressive_peaks(sweeps, ws);
   auto estimated = [&](CssResult& result, const Direction& direction, double value) {
     result.valid = true;
     result.estimated_direction = direction;
@@ -113,31 +114,6 @@ CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probe
   CssResult result;
   select_batch({&probes, 1}, assets_->tx_candidates(), {&result, 1}, ws);
   return result;
-}
-
-std::optional<Direction> CompressiveSectorSelector::estimate_direction(
-    std::span<const SectorReading> probes, CorrelationWorkspace& ws) const {
-  std::optional<Direction> direction;
-  estimate_directions({&probes, 1}, {&direction, 1}, ws);
-  return direction;
-}
-
-void CompressiveSectorSelector::estimate_directions(
-    std::span<const std::span<const SectorReading>> sweeps,
-    std::span<std::optional<Direction>> out, CorrelationWorkspace& ws) const {
-  TALON_EXPECTS(out.size() == sweeps.size());
-  std::fill(out.begin(), out.end(), std::nullopt);
-  if (!config_.use_rssi) {
-    for (std::size_t i = 0; i < sweeps.size(); ++i) {
-      if (engine().usable_probe_count(sweeps[i]) < config_.min_probes) continue;
-      out[i] = engine().surface(sweeps[i], SignalValue::kSnr).peak().direction;
-    }
-    return;
-  }
-  compressive_peaks(sweeps, ws, /*with_rival=*/false);
-  for (std::size_t k = 0; k < ws.select_peaks_.size(); ++k) {
-    out[ws.select_index_[k]] = ws.select_peaks_[k].direction;
-  }
 }
 
 }  // namespace talon

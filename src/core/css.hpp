@@ -98,16 +98,6 @@ class CompressiveSectorSelector {
   CssResult select(std::span<const SectorReading> probes,
                    CorrelationWorkspace& ws) const;
 
-  /// Step 1 only (Eq. 3/5): the estimated angle of arrival, or nullopt
-  /// when fewer than min_probes probes decoded.
-  std::optional<Direction> estimate_direction(
-      std::span<const SectorReading> probes, CorrelationWorkspace& ws) const;
-
-  /// Batched estimate_direction(), one walk like select_batch().
-  void estimate_directions(std::span<const std::span<const SectorReading>> sweeps,
-                           std::span<std::optional<Direction>> out,
-                           CorrelationWorkspace& ws) const;
-
   const PatternTable& patterns() const { return assets_->patterns(); }
   const CssConfig& config() const { return config_; }
 
@@ -118,9 +108,10 @@ class CompressiveSectorSelector {
   const CorrelationEngine& engine() const { return assets_->engine(); }
 
   /// Run the walk over the sweeps with enough usable probes: their
-  /// indices land in ws.select_index_, their peaks in ws.select_peaks_.
+  /// indices land in ws.select_index_, their peaks (and rivals, with
+  /// compute_confidence) in ws.select_peaks_.
   void compressive_peaks(std::span<const std::span<const SectorReading>> sweeps,
-                         CorrelationWorkspace& ws, bool with_rival) const;
+                         CorrelationWorkspace& ws) const;
 
   std::shared_ptr<const PatternAssets> assets_;
   CssConfig config_;

@@ -5,6 +5,7 @@
 
 #include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
+#include "src/core/ssw.hpp"
 
 namespace talon {
 
@@ -47,7 +48,7 @@ LinkSession::LinkSession(Wil6210Driver* driver,
       rng_(rng),
       link_id_(link_id),
       lifecycle_(session_lifecycle_config(config.degradation), LinkState::kUp) {
-  build_strategy();
+  if (config_.track_path) tracker_.emplace(config_.tracker_config);
   if (config_.faults && config_.faults->any_enabled()) {
     injector_ = std::make_shared<LinkFaultInjector>(config_.faults, link_id_);
     // The firmware draws the ring-buffer faults from the same injector, so
@@ -59,34 +60,18 @@ LinkSession::LinkSession(Wil6210Driver* driver,
   }
 }
 
-void LinkSession::build_strategy() {
-  if (config_.track_path) {
-    auto tracking = std::make_unique<TrackingCssSelector>(css_, config_.tracker_config);
-    tracking_ = tracking.get();
-    strategy_ = std::move(tracking);
-  } else {
-    tracking_ = nullptr;
-    strategy_ = std::make_unique<CssSelector>(css_);
-  }
-}
-
 void LinkSession::rebind_assets(std::shared_ptr<const PatternAssets> next) {
   TALON_EXPECTS(next != nullptr);
   if (next == css_.assets()) return;
   css_ = CompressiveSectorSelector(std::move(next), session_css_config(config_));
-  // The strategy must be rebuilt, not repointed: its workspace may cache
-  // a response panel keyed only by the probe-slot sequence, which a new
-  // table with the same slots would silently alias. The tracker's path
-  // state survives the swap.
-  std::optional<PathTracker::State> track;
-  if (tracking_ != nullptr) track = tracking_->tracker().export_state();
-  build_strategy();
-  if (tracking_ != nullptr && track) tracking_->tracker().import_state(*track);
+  // The workspace's cached panel is keyed only by the probe-slot
+  // sequence, which a new table with the same slots would silently alias.
+  ws_ = CorrelationWorkspace();
 }
 
 const std::optional<Direction>& LinkSession::tracked_direction() const {
   static const std::optional<Direction> kNone;
-  return tracking_ ? tracking_->tracked() : kNone;
+  return tracker_ ? tracker_->current() : kNone;
 }
 
 std::size_t LinkSession::current_probes() const {
@@ -218,8 +203,23 @@ std::optional<CssResult> LinkSession::process_report(
     return std::nullopt;
   }
   note_unknown_sectors(readings);
-  CssResult result = full_sweep_round ? ssw_fallback_.select(readings)
-                                      : strategy_->select(readings);
+  CssResult result;
+  if (full_sweep_round) {
+    // The degradation target: the stock argmax over whatever was received.
+    const SswSelection ssw = sweep_select(readings);
+    result.valid = ssw.valid;
+    result.sector_id = ssw.sector_id;
+  } else {
+    result = css_.select(readings, ws_);
+    if (tracker_ && result.valid && result.estimated_direction) {
+      // Re-run Eq. 4 on the smoothed direction instead of this sweep's raw
+      // estimate.
+      const Direction tracked = tracker_->update(*result.estimated_direction);
+      result.sector_id =
+          css_.patterns().best_sector_at(tracked, css_.assets()->tx_candidates());
+      result.estimated_direction = tracked;
+    }
+  }
   bool healthy = result.valid && !result.fallback_used;
   bool withhold = false;
   if (!full_sweep_round && config_.degradation.enabled && result.valid) {
@@ -265,7 +265,7 @@ LinkSessionState LinkSession::export_state() const {
   state.controller = controller_.export_state();
   state.lifecycle = lifecycle_.export_state();
   state.degradation = degradation_stats_;
-  if (tracking_ != nullptr) state.tracker = tracking_->tracker().export_state();
+  if (tracker_) state.tracker = tracker_->export_state();
   if (injector_ != nullptr) state.injector = injector_->export_state();
   state.last_installed_sector = last_installed_sector_;
   return state;
@@ -278,7 +278,7 @@ void LinkSession::import_state(const LinkSessionState& state) {
                         " imported into session for link " +
                         std::to_string(link_id_));
   }
-  if (state.tracker.has_value() != (tracking_ != nullptr)) {
+  if (state.tracker.has_value() != tracker_.has_value()) {
     throw SnapshotError(
         "snapshot tracker state does not match the session's track_path "
         "configuration");
@@ -298,7 +298,7 @@ void LinkSession::import_state(const LinkSessionState& state) {
   controller_.import_state(state.controller);
   lifecycle_.import_state(state.lifecycle);
   degradation_stats_ = state.degradation;
-  if (tracking_ != nullptr) tracking_->tracker().import_state(*state.tracker);
+  if (tracker_) tracker_->import_state(*state.tracker);
   if (injector_ != nullptr) injector_->import_state(*state.injector);
   last_installed_sector_ = state.last_installed_sector;
 }

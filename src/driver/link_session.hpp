@@ -39,7 +39,6 @@
 #include "src/core/css.hpp"
 #include "src/core/link_state.hpp"
 #include "src/core/pattern_assets.hpp"
-#include "src/core/selector.hpp"
 #include "src/core/subset_policy.hpp"
 #include "src/core/tracking.hpp"
 #include "src/driver/wil6210.hpp"
@@ -209,12 +208,11 @@ class LinkSession {
   const std::shared_ptr<const PatternAssets>& assets() const { return css_.assets(); }
 
   /// Swap this session onto a different (e.g. freshly recalibrated)
-  /// assets generation. The selection strategy is REBUILT -- not merely
-  /// repointed -- because the old strategy's workspace may cache a
-  /// response panel keyed only by the probe-slot sequence, which would
-  /// silently reuse gains from the previous table; tracker state is
-  /// transplanted so the smoothed path survives the swap. Must be called
-  /// between rounds.
+  /// assets generation. The kernel workspace is reset along with the
+  /// selector, because it may cache a response panel keyed only by the
+  /// probe-slot sequence, which would silently reuse gains from the
+  /// previous table; the tracker is kept, so the smoothed path survives
+  /// the swap. Must be called between rounds.
   void rebind_assets(std::shared_ptr<const PatternAssets> next);
 
   /// True when no chip sits behind this session (report-driven only).
@@ -280,8 +278,6 @@ class LinkSession {
   LinkSession(Wil6210Driver* driver, std::shared_ptr<const PatternAssets> assets,
               const CssDaemonConfig& config, Rng rng, int link_id);
 
-  /// (Re)build strategy_/tracking_ over the current css_.
-  void build_strategy();
   void note_unknown_sectors(std::span<const SectorReading> readings);
   /// Remove (and count in dropped_probes_) the readings Eq. 5 cannot use,
   /// so a hostile report can neither trip the kernel's norm check nor
@@ -302,13 +298,10 @@ class LinkSession {
   CssDaemonConfig config_;
   RandomSubsetPolicy policy_;
   AdaptiveProbeController controller_;
-  /// CssSelector, or TrackingCssSelector when track_path is on -- the
-  /// session loop only ever talks to the strategy interface.
-  std::unique_ptr<SectorSelector> strategy_;
-  /// Non-null alias of strategy_ in tracking mode (for tracked()).
-  TrackingCssSelector* tracking_{nullptr};
-  /// The degradation target: the stock argmax over whatever was received.
-  SswArgmaxSelector ssw_fallback_;
+  /// The kernel scratch css_ selects in (zero allocations once warm).
+  CorrelationWorkspace ws_;
+  /// Present iff track_path: smooths each Eq. 3 estimate before Eq. 4.
+  std::optional<PathTracker> tracker_;
   Rng rng_;
   int link_id_{0};
   std::size_t rounds_{0};

@@ -7,6 +7,7 @@
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/core/metrics.hpp"
+#include "src/core/ssw.hpp"
 
 namespace talon {
 
@@ -111,7 +112,7 @@ std::vector<SweepRecord> record_sweeps(Scenario& scenario,
 }
 
 std::vector<EstimationErrorRow> estimation_error_analysis(
-    std::span<const SweepRecord> records, SectorSelector& selector,
+    std::span<const SweepRecord> records, const CssSelector& selector,
     std::span<const std::size_t> probe_counts, const ProbeSubsetPolicy& policy,
     std::uint64_t seed, const ReplayOptions& options) {
   TALON_EXPECTS(!records.empty());
@@ -147,21 +148,21 @@ std::vector<EstimationErrorRow> estimation_error_analysis(
       cells.size(),
       [&](std::size_t c) {
         const Cell& cell = cells[c];
-        const std::unique_ptr<SectorSelector> worker = selector.fork();
+        CssSelector worker(selector.css());
         Rng rng(substream_seed(seed, kErrorStream, cell.m,
                                static_cast<std::uint64_t>(cell.pose)));
         const std::vector<int> subset = policy.choose(all_tx, cell.m, rng);
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        const std::vector<std::optional<Direction>> estimates =
-            worker->estimate_directions(sweeps);
+        const std::vector<CssResult> selected = worker.select_batch(sweeps);
 
         CellErrors& out = results[c];
         for (std::size_t k = 0; k < sweeps.size(); ++k) {
-          if (!estimates[k]) continue;  // too few decoded probes this sweep
+          const std::optional<Direction>& estimate = selected[k].estimated_direction;
+          if (!estimate) continue;  // too few decoded probes this sweep
           const AngleError err =
-              estimation_error(*estimates[k], records[(*cell.indices)[k]].physical);
+              estimation_error(*estimate, records[(*cell.indices)[k]].physical);
           out.az.push_back(err.azimuth_deg);
           out.el.push_back(err.elevation_deg);
         }
@@ -191,7 +192,7 @@ std::vector<EstimationErrorRow> estimation_error_analysis(
 }
 
 std::vector<SelectionQualityRow> selection_quality_analysis(
-    std::span<const SweepRecord> records, SectorSelector& selector,
+    std::span<const SweepRecord> records, const CssSelector& selector,
     std::span<const std::size_t> probe_counts, const ProbeSubsetPolicy& policy,
     std::uint64_t seed, const ReplayOptions& options) {
   TALON_EXPECTS(!records.empty());
@@ -223,12 +224,11 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
   parallel_for(
       pose_cells.size(),
       [&](std::size_t p) {
-        SswArgmaxSelector ssw_baseline;
         std::vector<int> selections;
         SnrLossTracker loss;
         int previous = -1;
         for (std::size_t i : *pose_cells[p]) {
-          const CssResult sel = ssw_baseline.select(records[i].measurement.readings);
+          const SswSelection sel = sweep_select(records[i].measurement.readings);
           const int chosen = sel.valid ? sel.sector_id : previous;
           if (chosen < 0) continue;  // nothing decoded yet at this pose
           previous = chosen;
@@ -270,14 +270,14 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
       cells.size(),
       [&](std::size_t c) {
         const Cell& cell = cells[c];
-        const std::unique_ptr<SectorSelector> worker = selector.fork();
+        CssSelector worker(selector.css());
         Rng rng(substream_seed(seed, kQualityStream, cell.m,
                                static_cast<std::uint64_t>(cell.pose)));
         const std::vector<int> subset = policy.choose(all_tx, cell.m, rng);
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        const std::vector<CssResult> selected = worker->select_batch(sweeps, all_tx);
+        const std::vector<CssResult> selected = worker.select_batch(sweeps, all_tx);
 
         std::vector<int> selections;
         SnrLossTracker loss;
@@ -319,7 +319,7 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
 }
 
 std::vector<ThroughputPoint> throughput_analysis(const ScenarioFactory& make_scenario,
-                                                 SectorSelector& selector,
+                                                 const CssSelector& selector,
                                                  const ThroughputModel& model,
                                                  const ThroughputConfig& config,
                                                  const ReplayOptions& options) {
@@ -342,7 +342,7 @@ std::vector<ThroughputPoint> throughput_analysis(const ScenarioFactory& make_sce
       [&](std::size_t p) {
         Scenario scenario = make_scenario();
         scenario.set_head(config.head_azimuths_deg[p], 0.0);
-        const std::unique_ptr<SectorSelector> worker = selector.fork();
+        CssSelector worker(selector.css());
         RandomSubsetPolicy subset_policy;
         Rng rng(substream_seed(config.seed, kThroughputStream, p));
 
@@ -370,7 +370,7 @@ std::vector<ThroughputPoint> throughput_analysis(const ScenarioFactory& make_sce
               peer_fw.handle_wmi({.type = WmiCommandType::kReadSweepInfo});
           TALON_EXPECTS(info.status == WmiStatus::kOk);
           const auto probes = readings_from_ring(info.entries, peer_fw.sweep_index());
-          const CssResult result = worker->select(probes, all_tx);
+          const CssResult result = worker.select(probes, all_tx);
           const int css_sector = result.valid ? result.sector_id
                                  : css_previous >= 0 ? css_previous
                                                      : all_tx.front();

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/common/stats.hpp"
-#include "src/core/css.hpp"
 #include "src/core/selector.hpp"
 #include "src/core/subset_policy.hpp"
 #include "src/phy/throughput.hpp"
@@ -32,9 +31,10 @@
 namespace talon {
 
 /// Execution knobs of the offline replay engine. Threads only distribute
-/// independent trial cells, so no result depends on them. Each cell's
-/// sweeps go to its selector as one batch (SectorSelector::select_batch),
-/// which a CssSelector resolves in one branch-and-bound walk.
+/// independent trial cells, so no result depends on them. Each cell
+/// selects in its own CssSelector (its own workspace) over the shared
+/// CompressiveSectorSelector, and hands it all of the cell's sweeps as one
+/// batch, which resolves in one branch-and-bound walk.
 struct ReplayOptions {
   /// Worker threads; <= 0 means default_thread_count() (the --threads /
   /// TALON_THREADS override when set, hardware concurrency otherwise).
@@ -71,13 +71,13 @@ struct EstimationErrorRow {
   std::size_t samples{0};
 };
 
-/// `selector` must provide direction estimates (SectorSelector's optional
-/// capability); sweeps where it returns none are skipped. One probe subset
+/// The Eq. 3 estimate of `selector` against the ground truth; sweeps with
+/// too few decoded probes for an estimate are skipped. One probe subset
 /// is drawn per (probe count, pose) cell and replayed against all of that
 /// pose's sweeps -- the cells are independent and run on the parallel
 /// executor.
 std::vector<EstimationErrorRow> estimation_error_analysis(
-    std::span<const SweepRecord> records, SectorSelector& selector,
+    std::span<const SweepRecord> records, const CssSelector& selector,
     std::span<const std::size_t> probe_counts, const ProbeSubsetPolicy& policy,
     std::uint64_t seed, const ReplayOptions& options = {});
 
@@ -93,11 +93,10 @@ struct SelectionQualityRow {
 
 /// `selector` plays the compressive role against the built-in SSW
 /// (full-sweep argmax) baseline. Cells are (probe count, pose) pairs, each
-/// with its own substream, subset and forked selector; sweeps within a cell
-/// replay in recording order (stability and SNR loss are sequential
-/// quantities).
+/// with its own substream and subset; sweeps within a cell replay in
+/// recording order (stability and SNR loss are sequential quantities).
 std::vector<SelectionQualityRow> selection_quality_analysis(
-    std::span<const SweepRecord> records, SectorSelector& selector,
+    std::span<const SweepRecord> records, const CssSelector& selector,
     std::span<const std::size_t> probe_counts, const ProbeSubsetPolicy& policy,
     std::uint64_t seed, const ReplayOptions& options = {});
 
@@ -130,7 +129,7 @@ using ScenarioFactory = std::function<Scenario()>;
 /// the parallel executor, each with a substream-seeded link and subset
 /// stream.
 std::vector<ThroughputPoint> throughput_analysis(const ScenarioFactory& make_scenario,
-                                                 SectorSelector& selector,
+                                                 const CssSelector& selector,
                                                  const ThroughputModel& model,
                                                  const ThroughputConfig& config,
                                                  const ReplayOptions& options = {});

@@ -236,7 +236,7 @@ TEST(CorrelationWorkspace, WalkStatsCountTheWalkAndSumByFieldList) {
 }
 
 TEST(CssSelectorWorkspace, RepeatedSelectionAllocatesNothing) {
-  // End-to-end through the strategy seam: a CssSelector owns one workspace
+  // End-to-end through the selector: a CssSelector owns one workspace
   // and its select() hot path must go allocation-quiet on a fixed subset.
   const CompressiveSectorSelector css(synthetic_table(),
                                       CssConfig{.search_grid = synthetic_grid()});

@@ -96,7 +96,7 @@ TEST(Css, EstimateDirectionNulloptOnTooFewProbes) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   const auto probes = ideal_probes(synthetic_table(), {3, 6}, {25.0, 0.0});
   CorrelationWorkspace ws;
-  EXPECT_FALSE(css.estimate_direction(probes, ws).has_value());
+  EXPECT_FALSE(css.select(probes, ws).estimated_direction.has_value());
 }
 
 TEST(Css, RobustToSnrOutlierViaRssiProduct) {

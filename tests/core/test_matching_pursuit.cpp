@@ -12,6 +12,7 @@
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
 #include "src/core/subset_policy.hpp"
+#include "tests/core/synthetic_table.hpp"
 #include "tests/sim/experiment_fixture.hpp"
 
 namespace talon {
@@ -123,6 +124,34 @@ TEST_F(MatchingPursuitTest, AzimuthMaskSuppressesElevationTwin) {
                 15.0);
     }
   }
+}
+
+TEST(MatchingPursuitWideSweep, OnePathPursuitMatchesFirstPathOfTwo) {
+  // More probes than the one-path pursuit's stack row buffer holds (64),
+  // so its winning row is refloored on the heap: the subtraction must
+  // still read that row, and so explain exactly what the first round of a
+  // two-path pursuit explains.
+  const AngularGrid grid = testutil::synthetic_grid();
+  PatternTable table;
+  std::vector<int> ids;
+  for (int i = 0; i < 72; ++i) {
+    const int id = i + 1;
+    const Direction peak{-52.5 + 3.0 * (i % 36), i < 36 ? 0.0 : 20.0};
+    table.add(id, testutil::lobe_pattern(grid, {id, peak, 10.0, 15.0}));
+    ids.push_back(id);
+  }
+  const CorrelationEngine engine(table, grid);
+  const auto probes = testutil::ideal_probes(table, ids, {-13.0, 5.0});
+
+  const auto one = engine.matching_pursuit(probes, 1);
+  const auto two = engine.matching_pursuit(probes, 2);
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_GE(two.size(), 1u);
+  EXPECT_EQ(one[0].direction.azimuth_deg, two[0].direction.azimuth_deg);
+  EXPECT_EQ(one[0].direction.elevation_deg, two[0].direction.elevation_deg);
+  EXPECT_EQ(one[0].score, two[0].score);
+  EXPECT_EQ(one[0].explained_power, two[0].explained_power);
+  EXPECT_GT(one[0].explained_power, 0.0);
 }
 
 TEST_F(MatchingPursuitTest, ValidatesArguments) {

@@ -1,14 +1,12 @@
-// SectorSelector strategy seam: each implementation must behave exactly
-// like the algorithm it wraps, so routing the experiment runners, benches
-// and the daemon through the interface cannot change any result.
+// CssSelector pairs a CompressiveSectorSelector with its own workspace; it
+// must select exactly like the selector it wraps, so routing the replay
+// runners, benches and the CLI through it cannot change any result.
 #include "src/core/selector.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
-#include "src/antenna/codebook.hpp"
-#include "src/core/ssw.hpp"
 #include "tests/core/synthetic_table.hpp"
 
 namespace talon {
@@ -23,31 +21,9 @@ CssConfig synthetic_config() {
   return config;
 }
 
-TEST(SswArgmaxSelector, MatchesSweepSelect) {
-  SswArgmaxSelector selector;
-  EXPECT_EQ(selector.name(), "ssw-argmax");
-  const auto probes =
-      ideal_probes(synthetic_table(), {1, 3, 5, 7}, {12.0, 0.0});
-  const SswSelection expected = sweep_select(probes);
-  const CssResult result = selector.select(probes);
-  ASSERT_TRUE(expected.valid);
-  EXPECT_TRUE(result.valid);
-  EXPECT_EQ(result.sector_id, expected.sector_id);
-  // The plain argmax carries no angle estimate.
-  EXPECT_FALSE(result.estimated_direction.has_value());
-  EXPECT_FALSE(selector.estimate_direction(probes).has_value());
-}
-
-TEST(SswArgmaxSelector, InvalidOnEmptySweep) {
-  SswArgmaxSelector selector;
-  const std::vector<SectorReading> none;
-  EXPECT_FALSE(selector.select(none).valid);
-}
-
 TEST(CssSelector, MatchesWrappedSelectorExactly) {
   const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
   CssSelector selector(css);
-  EXPECT_EQ(selector.name(), "css");
   EXPECT_EQ(&selector.css(), &css);
 
   const auto probes = ideal_probes(synthetic_table(),
@@ -74,68 +50,19 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   css.select_batch({&sweep, 1}, candidates, {&expected_restricted, 1}, ws);
   EXPECT_EQ(restricted.sector_id, expected_restricted.sector_id);
 
-  // Direction estimate pass-through.
-  const auto est = selector.estimate_direction(probes);
-  const auto expected = css.estimate_direction(probes, ws);
-  ASSERT_EQ(est.has_value(), expected.has_value());
-  if (expected) {
-    EXPECT_EQ(est->azimuth_deg, expected->azimuth_deg);
-    EXPECT_EQ(est->elevation_deg, expected->elevation_deg);
+  // A batch equals selecting each sweep on its own.
+  const std::vector<std::vector<SectorReading>> sweeps{
+      probes, ideal_probes(synthetic_table(), {1, 2, 3, 4, 5, 6, 7}, {25.0, 0.0}),
+      ideal_probes(synthetic_table(), {3, 6}, {25.0, 0.0})};
+  const std::vector<CssResult> batch = selector.select_batch(sweeps);
+  ASSERT_EQ(batch.size(), sweeps.size());
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    const CssResult single = css.select(sweeps[i], ws);
+    EXPECT_EQ(batch[i].valid, single.valid);
+    EXPECT_EQ(batch[i].sector_id, single.sector_id);
+    EXPECT_EQ(batch[i].fallback_used, single.fallback_used);
+    EXPECT_EQ(batch[i].correlation_peak, single.correlation_peak);
   }
-}
-
-TEST(TrackingCssSelector, FirstSelectionSeedsTheTracker) {
-  const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
-  TrackingCssSelector selector(css);
-  EXPECT_EQ(selector.name(), "css-tracking");
-  EXPECT_FALSE(selector.tracked().has_value());
-
-  const Direction truth{-20.0, 0.0};
-  const auto probes =
-      ideal_probes(synthetic_table(), {1, 2, 3, 4, 5, 6, 7}, truth);
-  const CssResult result = selector.select(probes);
-  ASSERT_TRUE(result.valid);
-  ASSERT_TRUE(selector.tracked().has_value());
-  // The first update locks onto the raw estimate, and the selection is
-  // Eq. 4 re-run on that tracked direction.
-  EXPECT_LE(azimuth_distance_deg(selector.tracked()->azimuth_deg,
-                                 truth.azimuth_deg),
-            6.0);
-  std::vector<int> ids = css.patterns().ids();
-  std::erase(ids, kRxQuasiOmniSectorId);
-  EXPECT_EQ(result.sector_id,
-            css.patterns().best_sector_at(*selector.tracked(), ids));
-}
-
-TEST(TrackingCssSelector, SmoothsSingleSweepJumps) {
-  const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
-  TrackingCssSelector selector(css);
-
-  const PatternTable table = synthetic_table();
-  const std::vector<int> all{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  // Settle on a stable path...
-  for (int i = 0; i < 6; ++i) {
-    selector.select(ideal_probes(table, all, {-20.0, 0.0}));
-  }
-  const double settled = selector.tracked()->azimuth_deg;
-  EXPECT_LE(azimuth_distance_deg(settled, -20.0), 6.0);
-  // ...then one outlier sweep from the far side: the tracked direction
-  // must not jump to it.
-  selector.select(ideal_probes(table, all, {40.0, 0.0}));
-  EXPECT_LE(azimuth_distance_deg(selector.tracked()->azimuth_deg, settled),
-            15.0);
-}
-
-TEST(TrackingCssSelector, RestrictedCandidatesRespected) {
-  const CompressiveSectorSelector css(synthetic_table(), synthetic_config());
-  TrackingCssSelector selector(css);
-  const auto probes = ideal_probes(synthetic_table(),
-                                   {1, 2, 3, 4, 5, 6, 7}, {-20.0, 0.0});
-  const std::vector<int> candidates{5, 6, 7};
-  const CssResult result = selector.select(probes, candidates);
-  ASSERT_TRUE(result.valid);
-  EXPECT_TRUE(std::find(candidates.begin(), candidates.end(),
-                        result.sector_id) != candidates.end());
 }
 
 }  // namespace

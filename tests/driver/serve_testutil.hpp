@@ -54,6 +54,27 @@ inline PatternTable shifted_table(double peak_delta_db) {
   return out;
 }
 
+/// Synthetic table with every lobe mirrored in azimuth: the same sector
+/// IDs with different lobe shapes. Unlike shifted_table(), whose uniform
+/// dB offset leaves normalized Eq. 5 and Eq. 4 unchanged, this moves
+/// every estimate and selection.
+inline PatternTable mirrored_table() {
+  const AngularGrid grid = synthetic_grid();
+  PatternTable base = synthetic_table();
+  PatternTable out;
+  for (int id : base.ids()) {
+    const Grid2D& lobe = base.pattern(id);
+    Grid2D pattern(grid);
+    for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
+      for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
+        pattern.set(ia, ie, lobe.at(grid.azimuth.count - 1 - ia, ie));
+      }
+    }
+    out.add(id, std::move(pattern));
+  }
+  return out;
+}
+
 inline std::shared_ptr<const PatternAssets> make_serve_assets(
     double peak_delta_db = 0.0) {
   return std::make_shared<const PatternAssets>(

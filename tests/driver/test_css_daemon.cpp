@@ -255,5 +255,82 @@ TEST_F(CssDaemonTest, PathTrackingStabilizesSelections) {
             6.0);
 }
 
+// --- headless sessions on synthetic assets --------------------------------
+
+using testutil::ideal_probes;
+using testutil::synthetic_table;
+
+CssDaemonConfig tracking_config() {
+  CssDaemonConfig config;
+  config.track_path = true;
+  return config;
+}
+
+TEST(LinkSessionTracking, FirstSelectionSeedsTheTracker) {
+  LinkSession session(testutil::make_serve_assets(), tracking_config(), Rng(1));
+  EXPECT_FALSE(session.tracked_direction().has_value());
+
+  const Direction truth{-20.0, 0.0};
+  const auto result =
+      session.process_report(ideal_probes(synthetic_table(), {1, 2, 3, 4, 5, 6, 7}, truth));
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->valid);
+  const std::optional<Direction>& tracked = session.tracked_direction();
+  ASSERT_TRUE(tracked.has_value());
+  // The first update locks onto the raw estimate, and the selection is
+  // Eq. 4 re-run on that tracked direction.
+  EXPECT_LE(azimuth_distance_deg(tracked->azimuth_deg, truth.azimuth_deg), 6.0);
+  const PatternAssets& assets = *session.assets();
+  EXPECT_EQ(result->sector_id,
+            assets.patterns().best_sector_at(*tracked, assets.tx_candidates()));
+  EXPECT_EQ(session.last_installed_sector(), result->sector_id);
+}
+
+TEST(LinkSessionTracking, SmoothsSingleSweepJumps) {
+  LinkSession session(testutil::make_serve_assets(), tracking_config(), Rng(2));
+  const PatternTable table = synthetic_table();
+  const std::vector<int> all{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  // Settle on a stable path...
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(session.process_report(ideal_probes(table, all, {-20.0, 0.0})));
+  }
+  const double settled = session.tracked_direction()->azimuth_deg;
+  EXPECT_LE(azimuth_distance_deg(settled, -20.0), 6.0);
+  // ...then one outlier sweep from the far side: the tracked direction
+  // must not jump to it.
+  ASSERT_TRUE(session.process_report(ideal_probes(table, all, {40.0, 0.0})));
+  EXPECT_LE(azimuth_distance_deg(session.tracked_direction()->azimuth_deg, settled),
+            15.0);
+}
+
+TEST(LinkSessionRebind, NextSelectionMatchesAFreshSessionOnTheNewTable) {
+  // The recalibrated table keeps every sector ID, so the report below maps
+  // onto the same probe-slot sequence before and after the swap -- the
+  // key a stale workspace panel would be found under.
+  const auto recalibrated = std::make_shared<const PatternAssets>(
+      testutil::mirrored_table(), testutil::synthetic_grid(), CorrelationDomain::kLinear);
+  const auto report = ideal_probes(synthetic_table(), {1, 2, 3, 4, 5, 6, 7}, {-20.0, 0.0});
+
+  LinkSession session(testutil::make_serve_assets(), CssDaemonConfig{}, Rng(3));
+  const auto before = session.process_report(report);
+  session.rebind_assets(recalibrated);
+  const auto rebound = session.process_report(report);
+  LinkSession fresh(recalibrated, CssDaemonConfig{}, Rng(3));
+  const auto expected = fresh.process_report(report);
+
+  ASSERT_TRUE(before && rebound && expected);
+  ASSERT_TRUE(before->estimated_direction && rebound->estimated_direction &&
+              expected->estimated_direction);
+  // The new lobes move the estimate, so a stale panel cannot pass.
+  EXPECT_NE(before->estimated_direction->azimuth_deg,
+            expected->estimated_direction->azimuth_deg);
+  EXPECT_EQ(rebound->sector_id, expected->sector_id);
+  EXPECT_EQ(rebound->estimated_direction->azimuth_deg,
+            expected->estimated_direction->azimuth_deg);
+  EXPECT_EQ(rebound->estimated_direction->elevation_deg,
+            expected->estimated_direction->elevation_deg);
+  EXPECT_EQ(rebound->correlation_peak, expected->correlation_peak);
+}
+
 }  // namespace
 }  // namespace talon

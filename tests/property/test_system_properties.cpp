@@ -119,7 +119,7 @@ TEST_P(CssRecoveryProperty, IdealProbesRecoverEveryInPlaneDirection) {
   const auto probes =
       testutil::ideal_probes(table, {1, 3, 5, 7, 9}, {truth_az, 0.0});
   CorrelationWorkspace ws;
-  const auto estimated = css.estimate_direction(probes, ws);
+  const auto estimated = css.select(probes, ws).estimated_direction;
   ASSERT_TRUE(estimated.has_value());
   EXPECT_LE(azimuth_distance_deg(estimated->azimuth_deg, truth_az), 9.0)
       << "truth " << truth_az;

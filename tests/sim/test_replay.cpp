@@ -78,25 +78,6 @@ TEST_F(ReplayDeterminismTest, SelectionQualityRowsIdenticalAcrossModes) {
   }
 }
 
-TEST_F(ReplayDeterminismTest, TrackingSelectorIdenticalAcrossThreadCounts) {
-  // The stateful selector: forks restart the tracker per cell, so thread
-  // count must still not matter (TrackingCssSelector's default
-  // select_batch preserves in-cell sequencing).
-  TrackingCssSelector tracking(css_);
-  const auto baseline = selection_quality_analysis(
-      world_.conference_records, tracking, probes_, policy_, 99,
-      ReplayOptions{.threads = 1});
-  TrackingCssSelector tracking2(css_);
-  const auto rows = selection_quality_analysis(world_.conference_records, tracking2,
-                                               probes_, policy_, 99,
-                                               ReplayOptions{.threads = 7});
-  ASSERT_EQ(rows.size(), baseline.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].css_stability, baseline[i].css_stability);
-    EXPECT_EQ(rows[i].css_snr_loss_db, baseline[i].css_snr_loss_db);
-  }
-}
-
 TEST_F(ReplayDeterminismTest, ThroughputPointsIdenticalAcrossThreadCounts) {
   const auto factory = [] { return make_conference_scenario(42); };
   ThroughputConfig config;
