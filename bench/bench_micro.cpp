@@ -16,8 +16,11 @@
 // screened).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <numeric>
+#include <random>
 #include <string_view>
 #include <vector>
 
@@ -169,6 +172,37 @@ void BM_CombinedArgmax(benchmark::State& state) {
   report_walk_shares(state, pool, ws, engine.response_matrix(), select);
 }
 BENCHMARK(BM_CombinedArgmax)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
+
+void BM_CombinedArgmaxMiss(benchmark::State& state) {
+  // BM_CombinedArgmax where every selection misses the panel cache -- the
+  // paper's fresh random subset per training, and the replay's steady
+  // state: the cache is first filled to its cap with other sequences, so
+  // each pool sweep builds its panel and drops it again. miss_share
+  // reports the panel builds per selection (1 when every one missed).
+  const CorrelationEngine engine = default_grid_engine();
+  const ResponseMatrix& matrix = engine.response_matrix();
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  // 600 shuffled sequences: more than the cache's cap of 512, and none
+  // equal to a pool sweep's reading order but by a 1-in-35!/(35-m)! draw.
+  std::mt19937_64 rng(1234);
+  std::vector<int> filler(matrix.slots());
+  std::iota(filler.begin(), filler.end(), 0);
+  for (int i = 0; i < 600; ++i) {
+    std::shuffle(filler.begin(), filler.end(), rng);
+    (void)matrix.panel(std::span<const int>(filler.data(), m));
+  }
+  CorrelationWorkspace ws;
+  const Sweeps& pool = sweep_pool(m);
+  const std::uint64_t misses_before = matrix.cache_stats().misses;
+  std::uint64_t calls = 0;
+  cycle_pool(state, pool, [&](const auto& sweep) {
+    ++calls;
+    return engine.combined_argmax(sweep, ws);
+  });
+  const double builds = static_cast<double>(matrix.cache_stats().misses - misses_before);
+  state.counters["miss_share"] = builds / static_cast<double>(calls);
+}
+BENCHMARK(BM_CombinedArgmaxMiss)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
 
 void BM_CombinedArgmaxGridResolution(benchmark::State& state) {
   // Pruning gain vs grid density (azimuth step in tenths of a degree):

@@ -1,6 +1,6 @@
 // Minimal over-aligned allocator for SIMD-friendly containers.
 //
-// The subset panels (core/response_matrix.hpp) promise their tile storage
+// The response matrix (core/response_matrix.hpp) promises its tile storage
 // on a 64-byte boundary so the vectorized tile kernels can use aligned
 // loads; std::vector's default allocator only guarantees
 // alignof(std::max_align_t). AlignedAllocator routes through the aligned

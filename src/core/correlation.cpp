@@ -183,8 +183,8 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
-    const double* block = pan.tile_values(t);
-    tile_dots(block, p.data(), nullptr, m_count, dot, nullptr);
+    tile_dots(matrix_.tile_block(t), pan.rows.data(), p.data(), nullptr, m_count, dot,
+              nullptr);
     for (std::size_t gi = 0; gi < count; ++gi) {
       const std::size_t g = tile_points[gi];
       const double x_norm_sq = pan.norms_sq[g];
@@ -231,9 +231,8 @@ Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
-    const double* block = pan.tile_values(t);
-    tile_dots(block, probes.snr.data(), probes.rssi.data(), m_count, dot_snr,
-              dot_rssi);
+    tile_dots(matrix_.tile_block(t), pan.rows.data(), probes.snr.data(),
+              probes.rssi.data(), m_count, dot_snr, dot_rssi);
     for (std::size_t gi = 0; gi < count; ++gi) {
       const std::size_t g = tile_points[gi];
       const double x_norm_sq = pan.norms_sq[g];
@@ -624,7 +623,8 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
       }
       if (!tile_any) continue;
       const std::size_t count = tiles.count(t);
-      const double* block = pan.tile_values(t);
+      const double* block = matrix_.tile_block(t);
+      const std::size_t* rows = pan.rows.data();
       const double* norms = pan.norms_sq.data();
       const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
       [[maybe_unused]] const std::uint32_t* tile_columns =
@@ -644,7 +644,7 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
         // Dense dots for the whole tile (the padded tail just computes
         // zeros that `count` discards): SNR only for the peak, whose
         // survivors are few, both for confidence, which evaluates more.
-        tile_dots(block, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
+        tile_dots(block, rows, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
                   kConfidence ? drg : nullptr);
         [[maybe_unused]] double* column =
             kConfidence ? columns + b * n_az : nullptr;
@@ -668,7 +668,7 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
               if (scr < best || (scr == best && g > best_g)) continue;
               dr = 0.0;
               const double* col = block + gi;
-              for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[m * kTile];
+              for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[rows[m]];
             }
             ++passed;
             const double x_norm = std::sqrt(n);
@@ -774,13 +774,12 @@ std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
       // dot product into the same pass.
       if (keep_dictionary) floored.resize(points * m_count);
       for (std::size_t g = 0; g < points; ++g) {
-        const std::span<const double> row = matrix_.point(g);
         double* fx = keep_dictionary ? floored.data() + g * m_count : nullptr;
         double dot = 0.0;
         double norm_sq = 0.0;
         for (std::size_t m = 0; m < m_count; ++m) {
-          const double x =
-              std::max(0.0, row[static_cast<std::size_t>(slots[m])] - floor_lin);
+          const double x = std::max(
+              0.0, matrix_.value(g, static_cast<std::size_t>(slots[m])) - floor_lin);
           if (fx) fx[m] = x;
           dot += residual[m] * x;
           norm_sq += x * x;
@@ -826,14 +825,14 @@ std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
       fx = floored.data() + best_g * m_count;
     } else {
       // Dictionary was not kept: refloor the single winning row.
-      const std::span<const double> row = matrix_.point(best_g);
       double* dst = row_buf.data();
       if (m_count > row_buf.size()) {
         heap_buf.resize(m_count);
         dst = heap_buf.data();
       }
       for (std::size_t m = 0; m < m_count; ++m) {
-        dst[m] = std::max(0.0, row[static_cast<std::size_t>(slots[m])] - floor_lin);
+        dst[m] = std::max(
+            0.0, matrix_.value(best_g, static_cast<std::size_t>(slots[m])) - floor_lin);
       }
       fx = dst;
     }

@@ -9,9 +9,9 @@
 //
 // CorrelationEngine evaluates the correlation on top of a ResponseMatrix
 // (core/response_matrix.hpp): pattern responses resampled onto the search
-// grid once, compacted per probe subset into cached tile-blocked panels.
-// Eq. 5 runs as dense contiguous dot products with no per-element slot
-// indexing, either over the whole grid (combined_surface, for figures,
+// grid once and stored tile by tile, with each probe subset's norms and
+// tile statistics in a cached panel. Eq. 5 runs as dense dot products over
+// contiguous 32-point rows with no per-element gather, either over the whole grid (combined_surface, for figures,
 // ablations and diagnostics) or -- the selection path -- as one exact
 // branch-and-bound walk (combined_argmax_batch) that prunes grid tiles
 // with a Cauchy-Schwarz upper bound and returns the bit-identical peak of
@@ -227,7 +227,7 @@ class CorrelationEngine {
   const AngularGrid& search_grid() const { return matrix_.grid(); }
   CorrelationDomain domain() const { return matrix_.domain(); }
 
-  /// The precomputed grid-major response matrix the surfaces run over.
+  /// The precomputed tile-major response matrix the surfaces run over.
   const ResponseMatrix& response_matrix() const { return matrix_; }
 
   /// Eq. 2 evaluated on the whole grid for one value type.

@@ -53,11 +53,15 @@ PatternAssets::PatternAssets(PatternTable patterns, AngularGrid grid,
 std::size_t PatternAssets::shared_bytes() const {
   const std::size_t table_bytes =
       patterns_.size() * patterns_.grid().size() * sizeof(double);
-  const std::size_t matrix_bytes = engine_.response_matrix().points() *
-                                   engine_.response_matrix().slots() * sizeof(double);
-  const std::size_t directions_bytes =
-      engine_.response_matrix().points() * sizeof(Direction);
-  return table_bytes + matrix_bytes + directions_bytes;
+  const ResponseMatrix& matrix = engine_.response_matrix();
+  const TileMap& tiles = matrix.tiles();
+  const std::size_t matrix_bytes = matrix.values().size() * sizeof(double);
+  const std::size_t map_bytes =
+      (tiles.point.size() + tiles.column.size() + tiles.tile_slot.size() +
+       tiles.fine_min.size() + tiles.coarse_min.size()) *
+      sizeof(std::uint32_t);
+  const std::size_t directions_bytes = matrix.directions().size() * sizeof(Direction);
+  return table_bytes + matrix_bytes + map_bytes + directions_bytes;
 }
 
 PatternAssetsRegistry& PatternAssetsRegistry::global() {

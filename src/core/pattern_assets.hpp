@@ -1,7 +1,7 @@
 // Shared immutable pattern assets.
 //
 // Everything a compressive selector needs that never changes after a
-// codebook is measured -- the PatternTable itself, the grid-major
+// codebook is measured -- the PatternTable itself, the tile-major
 // ResponseMatrix (inside the CorrelationEngine) and the Eq. 4 candidate
 // set -- is bundled into one immutable PatternAssets object held behind
 // shared_ptr<const>. N links (daemon sessions, simulated pairs, replay
@@ -49,9 +49,10 @@ class PatternAssets {
   /// Fingerprint of the table this was built from (registry key part).
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Approximate resident size of the shared data [bytes]: table grids
-  /// plus the response matrix: what K links sharing these assets
-  /// amortize (printed by bench_dense).
+  /// Approximate resident size of the shared data [bytes]: table grids,
+  /// the padded tile-major response matrix, its tile map and the direction
+  /// table: what K links sharing these assets amortize (printed by
+  /// bench_dense). Cached subset panels are not counted.
   std::size_t shared_bytes() const;
 
  private:

@@ -91,10 +91,12 @@ TileMap::TileMap(const AngularGrid& grid) {
   fine_tiles = (points + kTile - 1) / kTile;
   coarse_tiles = (fine_tiles + SubsetPanel::kFinePerCoarse - 1) / SubsetPanel::kFinePerCoarse;
   column.resize(points);
+  tile_slot.resize(points);
   fine_min.assign(fine_tiles, std::numeric_limits<std::uint32_t>::max());
   coarse_min.assign(coarse_tiles, std::numeric_limits<std::uint32_t>::max());
   for (std::size_t i = 0; i < points; ++i) {
     column[i] = static_cast<std::uint32_t>(point[i] % n_az);
+    tile_slot[point[i]] = static_cast<std::uint32_t>(i);
     std::uint32_t& fine = fine_min[i / kTile];
     fine = std::min(fine, point[i]);
     std::uint32_t& coarse = coarse_min[i / kCoarse];
@@ -110,12 +112,16 @@ ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
   const std::size_t points = grid_.size();
   const std::size_t slots = sector_ids_.size();
 
-  values_.resize(points * slots);
+  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  values_.assign(tiles_.fine_tiles * slots * kTile, 0.0);
+  // The allocator promises the base pointer; the static_assert in the
+  // header promises every row offset is a multiple of the alignment.
+  assert(reinterpret_cast<std::uintptr_t>(values_.data()) % kValuesAlignment == 0);
   for (std::size_t s = 0; s < slots; ++s) {
     const std::vector<double> sampled = patterns.sample_grid_db(sector_ids_[s], grid_);
-    for (std::size_t g = 0; g < points; ++g) {
-      const double db = sampled[g];
-      values_[g * slots + s] =
+    for (std::size_t i = 0; i < points; ++i) {
+      const double db = sampled[tiles_.point[i]];
+      values_[((i / kTile) * slots + s) * kTile + i % kTile] =
           domain_ == CorrelationDomain::kLinear ? db_to_linear(db) : db;
     }
   }
@@ -138,6 +144,7 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
     std::span<const int> slots) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  constexpr std::size_t kLanes = 8;  // points in flight per register block
   const std::size_t m = slots.size();
   TALON_EXPECTS(m >= 1);
   for (const int s : slots) {
@@ -146,52 +153,61 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
 
   auto panel = std::make_shared<SubsetPanel>();
   panel->slots.assign(slots.begin(), slots.end());
+  panel->rows.resize(m);
+  for (std::size_t mm = 0; mm < m; ++mm) {
+    panel->rows[mm] = static_cast<std::size_t>(slots[mm]) * kTile;
+  }
   const std::size_t points = grid_.size();
   panel->points = points;
   const std::size_t fine = tiles_.fine_tiles;
   panel->fine_tiles = fine;
   panel->coarse_tiles = tiles_.coarse_tiles;
 
-  panel->values.assign(fine * kTile * m, 0.0);
-  // The allocator promises the base pointer; the static_assert in the
-  // header promises every row offset is a multiple of the alignment.
-  assert(reinterpret_cast<std::uintptr_t>(panel->values.data()) %
-             SubsetPanel::kValuesAlignment ==
-         0);
+  // One pass over each tile's probed rows: per-point norms accumulated in
+  // ascending m (the padding lanes sum zeros), then each row's largest
+  // normalized share. Both loops run across independent point lanes, so
+  // they vectorize without reordering any one point's sum, and the maxima
+  // are order-free.
   panel->norms_sq.resize(points);
-  const std::size_t stride = sector_ids_.size();
-  for (std::size_t i = 0; i < points; ++i) {
-    const std::size_t g = tiles_.point[i];
-    const double* row = values_.data() + g * stride;
-    double* block = panel->values.data() + (i / kTile) * m * kTile + i % kTile;
-    double sum = 0.0;
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      const double x = row[static_cast<std::size_t>(slots[mm])];
-      block[mm * kTile] = x;
-      sum += x * x;
-    }
-    panel->norms_sq[g] = sum;
-  }
-
-  panel->fine_abs_norm_max.assign(fine * m, 0.0);
+  panel->fine_abs_norm_max.resize(fine * m);
   panel->fine_sqrt_min_norm.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
+    const double* block = tile_block(t);
+    double norm[kTile];
+    for (std::size_t g0 = 0; g0 < kTile; g0 += kLanes) {
+      double acc[kLanes] = {};  // in registers, like tile_dots_scalar's blocks
+      for (std::size_t mm = 0; mm < m; ++mm) {
+        const double* row = block + panel->rows[mm] + g0;
+        for (std::size_t j = 0; j < kLanes; ++j) acc[j] += row[j] * row[j];
+      }
+      std::copy_n(acc, kLanes, norm + g0);
+    }
     const std::uint32_t* tile_points = tiles_.point.data() + t * kTile;
     const std::size_t count = tiles_.count(t);
-    const double* block = panel->tile_values(t);
-    double* u = panel->fine_abs_norm_max.data() + t * m;
     double min_pos = kInf;
+    double inv_norm[kTile] = {};  // 0 for zero-norm points and padding: share 0
     for (std::size_t gi = 0; gi < count; ++gi) {
-      const double n = panel->norms_sq[tile_points[gi]];
+      const double n = norm[gi];
+      panel->norms_sq[tile_points[gi]] = n;
       if (n <= 0.0) continue;  // zero-norm points score exactly 0
       if (n < min_pos) min_pos = n;
-      const double inv_norm = 1.0 / std::sqrt(n);
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        const double share = std::abs(block[mm * kTile + gi]) * inv_norm;
-        if (share > u[mm]) u[mm] = share;
-      }
+      inv_norm[gi] = 1.0 / std::sqrt(n);
     }
     panel->fine_sqrt_min_norm[t] = min_pos == kInf ? kInf : std::sqrt(min_pos);
+    double* u = panel->fine_abs_norm_max.data() + t * m;
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      const double* row = block + panel->rows[mm];
+      double lane_max[kLanes] = {};
+      for (std::size_t g0 = 0; g0 < kTile; g0 += kLanes) {
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          const double share = std::abs(row[g0 + j]) * inv_norm[g0 + j];
+          lane_max[j] = share > lane_max[j] ? share : lane_max[j];
+        }
+      }
+      double hi = 0.0;
+      for (const double v : lane_max) hi = v > hi ? v : hi;
+      u[mm] = hi;
+    }
   }
 
   panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);

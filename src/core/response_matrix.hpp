@@ -1,30 +1,33 @@
-// Grid-point-major response matrix: the shared data layer under every
+// Tile-major response matrix: the shared data layer under every
 // dictionary-correlation estimator (Eq. 2/3/5 surfaces, matching pursuit,
 // and the compressive-alignment follow-ups that reduce to the same kernel).
 //
 // The matrix resamples every sector of a PatternTable onto the search grid
-// once, in the chosen correlation domain, and stores it SoA with the grid
-// point as the major axis: all sector responses of one grid point are
-// contiguous. The inner loop of a correlation pass -- "for each grid point,
-// dot the probe vector against the probed sectors' responses" -- then walks
-// one short contiguous row per point instead of striding across whole
-// per-sector pattern vectors, which is what makes the fused Eq. 5 pass
-// cache-linear.
+// once, in the chosen correlation domain, and stores it in the grid's
+// TileMap order: fine tile by fine tile, and inside a tile one contiguous
+// row of kTilePoints point responses per sector slot
+// ([fine tile][slot][32 points], zero padding in the ragged last tile,
+// every row 64-byte aligned). The inner loop of a correlation pass -- "for
+// each tile, dot the probe vector against the probed sectors' rows" --
+// then reads M contiguous 32-wide rows of one tile block, picked by the
+// probe sequence's slots, which is what makes the fused Eq. 5 pass
+// vectorizable without any per-point gather.
 //
-// On top of the full matrix sits the subset-panel cache: for one probe
-// slot-sequence, a SubsetPanel compacts the probed columns into a dense
-// `points x M` array blocked into compact azimuth x elevation tiles (the
-// grid's TileMap; no per-element slot indexing in the hot loop), carries
-// the per-point subset norms (the Eq. 2 denominator, accumulated in
-// sequence order so cache hits stay bit-identical to a fresh pass), and
-// precomputes per-tile response extrema plus the minimum
-// positive subset norm -- the ingredients of the Cauchy-Schwarz upper
-// bound the branch-and-bound argmax (core/correlation.hpp) prunes with.
+// On top of the matrix sits the subset-panel cache: for one probe
+// slot-sequence, a SubsetPanel holds what depends on the subset and not
+// on the probe values -- the row offsets of its slots, the per-point
+// subset norms (the Eq. 2 denominator, accumulated in sequence order so
+// cache hits stay bit-identical to a fresh pass) and per-tile response
+// extrema plus the minimum positive subset norm, the ingredients of the
+// Cauchy-Schwarz upper bound the branch-and-bound argmax
+// (core/correlation.hpp) prunes with. A panel holds no copy of the
+// responses: every panel reads the one shared matrix, so a build is one
+// pass over the probed rows and a cached panel costs tens of kilobytes.
 // Panels are keyed on the exact slot sequence (not the set) and shared
 // across every reader of the matrix: repeated sweeps with the same probe
 // subset -- the common case in the experiment runners, tracking loops and
-// benches -- skip the compaction entirely. The cache takes a shared lock
-// on hits and an exclusive lock only to insert, so K concurrent links
+// benches -- skip the statistics pass entirely. The cache takes a shared
+// lock on hits and an exclusive lock only to insert, so K concurrent links
 // replaying the same codebook do not serialize on it; hit/miss counters
 // are exposed for diagnostics.
 #pragma once
@@ -51,50 +54,37 @@ namespace talon {
 /// (kept as an ablation).
 enum class CorrelationDomain : std::uint8_t { kLinear, kDb };
 
-/// One probe subset's compacted view of the response matrix, immutable
-/// once built and shared behind shared_ptr<const>.
+/// One probe subset's statistics over the shared response matrix,
+/// immutable once built and shared behind shared_ptr<const>.
 ///
 /// Grid points are blocked into fine tiles of kTilePoints points each and
 /// fine tiles into coarse tiles of kFinePerCoarse consecutive fine tiles,
 /// following the matrix's TileMap (below): a fine tile is a compact
 /// azimuth x elevation block of the grid, so the per-tile bound only has
-/// to cover sector responses over a few degrees in each direction. Inside
-/// a tile the responses are stored sequence-position-major, so the Eq. 5
-/// dot product runs as M contiguous multiply-accumulate rows over the
-/// tile's points (vectorizable without reassociating any per-point sum:
-/// point g's accumulation order over m is unchanged). Only the last tile
-/// can be ragged; its padding slots are zero, and all statistics cover
-/// valid points only.
+/// to cover sector responses over a few degrees in each direction. The
+/// responses themselves stay in the matrix: sequence position m of the
+/// panel reads row `rows[m]` of each tile block
+/// (ResponseMatrix::tile_block), so the Eq. 5 dot product runs as M
+/// contiguous multiply-accumulate rows over the tile's points
+/// (vectorizable without reassociating any per-point sum: point g's
+/// accumulation order over m is unchanged). All statistics cover valid
+/// points only.
 struct SubsetPanel {
   /// Grid points per fine tile (one pruning granule).
   static constexpr std::size_t kTilePoints = 32;
   /// Fine tiles per coarse tile (the second pyramid level).
   static constexpr std::size_t kFinePerCoarse = 8;
 
-  /// Alignment guarantee of `values`: the base pointer is kValuesAlignment
-  /// aligned, and because every per-slot row spans kTilePoints doubles
-  /// (kTilePoints * sizeof(double) = 256 bytes, a multiple of the
-  /// alignment) EVERY row of every tile -- tile_values(t) + m * kTilePoints
-  /// for any t, m, including the zero-padded ragged tail tile -- is also
-  /// kValuesAlignment aligned. The vectorized tile kernels
-  /// (core/tile_dots.hpp) rely on this to use aligned SIMD loads.
-  static constexpr std::size_t kValuesAlignment = 64;
-  static_assert(kTilePoints * sizeof(double) % kValuesAlignment == 0,
-                "every tile row must start on the SIMD alignment boundary");
-
-  /// The exact probe slot sequence this panel compacts (the cache key).
+  /// The exact probe slot sequence this panel describes (the cache key).
   std::vector<int> slots;
+  /// Offset of sequence position m's row inside a tile block:
+  /// slots[m] * kTilePoints doubles.
+  std::vector<std::size_t> rows;
   /// Valid grid points (== ResponseMatrix::points()).
   std::size_t points{0};
   std::size_t fine_tiles{0};
   std::size_t coarse_tiles{0};
 
-  /// Tile-blocked responses: the response of sequence position m at the
-  /// point in tile slot i = t * kTilePoints + gi (grid point
-  /// TileMap::point[i]) lives at values[(t * M + m) * kTilePoints + gi];
-  /// padding slots (i >= points) are 0. Over-aligned per the
-  /// kValuesAlignment contract above.
-  std::vector<double, AlignedAllocator<double, kValuesAlignment>> values;
   /// ||x(g)||^2 restricted to `slots`, accumulated in sequence order
   /// (duplicate slots contribute once per occurrence), indexed by the flat
   /// grid index g (not by tile slot).
@@ -140,11 +130,6 @@ struct SubsetPanel {
   std::vector<double> coarse_q_scale;
 
   std::size_t m() const { return slots.size(); }
-
-  /// First value of fine tile t (the m = 0 row; row m is at + m * kTilePoints).
-  const double* tile_values(std::size_t t) const {
-    return values.data() + t * slots.size() * kTilePoints;
-  }
 };
 
 /// Which grid points share a tile: one layout per grid, shared by every
@@ -174,6 +159,8 @@ struct TileMap {
   std::vector<std::uint32_t> point;
   /// Azimuth column of the point in tile slot i.
   std::vector<std::uint32_t> column;
+  /// Tile slot of flat grid index g: the inverse of `point`.
+  std::vector<std::uint32_t> tile_slot;
   /// Smallest flat grid index in each fine / coarse tile: the tie rule of
   /// the branch-and-bound asks whether a tile could hold a lower-index
   /// point than the running peak.
@@ -204,20 +191,44 @@ class ResponseMatrix {
   const AngularGrid& grid() const { return grid_; }
   CorrelationDomain domain() const { return domain_; }
 
-  /// Grid points (rows) and sectors (columns per row).
+  /// Alignment guarantee of the values: the base pointer is
+  /// kValuesAlignment aligned, and because every per-slot row spans
+  /// kTilePoints doubles (kTilePoints * sizeof(double) = 256 bytes, a
+  /// multiple of the alignment) EVERY row of every tile block --
+  /// tile_block(t) + s * kTilePoints for any t, s, including the
+  /// zero-padded ragged tail tile -- is also kValuesAlignment aligned. The
+  /// vectorized tile kernels (core/tile_dots.hpp) rely on this to use
+  /// aligned SIMD loads.
+  static constexpr std::size_t kValuesAlignment = 64;
+  static_assert(SubsetPanel::kTilePoints * sizeof(double) % kValuesAlignment == 0,
+                "every tile row must start on the SIMD alignment boundary");
+
+  /// Grid points and sectors (slots).
   std::size_t points() const { return grid_.size(); }
   std::size_t slots() const { return sector_ids_.size(); }
 
-  /// Sector IDs in ascending order; the column index of an ID is its slot.
+  /// Sector IDs in ascending order; the index of an ID is its slot.
   const std::vector<int>& sector_ids() const { return sector_ids_; }
 
-  /// Slot (column) of a sector ID, or -1 when absent from the table.
+  /// Slot of a sector ID, or -1 when absent from the table.
   int slot(int sector_id) const;
 
-  /// All sector responses at grid point `g`, contiguous, indexed by slot.
-  std::span<const double> point(std::size_t g) const {
-    return {values_.data() + g * sector_ids_.size(), sector_ids_.size()};
+  /// Response of sector slot `slot` toward flat grid index `g`.
+  double value(std::size_t g, std::size_t slot) const {
+    const std::size_t i = tiles_.tile_slot[g];
+    return tile_block(i / SubsetPanel::kTilePoints)[slot * SubsetPanel::kTilePoints +
+                                                     i % SubsetPanel::kTilePoints];
   }
+
+  /// Fine tile t's block: slots() rows of kTilePoints responses, row s at
+  /// + s * kTilePoints, entry gi of a row the point in tile slot
+  /// t * kTilePoints + gi (0 past the tile's valid points).
+  const double* tile_block(std::size_t t) const {
+    return values_.data() + t * sector_ids_.size() * SubsetPanel::kTilePoints;
+  }
+
+  /// Every tile block back to back (fine_tiles * slots() * kTilePoints).
+  std::span<const double> values() const { return values_; }
 
   /// Precomputed direction of every grid point (AngularGrid::index order).
   const std::vector<Direction>& directions() const { return directions_; }
@@ -225,7 +236,7 @@ class ResponseMatrix {
   /// The tile layout every subset panel of this matrix is blocked by.
   const TileMap& tiles() const { return tiles_; }
 
-  /// The compacted panel for this exact slot sequence (>= 1 valid slots),
+  /// The panel for this exact slot sequence (>= 1 valid slots),
   /// built on first use and cached. Thread-safe: readers take a shared
   /// lock, only the builder that inserts takes an exclusive one.
   std::shared_ptr<const SubsetPanel> panel(std::span<const int> slots) const;
@@ -283,11 +294,10 @@ class ResponseMatrix {
   AngularGrid grid_;
   CorrelationDomain domain_;
   std::vector<int> sector_ids_;
-  /// values_[g * slots() + s]: response of sector slot s toward grid
-  /// point g, in the chosen domain.
-  std::vector<double> values_;
   std::vector<Direction> directions_;
   TileMap tiles_;
+  /// The tile blocks (see tile_block), in the chosen domain.
+  std::vector<double, AlignedAllocator<double, kValuesAlignment>> values_;
 
   /// Bounds cache growth under adversarial subset churn; beyond the cap,
   /// panels are computed but not retained.

@@ -16,8 +16,9 @@ constexpr std::size_t kTile = SubsetPanel::kTilePoints;
 // the 16 XMM registers, which costs more than the arithmetic. Each point's
 // sum still runs in ascending m -- the blocking only changes which points
 // are in flight, never one point's operation order.
-void tile_dots_scalar(const double* block, const double* ps, const double* pr,
-                      std::size_t m_count, double* out_s, double* out_r) {
+void tile_dots_scalar(const double* block, const std::size_t* rows,
+                      const double* ps, const double* pr, std::size_t m_count,
+                      double* out_s, double* out_r) {
   constexpr std::size_t kBlock = 8;
   static_assert(kTile % kBlock == 0);
   for (std::size_t g0 = 0; g0 < kTile; g0 += kBlock) {
@@ -28,7 +29,7 @@ void tile_dots_scalar(const double* block, const double* ps, const double* pr,
       for (std::size_t m = 0; m < m_count; ++m) {
         const double pvs = ps[m];
         const double pvr = pr[m];
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         for (std::size_t j = 0; j < kBlock; ++j) {
           as[j] += pvs * row[j];
           ar[j] += pvr * row[j];
@@ -41,7 +42,7 @@ void tile_dots_scalar(const double* block, const double* ps, const double* pr,
     } else {
       for (std::size_t m = 0; m < m_count; ++m) {
         const double pvs = ps[m];
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         for (std::size_t j = 0; j < kBlock; ++j) {
           as[j] += pvs * row[j];
         }
@@ -97,9 +98,9 @@ TileDotsFn resolve() {
 
 }  // namespace
 
-void tile_dots(const double* block, const double* ps, const double* pr,
-               std::size_t m_count, double* out_s, double* out_r) {
-  resolve()(block, ps, pr, m_count, out_s, out_r);
+void tile_dots(const double* block, const std::size_t* rows, const double* ps,
+               const double* pr, std::size_t m_count, double* out_s, double* out_r) {
+  resolve()(block, rows, ps, pr, m_count, out_s, out_r);
 }
 
 SimdLevel tile_dots_dispatch_level() {

@@ -1,8 +1,9 @@
 // The dense per-tile dot-product kernel under every correlation pass.
 //
-// tile_dots() computes, for one SubsetPanel tile (kTilePoints grid points,
-// sequence-position-major), out_s[gi] = sum_m ps[m] * block[m * kTilePoints
-// + gi] -- and the RSSI channel out_r in the same pass when pr != nullptr.
+// tile_dots() computes, for one tile block of the response matrix
+// (ResponseMatrix::tile_block: one kTilePoints-wide row per sector slot)
+// and a panel's row offsets, out_s[gi] = sum_m ps[m] * block[rows[m] + gi]
+// -- and the RSSI channel out_r in the same pass when pr != nullptr.
 // Every point's sum is accumulated in ascending m with a plain multiply
 // then add (no FMA, no reassociation), which is the whole bit-identity
 // contract: the scalar, AVX2 and NEON variants differ only in how many
@@ -17,9 +18,10 @@
 // loads per call -- noise next to the M * kTilePoints multiply-adds the
 // call performs.
 //
-// `block` must honor the SubsetPanel::kValuesAlignment contract (every
-// per-slot row 64-byte aligned); the vector kernels use aligned loads on
-// it. The out arrays have no alignment requirement.
+// `block` must honor the ResponseMatrix::kValuesAlignment contract, and
+// every rows[m] must be a multiple of kTilePoints (every row 64-byte
+// aligned); the vector kernels use aligned loads on it. Rows may repeat
+// and come in any order. The out arrays have no alignment requirement.
 #pragma once
 
 #include <cstddef>
@@ -28,36 +30,39 @@
 
 namespace talon {
 
-/// Kernel signature shared by every variant. `pr`/`out_r` may be nullptr
-/// together (SNR-only pass). Always writes all kTilePoints outputs; the
-/// zero-padded tail of a ragged tile just produces zeros the caller
-/// discards.
-using TileDotsFn = void (*)(const double* block, const double* ps,
-                            const double* pr, std::size_t m_count,
-                            double* out_s, double* out_r);
+/// Kernel signature shared by every variant. Row m of the tile is
+/// block + rows[m]. `pr`/`out_r` may be nullptr together (SNR-only pass).
+/// Always writes all kTilePoints outputs; the zero-padded tail of a
+/// ragged tile just produces zeros the caller discards.
+using TileDotsFn = void (*)(const double* block, const std::size_t* rows,
+                            const double* ps, const double* pr,
+                            std::size_t m_count, double* out_s, double* out_r);
 
 /// Portable reference kernel (register-blocked, see tile_dots.cpp).
-void tile_dots_scalar(const double* block, const double* ps, const double* pr,
-                      std::size_t m_count, double* out_s, double* out_r);
+void tile_dots_scalar(const double* block, const std::size_t* rows,
+                      const double* ps, const double* pr, std::size_t m_count,
+                      double* out_s, double* out_r);
 
 #if defined(TALON_HAVE_AVX2_KERNEL)
 /// AVX2 kernel: 4 points per ymm lane, mul+add kept separate (compiled
 /// with -mno-fma and -ffp-contract=off so nothing re-fuses them).
-void tile_dots_avx2(const double* block, const double* ps, const double* pr,
-                    std::size_t m_count, double* out_s, double* out_r);
+void tile_dots_avx2(const double* block, const std::size_t* rows,
+                    const double* ps, const double* pr, std::size_t m_count,
+                    double* out_s, double* out_r);
 #endif
 
 #if defined(__aarch64__) || defined(_M_ARM64)
 /// NEON kernel: 2 points per q register, vaddq(acc, vmulq(...)).
-void tile_dots_neon(const double* block, const double* ps, const double* pr,
-                    std::size_t m_count, double* out_s, double* out_r);
+void tile_dots_neon(const double* block, const std::size_t* rows,
+                    const double* ps, const double* pr, std::size_t m_count,
+                    double* out_s, double* out_r);
 #endif
 
 /// The dispatched kernel: resolves active_simd_level() (falling back to
 /// scalar when the requested variant is not compiled into this binary)
 /// and runs it. Re-resolves automatically after an override change.
-void tile_dots(const double* block, const double* ps, const double* pr,
-               std::size_t m_count, double* out_s, double* out_r);
+void tile_dots(const double* block, const std::size_t* rows, const double* ps,
+               const double* pr, std::size_t m_count, double* out_s, double* out_r);
 
 /// The level the next tile_dots() call will actually run at -- the active
 /// level clamped to the kernels present in this binary. Exposed so tests

@@ -26,8 +26,9 @@ constexpr std::size_t kHalf = 16;  // points in flight per pass
 static_assert(kTile % kHalf == 0);
 }  // namespace
 
-void tile_dots_avx2(const double* block, const double* ps, const double* pr,
-                    std::size_t m_count, double* out_s, double* out_r) {
+void tile_dots_avx2(const double* block, const std::size_t* rows,
+                    const double* ps, const double* pr, std::size_t m_count,
+                    double* out_s, double* out_r) {
   // 16 points per pass: 4 ymm accumulators per channel leaves enough
   // registers for the row loads and broadcasts even in the dual-channel
   // case (12 of 16 ymm live).
@@ -43,10 +44,10 @@ void tile_dots_avx2(const double* block, const double* ps, const double* pr,
       __m256d ar2 = _mm256_setzero_pd();
       __m256d ar3 = _mm256_setzero_pd();
       for (std::size_t m = 0; m < m_count; ++m) {
-        // Rows are 64-byte aligned (SubsetPanel::kValuesAlignment) and g0
-        // offsets by a multiple of 32 points, so every load here is
+        // Rows are 64-byte aligned (ResponseMatrix::kValuesAlignment) and
+        // g0 offsets by a multiple of 16 points, so every load here is
         // 32-byte aligned.
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         const __m256d pvs = _mm256_set1_pd(ps[m]);
         const __m256d pvr = _mm256_set1_pd(pr[m]);
         const __m256d r0 = _mm256_load_pd(row);
@@ -68,7 +69,7 @@ void tile_dots_avx2(const double* block, const double* ps, const double* pr,
       _mm256_storeu_pd(out_r + g0 + 12, ar3);
     } else {
       for (std::size_t m = 0; m < m_count; ++m) {
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         const __m256d pvs = _mm256_set1_pd(ps[m]);
         as0 = _mm256_add_pd(as0, _mm256_mul_pd(pvs, _mm256_load_pd(row)));
         as1 = _mm256_add_pd(as1, _mm256_mul_pd(pvs, _mm256_load_pd(row + 4)));

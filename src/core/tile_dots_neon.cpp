@@ -22,8 +22,9 @@ constexpr std::size_t kBlock = 8;  // points in flight: 4 q-regs per channel
 static_assert(kTile % kBlock == 0);
 }  // namespace
 
-void tile_dots_neon(const double* block, const double* ps, const double* pr,
-                    std::size_t m_count, double* out_s, double* out_r) {
+void tile_dots_neon(const double* block, const std::size_t* rows,
+                    const double* ps, const double* pr, std::size_t m_count,
+                    double* out_s, double* out_r) {
   for (std::size_t g0 = 0; g0 < kTile; g0 += kBlock) {
     const double* base = block + g0;
     float64x2_t as0 = vdupq_n_f64(0.0);
@@ -36,7 +37,7 @@ void tile_dots_neon(const double* block, const double* ps, const double* pr,
       float64x2_t ar2 = vdupq_n_f64(0.0);
       float64x2_t ar3 = vdupq_n_f64(0.0);
       for (std::size_t m = 0; m < m_count; ++m) {
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         const float64x2_t pvs = vdupq_n_f64(ps[m]);
         const float64x2_t pvr = vdupq_n_f64(pr[m]);
         const float64x2_t r0 = vld1q_f64(row);
@@ -58,7 +59,7 @@ void tile_dots_neon(const double* block, const double* ps, const double* pr,
       vst1q_f64(out_r + g0 + 6, ar3);
     } else {
       for (std::size_t m = 0; m < m_count; ++m) {
-        const double* row = base + m * kTile;
+        const double* row = base + rows[m];
         const float64x2_t pvs = vdupq_n_f64(ps[m]);
         as0 = vaddq_f64(as0, vmulq_f64(pvs, vld1q_f64(row)));
         as1 = vaddq_f64(as1, vmulq_f64(pvs, vld1q_f64(row + 2)));

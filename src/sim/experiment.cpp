@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
@@ -21,20 +20,6 @@ constexpr std::uint64_t kRecordingStream = streams::kRecording;
 constexpr std::uint64_t kErrorStream = streams::kError;
 constexpr std::uint64_t kQualityStream = streams::kQuality;
 constexpr std::uint64_t kThroughputStream = streams::kThroughput;
-
-/// Keep only the readings whose sector is in `subset`.
-std::vector<SectorReading> filter_readings(const SweepMeasurement& sweep,
-                                           std::span<const int> subset) {
-  const std::unordered_set<int> wanted(subset.begin(), subset.end());
-  std::vector<SectorReading> out;
-  out.reserve(subset.size());
-  for (const SectorReading& r : sweep.readings) {
-    if (wanted.contains(r.sector_id)) {
-      out.push_back(r);
-    }
-  }
-  return out;
-}
 
 /// Convert drained ring-buffer entries of one sweep into readings.
 std::vector<SectorReading> readings_from_ring(
@@ -61,14 +46,20 @@ std::map<int, std::vector<std::size_t>> group_by_pose(
 }
 
 /// The filtered per-sweep probe lists of one replay cell: every sweep of
-/// `indices` restricted to the cell's probe subset.
+/// `indices` restricted to the cell's probe subset, in reading order.
 std::vector<std::vector<SectorReading>> cell_sweeps(
     std::span<const SweepRecord> records, std::span<const std::size_t> indices,
     std::span<const int> subset) {
-  std::vector<std::vector<SectorReading>> sweeps;
-  sweeps.reserve(indices.size());
-  for (std::size_t i : indices) {
-    sweeps.push_back(filter_readings(records[i].measurement, subset));
+  std::vector<int> wanted(subset.begin(), subset.end());  // once per cell
+  std::sort(wanted.begin(), wanted.end());
+  std::vector<std::vector<SectorReading>> sweeps(indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    sweeps[k].reserve(subset.size());
+    for (const SectorReading& r : records[indices[k]].measurement.readings) {
+      if (std::binary_search(wanted.begin(), wanted.end(), r.sector_id)) {
+        sweeps[k].push_back(r);
+      }
+    }
   }
   return sweeps;
 }

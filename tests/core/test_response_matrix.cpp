@@ -1,17 +1,21 @@
-// ResponseMatrix: the grid-point-major data layer under every correlation
-// pass. Pins down the SoA layout against the pattern table, the direction
-// table's ordering, slot lookup, and the per-subset norm cache semantics
+// ResponseMatrix: the tile-major data layer under every correlation pass.
+// Pins down the tile-block layout against the pattern table, the
+// direction table's ordering, slot lookup, the per-subset panel
+// statistics against a reference build, and the panel cache semantics
 // (sequence-keyed, duplicate-preserving, bit-identical on hits).
 #include "src/core/response_matrix.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
+#include "src/core/pattern_assets.hpp"
 #include "tests/core/synthetic_table.hpp"
 
 namespace talon {
@@ -30,14 +34,11 @@ TEST(ResponseMatrix, LayoutMatchesPatternTableSamples) {
   for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
     for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
       const std::size_t g = grid.index(ia, ie);
-      const std::span<const double> db_row = db.point(g);
-      const std::span<const double> lin_row = lin.point(g);
-      ASSERT_EQ(db_row.size(), db.slots());
       for (std::size_t s = 0; s < db.slots(); ++s) {
         const double expected =
             table.sample_db(db.sector_ids()[s], grid.direction(ia, ie));
-        EXPECT_DOUBLE_EQ(db_row[s], expected);
-        EXPECT_DOUBLE_EQ(lin_row[s], db_to_linear(expected));
+        EXPECT_DOUBLE_EQ(db.value(g, s), expected);
+        EXPECT_DOUBLE_EQ(lin.value(g, s), db_to_linear(expected));
       }
     }
   }
@@ -115,9 +116,11 @@ TEST(ResponseMatrix, NormsMatchDirectSum) {
   const std::vector<int> subset{1, 5, 7};
   const auto norms = matrix.norms_sq(subset);
   for (std::size_t g = 0; g < matrix.points(); ++g) {
-    const std::span<const double> row = matrix.point(g);
     double expected = 0.0;
-    for (int s : subset) expected += row[s] * row[s];
+    for (int s : subset) {
+      const double x = matrix.value(g, static_cast<std::size_t>(s));
+      expected += x * x;
+    }
     EXPECT_DOUBLE_EQ((*norms)[g], expected);
   }
 }
@@ -125,8 +128,12 @@ TEST(ResponseMatrix, NormsMatchDirectSum) {
 // --- subset panels: the compacted tile-blocked view -----------------------
 
 TEST(ResponseMatrix, PanelValuesMatchPointRows) {
-  const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
-                              CorrelationDomain::kLinear);
+  // A panel holds no responses: sequence position m reads row slots[m] of
+  // every tile block of the one shared matrix. Each block row holds its
+  // slot's response at every point the tile map assigns to the tile.
+  const PatternTable table = synthetic_table();
+  const AngularGrid grid = synthetic_grid();
+  const ResponseMatrix matrix(table, grid, CorrelationDomain::kLinear);
   const std::vector<int> subset{1, 4, 4, 7};  // duplicate kept per occurrence
   const auto panel = matrix.panel(subset);
   const TileMap& tiles = matrix.tiles();
@@ -139,8 +146,15 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
             (panel->fine_tiles + SubsetPanel::kFinePerCoarse - 1) /
                 SubsetPanel::kFinePerCoarse);
   ASSERT_EQ(panel->coarse_tiles, tiles.coarse_tiles);
-  // Every valid point sits in exactly one tile slot.
+  ASSERT_EQ(panel->rows.size(), subset.size());
+  for (std::size_t mm = 0; mm < subset.size(); ++mm) {
+    EXPECT_EQ(panel->rows[mm], static_cast<std::size_t>(subset[mm]) * kTile);
+  }
+  ASSERT_EQ(matrix.values().size(), tiles.fine_tiles * matrix.slots() * kTile);
+  // Every valid point sits in exactly one tile slot, and tile_slot inverts
+  // the map.
   ASSERT_EQ(tiles.point.size(), matrix.points());
+  ASSERT_EQ(tiles.tile_slot.size(), matrix.points());
   std::vector<int> seen(matrix.points(), 0);
   for (const std::uint32_t g : tiles.point) {
     ASSERT_LT(g, matrix.points());
@@ -151,14 +165,19 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
   for (std::size_t i = 0; i < matrix.points(); ++i) {
     const std::size_t t = i / kTile;
     const std::size_t g = tiles.point[i];
-    EXPECT_EQ(tiles.column[i], g % synthetic_grid().azimuth.count) << "slot " << i;
+    EXPECT_EQ(tiles.tile_slot[g], i);
+    EXPECT_EQ(tiles.column[i], g % grid.azimuth.count) << "slot " << i;
     EXPECT_LE(tiles.fine_min[t], g);
     EXPECT_LE(tiles.coarse_min[t / SubsetPanel::kFinePerCoarse], g);
-    const std::span<const double> row = matrix.point(g);
-    const double* block = panel->tile_values(t);
+    const Direction d = grid.direction(g % grid.azimuth.count, g / grid.azimuth.count);
+    for (std::size_t s = 0; s < matrix.slots(); ++s) {
+      EXPECT_DOUBLE_EQ(matrix.tile_block(t)[s * kTile + i % kTile],
+                       db_to_linear(table.sample_db(matrix.sector_ids()[s], d)))
+          << "g=" << g << " s=" << s;
+    }
     for (std::size_t mm = 0; mm < subset.size(); ++mm) {
-      EXPECT_EQ(block[mm * kTile + i % kTile],
-                row[static_cast<std::size_t>(subset[mm])])
+      EXPECT_EQ(matrix.tile_block(t)[panel->rows[mm] + i % kTile],
+                matrix.value(g, static_cast<std::size_t>(subset[mm])))
           << "g=" << g << " m=" << mm;
     }
   }
@@ -175,13 +194,12 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
     }
     EXPECT_EQ(tiles.coarse_min[c], lowest);
   }
-  // Only the last tile is ragged, and its padding slots are zero.
+  // Only the last tile is ragged, and every row's padding slots are zero.
   for (std::size_t t = 0; t + 1 < tiles.fine_tiles; ++t) EXPECT_EQ(tiles.count(t), kTile);
   const std::size_t tail = panel->fine_tiles - 1;
-  const double* tail_block = panel->tile_values(tail);
   for (std::size_t gi = tiles.count(tail); gi < kTile; ++gi) {
-    for (std::size_t mm = 0; mm < subset.size(); ++mm) {
-      EXPECT_EQ(tail_block[mm * kTile + gi], 0.0);
+    for (std::size_t s = 0; s < matrix.slots(); ++s) {
+      EXPECT_EQ(matrix.tile_block(tail)[s * kTile + gi], 0.0);
     }
   }
 }
@@ -243,7 +261,7 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
       min_norm = std::min(min_norm, n);
       const double inv_norm = 1.0 / std::sqrt(n);
       for (std::size_t mm = 0; mm < m; ++mm) {
-        const double x = matrix.point(g)[static_cast<std::size_t>(subset[mm])];
+        const double x = matrix.value(g, static_cast<std::size_t>(subset[mm]));
         u[mm] = std::max(u[mm], std::abs(x) * inv_norm);
       }
     }
@@ -262,6 +280,149 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
       EXPECT_LE(panel->coarse_sqrt_min_norm[c], panel->fine_sqrt_min_norm[t]);
     }
   }
+}
+
+/// A reference panel build from ResponseMatrix::value alone: per-point
+/// norms accumulated over the sequence in order, then the per-tile
+/// statistics exactly as SubsetPanel documents them, and the int16
+/// levels at the largest power-of-two scale that resolves the row's
+/// maximum in 15 bits, rounded up.
+struct ReferencePanel {
+  std::vector<double> norms_sq;
+  std::vector<double> u;
+  std::vector<double> sqrt_min_norm;
+  std::vector<std::uint16_t> q;
+  std::vector<double> q_scale;
+};
+
+ReferencePanel reference_panel(const ResponseMatrix& matrix, std::span<const int> slots) {
+  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  const TileMap& tiles = matrix.tiles();
+  const std::size_t m = slots.size();
+  ReferencePanel ref;
+  ref.norms_sq.assign(matrix.points(), 0.0);
+  for (std::size_t g = 0; g < matrix.points(); ++g) {
+    for (const int s : slots) {
+      const double x = matrix.value(g, static_cast<std::size_t>(s));
+      ref.norms_sq[g] += x * x;
+    }
+  }
+  ref.u.assign(tiles.fine_tiles * m, 0.0);
+  ref.sqrt_min_norm.assign(tiles.fine_tiles, std::numeric_limits<double>::infinity());
+  ref.q.assign(tiles.fine_tiles * m, 0);
+  ref.q_scale.assign(tiles.fine_tiles, 0.0);
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
+    double min_pos = std::numeric_limits<double>::infinity();
+    for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
+      const std::size_t g = tiles.point[t * kTile + gi];
+      const double n = ref.norms_sq[g];
+      if (n <= 0.0) continue;
+      min_pos = std::min(min_pos, n);
+      for (std::size_t mm = 0; mm < m; ++mm) {
+        const double x = matrix.value(g, static_cast<std::size_t>(slots[mm]));
+        ref.u[t * m + mm] = std::max(ref.u[t * m + mm], std::abs(x) * (1.0 / std::sqrt(n)));
+      }
+    }
+    if (min_pos < std::numeric_limits<double>::infinity()) {
+      ref.sqrt_min_norm[t] = std::sqrt(min_pos);
+    }
+    const double u_max =
+        *std::max_element(ref.u.begin() + static_cast<std::ptrdiff_t>(t * m),
+                          ref.u.begin() + static_cast<std::ptrdiff_t>((t + 1) * m));
+    if (u_max <= 0.0) continue;
+    int exp = 0;
+    (void)std::frexp(u_max, &exp);
+    ref.q_scale[t] = std::ldexp(1.0, exp - 15);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      ref.q[t * m + mm] =
+          static_cast<std::uint16_t>(std::ceil(ref.u[t * m + mm] / ref.q_scale[t]));
+    }
+  }
+  return ref;
+}
+
+/// n_az x n_el points over azimuth [-60, 60] and elevation [0, 30], the
+/// shapes TileEdgeExactness sweeps.
+AngularGrid spread_grid(std::size_t n_az, std::size_t n_el) {
+  const auto axis = [](double first, double width, std::size_t n) {
+    const double step = n > 1 ? width / static_cast<double>(n - 1) : 1.0;
+    return Axis{.first = first, .step = step, .count = n};
+  };
+  return AngularGrid{axis(-60.0, 120.0, n_az), axis(0.0, 30.0, n_el)};
+}
+
+TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
+  // build_panel's one pass over contiguous tile rows must produce exactly
+  // the statistics a plain per-point build from value(g, s) produces, on
+  // grids whose tiles are full, ragged, one row or one column tall.
+  const std::vector<AngularGrid> grids{
+      AngularGrid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)},
+      spread_grid(7, 3), spread_grid(1, 40), spread_grid(13, 9)};
+  const std::vector<std::vector<int>> subsets{
+      {0, 2, 4}, {8, 0, 5, 5, 3, 1}, {3, 3}, {7}, {8, 7, 6, 5, 4, 3, 2, 1, 0, 8}};
+  for (const AngularGrid& grid : grids) {
+    for (const CorrelationDomain domain :
+         {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
+      const ResponseMatrix matrix(synthetic_table(), grid, domain);
+      for (const std::vector<int>& subset : subsets) {
+        const std::string where = std::to_string(grid.azimuth.count) + "x" +
+                                  std::to_string(grid.elevation.count) + " dB=" +
+                                  std::to_string(domain == CorrelationDomain::kDb) +
+                                  " M=" + std::to_string(subset.size());
+        const auto panel = matrix.panel(subset);
+        const ReferencePanel ref = reference_panel(matrix, subset);
+        EXPECT_EQ(panel->norms_sq, ref.norms_sq) << where;
+        EXPECT_EQ(panel->fine_abs_norm_max, ref.u) << where;
+        EXPECT_EQ(panel->fine_sqrt_min_norm, ref.sqrt_min_norm) << where;
+        EXPECT_EQ(panel->fine_q, ref.q) << where;
+        EXPECT_EQ(panel->fine_q_scale, ref.q_scale) << where;
+      }
+    }
+  }
+}
+
+TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
+  // At M = 14 on the 121 x 17 selection grid a panel is its norms (one
+  // double per point) plus per-tile statistics: ~26 KB. A per-subset copy
+  // of the responses alone would be 65 tiles x 32 points x 14 doubles.
+  const AngularGrid grid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)};
+  const ResponseMatrix matrix(synthetic_table(), grid, CorrelationDomain::kLinear);
+  const std::vector<int> subset{0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 3, 4};
+  const auto panel = matrix.panel(subset);
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  const std::size_t total =
+      sizeof(SubsetPanel) + bytes(panel->slots) + bytes(panel->rows) +
+      bytes(panel->norms_sq) + bytes(panel->fine_abs_norm_max) +
+      bytes(panel->fine_sqrt_min_norm) + bytes(panel->coarse_abs_norm_max) +
+      bytes(panel->coarse_sqrt_min_norm) + bytes(panel->fine_q) +
+      bytes(panel->fine_q_scale) + bytes(panel->coarse_q) + bytes(panel->coarse_q_scale);
+  EXPECT_LE(total, 40u * 1024u);
+}
+
+TEST(PatternAssets, SharedBytesCountTheTileMajorMatrix) {
+  // shared_bytes() is the padded tile-major matrix (fine_tiles * 32 *
+  // slots doubles), the tile map's five index vectors, the table grids
+  // and the direction table -- the containers as they are.
+  const AngularGrid grid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)};
+  const PatternTable table = synthetic_table();
+  const PatternAssets assets(table, grid, CorrelationDomain::kLinear);
+  const ResponseMatrix& matrix = assets.engine().response_matrix();
+  const TileMap& tiles = matrix.tiles();
+  ASSERT_EQ(matrix.values().size(),
+            tiles.fine_tiles * SubsetPanel::kTilePoints * matrix.slots());
+  EXPECT_GT(matrix.values().size(), matrix.points() * matrix.slots());  // padding
+  const std::size_t expected =
+      table.size() * table.grid().size() * sizeof(double) +
+      tiles.fine_tiles * SubsetPanel::kTilePoints * matrix.slots() * sizeof(double) +
+      (tiles.point.size() + tiles.column.size() + tiles.tile_slot.size() +
+       tiles.fine_tiles + tiles.coarse_tiles) *
+          sizeof(std::uint32_t) +
+      matrix.directions().size() * sizeof(Direction);
+  EXPECT_EQ(assets.shared_bytes(), expected);
+  EXPECT_EQ(tiles.fine_min.size(), tiles.fine_tiles);
+  EXPECT_EQ(tiles.coarse_min.size(), tiles.coarse_tiles);
 }
 
 TEST(ResponseMatrix, NormsAliasTheCachedPanel) {

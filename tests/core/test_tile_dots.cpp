@@ -1,9 +1,10 @@
 // The SIMD correlation kernel's three contracts, tested directly:
 //
 //   1. TileDots -- every compiled-in variant (scalar, AVX2, NEON) is
-//      bit-identical on every input: random blocks, all M values
-//      including the degenerate 1, duplicate rows, zero rows, and the
-//      SNR-only (pr == nullptr) shape.
+//      bit-identical on every input: random tile blocks read through row
+//      offsets in shuffled order, with duplicate rows and the block's
+//      last row, all M values including the degenerate 1, zero rows, and
+//      the SNR-only (pr == nullptr) shape.
 //   2. SimdDispatch -- the runtime dispatch honors the programmatic
 //      override (clamped to the host), and the whole argmax-equals-
 //      surface property holds with the scalar fallback forced, so the
@@ -18,7 +19,7 @@
 //
 // Plus the batched argmax (one pyramid walk for K sweeps) against the
 // single-sweep argmax, the walk's peak and rival against the full surface
-// on hostile sweeps, and the SubsetPanel alignment contract on grids
+// on hostile sweeps, and the response matrix's alignment contract on grids
 // whose point count leaves every kind of ragged tail tile.
 #include <gtest/gtest.h>
 
@@ -48,17 +49,40 @@ using testutil::synthetic_table;
 constexpr std::size_t kTile = SubsetPanel::kTilePoints;
 
 using AlignedBlock =
-    std::vector<double, AlignedAllocator<double, SubsetPanel::kValuesAlignment>>;
+    std::vector<double, AlignedAllocator<double, ResponseMatrix::kValuesAlignment>>;
 
-/// A random tile block (M rows of kTilePoints), honoring the panel's
-/// alignment contract. Values span signs and magnitudes; occasional
-/// exact zeros mimic the padded ragged tail.
-AlignedBlock random_block(std::mt19937_64& rng, std::size_t m) {
+/// Rows (sector slots) of the random tile blocks: the measured codebook's
+/// 35 patterns.
+constexpr std::size_t kBlockRows = 35;
+
+/// A random tile block (kBlockRows rows of kTilePoints), honoring the
+/// matrix's alignment contract. Values span signs and magnitudes;
+/// occasional exact zeros mimic the padded ragged tail.
+AlignedBlock random_block(std::mt19937_64& rng) {
   std::uniform_real_distribution<double> value(-4.0, 4.0);
   std::uniform_int_distribution<int> zero(0, 9);
-  AlignedBlock block(m * kTile);
+  AlignedBlock block(kBlockRows * kTile);
   for (double& v : block) v = zero(rng) == 0 ? 0.0 : value(rng);
   return block;
+}
+
+/// Row offsets of m sequence positions: distinct rows in shuffled order,
+/// or -- when `duplicates` -- drawn with repetition. The block's last row
+/// is always among them.
+std::vector<std::size_t> random_rows(std::mt19937_64& rng, std::size_t m,
+                                     bool duplicates) {
+  std::vector<std::size_t> slots(kBlockRows);
+  for (std::size_t s = 0; s < kBlockRows; ++s) slots[s] = s;
+  std::shuffle(slots.begin(), slots.end(), rng);
+  std::uniform_int_distribution<std::size_t> any(0, kBlockRows - 1);
+  std::vector<std::size_t> rows(m);
+  for (std::size_t mm = 0; mm < m; ++mm) {
+    rows[mm] = (duplicates ? slots[any(rng)] : slots[mm % kBlockRows]) * kTile;
+  }
+  if (duplicates && m >= 2) rows[m / 2] = rows[0];
+  std::uniform_int_distribution<std::size_t> at(0, m - 1);
+  rows[at(rng)] = (kBlockRows - 1) * kTile;
+  return rows;
 }
 
 std::vector<double> random_row(std::mt19937_64& rng, std::size_t m) {
@@ -76,39 +100,46 @@ void expect_rows_equal(const double* a, const double* b) {
 
 TEST(TileDots, AllVariantsBitIdenticalToScalarRandomized) {
   std::mt19937_64 rng(20260807);
-  for (std::size_t m = 1; m <= 20; ++m) {
+  for (std::size_t m = 1; m <= 40; ++m) {
     for (int trial = 0; trial < 30; ++trial) {
-      AlignedBlock block = random_block(rng, m);
-      if (trial % 5 == 0 && m >= 2) {
-        // Duplicate slots: the panel stores one row per sequence
-        // position, so a duplicated probe is a duplicated row.
-        std::copy_n(block.begin(), kTile, block.begin() + kTile);
-      }
+      const AlignedBlock block = random_block(rng);
+      const std::vector<std::size_t> rows = random_rows(rng, m, trial % 3 == 0);
       const std::vector<double> ps = random_row(rng, m);
       const std::vector<double> pr = random_row(rng, m);
 
       std::vector<double> ref_s(kTile), ref_r(kTile);
-      tile_dots_scalar(block.data(), ps.data(), pr.data(), m, ref_s.data(),
-                       ref_r.data());
+      tile_dots_scalar(block.data(), rows.data(), ps.data(), pr.data(), m,
+                       ref_s.data(), ref_r.data());
+      // The scalar kernel is the plain ascending-m sum of each point.
+      for (std::size_t gi = 0; gi < kTile; ++gi) {
+        double s = 0.0;
+        double r = 0.0;
+        for (std::size_t mm = 0; mm < m; ++mm) {
+          s += ps[mm] * block[rows[mm] + gi];
+          r += pr[mm] * block[rows[mm] + gi];
+        }
+        ASSERT_EQ(ref_s[gi], s) << "lane " << gi;
+        ASSERT_EQ(ref_r[gi], r) << "lane " << gi;
+      }
 
       // Deliberately unaligned outputs: only `block` carries the contract.
       std::vector<double> out_s(kTile + 1), out_r(kTile + 1);
 #if defined(TALON_HAVE_AVX2_KERNEL)
       if (detected_simd_level() == SimdLevel::kAvx2) {
-        tile_dots_avx2(block.data(), ps.data(), pr.data(), m, out_s.data() + 1,
-                       out_r.data() + 1);
+        tile_dots_avx2(block.data(), rows.data(), ps.data(), pr.data(), m,
+                       out_s.data() + 1, out_r.data() + 1);
         expect_rows_equal(ref_s.data(), out_s.data() + 1);
         expect_rows_equal(ref_r.data(), out_r.data() + 1);
       }
 #endif
 #if defined(__aarch64__) || defined(_M_ARM64)
-      tile_dots_neon(block.data(), ps.data(), pr.data(), m, out_s.data() + 1,
-                     out_r.data() + 1);
+      tile_dots_neon(block.data(), rows.data(), ps.data(), pr.data(), m,
+                     out_s.data() + 1, out_r.data() + 1);
       expect_rows_equal(ref_s.data(), out_s.data() + 1);
       expect_rows_equal(ref_r.data(), out_r.data() + 1);
 #endif
       // The dispatched entry point, whatever it resolved to.
-      tile_dots(block.data(), ps.data(), pr.data(), m, out_s.data() + 1,
+      tile_dots(block.data(), rows.data(), ps.data(), pr.data(), m, out_s.data() + 1,
                 out_r.data() + 1);
       expect_rows_equal(ref_s.data(), out_s.data() + 1);
       expect_rows_equal(ref_r.data(), out_r.data() + 1);
@@ -119,23 +150,29 @@ TEST(TileDots, AllVariantsBitIdenticalToScalarRandomized) {
 TEST(TileDots, SnrOnlyShapeBitIdentical) {
   std::mt19937_64 rng(99);
   for (std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                        std::size_t{14}, std::size_t{17}}) {
-    const AlignedBlock block = random_block(rng, m);
-    const std::vector<double> ps = random_row(rng, m);
-    std::vector<double> ref_s(kTile), out_s(kTile);
-    tile_dots_scalar(block.data(), ps.data(), nullptr, m, ref_s.data(), nullptr);
+                        std::size_t{14}, std::size_t{17}, std::size_t{35}}) {
+    for (const bool duplicates : {false, true}) {
+      const AlignedBlock block = random_block(rng);
+      const std::vector<std::size_t> rows = random_rows(rng, m, duplicates);
+      const std::vector<double> ps = random_row(rng, m);
+      std::vector<double> ref_s(kTile), out_s(kTile);
+      tile_dots_scalar(block.data(), rows.data(), ps.data(), nullptr, m, ref_s.data(),
+                       nullptr);
 #if defined(TALON_HAVE_AVX2_KERNEL)
-    if (detected_simd_level() == SimdLevel::kAvx2) {
-      tile_dots_avx2(block.data(), ps.data(), nullptr, m, out_s.data(), nullptr);
-      expect_rows_equal(ref_s.data(), out_s.data());
-    }
+      if (detected_simd_level() == SimdLevel::kAvx2) {
+        tile_dots_avx2(block.data(), rows.data(), ps.data(), nullptr, m, out_s.data(),
+                       nullptr);
+        expect_rows_equal(ref_s.data(), out_s.data());
+      }
 #endif
 #if defined(__aarch64__) || defined(_M_ARM64)
-    tile_dots_neon(block.data(), ps.data(), nullptr, m, out_s.data(), nullptr);
-    expect_rows_equal(ref_s.data(), out_s.data());
+      tile_dots_neon(block.data(), rows.data(), ps.data(), nullptr, m, out_s.data(),
+                     nullptr);
+      expect_rows_equal(ref_s.data(), out_s.data());
 #endif
-    tile_dots(block.data(), ps.data(), nullptr, m, out_s.data(), nullptr);
-    expect_rows_equal(ref_s.data(), out_s.data());
+      tile_dots(block.data(), rows.data(), ps.data(), nullptr, m, out_s.data(), nullptr);
+      expect_rows_equal(ref_s.data(), out_s.data());
+    }
   }
 }
 
@@ -490,26 +527,33 @@ TEST(PanelAlignment, EveryTileRowHonorsTheAlignmentContract) {
         ideal_probes(synthetic_table(), {2, 3, 5, 8, 9}, {0.0, 10.0});
     const ProbeVectors pv = engine.collect_probes(probes, true, true);
     const auto pan = engine.response_matrix().panel(pv.slots);
-    const std::size_t m = pan->m();
-    const TileMap& tiles = engine.response_matrix().tiles();
+    const ResponseMatrix& matrix = engine.response_matrix();
+    const TileMap& tiles = matrix.tiles();
     ASSERT_GT(pan->fine_tiles, 0u);
     ASSERT_EQ(pan->fine_tiles, tiles.fine_tiles);
+    // Every row of every tile block is aligned -- the probed rows the
+    // panel reads through its offsets among them.
     for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        const double* row = pan->tile_values(t) + mm * kTile;
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) %
-                      SubsetPanel::kValuesAlignment,
+      for (std::size_t s = 0; s < matrix.slots(); ++s) {
+        const double* row = matrix.tile_block(t) + s * kTile;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % ResponseMatrix::kValuesAlignment,
                   0u)
-            << "tile " << t << " row " << mm;
+            << "tile " << t << " row " << s;
+      }
+      for (const std::size_t offset : pan->rows) {
+        EXPECT_EQ(offset % kTile, 0u);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(matrix.tile_block(t) + offset) %
+                      ResponseMatrix::kValuesAlignment,
+                  0u);
       }
     }
-    // Every tile slot past the tile map's valid points is zero-padded;
-    // only the last tile has such slots.
+    // Every tile slot past the tile map's valid points is zero-padded in
+    // every row; only the last tile has such slots.
     std::size_t padding = 0;
     for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
       for (std::size_t gi = tiles.count(t); gi < kTile; ++gi, ++padding) {
-        for (std::size_t mm = 0; mm < m; ++mm) {
-          EXPECT_EQ(pan->tile_values(t)[mm * kTile + gi], 0.0);
+        for (std::size_t s = 0; s < matrix.slots(); ++s) {
+          EXPECT_EQ(matrix.tile_block(t)[s * kTile + gi], 0.0);
         }
       }
     }
