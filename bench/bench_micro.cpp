@@ -34,7 +34,6 @@
 #include "src/antenna/codebook_io.hpp"
 #include "src/core/refinement.hpp"
 #include "src/firmware/device.hpp"
-#include "src/phy/rate_control.hpp"
 #include "src/sim/contention.hpp"
 #include "src/sim/scenario.hpp"
 
@@ -266,17 +265,6 @@ void BM_CorrelationSurface(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrelationSurface)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
 
-void BM_MatchingPursuit(benchmark::State& state) {
-  // Cost per pursuit call; the grid scan dominates, so ns/iteration is
-  // roughly ns/call divided by the number of extracted paths.
-  const CorrelationEngine engine = default_grid_engine();
-  const int max_paths = static_cast<int>(state.range(0));
-  cycle_pool(state, sweep_pool(14), [&](const auto& sweep) {
-    return engine.matching_pursuit(sweep, max_paths, 0.05);
-  });
-}
-BENCHMARK(BM_MatchingPursuit)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_ArrayGainEvaluation(benchmark::State& state) {
   const ArrayGainSource source = make_talon_front_end(1);
   double az = -60.0;
@@ -349,15 +337,6 @@ void BM_CodebookParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CodebookParse);
-
-void BM_RateControllerDrive(benchmark::State& state) {
-  RateController controller;
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.drive(15.0, 100, rng));
-  }
-}
-BENCHMARK(BM_RateControllerDrive);
 
 void BM_ContentionSimulation(benchmark::State& state) {
   const ThroughputModel model;

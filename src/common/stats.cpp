@@ -15,14 +15,6 @@ double mean(std::span<const double> values) {
          static_cast<double>(values.size());
 }
 
-double sample_stddev(std::span<const double> values) {
-  TALON_EXPECTS(values.size() >= 2);
-  const double m = mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - m) * (v - m);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
 double quantile(std::span<const double> values, double q) {
   TALON_EXPECTS(!values.empty());
   TALON_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -55,33 +47,13 @@ BoxStats box_stats(std::span<const double> values) {
   };
 }
 
-namespace {
-std::map<int, std::size_t> histogram(std::span<const int> values) {
+double mode_fraction(std::span<const int> values) {
   TALON_EXPECTS(!values.empty());
   std::map<int, std::size_t> counts;
   for (int v : values) ++counts[v];
-  return counts;
-}
-}  // namespace
-
-double mode_fraction(std::span<const int> values) {
-  const auto counts = histogram(values);
   std::size_t best = 0;
   for (const auto& [value, count] : counts) best = std::max(best, count);
   return static_cast<double>(best) / static_cast<double>(values.size());
-}
-
-int mode_value(std::span<const int> values) {
-  const auto counts = histogram(values);
-  int best_value = counts.begin()->first;
-  std::size_t best_count = counts.begin()->second;
-  for (const auto& [value, count] : counts) {
-    if (count > best_count) {
-      best_value = value;
-      best_count = count;
-    }
-  }
-  return best_value;
 }
 
 void RunningStats::add(double v) {

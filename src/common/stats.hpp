@@ -19,9 +19,6 @@ namespace talon {
 /// Arithmetic mean. Requires a non-empty input.
 double mean(std::span<const double> values);
 
-/// Sample standard deviation (n-1 denominator). Requires >= 2 values.
-double sample_stddev(std::span<const double> values);
-
 /// Linear-interpolated quantile, q in [0, 1]. Requires a non-empty input
 /// (throws PreconditionError on an empty span -- there is no sample to
 /// interpolate between).
@@ -53,9 +50,6 @@ BoxStats box_stats(std::span<const double> values);
 /// stability" in Sec. 6.3: time spent in the most prominent sector).
 /// Requires a non-empty input.
 double mode_fraction(std::span<const int> values);
-
-/// The most frequent value itself (smallest one on ties).
-int mode_value(std::span<const int> values);
 
 /// Running accumulator for mean/min/max without storing samples.
 class RunningStats {

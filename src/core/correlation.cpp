@@ -1,7 +1,6 @@
 #include "src/core/correlation.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -712,155 +711,6 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
     }
   }
   if constexpr (kSingle) *group = lone;
-}
-
-std::vector<CorrelationEngine::Path> CorrelationEngine::matching_pursuit(
-    std::span<const SectorReading> readings, int max_paths, double min_score,
-    double min_separation_deg, bool separate_in_azimuth) const {
-  TALON_EXPECTS(matrix_.domain() == CorrelationDomain::kLinear);
-  TALON_EXPECTS(max_paths >= 1);
-  TALON_EXPECTS(min_score > 0.0 && min_score <= 1.0);
-  TALON_EXPECTS(min_separation_deg > 0.0);
-
-  // Linear-power probe vector over the usable sectors, with the firmware
-  // reporting floor subtracted: clamped-at-floor readings otherwise add a
-  // DC component that correlates with all-floor (unmeasurable) directions.
-  const double floor_lin = db_to_linear(kSnrReportingFloorDb);
-  std::vector<int> slots;
-  std::vector<double> residual;
-  for (const SectorReading& r : readings) {
-    const int slot = sector_slot(r.sector_id);
-    if (slot < 0) continue;
-    slots.push_back(slot);
-    residual.push_back(std::max(0.0, db_to_linear(r.snr_db) - floor_lin));
-  }
-  TALON_EXPECTS(residual.size() >= 2);
-  double initial_power = 0.0;
-  for (double v : residual) initial_power += v;
-  TALON_EXPECTS(initial_power > 0.0);
-
-  // The floored dictionary is fixed across iterations. It is materialized
-  // during the first scan (fused with the first dot pass, so a one-path
-  // pursuit never pays a separate precompute) and reused by every later
-  // round instead of re-flooring and renormalizing each point. A one-path
-  // pursuit has no later round, so it skips the stores entirely.
-  const std::size_t points = matrix_.points();
-  const std::size_t m_count = slots.size();
-  const bool keep_dictionary = max_paths > 1;
-  std::vector<double> floored;
-  std::vector<double> floored_norm_sq(points);
-  bool dictionary_ready = false;
-
-  const std::vector<Direction>& directions = matrix_.directions();
-  // Grid points within min_separation of an already extracted path;
-  // extended after each extraction instead of being recomputed per point
-  // per iteration.
-  std::vector<bool> masked(points, false);
-
-  std::vector<Path> paths;
-  for (int k = 0; k < max_paths; ++k) {
-    // Correlate the residual against every unmasked grid direction.
-    double residual_norm_sq = 0.0;
-    for (double v : residual) residual_norm_sq += v * v;
-    if (residual_norm_sq <= 0.0) break;
-    const double residual_norm = std::sqrt(residual_norm_sq);
-
-    double best_corr = -1.0;
-    double best_dot = 0.0;
-    std::size_t best_g = 0;
-    if (!dictionary_ready) {
-      // First round: nothing is masked yet; floor the matrix rows on the
-      // fly, record them when a later round will reuse them, and fold the
-      // dot product into the same pass.
-      if (keep_dictionary) floored.resize(points * m_count);
-      for (std::size_t g = 0; g < points; ++g) {
-        double* fx = keep_dictionary ? floored.data() + g * m_count : nullptr;
-        double dot = 0.0;
-        double norm_sq = 0.0;
-        for (std::size_t m = 0; m < m_count; ++m) {
-          const double x = std::max(
-              0.0, matrix_.value(g, static_cast<std::size_t>(slots[m])) - floor_lin);
-          if (fx) fx[m] = x;
-          dot += residual[m] * x;
-          norm_sq += x * x;
-        }
-        floored_norm_sq[g] = norm_sq;
-        if (norm_sq <= 0.0) continue;
-        const double c = dot / (residual_norm * std::sqrt(norm_sq));
-        if (c > best_corr) {
-          best_corr = c;
-          best_dot = dot;
-          best_g = g;
-        }
-      }
-      dictionary_ready = true;
-    } else {
-      for (std::size_t g = 0; g < points; ++g) {
-        if (masked[g]) continue;
-        const double* fx = floored.data() + g * m_count;
-        double dot = 0.0;
-        for (std::size_t m = 0; m < m_count; ++m) {
-          dot += residual[m] * fx[m];
-        }
-        const double x_norm_sq = floored_norm_sq[g];
-        if (x_norm_sq <= 0.0) continue;
-        const double c = dot / (residual_norm * std::sqrt(x_norm_sq));
-        if (c > best_corr) {
-          best_corr = c;
-          best_dot = dot;
-          best_g = g;
-        }
-      }
-    }
-    if (best_corr < min_score) break;
-
-    // Subtract the explained component: residual -= alpha * x, with alpha
-    // the least-squares projection (powers are additive, so this is the
-    // path's contribution).
-    // Both buffers outlive the subtraction loop that reads fx.
-    std::array<double, 64> row_buf;
-    std::vector<double> heap_buf;
-    const double* fx;
-    if (keep_dictionary) {
-      fx = floored.data() + best_g * m_count;
-    } else {
-      // Dictionary was not kept: refloor the single winning row.
-      double* dst = row_buf.data();
-      if (m_count > row_buf.size()) {
-        heap_buf.resize(m_count);
-        dst = heap_buf.data();
-      }
-      for (std::size_t m = 0; m < m_count; ++m) {
-        dst[m] = std::max(
-            0.0, matrix_.value(best_g, static_cast<std::size_t>(slots[m])) - floor_lin);
-      }
-      fx = dst;
-    }
-    const double alpha = best_dot / floored_norm_sq[best_g];
-    double explained = 0.0;
-    for (std::size_t m = 0; m < m_count; ++m) {
-      const double removed = std::min(residual[m], alpha * fx[m]);
-      explained += removed;
-      residual[m] -= removed;
-    }
-    const Direction found = directions[best_g];
-    if (k + 1 < max_paths) {  // the mask only gates future scans
-      for (std::size_t g = 0; g < points; ++g) {
-        if (masked[g]) continue;
-        const double separation =
-            separate_in_azimuth
-                ? azimuth_distance_deg(directions[g].azimuth_deg, found.azimuth_deg)
-                : angular_separation_deg(directions[g], found);
-        if (separation < min_separation_deg) masked[g] = true;
-      }
-    }
-    paths.push_back(Path{
-        .direction = found,
-        .score = best_corr * best_corr,  // report Eq. 2 style squared corr
-        .explained_power = explained / initial_power,
-    });
-  }
-  return paths;
 }
 
 }  // namespace talon

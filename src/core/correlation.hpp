@@ -72,13 +72,6 @@ TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
 
 }  // namespace detail
 
-/// Firmware SNR reporting floor [dB]: readings clamp here (the [-7, 12] dB
-/// report range of Sec. 3.2, MeasurementModel's report_min_db). The
-/// matching pursuit subtracts this floor in linear power so clamped
-/// readings do not add a DC component that correlates with all-floor
-/// (unmeasurable) directions.
-inline constexpr double kSnrReportingFloorDb = -7.0;
-
 /// Usable probes of one sweep: matrix slots plus the probe value(s) in
 /// the correlation domain, in reading order. `dropped` counts the
 /// readings whose sector ID has no matrix slot (unknown to the pattern
@@ -293,36 +286,6 @@ class CorrelationEngine {
   /// unknown sectors dropped (and counted).
   ProbeVectors collect_probes(std::span<const SectorReading> readings,
                               bool need_snr, bool need_rssi) const;
-
-  /// One extracted propagation path (see matching_pursuit).
-  struct Path {
-    Direction direction;
-    /// Correlation of the (residual) probe vector with this path, [0, 1].
-    double score{0.0};
-    /// Fraction of the original probe power this path explains, [0, 1].
-    double explained_power{0.0};
-  };
-
-  /// Noncoherent matching pursuit (the Rasekh et al. style estimator the
-  /// paper adapts): ray powers add linearly at the receiver, so after the
-  /// strongest path is found its explained component can be subtracted
-  /// from the linear probe vector and the correlation re-run on the
-  /// residual -- which exposes reflections an order of magnitude weaker
-  /// than the LOS, invisible in the plain Eq. 2 surface. Extraction stops
-  /// after `max_paths`, when a residual peak falls below
-  /// `min_score`, or when the residual power is exhausted. Only the SNR
-  /// values feed the pursuit (power subtraction needs one consistent
-  /// scale). Requires kLinear domain and >= 2 usable probes.
-  /// `min_separation_deg` masks by great-circle angle; when
-  /// `separate_in_azimuth` is true it masks by azimuth distance instead,
-  /// which suppresses the elevation-ambiguity twin of an extracted path
-  /// (in-plane sector responses are weakly elevation-selective, so the
-  /// subtraction residue correlates at the same azimuth and higher
-  /// elevation -- not a distinct propagation path).
-  std::vector<Path> matching_pursuit(std::span<const SectorReading> readings,
-                                     int max_paths = 2, double min_score = 0.35,
-                                     double min_separation_deg = 10.0,
-                                     bool separate_in_azimuth = false) const;
 
  private:
   /// Index into the response matrix for a sector ID, or -1.

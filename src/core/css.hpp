@@ -42,8 +42,8 @@ struct CssConfig {
   /// confidence).
   bool compute_confidence{false};
   /// Azimuth exclusion radius around the main peak when searching for the
-  /// second peak (same idea as the matching pursuit's twin suppression:
-  /// nearer points belong to the main lobe, not a rival hypothesis).
+  /// second peak: nearer points belong to the main lobe, not a rival
+  /// hypothesis.
   double confidence_exclusion_deg{10.0};
 };
 

@@ -1,6 +1,6 @@
 // Tile-major response matrix: the shared data layer under every
-// dictionary-correlation estimator (Eq. 2/3/5 surfaces, matching pursuit,
-// and the compressive-alignment follow-ups that reduce to the same kernel).
+// dictionary-correlation estimator (the Eq. 2/5 surfaces and the Eq. 3
+// branch-and-bound walk).
 //
 // The matrix resamples every sector of a PatternTable onto the search grid
 // once, in the chosen correlation domain, and stores it in the grid's

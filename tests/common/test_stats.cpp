@@ -12,7 +12,6 @@ namespace {
 TEST(Stats, MeanAndStddev) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(v), 2.5);
-  EXPECT_NEAR(sample_stddev(v), 1.2909944, 1e-6);
 }
 
 TEST(Stats, MeanRejectsEmpty) {
@@ -51,7 +50,6 @@ TEST(Stats, EmptyInputThrowsAcrossTheAggregates) {
   EXPECT_THROW(median_abs_deviation(empty), PreconditionError);
   const std::vector<int> empty_ints;
   EXPECT_THROW(mode_fraction(empty_ints), PreconditionError);
-  EXPECT_THROW(mode_value(empty_ints), PreconditionError);
 }
 
 TEST(Stats, SingleSampleIsTheSmallestLegalInput) {
@@ -87,17 +85,11 @@ TEST(Stats, BoxStatsOrdering) {
 TEST(Stats, ModeFraction) {
   const std::vector<int> v{3, 3, 3, 7, 7, 1, 3, 3, 3, 3};
   EXPECT_DOUBLE_EQ(mode_fraction(v), 0.7);
-  EXPECT_EQ(mode_value(v), 3);
 }
 
 TEST(Stats, ModeFractionAllSame) {
   const std::vector<int> v{5, 5, 5};
   EXPECT_DOUBLE_EQ(mode_fraction(v), 1.0);
-}
-
-TEST(Stats, ModeValueTieBreaksLowest) {
-  const std::vector<int> v{2, 2, 9, 9};
-  EXPECT_EQ(mode_value(v), 2);
 }
 
 TEST(Stats, RunningStatsTracksMinMaxMean) {

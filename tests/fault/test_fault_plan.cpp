@@ -161,7 +161,9 @@ TEST(LinkFaultInjectorTest, CorruptionCountsAndClampsToTheFloor) {
     injector.corrupt_reading(snr, rssi);
     if (snr == -7.0) ++clamped;
     // Outliers stay within the configured magnitude.
-    if (snr != -7.0) EXPECT_NEAR(snr, 12.0, 6.0 + 1e-12);
+    if (snr != -7.0) {
+      EXPECT_NEAR(snr, 12.0, 6.0 + 1e-12);
+    }
     EXPECT_NEAR(rssi, -50.0, 6.0 + 1e-12);
   }
   const FaultStats& stats = injector.stats();

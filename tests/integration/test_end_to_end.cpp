@@ -4,12 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "src/core/adaptive.hpp"
 #include "src/core/css.hpp"
-#include "src/common/units.hpp"
-#include "src/core/multipath.hpp"
 #include "src/core/ssw.hpp"
 #include "src/core/subset_policy.hpp"
 #include "src/mac/monitor.hpp"
@@ -231,74 +228,6 @@ TEST(EndToEnd, BlockageRecoveryViaReflectedPath) {
   const double switch_snr = link.true_snr_db(*conf.dut, blocked.sector_id,
                                              *conf.peer, kRxQuasiOmniSectorId);
   EXPECT_GT(switch_snr, stay_snr + 3.0);
-}
-
-
-TEST(EndToEnd, ProactiveBackupLearnedDuringPartialBlockage) {
-  // BeamSpy-style extension, within the physical limits of magnitude-only
-  // probes: with a clear LOS the whiteboard bounce sits below the firmware
-  // reporting floor and no algorithm can see it. During a *partial*
-  // blockage (someone brushing the LOS) the two paths become comparable;
-  // matching pursuit then learns both, and the precomputed backup sector
-  // instantly restores the link when the blockage becomes total.
-  const ExperimentWorld& world = ExperimentWorld::instance();
-  const CorrelationEngine engine(world.table, CssConfig{}.search_grid);
-
-  // A small room with a mirror-like metal cabinet close to the link: the
-  // bounce is only ~9 dB below the LOS, i.e. above the firmware reporting
-  // floor and learnable. (Drywall bounces at 6 m sit below the floor and
-  // are physically unmeasurable -- see bench_ablation_eq5's discussion.)
-  Scenario conf = make_conference_scenario(42);
-  conf.environment = std::make_unique<RayTracedEnvironment>(
-      "small-room", std::vector<Reflector>{
-                        Reflector{Reflector::Plane::Y, 1.5, 6.0, "metal cabinet"}});
-  conf.peer->pose().position = {3.0, 0.0, 1.0};
-  conf.set_head(0.0, 0.0);
-  auto* env = dynamic_cast<RayTracedEnvironment*>(conf.environment.get());
-  ASSERT_NE(env, nullptr);
-  LinkSimulator link = conf.make_link(Rng(81));
-
-  // Partial blockage: LOS attenuated toward the reflection's level.
-  // Average a few sweeps to beat per-reading quantization.
-  env->set_los_blockage_db(9.0);
-  std::map<int, std::pair<double, int>> acc;
-  for (int sweeps = 0; sweeps < 8; ++sweeps) {
-    const SweepOutcome sweep =
-        link.transmit_sweep(*conf.dut, *conf.peer, sweep_burst_schedule());
-    for (const SectorReading& r : sweep.measurement.readings) {
-      acc[r.sector_id].first += db_to_linear(r.snr_db);
-      ++acc[r.sector_id].second;
-    }
-  }
-  std::vector<SectorReading> averaged;
-  for (const auto& [id, sum_count] : acc) {
-    const double db = linear_to_db(sum_count.first / sum_count.second);
-    averaged.push_back(SectorReading{.sector_id = id, .snr_db = db, .rssi_dbm = db});
-  }
-  const auto paths = engine.matching_pursuit(averaged, 2, 0.2, 20.0, true);
-  ASSERT_GE(paths.size(), 2u);
-  // One path near boresight (the attenuated LOS), one near the whiteboard
-  // bounce (about +56 deg at 3 m).
-  std::vector<double> azs{paths[0].direction.azimuth_deg,
-                          paths[1].direction.azimuth_deg};
-  std::sort(azs.begin(), azs.end());
-  EXPECT_LE(azimuth_distance_deg(azs[0], 0.0), 8.0);
-  EXPECT_GE(azs[1], 30.0);  // cabinet bounce at ~45 deg
-
-  std::vector<int> candidates = world.table.ids();
-  std::erase(candidates, kRxQuasiOmniSectorId);
-  const int primary = world.table.best_sector_at({azs[0], 0.0}, candidates);
-  const int backup = world.table.best_sector_at({azs[1], 0.0}, candidates);
-  EXPECT_NE(primary, backup);
-
-  // The person fully blocks the LOS: the precomputed backup wins.
-  env->set_los_blockage_db(30.0);
-  const double stay = link.true_snr_db(*conf.dut, primary, *conf.peer,
-                                       kRxQuasiOmniSectorId);
-  const double switch_to_backup = link.true_snr_db(*conf.dut, backup, *conf.peer,
-                                                   kRxQuasiOmniSectorId);
-  EXPECT_GT(switch_to_backup, stay + 3.0);
-  EXPECT_GT(switch_to_backup, 5.0);  // still carries data
 }
 
 }  // namespace

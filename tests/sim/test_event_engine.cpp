@@ -70,7 +70,9 @@ TEST(EventEngineTest, CommutingBatchesAreBitIdenticalAcrossThreadCounts) {
     EventEngine engine(EventEngineConfig{.threads = threads});
     std::vector<EntityId> entities;
     for (std::size_t e = 0; e < kEntities; ++e) {
-      entities.push_back(engine.add_entity("e" + std::to_string(e)));
+      std::string name = "e";
+      name += std::to_string(e);
+      entities.push_back(engine.add_entity(name));
     }
     std::vector<double> slots(kEntities, 0.0);
     for (std::size_t e = 0; e < kEntities; ++e) {
