@@ -203,6 +203,38 @@ void BM_CombinedArgmaxMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_CombinedArgmaxMiss)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
 
+void BM_PanelBuild(benchmark::State& state) {
+  // One panel build alone, the part of BM_CombinedArgmaxMiss that depends
+  // on M only: the cache is filled past its cap, so every lookup of a new
+  // slot sequence builds its statistics (core/tile_dots.hpp's tile_stats
+  // per fine tile) and drops them. The A/B tool for the statistics
+  // kernel; miss_share reads 1 when every lookup built.
+  const CorrelationEngine engine = default_grid_engine();
+  const ResponseMatrix& matrix = engine.response_matrix();
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(1234);
+  std::vector<int> order(matrix.slots());
+  std::iota(order.begin(), order.end(), 0);
+  for (int i = 0; i < 600; ++i) {
+    std::shuffle(order.begin(), order.end(), rng);
+    (void)matrix.panel(std::span<const int>(order.data(), m));
+  }
+  std::vector<std::vector<int>> pool(64);
+  for (std::vector<int>& seq : pool) {
+    std::shuffle(order.begin(), order.end(), rng);
+    seq.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(m));
+  }
+  const std::uint64_t misses_before = matrix.cache_stats().misses;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matrix.panel(pool[i]));
+    i = (i + 1) % pool.size();
+  }
+  const double builds = static_cast<double>(matrix.cache_stats().misses - misses_before);
+  state.counters["miss_share"] = builds / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_PanelBuild)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
+
 void BM_CombinedArgmaxGridResolution(benchmark::State& state) {
   // Pruning gain vs grid density (azimuth step in tenths of a degree):
   // denser grids mean more points per tile below the bound, so the argmax

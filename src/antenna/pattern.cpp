@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/common/error.hpp"
+#include "src/common/units.hpp"
 
 namespace talon {
 
@@ -117,6 +118,11 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
     if (!std::isfinite(row[col_val])) {
       throw ParseError("pattern csv: row " + std::to_string(r) +
                        ": value_db is not finite");
+    }
+    if (std::fabs(row[col_val]) > kDbEnvelope) {
+      throw ParseError("pattern csv: row " + std::to_string(r) +
+                       ": value_db is beyond +-" +
+                       std::to_string(static_cast<int>(kDbEnvelope)) + " dB");
     }
     azs.push_back(row[col_az]);
     els.push_back(row[col_el]);

@@ -57,7 +57,8 @@ class PatternTable {
 
   /// Parse from to_csv() output; validates that every sector covers the
   /// same complete grid exactly once, with integral sector IDs and finite
-  /// values. Throws ParseError naming the first violation.
+  /// values within kDbEnvelope (common/units.hpp). Throws ParseError
+  /// naming the first violation.
   static PatternTable from_csv(const CsvTable& table);
 
  private:

@@ -23,6 +23,11 @@ inline constexpr double kChannelBandwidthHz = 1.76e9;
 /// Carrier wavelength [m] (~4.96 mm at 60.48 GHz).
 inline constexpr double kWavelengthM = kSpeedOfLight / kCarrierFrequencyHz;
 
+/// Largest |dB| value the correlation math admits, in readings and in
+/// pattern tables: 10^(+-100) and its square stay finite and nonzero, and
+/// so does a sum of a few hundred such squares.
+inline constexpr double kDbEnvelope = 1000.0;
+
 /// Convert a power ratio from dB to linear scale.
 double db_to_linear(double db);
 

@@ -120,9 +120,10 @@ std::size_t CorrelationEngine::usable_probe_count(
 
 bool CorrelationEngine::numerically_usable(const SectorReading& reading) const {
   const auto usable = [&](double db) {
-    // Within +-1000 dB the square is finite in both domains and positive
-    // in the linear one; only the rare rest pays for the conversion.
-    if (std::abs(db) <= 1000.0) return true;
+    // Within kDbEnvelope the square is finite in both domains and
+    // positive in the linear one; only the rare rest pays for the
+    // conversion.
+    if (std::abs(db) <= kDbEnvelope) return true;
     const double v = to_domain(db, matrix_.domain());
     const double term = v * v;
     return std::isfinite(term) && term > 0.0;

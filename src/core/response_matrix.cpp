@@ -1,6 +1,7 @@
 #include "src/core/response_matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +9,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
+#include "src/core/tile_dots.hpp"
 
 namespace talon {
 
@@ -28,12 +30,23 @@ double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q) {
   }
   // u_max = f * 2^exp with f in [0.5, 1): scale = 2^(exp - 15) makes
   // ceil(u_max / scale) = ceil(f * 2^15) <= 2^15, comfortably in uint16.
-  int exp = 0;
-  (void)std::frexp(u_max, &exp);
-  const double scale = std::ldexp(1.0, exp - 15);
-  const double inv_scale = std::ldexp(1.0, 15 - exp);  // power of two: exact
+  // Both powers of two come straight from u_max's biased exponent e
+  // (exp = e - 1022), exact and without a libm call, as long as both are
+  // normal (e >= 15, u_max >= 2^-1008). That always holds: a positive
+  // u_max comes from a positive-norm point, whose largest share is about
+  // 1 / sqrt(M) or more.
+  const int biased = static_cast<int>(std::bit_cast<std::uint64_t>(u_max) >> 52);
+  assert(biased >= 15);
+  const double scale =
+      std::bit_cast<double>(static_cast<std::uint64_t>(biased - 14) << 52);
+  const double inv_scale =
+      std::bit_cast<double>(static_cast<std::uint64_t>(2060 - biased) << 52);
   for (std::size_t mm = 0; mm < m; ++mm) {
-    const double level = std::ceil(u[mm] * inv_scale);
+    // ceil without a libm call: x is in [0, 2^15], so truncation is an
+    // exact floor and one compare finds the fractional rest.
+    const double x = u[mm] * inv_scale;
+    std::uint32_t level = static_cast<std::uint32_t>(x);
+    if (static_cast<double>(level) < x) ++level;
     q[mm] = static_cast<std::uint16_t>(level);
     // The sidecar over-estimates by construction; keep the contract loud
     // in debug builds (the quantized-screening property test pins it too).
@@ -121,6 +134,9 @@ ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
     const std::vector<double> sampled = patterns.sample_grid_db(sector_ids_[s], grid_);
     for (std::size_t i = 0; i < points; ++i) {
       const double db = sampled[tiles_.point[i]];
+      // Beyond the envelope a linear response or its square overflows,
+      // and the NaN it leads to breaks every exact comparison downstream.
+      TALON_EXPECTS(std::abs(db) <= kDbEnvelope);
       values_[((i / kTile) * slots + s) * kTile + i % kTile] =
           domain_ == CorrelationDomain::kLinear ? db_to_linear(db) : db;
     }
@@ -144,7 +160,6 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
     std::span<const int> slots) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
-  constexpr std::size_t kLanes = 8;  // points in flight per register block
   const std::size_t m = slots.size();
   TALON_EXPECTS(m >= 1);
   for (const int s : slots) {
@@ -163,55 +178,30 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   panel->fine_tiles = fine;
   panel->coarse_tiles = tiles_.coarse_tiles;
 
-  // One pass over each tile's probed rows: per-point norms accumulated in
-  // ascending m (the padding lanes sum zeros), then each row's largest
-  // normalized share. Both loops run across independent point lanes, so
-  // they vectorize without reordering any one point's sum, and the maxima
-  // are order-free.
+  // The per-tile statistics kernel (core/tile_dots.hpp) writes each
+  // tile's norms, shares and root minimum norm; the sidecar quantizes the
+  // shares while they are still in cache.
   panel->norms_sq.resize(points);
   panel->fine_abs_norm_max.resize(fine * m);
   panel->fine_sqrt_min_norm.resize(fine);
+  panel->fine_q.resize(fine * m);
+  panel->fine_q_scale.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
-    const double* block = tile_block(t);
     double norm[kTile];
-    for (std::size_t g0 = 0; g0 < kTile; g0 += kLanes) {
-      double acc[kLanes] = {};  // in registers, like tile_dots_scalar's blocks
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        const double* row = block + panel->rows[mm] + g0;
-        for (std::size_t j = 0; j < kLanes; ++j) acc[j] += row[j] * row[j];
-      }
-      std::copy_n(acc, kLanes, norm + g0);
-    }
-    const std::uint32_t* tile_points = tiles_.point.data() + t * kTile;
-    const std::size_t count = tiles_.count(t);
-    double min_pos = kInf;
-    double inv_norm[kTile] = {};  // 0 for zero-norm points and padding: share 0
-    for (std::size_t gi = 0; gi < count; ++gi) {
-      const double n = norm[gi];
-      panel->norms_sq[tile_points[gi]] = n;
-      if (n <= 0.0) continue;  // zero-norm points score exactly 0
-      if (n < min_pos) min_pos = n;
-      inv_norm[gi] = 1.0 / std::sqrt(n);
-    }
-    panel->fine_sqrt_min_norm[t] = min_pos == kInf ? kInf : std::sqrt(min_pos);
     double* u = panel->fine_abs_norm_max.data() + t * m;
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      const double* row = block + panel->rows[mm];
-      double lane_max[kLanes] = {};
-      for (std::size_t g0 = 0; g0 < kTile; g0 += kLanes) {
-        for (std::size_t j = 0; j < kLanes; ++j) {
-          const double share = std::abs(row[g0 + j]) * inv_norm[g0 + j];
-          lane_max[j] = share > lane_max[j] ? share : lane_max[j];
-        }
-      }
-      double hi = 0.0;
-      for (const double v : lane_max) hi = v > hi ? v : hi;
-      u[mm] = hi;
+    panel->fine_sqrt_min_norm[t] =
+        tile_stats(tile_block(t), panel->rows.data(), m, norm, u);
+    const std::uint32_t* tile_points = tiles_.point.data() + t * kTile;
+    for (std::size_t gi = 0; gi < tiles_.count(t); ++gi) {
+      panel->norms_sq[tile_points[gi]] = norm[gi];
     }
+    panel->fine_q_scale[t] = quantize_screen_row(u, m, panel->fine_q.data() + t * m);
   }
 
   panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);
   panel->coarse_sqrt_min_norm.resize(panel->coarse_tiles);
+  panel->coarse_q.resize(panel->coarse_tiles * m);
+  panel->coarse_q_scale.resize(panel->coarse_tiles);
   for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
     const std::size_t t0 = tiles_.first_fine(c);
     const std::size_t t1 = tiles_.last_fine(c);
@@ -227,17 +217,6 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
       root = std::min(root, panel->fine_sqrt_min_norm[t]);
     }
     panel->coarse_sqrt_min_norm[c] = root;
-  }
-
-  panel->fine_q.resize(fine * m);
-  panel->fine_q_scale.resize(fine);
-  for (std::size_t t = 0; t < fine; ++t) {
-    panel->fine_q_scale[t] = quantize_screen_row(
-        panel->fine_abs_norm_max.data() + t * m, m, panel->fine_q.data() + t * m);
-  }
-  panel->coarse_q.resize(panel->coarse_tiles * m);
-  panel->coarse_q_scale.resize(panel->coarse_tiles);
-  for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
     panel->coarse_q_scale[c] =
         quantize_screen_row(panel->coarse_abs_norm_max.data() + c * m, m,
                             panel->coarse_q.data() + c * m);

@@ -22,7 +22,10 @@
 // Cauchy-Schwarz upper bound the branch-and-bound argmax
 // (core/correlation.hpp) prunes with. A panel holds no copy of the
 // responses: every panel reads the one shared matrix, so a build is one
-// pass over the probed rows and a cached panel costs tens of kilobytes.
+// dispatched tile_stats pass (core/tile_dots.hpp) per tile over the
+// probed rows, and a cached panel costs tens of kilobytes. The matrix
+// admits only responses within kDbEnvelope (common/units.hpp), so no
+// statistic is ever NaN and every comparison on them is exact.
 // Panels are keyed on the exact slot sequence (not the set) and shared
 // across every reader of the matrix: repeated sweeps with the same probe
 // subset -- the common case in the experiment runners, tracking loops and

@@ -1,6 +1,9 @@
 #include "src/core/tile_dots.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 
 #include "src/core/response_matrix.hpp"
 
@@ -54,64 +57,114 @@ void tile_dots_scalar(const double* block, const std::size_t* rows,
   }
 }
 
+// The norm pass keeps kBlock points in registers like tile_dots_scalar;
+// zero-norm points and the padding get a zero reciprocal, so every share
+// they contribute is 0 and cannot raise a maximum that starts at 0.
+double tile_stats_scalar(const double* block, const std::size_t* rows,
+                         std::size_t m_count, double* norm, double* u) {
+  constexpr std::size_t kBlock = 8;
+  for (std::size_t g0 = 0; g0 < kTile; g0 += kBlock) {
+    double acc[kBlock] = {};
+    for (std::size_t m = 0; m < m_count; ++m) {
+      const double* row = block + rows[m] + g0;
+      for (std::size_t j = 0; j < kBlock; ++j) acc[j] += row[j] * row[j];
+    }
+    std::copy_n(acc, kBlock, norm + g0);
+  }
+  double min_pos = std::numeric_limits<double>::infinity();
+  double inv_norm[kTile] = {};
+  for (std::size_t gi = 0; gi < kTile; ++gi) {
+    const double n = norm[gi];
+    if (n <= 0.0) continue;
+    if (n < min_pos) min_pos = n;
+    inv_norm[gi] = 1.0 / std::sqrt(n);
+  }
+  for (std::size_t m = 0; m < m_count; ++m) {
+    const double* row = block + rows[m];
+    double lane_max[kBlock] = {};
+    for (std::size_t g0 = 0; g0 < kTile; g0 += kBlock) {
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        const double share = std::abs(row[g0 + j]) * inv_norm[g0 + j];
+        lane_max[j] = share > lane_max[j] ? share : lane_max[j];
+      }
+    }
+    double hi = 0.0;
+    for (const double v : lane_max) hi = v > hi ? v : hi;
+    u[m] = hi;
+  }
+  return std::sqrt(min_pos);  // +infinity stays +infinity
+}
+
 namespace {
 
-/// Map the active level to a kernel present in this binary; a level whose
-/// kernel was not compiled in (e.g. TALON_SIMD=avx2 on a build whose
+/// One kernel of each kind, and the level they run at.
+struct Kernels {
+  TileDotsFn dots;
+  TileStatsFn stats;
+  SimdLevel level;
+};
+
+constexpr Kernels kScalarKernels{&tile_dots_scalar, &tile_stats_scalar,
+                                 SimdLevel::kScalar};
+#if defined(TALON_HAVE_AVX2_KERNEL)
+constexpr Kernels kAvx2Kernels{&tile_dots_avx2, &tile_stats_avx2, SimdLevel::kAvx2};
+#endif
+#if defined(__aarch64__) || defined(_M_ARM64)
+constexpr Kernels kNeonKernels{&tile_dots_neon, &tile_stats_scalar, SimdLevel::kNeon};
+#endif
+
+/// Map the active level to kernels present in this binary; a level whose
+/// kernels were not compiled in (e.g. TALON_SIMD=avx2 on a build whose
 /// compiler lacked -mavx2) degrades to scalar rather than erroring.
-TileDotsFn kernel_for(SimdLevel level) {
+const Kernels* kernels_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
 #if defined(TALON_HAVE_AVX2_KERNEL)
-      return &tile_dots_avx2;
+      return &kAvx2Kernels;
 #else
       break;
 #endif
     case SimdLevel::kNeon:
 #if defined(__aarch64__) || defined(_M_ARM64)
-      return &tile_dots_neon;
+      return &kNeonKernels;
 #else
       break;
 #endif
     case SimdLevel::kScalar:
       break;
   }
-  return &tile_dots_scalar;
+  return &kScalarKernels;
 }
 
 /// Cached resolution. Both cells are plain caches of pure functions of the
 /// active level -- racing writers store the same values, so relaxed order
 /// is enough (and keeps the hot-path check to two uncontended loads).
-std::atomic<TileDotsFn> g_kernel{nullptr};
-std::atomic<SimdLevel> g_kernel_level{SimdLevel::kScalar};
+std::atomic<const Kernels*> g_kernels{nullptr};
+std::atomic<SimdLevel> g_kernels_level{SimdLevel::kScalar};
 
-TileDotsFn resolve() {
+const Kernels& resolve() {
   const SimdLevel level = active_simd_level();
-  TileDotsFn fn = g_kernel.load(std::memory_order_relaxed);
-  if (fn == nullptr || g_kernel_level.load(std::memory_order_relaxed) != level) {
-    fn = kernel_for(level);
-    g_kernel.store(fn, std::memory_order_relaxed);
-    g_kernel_level.store(level, std::memory_order_relaxed);
+  const Kernels* k = g_kernels.load(std::memory_order_relaxed);
+  if (k == nullptr || g_kernels_level.load(std::memory_order_relaxed) != level) {
+    k = kernels_for(level);
+    g_kernels.store(k, std::memory_order_relaxed);
+    g_kernels_level.store(level, std::memory_order_relaxed);
   }
-  return fn;
+  return *k;
 }
 
 }  // namespace
 
 void tile_dots(const double* block, const std::size_t* rows, const double* ps,
                const double* pr, std::size_t m_count, double* out_s, double* out_r) {
-  resolve()(block, rows, ps, pr, m_count, out_s, out_r);
+  resolve().dots(block, rows, ps, pr, m_count, out_s, out_r);
 }
 
-SimdLevel tile_dots_dispatch_level() {
-  const TileDotsFn fn = resolve();
-#if defined(TALON_HAVE_AVX2_KERNEL)
-  if (fn == &tile_dots_avx2) return SimdLevel::kAvx2;
-#endif
-#if defined(__aarch64__) || defined(_M_ARM64)
-  if (fn == &tile_dots_neon) return SimdLevel::kNeon;
-#endif
-  return SimdLevel::kScalar;
+double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
+                  double* norm, double* u) {
+  return resolve().stats(block, rows, m_count, norm, u);
 }
+
+SimdLevel tile_dots_dispatch_level() { return resolve().level; }
 
 }  // namespace talon

@@ -1,4 +1,5 @@
-// The dense per-tile dot-product kernel under every correlation pass.
+// The dense per-tile kernels: the dot products under every correlation
+// pass, and the per-tile statistics of a subset panel build.
 //
 // tile_dots() computes, for one tile block of the response matrix
 // (ResponseMatrix::tile_block: one kTilePoints-wide row per sector slot)
@@ -17,6 +18,16 @@
 // scalar fallback this way). Resolution is a couple of relaxed atomic
 // loads per call -- noise next to the M * kTilePoints multiply-adds the
 // call performs.
+//
+// tile_stats() computes, for one tile block and a panel's row offsets,
+// what ResponseMatrix::build_panel keeps per fine tile: every point's
+// subset norm, every row's largest normalized share and the root of the
+// smallest positive norm. Norms accumulate in ascending m with a plain
+// multiply then add, like tile_dots; the reciprocals are one correctly
+// rounded sqrt and one divide per point, and the maxima and the minimum
+// are order-free. So every variant is bit-identical here too, provided no
+// value is NaN -- ResponseMatrix only admits responses within
+// kDbEnvelope, whose squares stay finite.
 //
 // `block` must honor the ResponseMatrix::kValuesAlignment contract, and
 // every rows[m] must be a multiple of kTilePoints (every row 64-byte
@@ -43,12 +54,30 @@ void tile_dots_scalar(const double* block, const std::size_t* rows,
                       const double* ps, const double* pr, std::size_t m_count,
                       double* out_s, double* out_r);
 
+/// Per-tile statistics signature shared by every variant. Writes
+///   norm[gi] = sum_m block[rows[m] + gi]^2, ascending m, for all
+///              kTilePoints points (0 in the zero padding of a ragged tile);
+///   u[m]     = max over the points with norm[gi] > 0 of
+///              |block[rows[m] + gi]| * (1 / sqrt(norm[gi])), 0 when none;
+/// and returns sqrt(min positive norm[gi]), +infinity when none is positive.
+using TileStatsFn = double (*)(const double* block, const std::size_t* rows,
+                               std::size_t m_count, double* norm, double* u);
+
+/// Portable reference statistics kernel.
+double tile_stats_scalar(const double* block, const std::size_t* rows,
+                         std::size_t m_count, double* norm, double* u);
+
 #if defined(TALON_HAVE_AVX2_KERNEL)
 /// AVX2 kernel: 4 points per ymm lane, mul+add kept separate (compiled
 /// with -mno-fma and -ffp-contract=off so nothing re-fuses them).
 void tile_dots_avx2(const double* block, const std::size_t* rows,
                     const double* ps, const double* pr, std::size_t m_count,
                     double* out_s, double* out_r);
+
+/// AVX2 statistics: all kTilePoints norms in flight, masked vsqrtpd /
+/// vdivpd reciprocals, one vmaxpd tree per row.
+double tile_stats_avx2(const double* block, const std::size_t* rows,
+                       std::size_t m_count, double* norm, double* u);
 #endif
 
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -63,6 +92,11 @@ void tile_dots_neon(const double* block, const std::size_t* rows,
 /// and runs it. Re-resolves automatically after an override change.
 void tile_dots(const double* block, const std::size_t* rows, const double* ps,
                const double* pr, std::size_t m_count, double* out_s, double* out_r);
+
+/// The dispatched statistics kernel, resolved like tile_dots(). NEON has
+/// no variant of its own: it runs tile_stats_scalar.
+double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
+                  double* norm, double* u);
 
 /// The level the next tile_dots() call will actually run at -- the active
 /// level clamped to the kernels present in this binary. Exposed so tests

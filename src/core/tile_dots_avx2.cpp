@@ -1,7 +1,7 @@
-// AVX2 variant of tile_dots. Compiled with -mavx2 -mno-fma (plus the
-// project-wide -ffp-contract=off) in its own TU so the rest of the build
-// stays baseline-ISA; only the runtime dispatcher calls in here, and only
-// after the host probe confirmed AVX2.
+// AVX2 variants of tile_dots and tile_stats. Compiled with -mavx2
+// -mno-fma (plus the project-wide -ffp-contract=off) in its own TU so the
+// rest of the build stays baseline-ISA; only the runtime dispatcher calls
+// in here, and only after the host probe confirmed AVX2.
 //
 // Bit-identity: each ymm lane carries one grid point's accumulator, the m
 // loop broadcasts ps[m]/pr[m] and performs a distinct _mm256_mul_pd then
@@ -15,6 +15,9 @@
 #if defined(TALON_HAVE_AVX2_KERNEL)
 
 #include <immintrin.h>
+
+#include <cmath>
+#include <limits>
 
 #include "src/core/response_matrix.hpp"
 
@@ -84,6 +87,72 @@ void tile_dots_avx2(const double* block, const std::size_t* rows,
     _mm256_storeu_pd(out_s + g0 + 8, as2);
     _mm256_storeu_pd(out_s + g0 + 12, as3);
   }
+}
+
+namespace {
+
+/// Largest / smallest lane of v. Both are order-free on non-NaN lanes.
+double hmax(__m256d v) {
+  const __m128d half = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
+}
+double hmin(__m256d v) {
+  const __m128d half = _mm_min_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_min_sd(half, _mm_unpackhi_pd(half, half)));
+}
+
+constexpr std::size_t kRegs = kTile / 4;  // ymm registers per tile row
+
+}  // namespace
+
+// Bit-identity: each lane's norm is the scalar kernel's ascending-m
+// mul-then-add chain; vsqrtpd and vdivpd round each lane exactly like
+// sqrtsd and divsd; the and-mask gives the zero reciprocal the scalar
+// kernel skips to, and min/max over non-NaN lanes do not depend on order.
+double tile_stats_avx2(const double* block, const std::size_t* rows,
+                       std::size_t m_count, double* norm, double* u) {
+  // One pass over the rows with all kTile points in flight: kRegs
+  // independent add chains instead of kRegs / 2 passes over the rows.
+  __m256d acc[kRegs];
+  for (__m256d& a : acc) a = _mm256_setzero_pd();
+  for (std::size_t m = 0; m < m_count; ++m) {
+    const double* row = block + rows[m];
+    for (std::size_t k = 0; k < kRegs; ++k) {
+      const __m256d x = _mm256_load_pd(row + 4 * k);
+      acc[k] = _mm256_add_pd(acc[k], _mm256_mul_pd(x, x));
+    }
+  }
+
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d inv[kRegs];
+  __m256d lo = inf;
+  for (std::size_t k = 0; k < kRegs; ++k) {
+    _mm256_storeu_pd(norm + 4 * k, acc[k]);
+    const __m256d positive = _mm256_cmp_pd(acc[k], zero, _CMP_GT_OQ);
+    inv[k] = _mm256_and_pd(positive, _mm256_div_pd(one, _mm256_sqrt_pd(acc[k])));
+    lo = _mm256_min_pd(lo, _mm256_blendv_pd(inf, acc[k], positive));
+  }
+
+  const __m256d magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffff));
+  for (std::size_t m = 0; m < m_count; ++m) {
+    const double* row = block + rows[m];
+    __m256d share[kRegs];
+    for (std::size_t k = 0; k < kRegs; ++k) {
+      const __m256d x = _mm256_load_pd(row + 4 * k);
+      share[k] = _mm256_mul_pd(_mm256_and_pd(magnitude, x), inv[k]);
+    }
+    for (std::size_t width = kRegs / 2; width > 0; width /= 2) {
+      for (std::size_t k = 0; k < width; ++k) {
+        share[k] = _mm256_max_pd(share[k], share[k + width]);
+      }
+    }
+    // Every share is >= +0, so the maximum already includes the scalar
+    // kernel's starting 0.
+    u[m] = hmax(share[0]);
+  }
+  return std::sqrt(hmin(lo));
 }
 
 }  // namespace talon

@@ -136,6 +136,22 @@ TEST(PatternTable, FromCsvRejectsInfiniteValue) {
   }
 }
 
+TEST(PatternTable, FromCsvRejectsValuesBeyondTheDbEnvelope) {
+  // 4000 dB is finite, but its linear power is not: the correlation math
+  // would see inf and its surfaces NaN. The envelope itself still parses.
+  for (double bad : {4000.0, -4000.0, 1000.5}) {
+    CsvTable csv = two_sector_csv();
+    csv.rows[3][3] = bad;
+    EXPECT_NE(from_csv_error(csv).find("row 3: value_db is beyond +-1000 dB"),
+              std::string::npos)
+        << bad;
+  }
+  CsvTable csv = two_sector_csv();
+  csv.rows[3][3] = 1000.0;
+  csv.rows[4][3] = -1000.0;
+  EXPECT_EQ(from_csv_error(csv), "");
+}
+
 TEST(PatternTable, FromCsvRejectsDuplicateCell) {
   CsvTable csv = two_sector_csv();
   std::vector<double> again = csv.rows[4];

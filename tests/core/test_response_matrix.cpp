@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "src/common/cpufeatures.hpp"
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
 #include "src/core/pattern_assets.hpp"
@@ -360,25 +361,79 @@ TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
       spread_grid(7, 3), spread_grid(1, 40), spread_grid(13, 9)};
   const std::vector<std::vector<int>> subsets{
       {0, 2, 4}, {8, 0, 5, 5, 3, 1}, {3, 3}, {7}, {8, 7, 6, 5, 4, 3, 2, 1, 0, 8}};
-  for (const AngularGrid& grid : grids) {
-    for (const CorrelationDomain domain :
-         {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
-      const ResponseMatrix matrix(synthetic_table(), grid, domain);
-      for (const std::vector<int>& subset : subsets) {
-        const std::string where = std::to_string(grid.azimuth.count) + "x" +
-                                  std::to_string(grid.elevation.count) + " dB=" +
-                                  std::to_string(domain == CorrelationDomain::kDb) +
-                                  " M=" + std::to_string(subset.size());
-        const auto panel = matrix.panel(subset);
-        const ReferencePanel ref = reference_panel(matrix, subset);
-        EXPECT_EQ(panel->norms_sq, ref.norms_sq) << where;
-        EXPECT_EQ(panel->fine_abs_norm_max, ref.u) << where;
-        EXPECT_EQ(panel->fine_sqrt_min_norm, ref.sqrt_min_norm) << where;
-        EXPECT_EQ(panel->fine_q, ref.q) << where;
-        EXPECT_EQ(panel->fine_q_scale, ref.q_scale) << where;
+  // Under the scalar statistics kernel and whatever the host dispatches.
+  for (const SimdLevel level : {SimdLevel::kScalar, detected_simd_level()}) {
+    set_simd_level_override(level);
+    for (const AngularGrid& grid : grids) {
+      for (const CorrelationDomain domain :
+           {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
+        const ResponseMatrix matrix(synthetic_table(), grid, domain);
+        for (const std::vector<int>& subset : subsets) {
+          const std::string where =
+              std::string(simd_level_name(level)) + " " +
+              std::to_string(grid.azimuth.count) + "x" +
+              std::to_string(grid.elevation.count) +
+              " dB=" + std::to_string(domain == CorrelationDomain::kDb) +
+              " M=" + std::to_string(subset.size());
+          const auto panel = matrix.panel(subset);
+          const ReferencePanel ref = reference_panel(matrix, subset);
+          EXPECT_EQ(panel->norms_sq, ref.norms_sq) << where;
+          EXPECT_EQ(panel->fine_abs_norm_max, ref.u) << where;
+          EXPECT_EQ(panel->fine_sqrt_min_norm, ref.sqrt_min_norm) << where;
+          EXPECT_EQ(panel->fine_q, ref.q) << where;
+          EXPECT_EQ(panel->fine_q_scale, ref.q_scale) << where;
+        }
       }
     }
   }
+  clear_simd_level_override();
+}
+
+TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
+  // In the dB domain a 0 dB response is an exact zero. Sectors flat at
+  // 0 dB over the right half of the grid leave tiles with no positive
+  // norm (scale 0, root +infinity) next to tiles with a few zero-norm
+  // points; the scalar and the dispatched kernels must agree on every
+  // statistic, coarse ones included, and both match the reference build.
+  const AngularGrid grid = synthetic_grid();
+  PatternTable table;
+  for (int id = 1; id <= 3; ++id) {
+    Grid2D pattern(grid, 0.0);
+    for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
+      for (std::size_t ia = 0; ia < grid.azimuth.count / 2; ++ia) {
+        if ((ia + ie) % 5 != 0) pattern.set(ia, ie, 2.0 * id - 5.0 + 0.25 * ia);
+      }
+    }
+    table.add(id, pattern);
+  }
+  const std::vector<int> subset{2, 0, 2, 1};
+  std::vector<std::shared_ptr<const SubsetPanel>> panels;
+  for (const SimdLevel level : {SimdLevel::kScalar, detected_simd_level()}) {
+    set_simd_level_override(level);
+    const ResponseMatrix matrix(table, grid, CorrelationDomain::kDb);
+    panels.push_back(matrix.panel(subset));
+    const ReferencePanel ref = reference_panel(matrix, subset);
+    EXPECT_EQ(panels.back()->fine_abs_norm_max, ref.u);
+    EXPECT_EQ(panels.back()->fine_sqrt_min_norm, ref.sqrt_min_norm);
+    EXPECT_EQ(panels.back()->fine_q_scale, ref.q_scale);
+  }
+  clear_simd_level_override();
+  const SubsetPanel& scalar = *panels[0];
+  const SubsetPanel& dispatched = *panels[1];
+  EXPECT_NE(std::find(scalar.fine_q_scale.begin(), scalar.fine_q_scale.end(), 0.0),
+            scalar.fine_q_scale.end());
+  EXPECT_NE(std::find(scalar.fine_sqrt_min_norm.begin(), scalar.fine_sqrt_min_norm.end(),
+                      std::numeric_limits<double>::infinity()),
+            scalar.fine_sqrt_min_norm.end());
+  EXPECT_EQ(scalar.norms_sq, dispatched.norms_sq);
+  EXPECT_EQ(scalar.fine_abs_norm_max, dispatched.fine_abs_norm_max);
+  EXPECT_EQ(scalar.fine_sqrt_min_norm, dispatched.fine_sqrt_min_norm);
+  EXPECT_EQ(scalar.coarse_abs_norm_max, dispatched.coarse_abs_norm_max);
+  EXPECT_EQ(scalar.coarse_sqrt_min_norm, dispatched.coarse_sqrt_min_norm);
+  EXPECT_EQ(scalar.fine_q, dispatched.fine_q);
+  EXPECT_EQ(scalar.fine_q_scale, dispatched.fine_q_scale);
+  EXPECT_EQ(scalar.coarse_q, dispatched.coarse_q);
+  EXPECT_EQ(scalar.coarse_q_scale, dispatched.coarse_q_scale);
 }
 
 TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
@@ -494,6 +549,35 @@ TEST(ResponseMatrix, EmptyTableRejected) {
   EXPECT_THROW(
       ResponseMatrix(empty, synthetic_grid(), CorrelationDomain::kLinear),
       PreconditionError);
+}
+
+TEST(ResponseMatrix, TableBeyondTheDbEnvelopeRejected) {
+  // 4000 dB is 10^400 in linear power: inf, and NaN in the surfaces, where
+  // no exact comparison holds. A table built in code never went through
+  // PatternTable::from_csv's check, so the matrix checks it too, in both
+  // domains; the envelope's edge is admitted.
+  const PatternTable base = synthetic_table();
+  const auto with_cells = [&](double first, double second) {
+    PatternTable table;
+    for (const int id : base.ids()) {
+      Grid2D pattern = base.pattern(id);
+      if (id == 1) {
+        pattern.set(0, 0, first);
+        pattern.set(1, 0, second);
+      }
+      table.add(id, pattern);
+    }
+    return table;
+  };
+  for (const CorrelationDomain domain :
+       {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
+    EXPECT_THROW(ResponseMatrix(with_cells(4000.0, 0.0), synthetic_grid(), domain),
+                 PreconditionError);
+    EXPECT_THROW(ResponseMatrix(with_cells(0.0, -4000.0), synthetic_grid(), domain),
+                 PreconditionError);
+    EXPECT_NO_THROW(
+        ResponseMatrix(with_cells(kDbEnvelope, -kDbEnvelope), synthetic_grid(), domain));
+  }
 }
 
 }  // namespace

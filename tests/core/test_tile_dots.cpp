@@ -1,16 +1,21 @@
-// The SIMD correlation kernel's three contracts, tested directly:
+// The SIMD tile kernels' four contracts, tested directly:
 //
 //   1. TileDots -- every compiled-in variant (scalar, AVX2, NEON) is
 //      bit-identical on every input: random tile blocks read through row
 //      offsets in shuffled order, with duplicate rows and the block's
 //      last row, all M values including the degenerate 1, zero rows, and
 //      the SNR-only (pr == nullptr) shape.
-//   2. SimdDispatch -- the runtime dispatch honors the programmatic
+//   2. TileStats -- every variant of the per-tile panel statistics
+//      kernel equals the statistics' definition bit for bit: ragged
+//      tails, zero-norm points and tiles, duplicate rows, M = 1 and M
+//      past the block's rows, subnormal responses and the kDbEnvelope
+//      edge.
+//   3. SimdDispatch -- the runtime dispatch honors the programmatic
 //      override (clamped to the host), and the whole argmax-equals-
 //      surface property holds with the scalar fallback forced, so the
 //      suite pins correctness independently of the host CPU. (CI also
 //      runs the full ctest suite under TALON_SIMD=scalar.)
-//   3. QuantizedScreen -- on real cached panels the int16 sidecar's
+//   4. QuantizedScreen -- on real cached panels the int16 sidecar's
 //      dequantized statistics dominate the float statistics exactly
 //      (q * scale >= u), and the quantized screening bound dominates the
 //      float screening bound field for field, which is the soundness
@@ -24,10 +29,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/common/aligned.hpp"
@@ -174,6 +181,133 @@ TEST(TileDots, SnrOnlyShapeBitIdentical) {
       expect_rows_equal(ref_s.data(), out_s.data());
     }
   }
+}
+
+// --- per-tile panel statistics ------------------------------------------------
+
+/// tile_stats' outputs for one tile.
+struct TileStats {
+  std::vector<double> norm;
+  std::vector<double> u;
+  double root{0.0};
+};
+
+/// The statistics straight from their definition (core/tile_dots.hpp),
+/// point by point.
+TileStats reference_tile_stats(const AlignedBlock& block,
+                               const std::vector<std::size_t>& rows) {
+  const std::size_t m = rows.size();
+  TileStats ref{std::vector<double>(kTile, 0.0), std::vector<double>(m, 0.0), 0.0};
+  double min_pos = std::numeric_limits<double>::infinity();
+  for (std::size_t gi = 0; gi < kTile; ++gi) {
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      const double x = block[rows[mm] + gi];
+      ref.norm[gi] += x * x;
+    }
+    if (!(ref.norm[gi] > 0.0)) continue;
+    min_pos = std::min(min_pos, ref.norm[gi]);
+    const double inv_norm = 1.0 / std::sqrt(ref.norm[gi]);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      ref.u[mm] = std::max(ref.u[mm], std::abs(block[rows[mm] + gi]) * inv_norm);
+    }
+  }
+  ref.root = std::sqrt(min_pos);
+  return ref;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every compiled-in statistics variant, and the dispatched entry point,
+/// against the definition: bit for bit, into deliberately unaligned
+/// outputs.
+void expect_tile_stats_exact(const AlignedBlock& block,
+                             const std::vector<std::size_t>& rows,
+                             const std::string& where) {
+  const std::size_t m = rows.size();
+  const TileStats ref = reference_tile_stats(block, rows);
+  const auto check = [&](TileStatsFn fn, const char* name) {
+    std::vector<double> norm(kTile + 1, -1.0);
+    std::vector<double> u(m + 1, -1.0);
+    const double root = fn(block.data(), rows.data(), m, norm.data() + 1, u.data() + 1);
+    EXPECT_EQ(bits(root), bits(ref.root)) << name << " " << where;
+    for (std::size_t gi = 0; gi < kTile; ++gi) {
+      EXPECT_EQ(bits(norm[gi + 1]), bits(ref.norm[gi]))
+          << name << " " << where << " lane " << gi;
+    }
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      EXPECT_EQ(bits(u[mm + 1]), bits(ref.u[mm])) << name << " " << where << " m " << mm;
+    }
+  };
+  check(&tile_stats_scalar, "scalar");
+#if defined(TALON_HAVE_AVX2_KERNEL)
+  if (detected_simd_level() == SimdLevel::kAvx2) check(&tile_stats_avx2, "avx2");
+#endif
+  check(&tile_stats, "dispatched");
+}
+
+TEST(TileStats, AllVariantsMatchTheDefinitionRandomized) {
+  // M from 1 past the block's kBlockRows rows (so rows repeat), distinct
+  // and duplicate slots, blocks with scattered exact zeros.
+  std::mt19937_64 rng(20261018);
+  for (std::size_t m = 1; m <= 40; ++m) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const AlignedBlock block = random_block(rng);
+      expect_tile_stats_exact(block, random_rows(rng, m, trial % 2 == 0),
+                              "M=" + std::to_string(m));
+    }
+  }
+}
+
+TEST(TileStats, RaggedAndZeroNormTiles) {
+  // A ragged tail tile (zero padding past `count` points in every row),
+  // points that are zero in every probed row, and a tile with no
+  // positive norm at all: root +infinity, every share 0.
+  std::mt19937_64 rng(7);
+  for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{31}}) {
+    for (const std::size_t m : {std::size_t{1}, std::size_t{14}, std::size_t{36}}) {
+      AlignedBlock block = random_block(rng);
+      for (std::size_t s = 0; s < kBlockRows; ++s) {
+        for (std::size_t gi = count; gi < kTile; ++gi) block[s * kTile + gi] = 0.0;
+        for (std::size_t gi = 0; gi < count; gi += 3) block[s * kTile + gi] = 0.0;
+      }
+      expect_tile_stats_exact(
+          block, random_rows(rng, m, true),
+          "count=" + std::to_string(count) + " M=" + std::to_string(m));
+    }
+  }
+  const AlignedBlock empty(kBlockRows * kTile, 0.0);
+  const std::vector<std::size_t> rows{0, 3 * kTile, 0};
+  expect_tile_stats_exact(empty, rows, "all zero");
+  EXPECT_EQ(tile_stats_scalar(empty.data(), rows.data(), rows.size(),
+                              std::vector<double>(kTile).data(),
+                              std::vector<double>(rows.size()).data()),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(TileStats, ExtremeMagnitudes) {
+  // Subnormal responses (whose squares underflow to a zero norm, or stay
+  // subnormal), and responses at the kDbEnvelope edge in both domains:
+  // 10^(+-100) linear and +-1000 dB, mixed with ordinary values.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> values{tiny,   7 * tiny, 1e-310, 1e-160, 1e-100,
+                                   1e100,  1000.0,   -1000.0, 0.5,   -3.0};
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  for (int trial = 0; trial < 40; ++trial) {
+    AlignedBlock block(kBlockRows * kTile);
+    for (double& v : block) v = values[pick(rng)];
+    // Some points subnormal-only, so their norm underflows to 0 while
+    // their responses are not zero.
+    for (std::size_t s = 0; s < kBlockRows; ++s) block[s * kTile + trial % kTile] = tiny;
+    const std::size_t m = 1 + static_cast<std::size_t>(trial) % 38;
+    expect_tile_stats_exact(block, random_rows(rng, m, trial % 3 == 0),
+                            "trial " + std::to_string(trial));
+  }
+  // Every row at the linear envelope edge: the norms stay finite.
+  const AlignedBlock hot(kBlockRows * kTile, 1e100);
+  std::vector<std::size_t> rows(kBlockRows);
+  for (std::size_t s = 0; s < kBlockRows; ++s) rows[s] = s * kTile;
+  expect_tile_stats_exact(hot, rows, "all 1e100");
 }
 
 // --- hostile sweeps: the walk against the Grid2D reference -------------------
