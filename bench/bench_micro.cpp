@@ -251,11 +251,12 @@ BENCHMARK(BM_CombinedArgmaxGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);
 
 void BM_CombinedArgmaxBatch(benchmark::State& state) {
   // K sweeps sharing one probing subset (heads still spread like the
-  // pool's), resolved in ONE batched pyramid walk (the replay-cell path:
-  // sim/experiment's CssSelector::select_batch over one cell's
-  // sweeps, which all probe the cell's subset). items/s is argmaxes per
-  // second; compare the per-item time against BM_CombinedArgmax/14 for
-  // the batching gain -- the results are bit-identical either way.
+  // pool's), resolved in ONE batch call that resolves their panel once
+  // and walks each sweep alone (the replay-cell path: sim/experiment's
+  // CssSelector::select_batch over one cell's sweeps, which all probe
+  // the cell's subset). items/s is argmaxes per second; compare the
+  // per-item time against BM_CombinedArgmax/14 for the gain of the
+  // shared panel -- the results are bit-identical either way.
   const CorrelationEngine engine = default_grid_engine();
   const Sweeps sweeps =
       make_sweeps(static_cast<std::size_t>(state.range(0)), 14, /*shared_subset=*/true);

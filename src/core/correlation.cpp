@@ -293,9 +293,7 @@ void CorrelationEngine::combined_argmax_batch(
   if (n == 1) {
     // The single-sweep call (one per report on the serving path): no
     // grouping, and the workspace's panel follows the link's subset.
-    static constexpr std::uint32_t kOnly = 0;
-    argmax_group(resolve_panel(ws.probes_[0].slots, ws),
-                 std::span<const std::uint32_t>(&kOnly, 1), out, ws,
+    argmax_sweep(resolve_panel(ws.probes_[0].slots, ws), ws.probes_[0], out[0], ws,
                  rival_exclusion_deg);
     return;
   }
@@ -327,75 +325,55 @@ void CorrelationEngine::combined_argmax_batch(
       local_panel = matrix_.panel(slots);
       pan = local_panel.get();
     }
-    argmax_group(*pan, std::span<const std::uint32_t>(ws.order_.data() + i0, i1 - i0),
-                 out, ws, rival_exclusion_deg);
+    // The group shares its panel; each member walks alone.
+    for (std::size_t i = i0; i < i1; ++i) {
+      const std::uint32_t sweep = ws.order_[i];
+      argmax_sweep(*pan, ws.probes_[sweep], out[sweep], ws, rival_exclusion_deg);
+    }
     i0 = i1;
   }
 }
 
-void CorrelationEngine::argmax_group(
-    const SubsetPanel& pan, std::span<const std::uint32_t> members,
-    std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
-    std::optional<double> rival_exclusion_deg) const {
-  const std::size_t k_members = members.size();
-  const bool single = k_members == 1;
+void CorrelationEngine::argmax_sweep(const SubsetPanel& pan, const ProbeVectors& probes,
+                                     ArgmaxResult& out, CorrelationWorkspace& ws,
+                                     std::optional<double> rival_exclusion_deg) const {
   const std::size_t m_count = pan.m();
   const std::size_t n_az = matrix_.grid().azimuth.count;
 
-  // Per-member norms and probe magnitudes, computed once per call
-  // instead of per tile. A lone member's state stays on the stack.
-  detail::WalkMember lone;
-  if (!single) ws.ensure_size(ws.members_, k_members);
-  detail::WalkMember* const walk_members = single ? &lone : ws.members_.data();
-  ws.ensure_size(ws.member_abs_, k_members * 2 * m_count);
-  for (std::size_t b = 0; b < k_members; ++b) {
-    const ProbeVectors& p = ws.probes_[members[b]];
-    detail::WalkMember& mb = walk_members[b];
-    double snr_norm_sq = 0.0;
-    for (double v : p.snr) snr_norm_sq += v * v;
-    TALON_EXPECTS(snr_norm_sq > 0.0);
-    double rssi_norm_sq = 0.0;
-    for (double v : p.rssi) rssi_norm_sq += v * v;
-    TALON_EXPECTS(rssi_norm_sq > 0.0);
-    mb.snr_norm = std::sqrt(snr_norm_sq);
-    mb.rssi_norm = std::sqrt(rssi_norm_sq);
-    mb.inv_snr = 1.0 / mb.snr_norm;
-    mb.inv_rssi = 1.0 / mb.rssi_norm;
-    mb.ps = p.snr.data();
-    mb.pr = p.rssi.data();
-    double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
-    for (std::size_t m = 0; m < m_count; ++m) {
-      abs_row[m] = std::abs(p.snr[m]);
-      abs_row[m_count + m] = std::abs(p.rssi[m]);
-    }
+  // Norms and probe magnitudes, computed once per sweep instead of per
+  // tile.
+  detail::WalkMember mb;
+  double snr_norm_sq = 0.0;
+  for (double v : probes.snr) snr_norm_sq += v * v;
+  TALON_EXPECTS(snr_norm_sq > 0.0);
+  double rssi_norm_sq = 0.0;
+  for (double v : probes.rssi) rssi_norm_sq += v * v;
+  TALON_EXPECTS(rssi_norm_sq > 0.0);
+  mb.snr_norm = std::sqrt(snr_norm_sq);
+  mb.rssi_norm = std::sqrt(rssi_norm_sq);
+  mb.inv_snr = 1.0 / mb.snr_norm;
+  mb.inv_rssi = 1.0 / mb.rssi_norm;
+  mb.ps = probes.snr.data();
+  mb.pr = probes.rssi.data();
+  ws.ensure_size(ws.probe_abs_, 2 * m_count);
+  double* const abs_row = ws.probe_abs_.data();
+  for (std::size_t m = 0; m < m_count; ++m) {
+    abs_row[m] = std::abs(probes.snr[m]);
+    abs_row[m_count + m] = std::abs(probes.rssi[m]);
   }
 
-  // Level 1: every coarse tile bounded for every member and ordered by
-  // its best member bound, so the running best is (almost always) the
-  // true peak after the first tile and everything else prunes. A lone
-  // member's bounds ARE the group bounds.
+  // Level 1: every coarse tile bounded and ordered best-bound-first, so
+  // the running best is (almost always) the true peak after the first
+  // tile and everything else prunes.
   const std::size_t nc = pan.coarse_tiles;
   ws.ensure_size(ws.coarse_bound_, nc);
   ws.ensure_size(ws.coarse_order_, nc);
-  if (!single) {
-    ws.ensure_size(ws.member_bound_, nc * k_members);
-    ws.ensure_size(ws.screens_, SubsetPanel::kFinePerCoarse * k_members);
-  }
   for (std::size_t c = 0; c < nc; ++c) {
-    double group_bound = 0.0;
-    for (std::size_t b = 0; b < k_members; ++b) {
-      const double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
-      const double bound =
-          detail::screen_tile_q(abs_row, abs_row + m_count,
-                                pan.coarse_q.data() + c * m_count,
-                                pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c],
-                                m_count, walk_members[b].inv_snr,
-                                walk_members[b].inv_rssi)
-              .bound;
-      if (!single) ws.member_bound_[c * k_members + b] = bound;
-      group_bound = std::max(group_bound, bound);
-    }
-    ws.coarse_bound_[c] = group_bound;
+    ws.coarse_bound_[c] =
+        detail::screen_tile_q(abs_row, abs_row + m_count, pan.coarse_q.data() + c * m_count,
+                              pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c], m_count,
+                              mb.inv_snr, mb.inv_rssi)
+            .bound;
     ws.coarse_order_[c] = static_cast<std::uint32_t>(c);
   }
   std::sort(ws.coarse_order_.begin(), ws.coarse_order_.end(),
@@ -422,181 +400,123 @@ void CorrelationEngine::argmax_group(
   const bool seam_free = 360.0 - step * static_cast<double>(n_az - 1) >= exclusion;
   const std::size_t zone_half =
       step > 0.0 ? static_cast<std::size_t>(std::ceil(exclusion / step)) : n_az;
-  // The per-column maxima of a lone member live on the stack (grids of up
-  // to kStackColumns azimuth columns), so confidence mode does not grow
-  // every link's workspace.
+  // The per-column maxima live on the stack (grids of up to kStackColumns
+  // azimuth columns), so confidence mode does not grow every link's
+  // workspace.
   constexpr std::size_t kStackColumns = 256;
   double stack_columns[kStackColumns];
   double* columns = stack_columns;
-  if (confidence && (!single || n_az > kStackColumns)) {
-    ws.ensure_size(ws.column_best_, k_members * n_az);
+  if (confidence && n_az > kStackColumns) {
+    ws.ensure_size(ws.column_best_, n_az);
     columns = ws.column_best_.data();
   }
   for (const bool speculate : {confidence && seam_free, false}) {
-    for (std::size_t b = 0; b < k_members; ++b) {
-      detail::WalkMember& mb = walk_members[b];
-      mb.best = -1.0;  // below any W: the first visited tile always evaluates
-      mb.best_g = 0;
-      mb.rival = -1.0;
-      mb.peak_column = 0;
-      mb.rival_used = -1.0;
-    }
+    mb.best = -1.0;  // below any W: the first visited tile always evaluates
+    mb.best_g = 0;
+    mb.rival = -1.0;
+    mb.peak_column = 0;
+    mb.rival_used = -1.0;
     if (confidence) {
-      std::fill(columns, columns + k_members * n_az, -1.0);
-      if (single) {
-        walk<true, true>(pan, walk_members, 1, columns, ws, zone_half, speculate);
-      } else {
-        walk<true, false>(pan, walk_members, k_members, columns, ws, zone_half,
-                          speculate);
-      }
-    } else if (single) {
-      walk<false, true>(pan, walk_members, 1, columns, ws, zone_half, speculate);
+      std::fill(columns, columns + n_az, -1.0);
+      mb = walk<true>(pan, mb, columns, ws, zone_half, speculate);
     } else {
-      walk<false, false>(pan, walk_members, k_members, columns, ws, zone_half, speculate);
+      mb = walk<false>(pan, mb, columns, ws, zone_half, speculate);
     }
-    bool exact = true;
-    for (std::size_t b = 0; b < k_members; ++b) {
-      const std::size_t g = walk_members[b].best_g;
-      ArgmaxResult& r = out[members[b]];
-      r = ArgmaxResult{g, walk_members[b].best, matrix_.directions()[g]};
-      if (!confidence) continue;
-      const double* column = columns + b * n_az;
-      for (std::size_t ia = 0; ia < n_az; ++ia) {
-        if (column[ia] > r.rival &&
-            azimuth_distance_deg(azimuth.value(ia), r.direction.azimuth_deg) >=
-                exclusion) {
-          r.rival = column[ia];
-        }
+    out = ArgmaxResult{mb.best_g, mb.best, matrix_.directions()[mb.best_g]};
+    if (!confidence) break;
+    for (std::size_t ia = 0; ia < n_az; ++ia) {
+      if (columns[ia] > out.rival &&
+          azimuth_distance_deg(azimuth.value(ia), out.direction.azimuth_deg) >= exclusion) {
+        out.rival = columns[ia];
       }
-      exact &= walk_members[b].rival_used <= r.rival;
     }
-    if (exact) break;
+    if (mb.rival_used <= out.rival) break;
   }
 
 #ifndef NDEBUG
-  for (std::size_t b = 0; b < k_members; ++b) {
-    // The whole point of the bound algebra is that pruning, grouping and
-    // quantized screening change nothing; verify every walk against the
-    // reference surface when asserts are on. The reference rides the
-    // walk's own panel and probes, so the check leaves the panel cache's
-    // counters as a release build leaves them.
-    const ArgmaxResult& r = out[members[b]];
-    const Grid2D reference = surface_on_panel(pan, ws.probes_[members[b]]);
-    const std::vector<double>& rv = reference.values();
-    const auto it = std::max_element(rv.begin(), rv.end());
-    assert(static_cast<std::size_t>(it - rv.begin()) == r.index);
-    assert(*it == r.value);
-    if (rival_exclusion_deg) {
-      const AngularGrid& grid = matrix_.grid();
-      double rival = 0.0;
-      for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
-        if (azimuth_distance_deg(grid.azimuth.value(ia), r.direction.azimuth_deg) <
-            *rival_exclusion_deg) {
-          continue;
-        }
-        for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
-          rival = std::max(rival, reference.at(ia, ie));
-        }
+  // The whole point of the bound algebra is that pruning and quantized
+  // screening change nothing; verify every walk against the reference
+  // surface when asserts are on. The reference rides the walk's own
+  // panel and probes, so the check leaves the panel cache's counters as a
+  // release build leaves them.
+  const Grid2D reference = surface_on_panel(pan, probes);
+  const std::vector<double>& rv = reference.values();
+  const auto it = std::max_element(rv.begin(), rv.end());
+  assert(static_cast<std::size_t>(it - rv.begin()) == out.index);
+  assert(*it == out.value);
+  if (rival_exclusion_deg) {
+    const AngularGrid& grid = matrix_.grid();
+    double rival = 0.0;
+    for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
+      if (azimuth_distance_deg(grid.azimuth.value(ia), out.direction.azimuth_deg) <
+          *rival_exclusion_deg) {
+        continue;
       }
-      assert(rival == r.rival);
+      for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
+        rival = std::max(rival, reference.at(ia, ie));
+      }
     }
+    assert(rival == out.rival);
   }
 #endif
 }
 
-template <bool kConfidence, bool kSingle>
-void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
-                             std::size_t k_members, double* columns,
-                             CorrelationWorkspace& ws, std::size_t zone_half,
-                             bool speculate) const {
+template <bool kConfidence>
+detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember mb,
+                                           double* columns, CorrelationWorkspace& ws,
+                                           std::size_t zone_half, bool speculate) const {
   // The skip rules below are exact, not heuristic: a tile or point is
-  // skipped for a member only when its bound proves it cannot beat that
-  // member's best -- including the lowest-index tie rule Grid2D::peak
-  // applies -- or, in confidence mode, its running rival (which is never
-  // above the peak). So every member's peak matches the full surface bit
-  // for bit.
-  //
-  // A lone member walks in a local copy the compiler can keep in
-  // registers, screens into the stack, and its coarse bounds are the
-  // group's.
-  detail::WalkMember lone;
-  detail::WalkMember* const members = kSingle ? &lone : group;
-  if constexpr (kSingle) {
-    k_members = 1;
-    lone = *group;
-  }
+  // skipped only when its bound proves it cannot beat the best -- including
+  // the lowest-index tie rule Grid2D::peak applies -- or, in confidence
+  // mode, the running rival (which is never above the peak). So the peak
+  // matches the full surface bit for bit. The state is a local copy the
+  // compiler can keep in registers.
   const std::size_t m_count = pan.m();
   const std::size_t n_az = matrix_.grid().azimuth.count;
   const TileMap& tiles = matrix_.tiles();
-  detail::TileScreen lone_screens[SubsetPanel::kFinePerCoarse];
-  detail::TileScreen* const screens = kSingle ? lone_screens : ws.screens_.data();
-  const double* const member_bound =
-      kSingle ? ws.coarse_bound_.data() : ws.member_bound_.data();
+  const double* const abs_row = ws.probe_abs_.data();
   // Is a tile bounded by `bound` whose smallest flat grid index is g_min
-  // still in play for member mb? The peak rule, or the running-rival rule
-  // in confidence mode.
-  auto in_play = [](const detail::WalkMember& mb, double bound, std::size_t g_min) {
+  // still in play? The peak rule, or the running-rival rule in confidence
+  // mode.
+  auto in_play = [&mb](double bound, std::size_t g_min) {
     if constexpr (kConfidence) {
       return bound >= mb.rival;
     } else {
       return bound > mb.best || (bound == mb.best && g_min <= mb.best_g);
     }
   };
-  auto threshold = [](const detail::WalkMember& mb) {
-    return kConfidence ? mb.rival : mb.best;
-  };
+  auto threshold = [&mb] { return kConfidence ? mb.rival : mb.best; };
   // Confidence mode: is column ia outside the running peak's zone?
-  [[maybe_unused]] auto outside = [zone_half](const detail::WalkMember& mb,
-                                              std::size_t ia) {
+  [[maybe_unused]] auto outside = [&mb, zone_half](std::size_t ia) {
     return ia + zone_half < mb.peak_column || ia > mb.peak_column + zone_half;
   };
+  detail::TileScreen screens[SubsetPanel::kFinePerCoarse];
   double dsg[kTile];
   [[maybe_unused]] double drg[kTile];
 
   for (const std::uint32_t c : ws.coarse_order_) {
-    // The group bound is the max member bound, so once it drops below the
-    // weakest member's threshold, no later tile can help anyone.
-    double min_threshold = kInf;
-    for (std::size_t b = 0; b < k_members; ++b) {
-      min_threshold = std::min(min_threshold, threshold(members[b]));
-    }
-    if (ws.coarse_bound_[c] < min_threshold) break;
-    bool any_active = false;
-    for (std::size_t b = 0; b < k_members; ++b) {
-      const bool active =
-          in_play(members[b], member_bound[c * k_members + b], tiles.coarse_min[c]);
-      members[b].coarse_active = active;
-      any_active |= active;
-    }
-    if (!any_active) continue;
+    // Coarse tiles come best-bound-first, so once one drops below the
+    // threshold no later tile can help.
+    if (ws.coarse_bound_[c] < threshold()) break;
+    if (!in_play(ws.coarse_bound_[c], tiles.coarse_min[c])) continue;
     const std::size_t t0 = tiles.first_fine(c);
     const std::size_t nf = tiles.last_fine(c) - t0;
 
-    // Level 2: fine screens for the members still in play, visited in
-    // order of the best member fine bound.
-    double fine_max[SubsetPanel::kFinePerCoarse];
+    // Level 2: fine screens, visited best-bound-first.
     std::size_t order[SubsetPanel::kFinePerCoarse];
     for (std::size_t k = 0; k < nf; ++k) {
       const std::size_t t = t0 + k;
-      double group_bound = 0.0;
-      for (std::size_t b = 0; b < k_members; ++b) {
-        if (!members[b].coarse_active) continue;
-        const double* abs_row = ws.member_abs_.data() + b * 2 * m_count;
-        ++ws.walk_stats_.fine_screened;
-        detail::TileScreen& s = screens[k * k_members + b];
-        s = detail::screen_tile_q(abs_row, abs_row + m_count,
-                                  pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
-                                  pan.fine_sqrt_min_norm[t], m_count,
-                                  members[b].inv_snr, members[b].inv_rssi);
-        group_bound = std::max(group_bound, s.bound);
-      }
-      fine_max[k] = group_bound;
+      ++ws.walk_stats_.fine_screened;
+      screens[k] = detail::screen_tile_q(abs_row, abs_row + m_count,
+                                         pan.fine_q.data() + t * m_count,
+                                         pan.fine_q_scale[t], pan.fine_sqrt_min_norm[t],
+                                         m_count, mb.inv_snr, mb.inv_rssi);
       order[k] = k;
     }
     for (std::size_t k = 1; k < nf; ++k) {  // insertion sort: nf <= 8
       const std::size_t v = order[k];
       std::size_t j = k;
-      while (j > 0 && fine_max[order[j - 1]] < fine_max[v]) {
+      while (j > 0 && screens[order[j - 1]].bound < screens[v].bound) {
         order[j] = order[j - 1];
         --j;
       }
@@ -604,24 +524,10 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
     }
 
     for (std::size_t k = 0; k < nf; ++k) {
-      double min_active_threshold = kInf;
-      for (std::size_t b = 0; b < k_members; ++b) {
-        if (members[b].coarse_active) {
-          min_active_threshold = std::min(min_active_threshold, threshold(members[b]));
-        }
-      }
-      if (fine_max[order[k]] < min_active_threshold) break;
+      const detail::TileScreen& s = screens[order[k]];
+      if (s.bound < threshold()) break;
       const std::size_t t = t0 + order[k];
-      bool tile_any = false;
-      for (std::size_t b = 0; b < k_members; ++b) {
-        const bool active =
-            members[b].coarse_active &&
-            in_play(members[b], screens[order[k] * k_members + b].bound,
-                    tiles.fine_min[t]);
-        members[b].tile_active = active;
-        tile_any |= active;
-      }
-      if (!tile_any) continue;
+      if (!in_play(s.bound, tiles.fine_min[t])) continue;
       const std::size_t count = tiles.count(t);
       const double* block = matrix_.tile_block(t);
       const std::size_t* rows = pan.rows.data();
@@ -629,89 +535,75 @@ void CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember* group,
       const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
       [[maybe_unused]] const std::uint32_t* tile_columns =
           tiles.column.data() + t * kTile;
-
-      // The tile's values are walked back to back for every surviving
-      // member while they are cache-hot -- the batch win; the per-member
-      // arithmetic is exactly the single-sweep one.
-      for (std::size_t b = 0; b < k_members; ++b) {
-        detail::WalkMember& mb = members[b];
-        if (!mb.tile_active) continue;
-        const detail::TileScreen& s = screens[order[k] * k_members + b];
-        const double* pr = mb.pr;
-        double best = mb.best;
-        std::size_t best_g = mb.best_g;
-        std::uint64_t passed = 0;
-        // Dense dots for the whole tile (the padded tail just computes
-        // zeros that `count` discards): SNR only for the peak, whose
-        // survivors are few, both for confidence, which evaluates more.
-        tile_dots(block, rows, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
-                  kConfidence ? drg : nullptr);
-        [[maybe_unused]] double* column =
-            kConfidence ? columns + b * n_az : nullptr;
-        for (std::size_t gi = 0; gi < count; ++gi) {
-          const std::size_t g = tile_points[gi];
-          [[maybe_unused]] const std::size_t point_ia =
-              kConfidence ? tile_columns[gi] : 0;
-          const double n = norms[g];
-          double w = 0.0;
-          if (n > 0.0) {
-            // Multiply-only per-point screen (same slack argument as the
-            // tile bound): only survivors pay the sqrt and the divisions
-            // (and, for the peak, the RSSI dot).
-            const double cs_scr = dsg[gi] * s.rs;
-            const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
-            double dr;
-            if constexpr (kConfidence) {
-              if (scr < mb.rival) continue;
-              dr = drg[gi];
-            } else {
-              if (scr < best || (scr == best && g > best_g)) continue;
-              dr = 0.0;
-              const double* col = block + gi;
-              for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[rows[m]];
-            }
-            ++passed;
-            const double x_norm = std::sqrt(n);
-            const double cs = dsg[gi] / (mb.snr_norm * x_norm);
-            const double cr = dr / (mb.rssi_norm * x_norm);
-            w = (cs * cs) * (cr * cr);
-          }
-          const bool new_peak = w > best || (w == best && g < best_g);
-          if (new_peak) {
-            best = w;
-            best_g = g;
-          }
+      const double* pr = mb.pr;
+      double best = mb.best;
+      std::size_t best_g = mb.best_g;
+      std::uint64_t passed = 0;
+      // Dense dots for the whole tile (the padded tail just computes
+      // zeros that `count` discards): SNR only for the peak, whose
+      // survivors are few, both for confidence, which evaluates more.
+      tile_dots(block, rows, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
+                kConfidence ? drg : nullptr);
+      for (std::size_t gi = 0; gi < count; ++gi) {
+        const std::size_t g = tile_points[gi];
+        [[maybe_unused]] const std::size_t point_ia = kConfidence ? tile_columns[gi] : 0;
+        const double n = norms[g];
+        double w = 0.0;
+        if (n > 0.0) {
+          // Multiply-only per-point screen (same slack argument as the
+          // tile bound): only survivors pay the sqrt and the divisions
+          // (and, for the peak, the RSSI dot).
+          const double cs_scr = dsg[gi] * s.rs;
+          const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
+          double dr;
           if constexpr (kConfidence) {
-            const bool column_rose = w > column[point_ia];
-            if (column_rose) column[point_ia] = w;
-            if (!speculate) continue;
-            if (new_peak && point_ia != mb.peak_column) {
-              // The peak moved: its zone did too, so retake the rival
-              // over every column outside the new zone.
-              mb.peak_column = point_ia;
-              mb.rival = -1.0;
-              const std::size_t lo = point_ia > zone_half ? point_ia - zone_half : 0;
-              for (std::size_t j = 0; j < lo; ++j) {
-                mb.rival = std::max(mb.rival, column[j]);
-              }
-              for (std::size_t j = point_ia + zone_half + 1; j < n_az; ++j) {
-                mb.rival = std::max(mb.rival, column[j]);
-              }
-            } else if (column_rose && w > mb.rival && outside(mb, point_ia)) {
-              mb.rival = w;  // below the peak: the peak's column is inside
-            }
-            mb.rival_used = std::max(mb.rival_used, mb.rival);
+            if (scr < mb.rival) continue;
+            dr = drg[gi];
+          } else {
+            if (scr < best || (scr == best && g > best_g)) continue;
+            dr = 0.0;
+            const double* col = block + gi;
+            for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[rows[m]];
           }
+          ++passed;
+          const double x_norm = std::sqrt(n);
+          const double cs = dsg[gi] / (mb.snr_norm * x_norm);
+          const double cr = dr / (mb.rssi_norm * x_norm);
+          w = (cs * cs) * (cr * cr);
         }
-        mb.best = best;
-        mb.best_g = best_g;
-        ++ws.walk_stats_.fine_evaluated;
-        ws.walk_stats_.points_screened += count;
-        ws.walk_stats_.points_passed += passed;
+        const bool new_peak = w > best || (w == best && g < best_g);
+        if (new_peak) {
+          best = w;
+          best_g = g;
+        }
+        if constexpr (kConfidence) {
+          const bool column_rose = w > columns[point_ia];
+          if (column_rose) columns[point_ia] = w;
+          if (!speculate) continue;
+          if (new_peak && point_ia != mb.peak_column) {
+            // The peak moved: its zone did too, so retake the rival
+            // over every column outside the new zone.
+            mb.peak_column = point_ia;
+            mb.rival = -1.0;
+            const std::size_t lo = point_ia > zone_half ? point_ia - zone_half : 0;
+            for (std::size_t j = 0; j < lo; ++j) mb.rival = std::max(mb.rival, columns[j]);
+            for (std::size_t j = point_ia + zone_half + 1; j < n_az; ++j) {
+              mb.rival = std::max(mb.rival, columns[j]);
+            }
+          } else if (column_rose && w > mb.rival && outside(point_ia)) {
+            mb.rival = w;  // below the peak: the peak's column is inside
+          }
+          mb.rival_used = std::max(mb.rival_used, mb.rival);
+        }
       }
+      mb.best = best;
+      mb.best_g = best_g;
+      ++ws.walk_stats_.fine_evaluated;
+      ws.walk_stats_.points_screened += count;
+      ws.walk_stats_.points_passed += passed;
     }
   }
-  if constexpr (kSingle) *group = lone;
+  return mb;
 }
 
 }  // namespace talon

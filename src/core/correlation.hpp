@@ -11,12 +11,13 @@
 // (core/response_matrix.hpp): pattern responses resampled onto the search
 // grid once and stored tile by tile, with each probe subset's norms and
 // tile statistics in a cached panel. Eq. 5 runs as dense dot products over
-// contiguous 32-point rows with no per-element gather, either over the whole grid (combined_surface, for figures,
-// ablations and diagnostics) or -- the selection path -- as one exact
-// branch-and-bound walk (combined_argmax_batch) that prunes grid tiles
-// with a Cauchy-Schwarz upper bound and returns the bit-identical peak of
-// the full surface, and optionally its best rival, without materializing
-// it.
+// contiguous 32-point rows with no per-element gather, either over the
+// whole grid (combined_surface, for figures, ablations and diagnostics)
+// or -- the selection path -- as one exact branch-and-bound walk per sweep
+// (combined_argmax_batch) that prunes grid tiles with a Cauchy-Schwarz
+// upper bound and returns the bit-identical peak of the full surface, and
+// optionally its best rival, without materializing it. Sweeps of a batch
+// that probed the same subset share its panel; each walks alone.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +41,8 @@ enum class SignalValue : std::uint8_t { kSnr, kRssi };
 namespace detail {
 
 /// One tile's pruning data, produced by the screening kernels in
-/// correlation.cpp and scratch-stored per (tile, batch member) by the
-/// batched argmax. Exposed (with the two screening kernels below) so the
+/// correlation.cpp and held per fine tile of the coarse tile the walk is
+/// in. Exposed (with the two screening kernels below) so the
 /// quantized-screening property tests can compare the bounds directly.
 struct TileScreen {
   /// Upper bound on the kernel-FP W anywhere in the tile.
@@ -119,15 +120,14 @@ struct WalkMember {
   double rival{-1.0};
   std::size_t peak_column{0};
   double rival_used{-1.0};
-  bool coarse_active{false};
-  bool tile_active{false};
 };
 
 }  // namespace detail
 
-/// What the branch-and-bound walk did, summed over every member walk
-/// (a confidence-mode redo walks again and counts again). Diagnostics
-/// only: the counts never feed back into a result.
+/// What the branch-and-bound walk did, summed over every sweep's walk (a
+/// confidence-mode redo walks again and counts again), so a batch counts
+/// what its sweeps count one by one. Diagnostics only: the counts never
+/// feed back into a result.
 struct WalkStats {
   /// Fine tiles whose bound was computed (their coarse tile was in play).
   std::uint64_t fine_screened{0};
@@ -179,26 +179,20 @@ class CorrelationWorkspace {
 
   /// Per-sweep probe vectors of the current call (only ever grown).
   std::vector<ProbeVectors> probes_;
-  /// Panel of the last single-group walk; keyed by its exact slot
+  /// Panel of the last single-sweep call; keyed by its exact slot
   /// sequence, so the steady-state path skips the matrix cache (and its
   /// lock) entirely.
   std::shared_ptr<const SubsetPanel> panel_;
   /// Sweep order of a multi-sweep call, grouped by slot sequence.
   std::vector<std::uint32_t> order_;
-  /// Per-coarse-tile group bounds (max over members) and the best-first
+  /// Per-coarse-tile bounds of the walking sweep and the best-first
   /// visiting order.
   std::vector<double> coarse_bound_;
   std::vector<std::uint32_t> coarse_order_;
-  /// Per-member |probe| rows, [b * 2 * M]: SNR row then RSSI row.
-  std::vector<double> member_abs_;
-  // Multi-member groups only (a lone member keeps these on the stack):
-  // walk state, per (coarse tile, member) bounds [c * K + b] and per
-  // (fine tile in coarse, member) screens [k * K + b].
-  std::vector<detail::WalkMember> members_;
-  std::vector<double> member_bound_;
-  std::vector<detail::TileScreen> screens_;
-  /// Confidence mode with several members (or a very wide grid): best
-  /// evaluated W per (member, azimuth column), [b * naz + ia].
+  /// The walking sweep's |probe| row, 2 * M: SNR then RSSI.
+  std::vector<double> probe_abs_;
+  /// Confidence mode on grids wider than the walk's stack columns: best
+  /// evaluated W per azimuth column.
   std::vector<double> column_best_;
 
   // Selection scratch (CompressiveSectorSelector's batch entry point):
@@ -249,14 +243,13 @@ class CorrelationEngine {
   /// floating-point upper bound (per-tile response extrema + minimum
   /// subset norm, Cauchy-Schwarz on both correlation factors) cannot beat
   /// the running best; surviving points are evaluated with the exact
-  /// combined_surface arithmetic. Sweeps whose usable probes map onto the
-  /// same slot sequence form a group that walks the tile pyramid ONCE,
-  /// each tile screened for every member while cache-hot, every member
-  /// pruning by its own bound. Index and value are therefore
-  /// bit-identical to combined_surface(sweeps[i]).peak() regardless of
-  /// grouping -- asserted in debug builds.
+  /// combined_surface arithmetic. Index and value are therefore
+  /// bit-identical to combined_surface(sweeps[i]).peak() -- asserted in
+  /// debug builds. Sweeps whose usable probes map onto the same slot
+  /// sequence form a group that resolves its panel once; each member
+  /// then walks alone, exactly as combined_argmax would walk it.
   ///
-  /// With `rival_exclusion_deg`, the same walk also finds each member's
+  /// With `rival_exclusion_deg`, the same walk also finds each sweep's
   /// best point at least that far in azimuth from its peak
   /// (ArgmaxResult::rival) -- the peak-to-second-peak confidence without
   /// a full surface: it records every evaluated point's W per azimuth
@@ -304,26 +297,25 @@ class CorrelationEngine {
   const SubsetPanel& resolve_panel(const std::vector<int>& slots,
                                    CorrelationWorkspace& ws) const;
 
-  /// One slot-sequence group of the walk: members are indices into
-  /// `out` and ws.probes_, all sharing `pan`.
-  void argmax_group(const SubsetPanel& pan, std::span<const std::uint32_t> members,
-                    std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
+  /// The argmax of one sweep whose probes were resolved to `pan`: its
+  /// coarse bounds, the walk (redone unpruned when confidence needs it)
+  /// and, in debug builds, the check against the full surface.
+  void argmax_sweep(const SubsetPanel& pan, const ProbeVectors& probes,
+                    ArgmaxResult& out, CorrelationWorkspace& ws,
                     std::optional<double> rival_exclusion_deg) const;
 
-  /// The tile-pyramid traversal of `members` in ws.coarse_order_.
-  /// kConfidence also records every evaluated point's W in `columns`
-  /// ([b * naz + ia], the best per azimuth column) and, when `speculate`,
-  /// prunes against each member's running rival (the best column more
-  /// than `zone_half` columns from the running peak's) instead of its
-  /// peak. kSingle compiles the one-member walk with its member loops
-  /// folded away. Each instantiation stays out of line: inlined into
-  /// argmax_group, all four would spread the K = 1 peak walk -- the
-  /// serving hot path -- over several times its size.
-  template <bool kConfidence, bool kSingle>
-  [[gnu::noinline]] void walk(const SubsetPanel& pan, detail::WalkMember* members,
-                              std::size_t k_members, double* columns,
-                              CorrelationWorkspace& ws, std::size_t zone_half,
-                              bool speculate) const;
+  /// The tile-pyramid traversal of one sweep in ws.coarse_order_, from
+  /// the state `mb` to the returned one. kConfidence also records every
+  /// evaluated point's W in `columns` (the best per azimuth column) and,
+  /// when `speculate`, prunes against the running rival (the best column
+  /// more than `zone_half` columns from the running peak's) instead of
+  /// the peak. Each instantiation stays out of line: inlined into
+  /// argmax_sweep, both would spread the peak walk -- the serving hot
+  /// path -- over several times its size.
+  template <bool kConfidence>
+  [[gnu::noinline]] detail::WalkMember walk(const SubsetPanel& pan, detail::WalkMember mb,
+                                            double* columns, CorrelationWorkspace& ws,
+                                            std::size_t zone_half, bool speculate) const;
 
   ResponseMatrix matrix_;
 };

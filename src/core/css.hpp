@@ -84,12 +84,12 @@ class CompressiveSectorSelector {
   /// The selection entry point: full CSS for each of K sweeps -- estimate
   /// the path, then select the best of `candidates` (Eq. 4) -- writing
   /// out[i] for sweeps[i] (out.size() == sweeps.size()). Every sweep with
-  /// at least min_probes usable probes rides ONE branch-and-bound walk
-  /// (CorrelationEngine::combined_argmax_batch), so sweeps sharing a probe
-  /// subset traverse each tile while it is hot; empty sweeps come back
-  /// invalid and under-probed ones take the argmax fallback. Results are
-  /// independent of how sweeps are batched. Zero heap allocations once
-  /// `ws` is warm.
+  /// at least min_probes usable probes goes to ONE
+  /// CorrelationEngine::combined_argmax_batch call, so sweeps sharing a
+  /// probe subset share its panel and each walks alone; empty sweeps
+  /// come back invalid and under-probed ones take the argmax fallback.
+  /// Results are independent of how sweeps are batched. Zero heap
+  /// allocations once `ws` is warm.
   void select_batch(std::span<const std::span<const SectorReading>> sweeps,
                     std::span<const int> candidates, std::span<CssResult> out,
                     CorrelationWorkspace& ws) const;

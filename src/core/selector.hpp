@@ -25,7 +25,7 @@ class CssSelector {
   CssResult select(std::span<const SectorReading> probes,
                    std::span<const int> candidates = {});
 
-  /// select() for each sweep, in one walk
+  /// select() for each sweep, in one batch call
   /// (CompressiveSectorSelector::select_batch).
   std::vector<CssResult> select_batch(
       std::span<const std::vector<SectorReading>> sweeps,

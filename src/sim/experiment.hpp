@@ -34,7 +34,8 @@ namespace talon {
 /// independent trial cells, so no result depends on them. Each cell
 /// selects in its own CssSelector (its own workspace) over the shared
 /// CompressiveSectorSelector, and hands it all of the cell's sweeps as one
-/// batch, which resolves in one branch-and-bound walk.
+/// batch, which resolves their shared panel once and walks each sweep
+/// alone.
 struct ReplayOptions {
   /// Worker threads; <= 0 means default_thread_count() (the --threads /
   /// TALON_THREADS override when set, hardware concurrency otherwise).

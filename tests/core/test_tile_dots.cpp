@@ -22,8 +22,10 @@
 //      argument that lets the argmax prune on 2-byte reads and stay
 //      bit-identical to the full surface peak.
 //
-// Plus the batched argmax (one pyramid walk for K sweeps) against the
-// single-sweep argmax, the walk's peak and rival against the full surface
+// Plus the batched argmax (K sweeps; a same-subset group shares its panel
+// and each member walks alone) against the single-sweep argmax, its walk
+// counters against the single-sweep walks', the walk's peak and rival
+// against the full surface
 // on hostile sweeps, and the response matrix's alignment contract on grids
 // whose point count leaves every kind of ragged tail tile.
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -726,8 +729,8 @@ TEST(PanelAlignment, RaggedTailGridsKeepArgmaxExact) {
 // --- batched argmax ---------------------------------------------------------
 
 TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
-  // Random batches mixing repeated slot sequences (grouped into one
-  // pyramid walk) with singletons, duplicates and noise, in both
+  // Random batches mixing repeated slot sequences (grouped onto one
+  // panel) with singletons, duplicates and noise, in both
   // domains: every member's result must equal its own single-sweep
   // argmax bit for bit -- grouping is a speed decision, never a result
   // decision.
@@ -785,6 +788,45 @@ TEST(ArgmaxBatch, BitIdenticalToSingleSweepAcrossGroupings) {
         EXPECT_EQ(cold[i].index, batched[i].index);
         EXPECT_EQ(cold[i].value, batched[i].value);
       }
+    }
+  }
+}
+
+TEST(ArgmaxBatch, WalkStatsEqualTheSingleSweepWalks) {
+  // A batch walks each sweep exactly as combined_argmax walks it: the
+  // same tiles screened and evaluated and the same points passed, so one
+  // call over interleaved same-subset sweeps counts what the sweeps count
+  // one by one in fresh workspaces -- for the peak and with a rival.
+  std::mt19937_64 rng(97531);
+  std::uniform_real_distribution<double> az(-60.0, 60.0);
+  std::uniform_real_distribution<double> el(0.0, 30.0);
+  std::uniform_real_distribution<double> noise(-2.0, 2.0);
+  const std::vector<std::vector<int>> subsets{{1, 3, 5, 7, 9}, {2, 4, 6, 8}, {1, 2, 5, 8}};
+  const CorrelationEngine engine(synthetic_table(), synthetic_grid());
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<std::vector<SectorReading>> sweeps;
+    for (std::size_t i = 0; i < 8; ++i) {
+      auto sweep = ideal_probes(synthetic_table(), subsets[i % subsets.size()],
+                                {az(rng), el(rng)});
+      for (SectorReading& r : sweep) {
+        r.snr_db += noise(rng);
+        r.rssi_dbm += noise(rng);
+      }
+      sweeps.push_back(std::move(sweep));
+    }
+    const std::vector<std::span<const SectorReading>> views(sweeps.begin(), sweeps.end());
+    for (const std::optional<double> rival : {std::optional<double>{}, std::optional{10.0}}) {
+      CorrelationWorkspace batch_ws;
+      std::vector<CorrelationEngine::ArgmaxResult> batched(sweeps.size());
+      engine.combined_argmax_batch(views, batched, batch_ws, rival);
+      WalkStats sum;
+      for (const auto& sweep : sweeps) {
+        CorrelationWorkspace fresh;
+        engine.combined_argmax(sweep, fresh, rival);
+        sum += fresh.walk_stats();
+      }
+      EXPECT_EQ(batch_ws.walk_stats(), sum)
+          << "trial " << trial << (rival ? " with a rival" : " peak only");
     }
   }
 }

@@ -5,7 +5,8 @@
 // with a higher flat index than the true first peak), and confidence mode
 // with the peak at the azimuth seam or its rival on the exclusion-zone
 // edge. Every index, value and rival must match bit for bit, at K = 1 and
-// through the batched walk.
+// through the batch, whose same-subset members share a panel and each
+// walk alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,10 +237,12 @@ TEST(TileEdgeExactness, RivalAtTheAzimuthSeam) {
   // Full-circle grids: the exclusion zone of a peak on the first or last
   // column wraps over the seam. 24 x 5 at 15 deg wraps too far for the
   // speculative rival pruning; 121 x 17 over [-90, 90] leaves it on with
-  // the peak on an edge column.
+  // the peak on an edge column. 720 x 5 at 0.5 deg is wider than the
+  // walk's stack column maxima, so they live in the workspace.
   for (const AngularGrid& grid :
        {AngularGrid{make_axis(-180.0, 165.0, 15.0), make_axis(0.0, 20.0, 5.0)},
         AngularGrid{make_axis(-180.0, 178.5, 1.5), make_axis(0.0, 32.0, 4.0)},
+        AngularGrid{make_axis(-180.0, 179.5, 0.5), make_axis(0.0, 16.0, 4.0)},
         AngularGrid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)}}) {
     PatternTable table;
     const std::size_t n_az = grid.azimuth.count;
