@@ -49,21 +49,18 @@ const PatternTable& shared_table() {
 using Sweeps = std::vector<std::vector<SectorReading>>;
 
 /// `count` seeded sweeps of `m` probes, alternating the lab and the
-/// conference venue, each at a head azimuth drawn uniformly over +-60 deg.
-/// Every sweep draws a fresh random subset unless `shared_subset`, in
-/// which case all of them probe one subset drawn once.
-Sweeps make_sweeps(std::size_t count, std::size_t m, bool shared_subset) {
+/// conference venue, each at a head azimuth drawn uniformly over +-60 deg
+/// and probing a fresh random subset.
+Sweeps make_sweeps(std::size_t count, std::size_t m) {
   Scenario lab = make_lab_scenario(bench::kDutSeed);
   Scenario conference = make_conference_scenario(bench::kDutSeed);
   RandomSubsetPolicy policy;
   Rng rng(7 + m);
-  const std::vector<int> shared = policy.choose(talon_tx_sector_ids(), m, rng);
   Sweeps sweeps;
   for (std::size_t i = 0; i < count; ++i) {
     Scenario& venue = i % 2 == 0 ? lab : conference;
     venue.set_head(rng.uniform(-60.0, 60.0), 0.0);
-    const std::vector<int> subset =
-        shared_subset ? shared : policy.choose(talon_tx_sector_ids(), m, rng);
+    const std::vector<int> subset = policy.choose(talon_tx_sector_ids(), m, rng);
     LinkSimulator link = venue.make_link(rng.fork());
     sweeps.push_back(
         link.transmit_sweep(*venue.dut, *venue.peer, probing_burst_schedule(subset))
@@ -76,7 +73,7 @@ Sweeps make_sweeps(std::size_t count, std::size_t m, bool shared_subset) {
 const Sweeps& sweep_pool(std::size_t m) {
   static std::map<std::size_t, Sweeps> pools;
   auto [it, inserted] = pools.try_emplace(m);
-  if (inserted) it->second = make_sweeps(64, m, /*shared_subset=*/false);
+  if (inserted) it->second = make_sweeps(64, m);
   return it->second;
 }
 
@@ -248,29 +245,6 @@ void BM_CombinedArgmaxGridResolution(benchmark::State& state) {
              [&](const auto& sweep) { return engine.combined_argmax(sweep, ws); });
 }
 BENCHMARK(BM_CombinedArgmaxGridResolution)->Arg(5)->Arg(15)->Arg(30)->Arg(60);
-
-void BM_CombinedArgmaxBatch(benchmark::State& state) {
-  // K sweeps sharing one probing subset (heads still spread like the
-  // pool's), resolved in ONE batch call that resolves their panel once
-  // and walks each sweep alone (the replay-cell path: sim/experiment's
-  // CssSelector::select_batch over one cell's sweeps, which all probe
-  // the cell's subset). items/s is argmaxes per second; compare the
-  // per-item time against BM_CombinedArgmax/14 for the gain of the
-  // shared panel -- the results are bit-identical either way.
-  const CorrelationEngine engine = default_grid_engine();
-  const Sweeps sweeps =
-      make_sweeps(static_cast<std::size_t>(state.range(0)), 14, /*shared_subset=*/true);
-  const std::vector<std::span<const SectorReading>> views(sweeps.begin(),
-                                                          sweeps.end());
-  std::vector<CorrelationEngine::ArgmaxResult> out(views.size());
-  CorrelationWorkspace ws;
-  for (auto _ : state) {
-    engine.combined_argmax_batch(views, out, ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CombinedArgmaxBatch)->Arg(1)->Arg(16)->Arg(64);
 
 void BM_CombinedArgmaxScalarDispatch(benchmark::State& state) {
   // BM_CombinedArgmax/14 with the scalar tile kernel pinned: the spread

@@ -252,6 +252,7 @@ Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
 const SubsetPanel& CorrelationEngine::resolve_panel(const std::vector<int>& slots,
                                                      CorrelationWorkspace& ws) const {
   if (!ws.panel_ || ws.panel_->slots != slots) {
+    ws.panel_.reset();
     ws.panel_ = matrix_.panel(slots);
     ++ws.growth_events_;  // subset switch: cold path by definition
   }
@@ -261,9 +262,14 @@ const SubsetPanel& CorrelationEngine::resolve_panel(const std::vector<int>& slot
 CorrelationEngine::ArgmaxResult CorrelationEngine::combined_argmax(
     std::span<const SectorReading> readings, CorrelationWorkspace& ws,
     std::optional<double> rival_exclusion_deg) const {
-  ArgmaxResult out;
-  combined_argmax_batch({&readings, 1}, {&out, 1}, ws, rival_exclusion_deg);
-  return out;
+  ProbeVectors& p = ws.probes_;
+  const std::size_t caps_before = p.slots.capacity() + p.snr.capacity() + p.rssi.capacity();
+  collect_probes_into(readings, true, true, p);
+  if (p.slots.capacity() + p.snr.capacity() + p.rssi.capacity() != caps_before) {
+    ++ws.growth_events_;
+  }
+  TALON_EXPECTS(p.slots.size() >= 2);
+  return argmax_sweep(resolve_panel(p.slots, ws), p, ws, rival_exclusion_deg);
 }
 
 void CorrelationEngine::combined_argmax_batch(
@@ -271,72 +277,15 @@ void CorrelationEngine::combined_argmax_batch(
     std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
     std::optional<double> rival_exclusion_deg) const {
   TALON_EXPECTS(out.size() == sweeps.size());
-  const std::size_t n = sweeps.size();
-  if (n == 0) return;
-
-  // Per-sweep probe vectors into reusable slots (only ever grown).
-  if (ws.probes_.size() < n) {
-    ws.probes_.resize(n);
-    ++ws.growth_events_;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ProbeVectors& p = ws.probes_[i];
-    const std::size_t caps_before =
-        p.slots.capacity() + p.snr.capacity() + p.rssi.capacity();
-    collect_probes_into(sweeps[i], true, true, p);
-    if (p.slots.capacity() + p.snr.capacity() + p.rssi.capacity() != caps_before) {
-      ++ws.growth_events_;
-    }
-    TALON_EXPECTS(p.slots.size() >= 2);
-  }
-
-  if (n == 1) {
-    // The single-sweep call (one per report on the serving path): no
-    // grouping, and the workspace's panel follows the link's subset.
-    argmax_sweep(resolve_panel(ws.probes_[0].slots, ws), ws.probes_[0], out[0], ws,
-                 rival_exclusion_deg);
-    return;
-  }
-
-  // Group sweeps that probed the same slot sequence: sort the indices
-  // lexicographically by sequence (ties by index, for determinism) and
-  // take runs. No per-call key materialization, no allocation.
-  ws.ensure_size(ws.order_, n);
-  for (std::size_t i = 0; i < n; ++i) ws.order_[i] = static_cast<std::uint32_t>(i);
-  std::sort(ws.order_.begin(), ws.order_.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const std::vector<int>& sa = ws.probes_[a].slots;
-    const std::vector<int>& sb = ws.probes_[b].slots;
-    if (sa == sb) return a < b;
-    return std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(), sb.end());
-  });
-  std::size_t i0 = 0;
-  while (i0 < n) {
-    const std::vector<int>& slots = ws.probes_[ws.order_[i0]].slots;
-    std::size_t i1 = i0 + 1;
-    while (i1 < n && ws.probes_[ws.order_[i1]].slots == slots) ++i1;
-    // Reuse the workspace-cached panel when it matches; otherwise go
-    // through the matrix cache WITHOUT displacing ws.panel_ -- a
-    // multi-group batch would ping-pong it every call and turn the growth
-    // counter into noise. A cache hit under the shared lock allocates
-    // nothing, so the steady-state batch stays allocation-free either way.
-    std::shared_ptr<const SubsetPanel> local_panel;
-    const SubsetPanel* pan = ws.panel_.get();
-    if (!ws.panel_ || ws.panel_->slots != slots) {
-      local_panel = matrix_.panel(slots);
-      pan = local_panel.get();
-    }
-    // The group shares its panel; each member walks alone.
-    for (std::size_t i = i0; i < i1; ++i) {
-      const std::uint32_t sweep = ws.order_[i];
-      argmax_sweep(*pan, ws.probes_[sweep], out[sweep], ws, rival_exclusion_deg);
-    }
-    i0 = i1;
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    out[i] = combined_argmax(sweeps[i], ws, rival_exclusion_deg);
   }
 }
 
-void CorrelationEngine::argmax_sweep(const SubsetPanel& pan, const ProbeVectors& probes,
-                                     ArgmaxResult& out, CorrelationWorkspace& ws,
-                                     std::optional<double> rival_exclusion_deg) const {
+ArgmaxResult CorrelationEngine::argmax_sweep(const SubsetPanel& pan,
+                                             const ProbeVectors& probes,
+                                             CorrelationWorkspace& ws,
+                                             std::optional<double> rival_exclusion_deg) const {
   const std::size_t m_count = pan.m();
   const std::size_t n_az = matrix_.grid().azimuth.count;
 
@@ -410,6 +359,7 @@ void CorrelationEngine::argmax_sweep(const SubsetPanel& pan, const ProbeVectors&
     ws.ensure_size(ws.column_best_, n_az);
     columns = ws.column_best_.data();
   }
+  ArgmaxResult out;
   for (const bool speculate : {confidence && seam_free, false}) {
     mb.best = -1.0;  // below any W: the first visited tile always evaluates
     mb.best_g = 0;
@@ -459,6 +409,7 @@ void CorrelationEngine::argmax_sweep(const SubsetPanel& pan, const ProbeVectors&
     assert(rival == out.rival);
   }
 #endif
+  return out;
 }
 
 template <bool kConfidence>

@@ -14,10 +14,11 @@
 // contiguous 32-point rows with no per-element gather, either over the
 // whole grid (combined_surface, for figures, ablations and diagnostics)
 // or -- the selection path -- as one exact branch-and-bound walk per sweep
-// (combined_argmax_batch) that prunes grid tiles with a Cauchy-Schwarz
-// upper bound and returns the bit-identical peak of the full surface, and
-// optionally its best rival, without materializing it. Sweeps of a batch
-// that probed the same subset share its panel; each walks alone.
+// (combined_argmax) that prunes grid tiles with a Cauchy-Schwarz upper
+// bound and returns the bit-identical peak of the full surface, and
+// optionally its best rival, without materializing it. The workspace keeps
+// the last sweep's panel, so consecutive sweeps over one probe sequence
+// resolve it once.
 #pragma once
 
 #include <cstddef>
@@ -85,7 +86,7 @@ struct ProbeVectors {
 };
 
 /// The peak of combined_surface without materializing it, as found by
-/// the branch-and-bound walk (CorrelationEngine::combined_argmax_batch).
+/// the branch-and-bound walk (CorrelationEngine::combined_argmax).
 struct ArgmaxResult {
   /// Flat grid index of the peak (ties resolve to the lowest index,
   /// exactly like Grid2D::peak on the full surface).
@@ -125,9 +126,8 @@ struct WalkMember {
 }  // namespace detail
 
 /// What the branch-and-bound walk did, summed over every sweep's walk (a
-/// confidence-mode redo walks again and counts again), so a batch counts
-/// what its sweeps count one by one. Diagnostics only: the counts never
-/// feed back into a result.
+/// confidence-mode redo walks again and counts again). Diagnostics only:
+/// the counts never feed back into a result.
 struct WalkStats {
   /// Fine tiles whose bound was computed (their coarse tile was in play).
   std::uint64_t fine_screened{0};
@@ -151,8 +151,8 @@ struct WalkStats {
 /// Caller-owned scratch for the selection hot path (one per LinkSession /
 /// replay cell / daemon). Holds the collected probe vectors, the resolved
 /// subset panel and the branch-and-bound tile scratch, so that once
-/// warmed up -- a few sweeps with the caller's largest probe count and
-/// batch size -- repeated argmax calls perform zero heap allocations. Not
+/// warmed up -- a few sweeps with the caller's largest probe count --
+/// repeated argmax calls perform zero heap allocations. Not
 /// thread-safe; give each concurrent caller its own workspace (panels
 /// themselves are shared and immutable).
 class CorrelationWorkspace {
@@ -168,7 +168,6 @@ class CorrelationWorkspace {
 
  private:
   friend class CorrelationEngine;
-  friend class CompressiveSectorSelector;
 
   /// resize() that charges capacity growth to the growth counter.
   template <typename T>
@@ -177,14 +176,11 @@ class CorrelationWorkspace {
     v.resize(n);
   }
 
-  /// Per-sweep probe vectors of the current call (only ever grown).
-  std::vector<ProbeVectors> probes_;
-  /// Panel of the last single-sweep call; keyed by its exact slot
-  /// sequence, so the steady-state path skips the matrix cache (and its
-  /// lock) entirely.
+  /// Probe vectors of the current sweep (only ever grown).
+  ProbeVectors probes_;
+  /// Panel of the last sweep; keyed by its exact slot sequence, so the
+  /// steady-state path skips the matrix cache (and its lock) entirely.
   std::shared_ptr<const SubsetPanel> panel_;
-  /// Sweep order of a multi-sweep call, grouped by slot sequence.
-  std::vector<std::uint32_t> order_;
   /// Per-coarse-tile bounds of the walking sweep and the best-first
   /// visiting order.
   std::vector<double> coarse_bound_;
@@ -194,12 +190,6 @@ class CorrelationWorkspace {
   /// Confidence mode on grids wider than the walk's stack columns: best
   /// evaluated W per azimuth column.
   std::vector<double> column_best_;
-
-  // Selection scratch (CompressiveSectorSelector's batch entry point):
-  // the sweeps that take the compressive path and their walk results.
-  std::vector<std::span<const SectorReading>> select_sweeps_;
-  std::vector<std::uint32_t> select_index_;
-  std::vector<ArgmaxResult> select_peaks_;
   std::size_t growth_events_{0};
   WalkStats walk_stats_;
 };
@@ -228,28 +218,20 @@ class CorrelationEngine {
 
   using ArgmaxResult = talon::ArgmaxResult;
 
-  /// Eq. 3 over the Eq. 5 surface for one sweep: the K = 1 case of
-  /// combined_argmax_batch (same walk, no grouping). Same preconditions
-  /// as combined_surface.
-  ArgmaxResult combined_argmax(std::span<const SectorReading> readings,
-                               CorrelationWorkspace& ws,
-                               std::optional<double> rival_exclusion_deg = {}) const;
-
-  /// Eq. 3 over the Eq. 5 surface as an exact branch-and-bound search --
-  /// the repo's one selection kernel -- for K sweeps in one call, writing
-  /// out[i] for sweeps[i] (out.size() must equal sweeps.size()).
+  /// Eq. 3 over the Eq. 5 surface for one sweep as an exact
+  /// branch-and-bound search -- the repo's one selection kernel.
   ///
   /// Grid tiles are visited best-bound-first and skipped when a rigorous
   /// floating-point upper bound (per-tile response extrema + minimum
   /// subset norm, Cauchy-Schwarz on both correlation factors) cannot beat
   /// the running best; surviving points are evaluated with the exact
   /// combined_surface arithmetic. Index and value are therefore
-  /// bit-identical to combined_surface(sweeps[i]).peak() -- asserted in
-  /// debug builds. Sweeps whose usable probes map onto the same slot
-  /// sequence form a group that resolves its panel once; each member
-  /// then walks alone, exactly as combined_argmax would walk it.
+  /// bit-identical to combined_surface(readings).peak() -- asserted in
+  /// debug builds. The panel of the sweep's slot sequence comes from `ws`
+  /// when the previous sweep probed the same sequence, and from the
+  /// matrix cache otherwise.
   ///
-  /// With `rival_exclusion_deg`, the same walk also finds each sweep's
+  /// With `rival_exclusion_deg`, the same walk also finds the sweep's
   /// best point at least that far in azimuth from its peak
   /// (ArgmaxResult::rival) -- the peak-to-second-peak confidence without
   /// a full surface: it records every evaluated point's W per azimuth
@@ -259,9 +241,17 @@ class CorrelationEngine {
   /// pruning, so the rival is bit-identical to the full surface's either
   /// way.
   ///
-  /// Steady state on stable sweep shapes performs zero heap allocations;
-  /// `ws` holds all scratch. Every sweep needs >= 2 usable readings with
-  /// positive probe norms.
+  /// Steady state on a stable probe sequence performs zero heap
+  /// allocations; `ws` holds all scratch. The sweep needs >= 2 usable
+  /// readings with positive probe norms.
+  ArgmaxResult combined_argmax(std::span<const SectorReading> readings,
+                               CorrelationWorkspace& ws,
+                               std::optional<double> rival_exclusion_deg = {}) const;
+
+  /// combined_argmax for each of K sweeps, writing out[i] for sweeps[i]
+  /// (out.size() must equal sweeps.size()). Kept only for perfbench's
+  /// replay and trace layers; ROADMAP item 1 retires that caller, and
+  /// this function is deleted with it.
   void combined_argmax_batch(std::span<const std::span<const SectorReading>> sweeps,
                              std::span<ArgmaxResult> out, CorrelationWorkspace& ws,
                              std::optional<double> rival_exclusion_deg = {}) const;
@@ -293,16 +283,17 @@ class CorrelationEngine {
   Grid2D surface_on_panel(const SubsetPanel& pan, const ProbeVectors& probes) const;
 
   /// The subset panel for `slots`, reusing ws.panel_ when the sequence
-  /// matches (no lock, no allocation) and replacing it otherwise.
+  /// matches (no lock, no allocation) and replacing it otherwise -- after
+  /// releasing the old one, so a miss build can reuse its memory.
   const SubsetPanel& resolve_panel(const std::vector<int>& slots,
                                    CorrelationWorkspace& ws) const;
 
   /// The argmax of one sweep whose probes were resolved to `pan`: its
   /// coarse bounds, the walk (redone unpruned when confidence needs it)
   /// and, in debug builds, the check against the full surface.
-  void argmax_sweep(const SubsetPanel& pan, const ProbeVectors& probes,
-                    ArgmaxResult& out, CorrelationWorkspace& ws,
-                    std::optional<double> rival_exclusion_deg) const;
+  ArgmaxResult argmax_sweep(const SubsetPanel& pan, const ProbeVectors& probes,
+                            CorrelationWorkspace& ws,
+                            std::optional<double> rival_exclusion_deg) const;
 
   /// The tile-pyramid traversal of one sweep in ws.coarse_order_, from
   /// the state `mb` to the returned one. kConfidence also records every

@@ -81,22 +81,15 @@ class CompressiveSectorSelector {
   explicit CompressiveSectorSelector(std::shared_ptr<const PatternAssets> assets,
                                      CssConfig config = {});
 
-  /// The selection entry point: full CSS for each of K sweeps -- estimate
-  /// the path, then select the best of `candidates` (Eq. 4) -- writing
-  /// out[i] for sweeps[i] (out.size() == sweeps.size()). Every sweep with
-  /// at least min_probes usable probes goes to ONE
-  /// CorrelationEngine::combined_argmax_batch call, so sweeps sharing a
-  /// probe subset share its panel and each walks alone; empty sweeps
-  /// come back invalid and under-probed ones take the argmax fallback.
-  /// Results are independent of how sweeps are batched. Zero heap
-  /// allocations once `ws` is warm.
-  void select_batch(std::span<const std::span<const SectorReading>> sweeps,
-                    std::span<const int> candidates, std::span<CssResult> out,
-                    CorrelationWorkspace& ws) const;
-
-  /// select_batch() for one sweep with all transmit sectors as candidates.
-  CssResult select(std::span<const SectorReading> probes,
-                   CorrelationWorkspace& ws) const;
+  /// The selection entry point: full CSS for one sweep -- estimate the
+  /// path, then select the best of `candidates` (Eq. 4; empty means
+  /// tx_candidates()). A sweep with at least min_probes usable probes
+  /// takes CorrelationEngine::combined_argmax; an empty sweep comes back
+  /// invalid and an under-probed one takes the argmax fallback. Zero heap
+  /// allocations once `ws` is warm; consecutive sweeps over one probe
+  /// sequence resolve its panel once.
+  CssResult select(std::span<const SectorReading> probes, CorrelationWorkspace& ws,
+                   std::span<const int> candidates = {}) const;
 
   const PatternTable& patterns() const { return assets_->patterns(); }
   const CssConfig& config() const { return config_; }
@@ -106,12 +99,6 @@ class CompressiveSectorSelector {
 
  private:
   const CorrelationEngine& engine() const { return assets_->engine(); }
-
-  /// Run the walk over the sweeps with enough usable probes: their
-  /// indices land in ws.select_index_, their peaks (and rivals, with
-  /// compute_confidence) in ws.select_peaks_.
-  void compressive_peaks(std::span<const std::span<const SectorReading>> sweeps,
-                         CorrelationWorkspace& ws) const;
 
   std::shared_ptr<const PatternAssets> assets_;
   CssConfig config_;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "src/core/css.hpp"
 
@@ -20,16 +19,13 @@ class CssSelector {
  public:
   explicit CssSelector(const CompressiveSectorSelector& css) : css_(&css) {}
 
-  /// One sweep. `candidates` restricts the Eq. 4 choice to the given
-  /// sector IDs; empty means all transmit sectors.
+  /// One sweep (CompressiveSectorSelector::select). `candidates`
+  /// restricts the Eq. 4 choice to the given sector IDs; empty means all
+  /// transmit sectors.
   CssResult select(std::span<const SectorReading> probes,
-                   std::span<const int> candidates = {});
-
-  /// select() for each sweep, in one batch call
-  /// (CompressiveSectorSelector::select_batch).
-  std::vector<CssResult> select_batch(
-      std::span<const std::vector<SectorReading>> sweeps,
-      std::span<const int> candidates = {});
+                   std::span<const int> candidates = {}) {
+    return css_->select(probes, ws_, candidates);
+  }
 
   const CompressiveSectorSelector& css() const { return *css_; }
 
@@ -37,12 +33,6 @@ class CssSelector {
   const CorrelationWorkspace& workspace() const { return ws_; }
 
  private:
-  /// `candidates`, or all transmit sectors when empty.
-  std::span<const int> or_tx(std::span<const int> candidates) const {
-    return candidates.empty() ? std::span<const int>(css_->assets()->tx_candidates())
-                              : candidates;
-  }
-
   const CompressiveSectorSelector* css_;
   CorrelationWorkspace ws_;
 };

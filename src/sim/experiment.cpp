@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
@@ -62,6 +63,27 @@ std::vector<std::vector<SectorReading>> cell_sweeps(
     }
   }
   return sweeps;
+}
+
+/// CSS on each of a replay cell's sweeps, one call per sweep, returned in
+/// the sweeps' order. The calls run stably sorted by sector-ID sequence,
+/// so the sweeps that share a sequence select back to back on the
+/// worker's panel and each distinct sequence resolves it once.
+std::vector<CssResult> select_cell(CssSelector& worker,
+                                   const std::vector<std::vector<SectorReading>>& sweeps,
+                                   std::span<const int> candidates = {}) {
+  const auto id_less = [](const SectorReading& a, const SectorReading& b) {
+    return a.sector_id < b.sector_id;
+  };
+  std::vector<std::size_t> order(sweeps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(sweeps[a].begin(), sweeps[a].end(),
+                                        sweeps[b].begin(), sweeps[b].end(), id_less);
+  });
+  std::vector<CssResult> selected(sweeps.size());
+  for (const std::size_t k : order) selected[k] = worker.select(sweeps[k], candidates);
+  return selected;
 }
 
 }  // namespace
@@ -146,7 +168,7 @@ std::vector<EstimationErrorRow> estimation_error_analysis(
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        const std::vector<CssResult> selected = worker.select_batch(sweeps);
+        const std::vector<CssResult> selected = select_cell(worker, sweeps);
 
         CellErrors& out = results[c];
         for (std::size_t k = 0; k < sweeps.size(); ++k) {
@@ -198,9 +220,9 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
   pose_cells.reserve(poses.size());
   for (const auto& [pose, indices] : poses) pose_cells.push_back(&indices);
 
-  // Per-cell replay outcome: sweeps within a cell run in recording order
-  // because stability counts selection *switches* and SnrLossTracker
-  // compares against the previous measurement.
+  // Per-cell replay outcome: a cell's selections are read in recording
+  // order because stability counts selection *switches* and
+  // SnrLossTracker compares against the previous measurement.
   struct PoseQuality {
     bool has_selections{false};
     double stability{0.0};
@@ -268,7 +290,7 @@ std::vector<SelectionQualityRow> selection_quality_analysis(
         const std::vector<std::vector<SectorReading>> sweeps =
             cell_sweeps(records, *cell.indices, subset);
 
-        const std::vector<CssResult> selected = worker.select_batch(sweeps, all_tx);
+        const std::vector<CssResult> selected = select_cell(worker, sweeps, all_tx);
 
         std::vector<int> selections;
         SnrLossTracker loss;

@@ -33,9 +33,10 @@ namespace talon {
 /// Execution knobs of the offline replay engine. Threads only distribute
 /// independent trial cells, so no result depends on them. Each cell
 /// selects in its own CssSelector (its own workspace) over the shared
-/// CompressiveSectorSelector, and hands it all of the cell's sweeps as one
-/// batch, which resolves their shared panel once and walks each sweep
-/// alone.
+/// CompressiveSectorSelector, one call per sweep, with the cell's sweeps
+/// ordered by sector-ID sequence: frame misses split a cell's sweeps over
+/// several sequences, and same-sequence neighbours resolve their panel
+/// once. Results are read back in recording order.
 struct ReplayOptions {
   /// Worker threads; <= 0 means default_thread_count() (the --threads /
   /// TALON_THREADS override when set, hardware concurrency otherwise).
@@ -94,7 +95,7 @@ struct SelectionQualityRow {
 
 /// `selector` plays the compressive role against the built-in SSW
 /// (full-sweep argmax) baseline. Cells are (probe count, pose) pairs, each
-/// with its own substream and subset; sweeps within a cell replay in
+/// with its own substream and subset; a cell's selections are read in
 /// recording order (stability and SNR loss are sequential quantities).
 std::vector<SelectionQualityRow> selection_quality_analysis(
     std::span<const SweepRecord> records, const CssSelector& selector,

@@ -61,10 +61,8 @@ TEST(Css, RestrictedCandidatesRespected) {
   const CompressiveSectorSelector css(table, synthetic_config());
   const auto probes = ideal_probes(table, {1, 3, 5, 7}, {-35.0, 0.0});
   const std::vector<int> candidates{5, 6, 7};
-  const std::span<const SectorReading> sweep(probes);
-  CssResult r;
   CorrelationWorkspace ws;
-  css.select_batch({&sweep, 1}, candidates, {&r, 1}, ws);
+  const CssResult r = css.select(probes, ws, candidates);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.sector_id == 5 || r.sector_id == 6 || r.sector_id == 7);
 }

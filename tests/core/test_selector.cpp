@@ -45,23 +45,24 @@ TEST(CssSelector, MatchesWrappedSelectorExactly) {
   // Restricted candidates.
   const std::vector<int> candidates{2, 4, 6};
   const CssResult restricted = selector.select(probes, candidates);
-  const std::span<const SectorReading> sweep(probes);
-  CssResult expected_restricted;
-  css.select_batch({&sweep, 1}, candidates, {&expected_restricted, 1}, ws);
+  const CssResult expected_restricted = css.select(probes, ws, candidates);
   EXPECT_EQ(restricted.sector_id, expected_restricted.sector_id);
 
-  // A batch equals selecting each sweep on its own.
+  // A run of sweeps through the selector's one workspace -- a subset
+  // switch and an under-probed fallback included -- equals selecting each
+  // sweep in a fresh workspace.
   const std::vector<std::vector<SectorReading>> sweeps{
       probes, ideal_probes(synthetic_table(), {1, 2, 3, 4, 5, 6, 7}, {25.0, 0.0}),
+      ideal_probes(synthetic_table(), {2, 4, 6, 8}, {-5.0, 10.0}),
       ideal_probes(synthetic_table(), {3, 6}, {25.0, 0.0})};
-  const std::vector<CssResult> batch = selector.select_batch(sweeps);
-  ASSERT_EQ(batch.size(), sweeps.size());
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const CssResult single = css.select(sweeps[i], ws);
-    EXPECT_EQ(batch[i].valid, single.valid);
-    EXPECT_EQ(batch[i].sector_id, single.sector_id);
-    EXPECT_EQ(batch[i].fallback_used, single.fallback_used);
-    EXPECT_EQ(batch[i].correlation_peak, single.correlation_peak);
+    const CssResult run = selector.select(sweeps[i]);
+    CorrelationWorkspace fresh;
+    const CssResult single = css.select(sweeps[i], fresh);
+    EXPECT_EQ(run.valid, single.valid) << "sweep " << i;
+    EXPECT_EQ(run.sector_id, single.sector_id) << "sweep " << i;
+    EXPECT_EQ(run.fallback_used, single.fallback_used) << "sweep " << i;
+    EXPECT_EQ(run.correlation_peak, single.correlation_peak) << "sweep " << i;
   }
 }
 

@@ -465,13 +465,10 @@ void expect_hostile_sweeps_match_surface() {
     config.compute_confidence = true;
     config.confidence_exclusion_deg = exclusion;
     const CompressiveSectorSelector css(table, config);
-    const std::vector<std::span<const SectorReading>> views(sweeps.begin(),
-                                                            sweeps.end());
-    std::vector<CssResult> batched(views.size());
     CorrelationWorkspace ws;
-    css.select_batch(views, css.assets()->tx_candidates(), batched, ws);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      const Grid2D surface = css.assets()->engine().combined_surface(views[i]);
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      const CssResult run = css.select(sweeps[i], ws);
+      const Grid2D surface = css.assets()->engine().combined_surface(sweeps[i]);
       const Grid2D::Peak peak = surface.peak();
       const double rival =
           runner_up_value(surface, peak.direction.azimuth_deg, exclusion);
@@ -479,9 +476,9 @@ void expect_hostile_sweeps_match_surface() {
           peak.value > 0.0 ? std::numeric_limits<double>::infinity() : 1.0;
       const double expected = rival <= 0.0 ? no_rival : peak.value / rival;
       CorrelationWorkspace single_ws;
-      EXPECT_EQ(css.select(views[i], single_ws).confidence, expected) << "sweep " << i;
-      EXPECT_EQ(batched[i].confidence, expected) << "sweep " << i;
-      EXPECT_EQ(batched[i].correlation_peak, peak.value) << "sweep " << i;
+      EXPECT_EQ(css.select(sweeps[i], single_ws).confidence, expected) << "sweep " << i;
+      EXPECT_EQ(run.confidence, expected) << "sweep " << i;
+      EXPECT_EQ(run.correlation_peak, peak.value) << "sweep " << i;
     }
   }
 }
@@ -832,42 +829,32 @@ TEST(ArgmaxBatch, WalkStatsEqualTheSingleSweepWalks) {
 }
 
 TEST(ArgmaxBatch, SteadyStateStopsGrowing) {
-  // Stable batch shapes must go allocation-quiet like the single-sweep
-  // workspace contract: K links re-probing their subsets round after
-  // round is THE steady state the dense simulator runs in.
+  // K links re-probing their own subsets round after round is THE steady
+  // state the dense simulator runs in: each link's workspace must go
+  // allocation-quiet, like the single-sweep workspace contract.
   const CorrelationEngine engine(synthetic_table(), synthetic_grid());
-  CorrelationWorkspace ws;
   std::mt19937_64 rng(24680);
   std::uniform_real_distribution<double> noise(-1.0, 1.0);
-  const std::vector<std::vector<int>> shapes{
-      {1, 3, 5, 7}, {1, 3, 5, 7}, {2, 4, 6, 8, 9}, {1, 3, 5, 7}};
-  auto make_sweeps = [&] {
-    std::vector<std::vector<SectorReading>> sweeps;
-    for (const auto& ids : shapes) {
-      auto sweep = ideal_probes(synthetic_table(), ids, {5.0, 10.0});
+  const std::vector<std::vector<int>> subsets{
+      {1, 3, 5, 7}, {1, 3, 5, 7}, {2, 4, 6, 8, 9}, {1, 2, 5, 8}};
+  std::vector<CorrelationWorkspace> links(subsets.size());
+  auto round = [&] {
+    for (std::size_t k = 0; k < subsets.size(); ++k) {
+      auto sweep = ideal_probes(synthetic_table(), subsets[k], {5.0, 10.0});
       for (SectorReading& r : sweep) {
         r.snr_db += noise(rng);
         r.rssi_dbm += noise(rng);
       }
-      sweeps.push_back(std::move(sweep));
+      (void)engine.combined_argmax(sweep, links[k]);
     }
-    return sweeps;
   };
-  std::vector<CorrelationEngine::ArgmaxResult> out(shapes.size());
-  for (int warm = 0; warm < 3; ++warm) {
-    const auto sweeps = make_sweeps();
-    std::vector<std::span<const SectorReading>> views(sweeps.begin(),
-                                                      sweeps.end());
-    engine.combined_argmax_batch(views, out, ws);
+  for (int warm = 0; warm < 3; ++warm) round();
+  std::vector<std::size_t> settled;
+  for (const CorrelationWorkspace& ws : links) settled.push_back(ws.growth_events());
+  for (int i = 0; i < 100; ++i) round();
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    EXPECT_EQ(links[k].growth_events(), settled[k]) << "link " << k;
   }
-  const std::size_t settled = ws.growth_events();
-  for (int i = 0; i < 100; ++i) {
-    const auto sweeps = make_sweeps();
-    std::vector<std::span<const SectorReading>> views(sweeps.begin(),
-                                                      sweeps.end());
-    engine.combined_argmax_batch(views, out, ws);
-  }
-  EXPECT_EQ(ws.growth_events(), settled);
 }
 
 TEST_F(ForcedScalarDispatch, BatchBitIdenticalOnScalarFallback) {

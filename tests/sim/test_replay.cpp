@@ -3,6 +3,11 @@
 // on doubles throughout -- the contract is exact equality, not tolerance.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+
+#include "src/antenna/codebook.hpp"
 #include "src/sim/experiment.hpp"
 #include "tests/sim/experiment_fixture.hpp"
 
@@ -96,6 +101,77 @@ TEST_F(ReplayDeterminismTest, ThroughputPointsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(points[i].css_mbps, baseline[i].css_mbps);
       EXPECT_EQ(points[i].ssw_mbps, baseline[i].ssw_mbps);
     }
+  }
+}
+
+TEST(ReplayCells, EachDistinctProbeSequenceResolvesItsPanelOnce) {
+  // Frame misses split one cell's sweeps over several probe sequences. A
+  // cell selects its sweeps grouped by sequence, so the matrix cache sees
+  // one lookup per distinct sequence per cell; selecting in recording
+  // order would look up again at every sequence change.
+  const ExperimentWorld& world = ExperimentWorld::instance();
+  const CssConfig config;
+  // Assets of its own: a panel cache no other test has touched.
+  const auto assets = std::make_shared<const PatternAssets>(
+      world.table, config.search_grid, config.domain);
+  const CompressiveSectorSelector css(assets, config);
+  const CssSelector selector(css);
+  const std::vector<int>& all_tx = talon_tx_sector_ids();
+
+  // Every odd sweep of a pose also misses the first transmit sector's
+  // frame, so at least two sequences alternate within each pose.
+  std::vector<SweepRecord> records = world.lab_records;
+  std::map<int, std::size_t> sweep_of_pose;
+  for (SweepRecord& r : records) {
+    if (sweep_of_pose[r.pose_index]++ % 2 == 1) {
+      std::erase_if(r.measurement.readings, [&](const SectorReading& x) {
+        return x.sector_id == all_tx.front();
+      });
+    }
+  }
+
+  // A cell's subset is the first m transmit sectors; count, over the
+  // cells, the distinct sequences of the sweeps that reach the walk and
+  // the sequence changes between them in recording order.
+  const PrefixSubsetPolicy policy;
+  const std::vector<std::size_t> probe_counts{6, 14};
+  std::size_t grouped = 0;
+  std::size_t in_recording_order = 0;
+  for (const std::size_t m : probe_counts) {
+    const std::set<int> subset(all_tx.begin(),
+                               all_tx.begin() + static_cast<std::ptrdiff_t>(m));
+    std::map<int, std::set<std::vector<int>>> distinct;
+    std::map<int, std::vector<int>> previous;
+    for (const SweepRecord& r : records) {
+      std::vector<SectorReading> sweep;
+      for (const SectorReading& x : r.measurement.readings) {
+        if (subset.contains(x.sector_id)) sweep.push_back(x);
+      }
+      if (assets->engine().usable_probe_count(sweep) < config.min_probes) continue;
+      std::vector<int> ids;
+      for (const SectorReading& x : sweep) ids.push_back(x.sector_id);
+      distinct[r.pose_index].insert(ids);
+      const auto [it, first] = previous.try_emplace(r.pose_index, ids);
+      if (first || it->second != ids) ++in_recording_order;
+      it->second = ids;
+    }
+    for (const auto& [pose, sequences] : distinct) grouped += sequences.size();
+  }
+  ASSERT_GT(in_recording_order, grouped);  // the records tell the orders apart
+
+  const ResponseMatrix& matrix = assets->engine().response_matrix();
+  const auto lookups = [&] {
+    const ResponseMatrix::CacheStats stats = matrix.cache_stats();
+    return stats.hits + stats.misses;
+  };
+  for (const int threads : {1, 2}) {
+    const ReplayOptions options{.threads = threads};
+    std::uint64_t before = lookups();
+    (void)estimation_error_analysis(records, selector, probe_counts, policy, 7, options);
+    EXPECT_EQ(lookups() - before, grouped) << "estimation error, threads " << threads;
+    before = lookups();
+    (void)selection_quality_analysis(records, selector, probe_counts, policy, 7, options);
+    EXPECT_EQ(lookups() - before, grouped) << "selection quality, threads " << threads;
   }
 }
 
