@@ -10,10 +10,10 @@
 // the pool, so ns/iteration is one selection averaged over the pool. Use
 // it for same-host kernel A/B runs; the repository's speed numbers live
 // in perfbench/. BM_CombinedArgmax and BM_CssSelectConfidence also report
-// the walk's counters over one untimed pass of the pool: eval_tile_share
-// (fine tiles evaluated per selection over the grid's fine tiles) and
-// point_pass_share (points passing the per-point screen over points
-// screened).
+// the walk's eval_tile_share over one untimed pass of the pool: fine tiles
+// evaluated per selection over the grid's fine tiles. Every point of an
+// evaluated tile pays the exact W (tile_dots, then tile_w), so that share
+// sizes all of the walk's epilogue work.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -90,25 +90,19 @@ void cycle_pool(benchmark::State& state, const Sweeps& pool, Select select) {
   }
 }
 
-/// One more untimed pass over the pool, reporting what the walk did per
-/// selection: the share of the grid's fine tiles it evaluated and the
-/// share of the screened points that paid the exact W.
+/// One more untimed pass over the pool, reporting the share of the grid's
+/// fine tiles the walk evaluated per selection.
 template <typename Select>
-void report_walk_shares(benchmark::State& state, const Sweeps& pool,
-                        const CorrelationWorkspace& ws, const ResponseMatrix& matrix,
-                        Select select) {
+void report_eval_tile_share(benchmark::State& state, const Sweeps& pool,
+                            const CorrelationWorkspace& ws, const ResponseMatrix& matrix,
+                            Select select) {
   const WalkStats before = ws.walk_stats();
   for (const auto& sweep : pool) benchmark::DoNotOptimize(select(sweep));
-  const WalkStats& after = ws.walk_stats();
   const double grid_tiles = static_cast<double>(matrix.tiles().fine_tiles);
   const double evaluated =
-      static_cast<double>(after.fine_evaluated - before.fine_evaluated);
-  const double screened =
-      static_cast<double>(after.points_screened - before.points_screened);
-  const double passed = static_cast<double>(after.points_passed - before.points_passed);
+      static_cast<double>(ws.walk_stats().fine_evaluated - before.fine_evaluated);
   state.counters["eval_tile_share"] =
       evaluated / (grid_tiles * static_cast<double>(pool.size()));
-  state.counters["point_pass_share"] = screened > 0.0 ? passed / screened : 0.0;
 }
 
 CorrelationEngine default_grid_engine() {
@@ -137,7 +131,7 @@ void BM_CssSelectConfidence(benchmark::State& state) {
   const Sweeps& pool = sweep_pool(static_cast<std::size_t>(state.range(0)));
   const auto select = [&](const auto& sweep) { return css.select(sweep, ws); };
   cycle_pool(state, pool, select);
-  report_walk_shares(state, pool, ws, css.assets()->engine().response_matrix(), select);
+  report_eval_tile_share(state, pool, ws, css.assets()->engine().response_matrix(), select);
 }
 BENCHMARK(BM_CssSelectConfidence)->Arg(14);
 
@@ -165,7 +159,7 @@ void BM_CombinedArgmax(benchmark::State& state) {
     return engine.combined_argmax(sweep, ws);
   };
   cycle_pool(state, pool, select);
-  report_walk_shares(state, pool, ws, engine.response_matrix(), select);
+  report_eval_tile_share(state, pool, ws, engine.response_matrix(), select);
 }
 BENCHMARK(BM_CombinedArgmax)->Arg(6)->Arg(10)->Arg(14)->Arg(20)->Arg(34);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "src/common/angles.hpp"
 #include "src/common/error.hpp"
@@ -15,7 +14,6 @@ namespace talon {
 namespace {
 
 constexpr std::size_t kTile = SubsetPanel::kTilePoints;
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double to_domain(double db_value, CorrelationDomain domain) {
   return domain == CorrelationDomain::kLinear ? db_to_linear(db_value) : db_value;
@@ -38,6 +36,14 @@ double to_domain(double db_value, CorrelationDomain domain) {
 constexpr double kBoundInflate = 1.0 + 1e-10;
 constexpr double kBoundAbsSlack = 1e-290;
 
+/// The subset norms of a tile's `count` points, in tile order, and zeros
+/// for the padding of a ragged tile (tile_w scores them 0).
+void gather_norms(const SubsetPanel& pan, const std::uint32_t* tile_points,
+                  std::size_t count, double* norm) {
+  for (std::size_t gi = 0; gi < count; ++gi) norm[gi] = pan.norms_sq[tile_points[gi]];
+  std::fill(norm + count, norm + kTile, 0.0);
+}
+
 }  // namespace
 
 namespace detail {
@@ -48,8 +54,7 @@ namespace detail {
 /// every g in the tile, and likewise for cr. Callers pass the probe
 /// magnitudes |p| precomputed.
 TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
-                             const double* u, double sqrt_min_norm,
-                             std::size_t m, double inv_snr_norm,
+                             const double* u, std::size_t m, double inv_snr_norm,
                              double inv_rssi_norm) {
   double as = 0.0;
   double ar = 0.0;
@@ -60,11 +65,7 @@ TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
   }
   const double cs_ub = as * inv_snr_norm;
   const double cr_ub = ar * inv_rssi_norm;
-  const double cr2 = (cr_ub * cr_ub) * kBoundInflate;
-  const double bound = (cs_ub * cs_ub) * cr2 + kBoundAbsSlack;
-  const double rs =
-      sqrt_min_norm < kInf ? inv_snr_norm / sqrt_min_norm : 0.0;
-  return {bound, rs, cr2};
+  return {(cs_ub * cs_ub) * ((cr_ub * cr_ub) * kBoundInflate) + kBoundAbsSlack};
 }
 
 /// The same bound from the int16 sidecar, reading 2 bytes of tile
@@ -76,15 +77,14 @@ TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
 /// construction (round-up, see ResponseMatrix::build_panel). Every
 /// operation below matches screen_tile_float's sequence on inputs that
 /// are element-wise >= its inputs, all terms are non-negative, and IEEE
-/// rounding is monotone -- so every field of the result dominates the
-/// float screen's field, which already rigorously dominates the kernel
-/// result (slack argument above). Pruning on the quantized bound can
-/// therefore never cut a tile or point the float bound would keep, and
-/// since a valid bound set yields the exact argmax under ANY traversal
-/// order, the selection stays bit-identical to the full surface peak.
+/// rounding is monotone -- so the result dominates the float screen's
+/// bound, which already rigorously dominates the kernel result (slack
+/// argument above). Pruning on the quantized bound can therefore never
+/// cut a tile the float bound would keep, and since a valid bound set
+/// yields the exact argmax under ANY traversal order, the selection stays
+/// bit-identical to the full surface peak.
 TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
-                         const std::uint16_t* q, double scale,
-                         double sqrt_min_norm, std::size_t m,
+                         const std::uint16_t* q, double scale, std::size_t m,
                          double inv_snr_norm, double inv_rssi_norm) {
   double as = 0.0;
   double ar = 0.0;
@@ -95,11 +95,7 @@ TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
   }
   const double cs_ub = as * inv_snr_norm;
   const double cr_ub = ar * inv_rssi_norm;
-  const double cr2 = (cr_ub * cr_ub) * kBoundInflate;
-  const double bound = (cs_ub * cs_ub) * cr2 + kBoundAbsSlack;
-  const double rs =
-      sqrt_min_norm < kInf ? inv_snr_norm / sqrt_min_norm : 0.0;
-  return {bound, rs, cr2};
+  return {(cs_ub * cs_ub) * ((cr_ub * cr_ub) * kBoundInflate) + kBoundAbsSlack};
 }
 
 }  // namespace detail
@@ -228,23 +224,16 @@ Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
   const TileMap& tiles = matrix_.tiles();
   double dot_snr[kTile];
   double dot_rssi[kTile];
+  double norm[kTile];
+  double tile_w_values[kTile];
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
     tile_dots(matrix_.tile_block(t), pan.rows.data(), probes.snr.data(),
               probes.rssi.data(), m_count, dot_snr, dot_rssi);
-    for (std::size_t gi = 0; gi < count; ++gi) {
-      const std::size_t g = tile_points[gi];
-      const double x_norm_sq = pan.norms_sq[g];
-      if (x_norm_sq <= 0.0) {
-        w[g] = 0.0;
-        continue;
-      }
-      const double x_norm = std::sqrt(x_norm_sq);
-      const double cs = dot_snr[gi] / (snr_norm * x_norm);
-      const double cr = dot_rssi[gi] / (rssi_norm * x_norm);
-      w[g] = (cs * cs) * (cr * cr);
-    }
+    gather_norms(pan, tile_points, count, norm);
+    tile_w(dot_snr, dot_rssi, norm, snr_norm, rssi_norm, tile_w_values);
+    for (std::size_t gi = 0; gi < count; ++gi) w[tile_points[gi]] = tile_w_values[gi];
   }
   return out;
 }
@@ -320,8 +309,7 @@ ArgmaxResult CorrelationEngine::argmax_sweep(const SubsetPanel& pan,
   for (std::size_t c = 0; c < nc; ++c) {
     ws.coarse_bound_[c] =
         detail::screen_tile_q(abs_row, abs_row + m_count, pan.coarse_q.data() + c * m_count,
-                              pan.coarse_q_scale[c], pan.coarse_sqrt_min_norm[c], m_count,
-                              mb.inv_snr, mb.inv_rssi)
+                              pan.coarse_q_scale[c], m_count, mb.inv_snr, mb.inv_rssi)
             .bound;
     ws.coarse_order_[c] = static_cast<std::uint32_t>(c);
   }
@@ -416,12 +404,14 @@ template <bool kConfidence>
 detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkMember mb,
                                            double* columns, CorrelationWorkspace& ws,
                                            std::size_t zone_half, bool speculate) const {
-  // The skip rules below are exact, not heuristic: a tile or point is
-  // skipped only when its bound proves it cannot beat the best -- including
-  // the lowest-index tie rule Grid2D::peak applies -- or, in confidence
-  // mode, the running rival (which is never above the peak). So the peak
-  // matches the full surface bit for bit. The state is a local copy the
-  // compiler can keep in registers.
+  // The skip rules below are exact, not heuristic: a tile is skipped only
+  // when its bound proves it cannot beat the best -- including the
+  // lowest-index tie rule Grid2D::peak applies -- or, in confidence mode,
+  // the running rival (which is never above the peak). Every point of a
+  // tile that is not skipped gets its exact W from the dense epilogue
+  // (tile_dots, then tile_w: the reference surface's arithmetic), so the
+  // peak matches the full surface bit for bit. The state is a local copy
+  // the compiler can keep in registers.
   const std::size_t m_count = pan.m();
   const std::size_t n_az = matrix_.grid().azimuth.count;
   const TileMap& tiles = matrix_.tiles();
@@ -441,9 +431,11 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
   [[maybe_unused]] auto outside = [&mb, zone_half](std::size_t ia) {
     return ia + zone_half < mb.peak_column || ia > mb.peak_column + zone_half;
   };
-  detail::TileScreen screens[SubsetPanel::kFinePerCoarse];
+  double bounds[SubsetPanel::kFinePerCoarse];
   double dsg[kTile];
-  [[maybe_unused]] double drg[kTile];
+  double drg[kTile];
+  double norm[kTile];
+  double w[kTile];
 
   for (const std::uint32_t c : ws.coarse_order_) {
     // Coarse tiles come best-bound-first, so once one drops below the
@@ -458,16 +450,16 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
     for (std::size_t k = 0; k < nf; ++k) {
       const std::size_t t = t0 + k;
       ++ws.walk_stats_.fine_screened;
-      screens[k] = detail::screen_tile_q(abs_row, abs_row + m_count,
-                                         pan.fine_q.data() + t * m_count,
-                                         pan.fine_q_scale[t], pan.fine_sqrt_min_norm[t],
-                                         m_count, mb.inv_snr, mb.inv_rssi);
+      bounds[k] = detail::screen_tile_q(abs_row, abs_row + m_count,
+                                        pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
+                                        m_count, mb.inv_snr, mb.inv_rssi)
+                      .bound;
       order[k] = k;
     }
     for (std::size_t k = 1; k < nf; ++k) {  // insertion sort: nf <= 8
       const std::size_t v = order[k];
       std::size_t j = k;
-      while (j > 0 && screens[order[j - 1]].bound < screens[v].bound) {
+      while (j > 0 && bounds[order[j - 1]] < bounds[v]) {
         order[j] = order[j - 1];
         --j;
       }
@@ -475,61 +467,32 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
     }
 
     for (std::size_t k = 0; k < nf; ++k) {
-      const detail::TileScreen& s = screens[order[k]];
-      if (s.bound < threshold()) break;
+      const double bound = bounds[order[k]];
+      if (bound < threshold()) break;
       const std::size_t t = t0 + order[k];
-      if (!in_play(s.bound, tiles.fine_min[t])) continue;
+      if (!in_play(bound, tiles.fine_min[t])) continue;
       const std::size_t count = tiles.count(t);
-      const double* block = matrix_.tile_block(t);
-      const std::size_t* rows = pan.rows.data();
-      const double* norms = pan.norms_sq.data();
       const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
       [[maybe_unused]] const std::uint32_t* tile_columns =
           tiles.column.data() + t * kTile;
-      const double* pr = mb.pr;
+      // The dense epilogue: both dot rows and W for the whole tile (the
+      // padded tail of a ragged tile scores 0, and `count` discards it).
+      tile_dots(matrix_.tile_block(t), pan.rows.data(), mb.ps, mb.pr, m_count, dsg, drg);
+      gather_norms(pan, tile_points, count, norm);
+      tile_w(dsg, drg, norm, mb.snr_norm, mb.rssi_norm, w);
       double best = mb.best;
       std::size_t best_g = mb.best_g;
-      std::uint64_t passed = 0;
-      // Dense dots for the whole tile (the padded tail just computes
-      // zeros that `count` discards): SNR only for the peak, whose
-      // survivors are few, both for confidence, which evaluates more.
-      tile_dots(block, rows, mb.ps, kConfidence ? pr : nullptr, m_count, dsg,
-                kConfidence ? drg : nullptr);
       for (std::size_t gi = 0; gi < count; ++gi) {
         const std::size_t g = tile_points[gi];
-        [[maybe_unused]] const std::size_t point_ia = kConfidence ? tile_columns[gi] : 0;
-        const double n = norms[g];
-        double w = 0.0;
-        if (n > 0.0) {
-          // Multiply-only per-point screen (same slack argument as the
-          // tile bound): only survivors pay the sqrt and the divisions
-          // (and, for the peak, the RSSI dot).
-          const double cs_scr = dsg[gi] * s.rs;
-          const double scr = (cs_scr * cs_scr) * s.cr2 + kBoundAbsSlack;
-          double dr;
-          if constexpr (kConfidence) {
-            if (scr < mb.rival) continue;
-            dr = drg[gi];
-          } else {
-            if (scr < best || (scr == best && g > best_g)) continue;
-            dr = 0.0;
-            const double* col = block + gi;
-            for (std::size_t m = 0; m < m_count; ++m) dr += pr[m] * col[rows[m]];
-          }
-          ++passed;
-          const double x_norm = std::sqrt(n);
-          const double cs = dsg[gi] / (mb.snr_norm * x_norm);
-          const double cr = dr / (mb.rssi_norm * x_norm);
-          w = (cs * cs) * (cr * cr);
-        }
-        const bool new_peak = w > best || (w == best && g < best_g);
+        const bool new_peak = w[gi] > best || (w[gi] == best && g < best_g);
         if (new_peak) {
-          best = w;
+          best = w[gi];
           best_g = g;
         }
         if constexpr (kConfidence) {
-          const bool column_rose = w > columns[point_ia];
-          if (column_rose) columns[point_ia] = w;
+          const std::size_t point_ia = tile_columns[gi];
+          const bool column_rose = w[gi] > columns[point_ia];
+          if (column_rose) columns[point_ia] = w[gi];
           if (!speculate) continue;
           if (new_peak && point_ia != mb.peak_column) {
             // The peak moved: its zone did too, so retake the rival
@@ -541,8 +504,8 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
             for (std::size_t j = point_ia + zone_half + 1; j < n_az; ++j) {
               mb.rival = std::max(mb.rival, columns[j]);
             }
-          } else if (column_rose && w > mb.rival && outside(point_ia)) {
-            mb.rival = w;  // below the peak: the peak's column is inside
+          } else if (column_rose && w[gi] > mb.rival && outside(point_ia)) {
+            mb.rival = w[gi];  // below the peak: the peak's column is inside
           }
           mb.rival_used = std::max(mb.rival_used, mb.rival);
         }
@@ -551,7 +514,6 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
       mb.best_g = best_g;
       ++ws.walk_stats_.fine_evaluated;
       ws.walk_stats_.points_screened += count;
-      ws.walk_stats_.points_passed += passed;
     }
   }
   return mb;

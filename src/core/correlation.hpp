@@ -41,35 +41,27 @@ enum class SignalValue : std::uint8_t { kSnr, kRssi };
 
 namespace detail {
 
-/// One tile's pruning data, produced by the screening kernels in
-/// correlation.cpp and held per fine tile of the coarse tile the walk is
-/// in. Exposed (with the two screening kernels below) so the
+/// One tile's pruning bound, produced by the screening kernels in
+/// correlation.cpp. Exposed (with the two screening kernels below) so the
 /// quantized-screening property tests can compare the bounds directly.
 struct TileScreen {
   /// Upper bound on the kernel-FP W anywhere in the tile.
   double bound{0.0};
-  /// Upper bound on the reciprocal of every positive-norm point's SNR
-  /// denominator snr_norm * ||x(g)||.
-  double rs{0.0};
-  /// Upper bound on cr^2 anywhere in the tile, inflation included.
-  double cr2{0.0};
 };
 
 /// Float-statistics screening bound (the reference): dots |p| rows
 /// against the tile's abs_norm_max statistics.
 TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
-                             const double* u, double sqrt_min_norm,
-                             std::size_t m, double inv_snr_norm,
+                             const double* u, std::size_t m, double inv_snr_norm,
                              double inv_rssi_norm);
 
 /// int16-sidecar screening bound: identical operation order, but every
 /// statistic is the dequantized round-up q[mm] * scale >= u[mm]. By
 /// floating-point monotonicity the result dominates screen_tile_float's
-/// field for field, so pruning on it never cuts a tile the float screen
-/// would keep (see correlation.cpp's soundness note).
+/// bound, so pruning on it never cuts a tile the float screen would keep
+/// (see correlation.cpp's soundness note).
 TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
-                         const std::uint16_t* q, double scale,
-                         double sqrt_min_norm, std::size_t m,
+                         const std::uint16_t* q, double scale, std::size_t m,
                          double inv_snr_norm, double inv_rssi_norm);
 
 }  // namespace detail
@@ -133,18 +125,15 @@ struct WalkStats {
   std::uint64_t fine_screened{0};
   /// Fine tiles whose points were evaluated (their bound was in play).
   std::uint64_t fine_evaluated{0};
-  /// Valid points of evaluated tiles (zero-norm points among them score
-  /// 0 without a screen).
+  /// Valid points of evaluated tiles, every one of which pays the exact W
+  /// (the dense epilogue has no per-point screen).
   std::uint64_t points_screened{0};
-  /// Points that passed the per-point screen and paid the exact W.
-  std::uint64_t points_passed{0};
 
   /// The one field list (common/fields.hpp).
   static constexpr auto kFields = std::make_tuple(
       field("fine_screened", &WalkStats::fine_screened),
       field("fine_evaluated", &WalkStats::fine_evaluated),
-      field("points_screened", &WalkStats::points_screened),
-      field("points_passed", &WalkStats::points_passed));
+      field("points_screened", &WalkStats::points_screened));
   friend bool operator==(const WalkStats&, const WalkStats&) = default;
 };
 
@@ -222,12 +211,12 @@ class CorrelationEngine {
   /// branch-and-bound search -- the repo's one selection kernel.
   ///
   /// Grid tiles are visited best-bound-first and skipped when a rigorous
-  /// floating-point upper bound (per-tile response extrema + minimum
-  /// subset norm, Cauchy-Schwarz on both correlation factors) cannot beat
-  /// the running best; surviving points are evaluated with the exact
-  /// combined_surface arithmetic. Index and value are therefore
-  /// bit-identical to combined_surface(readings).peak() -- asserted in
-  /// debug builds. The panel of the sweep's slot sequence comes from `ws`
+  /// floating-point upper bound (per-tile maxima of the normalized
+  /// responses, Cauchy-Schwarz on both correlation factors) cannot beat
+  /// the running best; every point of a surviving tile is evaluated with
+  /// the exact combined_surface arithmetic (tile_w). Index and value are
+  /// therefore bit-identical to combined_surface(readings).peak() --
+  /// asserted in debug builds. The panel of the sweep's slot sequence comes from `ws`
   /// when the previous sweep probed the same sequence, and from the
   /// matrix cache otherwise.
   ///

@@ -57,6 +57,21 @@ void tile_dots_scalar(const double* block, const std::size_t* rows,
   }
 }
 
+void tile_w_scalar(const double* dot_s, const double* dot_r, const double* norm,
+                   double snr_norm, double rssi_norm, double* w) {
+  for (std::size_t gi = 0; gi < kTile; ++gi) {
+    const double n = norm[gi];
+    if (n <= 0.0) {
+      w[gi] = 0.0;
+      continue;
+    }
+    const double x = std::sqrt(n);
+    const double cs = dot_s[gi] / (snr_norm * x);
+    const double cr = dot_r[gi] / (rssi_norm * x);
+    w[gi] = (cs * cs) * (cr * cr);
+  }
+}
+
 // The norm pass keeps kBlock points in registers like tile_dots_scalar;
 // zero-norm points and the padding get a zero reciprocal, so every share
 // they contribute is 0 and cannot raise a maximum that starts at 0.
@@ -100,17 +115,20 @@ namespace {
 /// One kernel of each kind, and the level they run at.
 struct Kernels {
   TileDotsFn dots;
+  TileWFn w;
   TileStatsFn stats;
   SimdLevel level;
 };
 
-constexpr Kernels kScalarKernels{&tile_dots_scalar, &tile_stats_scalar,
+constexpr Kernels kScalarKernels{&tile_dots_scalar, &tile_w_scalar, &tile_stats_scalar,
                                  SimdLevel::kScalar};
 #if defined(TALON_HAVE_AVX2_KERNEL)
-constexpr Kernels kAvx2Kernels{&tile_dots_avx2, &tile_stats_avx2, SimdLevel::kAvx2};
+constexpr Kernels kAvx2Kernels{&tile_dots_avx2, &tile_w_avx2, &tile_stats_avx2,
+                               SimdLevel::kAvx2};
 #endif
 #if defined(__aarch64__) || defined(_M_ARM64)
-constexpr Kernels kNeonKernels{&tile_dots_neon, &tile_stats_scalar, SimdLevel::kNeon};
+constexpr Kernels kNeonKernels{&tile_dots_neon, &tile_w_scalar, &tile_stats_scalar,
+                               SimdLevel::kNeon};
 #endif
 
 /// Map the active level to kernels present in this binary; a level whose
@@ -158,6 +176,11 @@ const Kernels& resolve() {
 void tile_dots(const double* block, const std::size_t* rows, const double* ps,
                const double* pr, std::size_t m_count, double* out_s, double* out_r) {
   resolve().dots(block, rows, ps, pr, m_count, out_s, out_r);
+}
+
+void tile_w(const double* dot_s, const double* dot_r, const double* norm, double snr_norm,
+            double rssi_norm, double* w) {
+  resolve().w(dot_s, dot_r, norm, snr_norm, rssi_norm, w);
 }
 
 double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,

@@ -1,5 +1,6 @@
 // The dense per-tile kernels: the dot products under every correlation
-// pass, and the per-tile statistics of a subset panel build.
+// pass, the exact Eq. 5 surface W of a tile's points, and the per-tile
+// statistics of a subset panel build.
 //
 // tile_dots() computes, for one tile block of the response matrix
 // (ResponseMatrix::tile_block: one kTilePoints-wide row per sector slot)
@@ -18,6 +19,16 @@
 // scalar fallback this way). Resolution is a couple of relaxed atomic
 // loads per call -- noise next to the M * kTilePoints multiply-adds the
 // call performs.
+//
+// tile_w() turns a tile's two dot rows into its surface values: for every
+// point gi, x = sqrt(norm[gi]), cs = dot_s[gi] / (snr_norm * x),
+// cr = dot_r[gi] / (rssi_norm * x) and w[gi] = (cs * cs) * (cr * cr), or
+// 0 when norm[gi] <= 0. That is the operation sequence of the reference
+// surface, one correctly rounded IEEE operation at a time; vsqrtpd,
+// vdivpd and vmulpd round each lane exactly like their scalar forms, and
+// the zero-norm mask selects the scalar branch's 0. So every variant is
+// bit-identical on every input, NaN included (the mask is "not <= 0",
+// the scalar test's negation).
 //
 // tile_stats() computes, for one tile block and a panel's row offsets,
 // what ResponseMatrix::build_panel keeps per fine tile: every point's
@@ -54,6 +65,17 @@ void tile_dots_scalar(const double* block, const std::size_t* rows,
                       const double* ps, const double* pr, std::size_t m_count,
                       double* out_s, double* out_r);
 
+/// Surface signature shared by every variant: w[gi] for all kTilePoints
+/// points from the dot rows and the points' subset norms (see above).
+/// Zero norms, the padding of a ragged tile among them, give w = 0.
+/// No argument has an alignment requirement.
+using TileWFn = void (*)(const double* dot_s, const double* dot_r, const double* norm,
+                         double snr_norm, double rssi_norm, double* w);
+
+/// Portable reference surface kernel.
+void tile_w_scalar(const double* dot_s, const double* dot_r, const double* norm,
+                   double snr_norm, double rssi_norm, double* w);
+
 /// Per-tile statistics signature shared by every variant. Writes
 ///   norm[gi] = sum_m block[rows[m] + gi]^2, ascending m, for all
 ///              kTilePoints points (0 in the zero padding of a ragged tile);
@@ -74,6 +96,10 @@ void tile_dots_avx2(const double* block, const std::size_t* rows,
                     const double* ps, const double* pr, std::size_t m_count,
                     double* out_s, double* out_r);
 
+/// AVX2 surface: 4 points per ymm lane, the zero-norm lanes masked to 0.
+void tile_w_avx2(const double* dot_s, const double* dot_r, const double* norm,
+                 double snr_norm, double rssi_norm, double* w);
+
 /// AVX2 statistics: all kTilePoints norms in flight, masked vsqrtpd /
 /// vdivpd reciprocals, one vmaxpd tree per row.
 double tile_stats_avx2(const double* block, const std::size_t* rows,
@@ -92,6 +118,11 @@ void tile_dots_neon(const double* block, const std::size_t* rows,
 /// and runs it. Re-resolves automatically after an override change.
 void tile_dots(const double* block, const std::size_t* rows, const double* ps,
                const double* pr, std::size_t m_count, double* out_s, double* out_r);
+
+/// The dispatched surface kernel, resolved like tile_dots(). NEON has no
+/// variant of its own: it runs tile_w_scalar.
+void tile_w(const double* dot_s, const double* dot_r, const double* norm, double snr_norm,
+            double rssi_norm, double* w);
 
 /// The dispatched statistics kernel, resolved like tile_dots(). NEON has
 /// no variant of its own: it runs tile_stats_scalar.

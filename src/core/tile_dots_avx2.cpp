@@ -1,4 +1,4 @@
-// AVX2 variants of tile_dots and tile_stats. Compiled with -mavx2
+// AVX2 variants of tile_dots, tile_w and tile_stats. Compiled with -mavx2
 // -mno-fma (plus the project-wide -ffp-contract=off) in its own TU so the
 // rest of the build stays baseline-ISA; only the runtime dispatcher calls
 // in here, and only after the host probe confirmed AVX2.
@@ -9,7 +9,8 @@
 // ascending-m order, as the scalar kernel applies to that point. Lane
 // arithmetic under AVX2 is IEEE-754 binary64, so every lane matches the
 // scalar result bit for bit (the randomized equality test pins this
-// across tail lengths and duplicate slots).
+// across tail lengths and duplicate slots). tile_w and tile_stats carry
+// their own notes below.
 #include "src/core/tile_dots.hpp"
 
 #if defined(TALON_HAVE_AVX2_KERNEL)
@@ -86,6 +87,27 @@ void tile_dots_avx2(const double* block, const std::size_t* rows,
     _mm256_storeu_pd(out_s + g0 + 4, as1);
     _mm256_storeu_pd(out_s + g0 + 8, as2);
     _mm256_storeu_pd(out_s + g0 + 12, as3);
+  }
+}
+
+// Bit-identity: per lane, the scalar kernel's sqrt, multiply, divide and
+// multiply sequence, each correctly rounded alike; the mask stands in for
+// its zero-norm branch.
+void tile_w_avx2(const double* dot_s, const double* dot_r, const double* norm,
+                 double snr_norm, double rssi_norm, double* w) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d sn = _mm256_set1_pd(snr_norm);
+  const __m256d rn = _mm256_set1_pd(rssi_norm);
+  for (std::size_t g = 0; g < kTile; g += 4) {
+    const __m256d n = _mm256_loadu_pd(norm + g);
+    const __m256d x = _mm256_sqrt_pd(n);
+    const __m256d cs = _mm256_div_pd(_mm256_loadu_pd(dot_s + g), _mm256_mul_pd(sn, x));
+    const __m256d cr = _mm256_div_pd(_mm256_loadu_pd(dot_r + g), _mm256_mul_pd(rn, x));
+    const __m256d v = _mm256_mul_pd(_mm256_mul_pd(cs, cs), _mm256_mul_pd(cr, cr));
+    // "not n <= 0" rather than "n > 0": a NaN norm computes, as in the
+    // scalar branch.
+    const __m256d computed = _mm256_cmp_pd(n, zero, _CMP_NLE_UQ);
+    _mm256_storeu_pd(w + g, _mm256_and_pd(computed, v));
   }
 }
 

@@ -1,4 +1,4 @@
-// The SIMD tile kernels' four contracts, tested directly:
+// The SIMD tile kernels' five contracts, tested directly:
 //
 //   1. TileDots -- every compiled-in variant (scalar, AVX2, NEON) is
 //      bit-identical on every input: random tile blocks read through row
@@ -18,9 +18,14 @@
 //   4. QuantizedScreen -- on real cached panels the int16 sidecar's
 //      dequantized statistics dominate the float statistics exactly
 //      (q * scale >= u), and the quantized screening bound dominates the
-//      float screening bound field for field, which is the soundness
-//      argument that lets the argmax prune on 2-byte reads and stay
-//      bit-identical to the full surface peak.
+//      float screening bound, which is the soundness argument that lets
+//      the argmax prune on 2-byte reads and stay bit-identical to the
+//      full surface peak.
+//   5. TileW -- every variant of the per-tile surface kernel equals the
+//      scalar reference bit for bit (and the reference the definition):
+//      zero-norm points, ragged tails, subnormals, +-1000 dB responses
+//      and probe norms at both extremes, read from and written to
+//      unaligned arrays.
 //
 // Plus the batched argmax (K sweeps; a same-subset group shares its panel
 // and each member walks alone) against the single-sweep argmax, its walk
@@ -313,6 +318,155 @@ TEST(TileStats, ExtremeMagnitudes) {
   expect_tile_stats_exact(hot, rows, "all 1e100");
 }
 
+// --- per-tile surface values -------------------------------------------------
+
+/// tile_w's inputs for one tile, each array one element past an aligned
+/// start so no variant can lean on alignment.
+struct TileWInputs {
+  std::vector<double> ds = std::vector<double>(kTile + 1, 0.0);
+  std::vector<double> dr = std::vector<double>(kTile + 1, 0.0);
+  std::vector<double> norm = std::vector<double>(kTile + 1, 0.0);
+  double snr_norm{1.0};
+  double rssi_norm{1.0};
+};
+
+/// The inputs a walk would hand tile_w for `block`, `rows` and random
+/// probes: the tile_dots rows, the tile_stats norms and the probe norms.
+TileWInputs tile_w_inputs(std::mt19937_64& rng, const AlignedBlock& block,
+                          const std::vector<std::size_t>& rows) {
+  const std::size_t m = rows.size();
+  const std::vector<double> ps = random_row(rng, m);
+  const std::vector<double> pr = random_row(rng, m);
+  TileWInputs in;
+  tile_dots(block.data(), rows.data(), ps.data(), pr.data(), m, in.ds.data() + 1,
+            in.dr.data() + 1);
+  std::vector<double> u(m);
+  tile_stats(block.data(), rows.data(), m, in.norm.data() + 1, u.data());
+  double snr_sq = 0.0;
+  double rssi_sq = 0.0;
+  for (std::size_t mm = 0; mm < m; ++mm) {
+    snr_sq += ps[mm] * ps[mm];
+    rssi_sq += pr[mm] * pr[mm];
+  }
+  in.snr_norm = std::sqrt(snr_sq);
+  in.rssi_norm = std::sqrt(rssi_sq);
+  return in;
+}
+
+/// The scalar reference against the surface definition, then every
+/// compiled-in variant and the dispatched entry point against the scalar
+/// reference: bit for bit, into deliberately unaligned outputs.
+void expect_tile_w_exact(const TileWInputs& in, const std::string& where) {
+  const double* ds = in.ds.data() + 1;
+  const double* dr = in.dr.data() + 1;
+  const double* norm = in.norm.data() + 1;
+  std::vector<double> ref(kTile);
+  tile_w_scalar(ds, dr, norm, in.snr_norm, in.rssi_norm, ref.data());
+  for (std::size_t gi = 0; gi < kTile; ++gi) {
+    double w = 0.0;
+    if (norm[gi] > 0.0) {
+      const double x = std::sqrt(norm[gi]);
+      const double cs = ds[gi] / (in.snr_norm * x);
+      const double cr = dr[gi] / (in.rssi_norm * x);
+      w = (cs * cs) * (cr * cr);
+    }
+    ASSERT_EQ(bits(ref[gi]), bits(w)) << "definition " << where << " lane " << gi;
+  }
+  const auto check = [&](TileWFn fn, const char* name) {
+    std::vector<double> out(kTile + 1, -1.0);
+    fn(ds, dr, norm, in.snr_norm, in.rssi_norm, out.data() + 1);
+    for (std::size_t gi = 0; gi < kTile; ++gi) {
+      EXPECT_EQ(bits(out[gi + 1]), bits(ref[gi])) << name << " " << where << " lane " << gi;
+    }
+  };
+#if defined(TALON_HAVE_AVX2_KERNEL)
+  if (detected_simd_level() == SimdLevel::kAvx2) check(&tile_w_avx2, "avx2");
+#endif
+  check(&tile_w, "dispatched");
+}
+
+TEST(TileW, AllVariantsMatchTheScalarReferenceRandomized) {
+  // M from 1 past the block's rows, distinct and duplicate slots, blocks
+  // with scattered exact zeros: the dots and norms of real tiles.
+  std::mt19937_64 rng(20261019);
+  for (std::size_t m = 1; m <= 40; ++m) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const AlignedBlock block = random_block(rng);
+      expect_tile_w_exact(tile_w_inputs(rng, block, random_rows(rng, m, trial % 2 == 0)),
+                          "M=" + std::to_string(m));
+    }
+  }
+}
+
+TEST(TileW, RaggedTailsAndZeroNormPoints) {
+  // A ragged tail tile (zero padding past `count` points in every row)
+  // with every third point zero in every row: their norms are 0, and so
+  // is their W, whatever the dots hold.
+  std::mt19937_64 rng(19);
+  for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{31}}) {
+    for (const std::size_t m : {std::size_t{1}, std::size_t{14}, std::size_t{36}}) {
+      AlignedBlock block = random_block(rng);
+      for (std::size_t s = 0; s < kBlockRows; ++s) {
+        for (std::size_t gi = count; gi < kTile; ++gi) block[s * kTile + gi] = 0.0;
+        for (std::size_t gi = 0; gi < count; gi += 3) block[s * kTile + gi] = 0.0;
+      }
+      TileWInputs in = tile_w_inputs(rng, block, random_rows(rng, m, true));
+      // Nonzero dots over zero norms: only the zero-norm rule gives 0.
+      for (std::size_t gi = 0; gi < kTile; gi += 3) {
+        in.ds[gi + 1] = 1.5;
+        in.dr[gi + 1] = -2.5;
+      }
+      const std::string where = "count=" + std::to_string(count) + " M=" + std::to_string(m);
+      expect_tile_w_exact(in, where);
+      std::vector<double> w(kTile, -1.0);
+      tile_w(in.ds.data() + 1, in.dr.data() + 1, in.norm.data() + 1, in.snr_norm,
+             in.rssi_norm, w.data());
+      for (std::size_t gi = 0; gi < kTile; ++gi) {
+        if (gi >= count || gi % 3 == 0) {
+          EXPECT_EQ(bits(w[gi]), bits(0.0)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(TileW, ExtremeMagnitudes) {
+  // Subnormal dots and norms, dots and responses at +-1000 dB (the
+  // kDbEnvelope edge), the linear envelope's 10^(+-100), and probe norms
+  // at both extremes -- where the denominators underflow to 0 or
+  // overflow to infinity, so W is 0, infinite or NaN in every variant
+  // alike.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> values{tiny,  7 * tiny, 1e-310, 1e-160, 1e-100, 1e100,
+                                   1000.0, -1000.0, 0.5,    -3.0,   0.0};
+  const std::vector<double> probe_norms{tiny,   1e-300, 1e-100, 1.0,
+                                        1000.0, 1e100,  1e300,
+                                        std::numeric_limits<double>::max()};
+  std::mt19937_64 rng(23);
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  std::uniform_int_distribution<std::size_t> pick_norm(0, probe_norms.size() - 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    TileWInputs in;
+    for (std::size_t gi = 1; gi <= kTile; ++gi) {
+      in.ds[gi] = values[pick(rng)];
+      in.dr[gi] = values[pick(rng)];
+      in.norm[gi] = std::abs(values[pick(rng)]);
+    }
+    in.snr_norm = probe_norms[pick_norm(rng)];
+    in.rssi_norm = probe_norms[pick_norm(rng)];
+    expect_tile_w_exact(in, "trial " + std::to_string(trial));
+  }
+  // Real tiles at the dB envelope edge: every response +-1000.
+  std::uniform_int_distribution<int> sign(0, 1);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{14}, std::size_t{35}}) {
+    AlignedBlock block(kBlockRows * kTile);
+    for (double& v : block) v = sign(rng) == 0 ? 1000.0 : -1000.0;
+    const std::vector<std::size_t> rows = random_rows(rng, m, false);
+    TileWInputs in = tile_w_inputs(rng, block, rows);
+    expect_tile_w_exact(in, "+-1000 dB M=" + std::to_string(m));
+  }
+}
+
 // --- hostile sweeps: the walk against the Grid2D reference -------------------
 
 /// Largest surface value at least `exclusion_deg` of azimuth away from the
@@ -579,9 +733,8 @@ TEST(QuantizedScreen, SidecarDominatesFloatStatisticsExactly) {
 TEST(QuantizedScreen, QuantizedBoundNeverUndershootsFloatBound) {
   // The property the pruning soundness rests on: for random probe
   // vectors over real panels, the int16 screening bound dominates the
-  // float screening bound on every tile, in every field the walk prunes
-  // with. An undershoot anywhere could cut the tile holding the true
-  // peak.
+  // float screening bound on every tile. An undershoot anywhere could cut
+  // the tile holding the true peak.
   std::mt19937_64 rng(777);
   std::uniform_real_distribution<double> az(-60.0, 60.0);
   std::uniform_real_distribution<double> el(0.0, 30.0);
@@ -616,28 +769,21 @@ TEST(QuantizedScreen, QuantizedBoundNeverUndershootsFloatBound) {
       const auto pan = matrix.panel(pv.slots);
       for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
         const detail::TileScreen f = detail::screen_tile_float(
-            abs_ps.data(), abs_pr.data(), pan->fine_abs_norm_max.data() + t * m,
-            pan->fine_sqrt_min_norm[t], m, inv_snr, inv_rssi);
+            abs_ps.data(), abs_pr.data(), pan->fine_abs_norm_max.data() + t * m, m,
+            inv_snr, inv_rssi);
         const detail::TileScreen q = detail::screen_tile_q(
             abs_ps.data(), abs_pr.data(), pan->fine_q.data() + t * m,
-            pan->fine_q_scale[t], pan->fine_sqrt_min_norm[t], m, inv_snr,
-            inv_rssi);
+            pan->fine_q_scale[t], m, inv_snr, inv_rssi);
         EXPECT_GE(q.bound, f.bound);
-        EXPECT_GE(q.rs, f.rs);
-        EXPECT_GE(q.cr2, f.cr2);
       }
       for (std::size_t c = 0; c < pan->coarse_tiles; ++c) {
         const detail::TileScreen f = detail::screen_tile_float(
-            abs_ps.data(), abs_pr.data(),
-            pan->coarse_abs_norm_max.data() + c * m, pan->coarse_sqrt_min_norm[c],
-            m, inv_snr, inv_rssi);
+            abs_ps.data(), abs_pr.data(), pan->coarse_abs_norm_max.data() + c * m, m,
+            inv_snr, inv_rssi);
         const detail::TileScreen q = detail::screen_tile_q(
             abs_ps.data(), abs_pr.data(), pan->coarse_q.data() + c * m,
-            pan->coarse_q_scale[c], pan->coarse_sqrt_min_norm[c], m, inv_snr,
-            inv_rssi);
+            pan->coarse_q_scale[c], m, inv_snr, inv_rssi);
         EXPECT_GE(q.bound, f.bound);
-        EXPECT_GE(q.rs, f.rs);
-        EXPECT_GE(q.cr2, f.cr2);
       }
     }
   }
