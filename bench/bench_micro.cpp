@@ -197,9 +197,11 @@ BENCHMARK(BM_CombinedArgmaxMiss)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
 void BM_PanelBuild(benchmark::State& state) {
   // One panel build alone, the part of BM_CombinedArgmaxMiss that depends
   // on M only: the cache is filled past its cap, so every lookup of a new
-  // slot sequence builds its statistics (core/tile_dots.hpp's tile_stats
-  // per fine tile) and drops them. The A/B tool for the statistics
-  // kernel; miss_share reads 1 when every lookup built.
+  // slot sequence builds its panel and drops it. A build is one
+  // core/tile_dots.hpp tile_stats call per fine tile, writing the tile's
+  // root norms, shares and int16 levels in place, plus the coarse rows.
+  // The A/B tool for the statistics kernel; miss_share reads 1 when
+  // every lookup built.
   const CorrelationEngine engine = default_grid_engine();
   const ResponseMatrix& matrix = engine.response_matrix();
   const std::size_t m = static_cast<std::size_t>(state.range(0));

@@ -36,14 +36,6 @@ double to_domain(double db_value, CorrelationDomain domain) {
 constexpr double kBoundInflate = 1.0 + 1e-10;
 constexpr double kBoundAbsSlack = 1e-290;
 
-/// The subset norms of a tile's `count` points, in tile order, and zeros
-/// for the padding of a ragged tile (tile_w scores them 0).
-void gather_norms(const SubsetPanel& pan, const std::uint32_t* tile_points,
-                  std::size_t count, double* norm) {
-  for (std::size_t gi = 0; gi < count; ++gi) norm[gi] = pan.norms_sq[tile_points[gi]];
-  std::fill(norm + count, norm + kTile, 0.0);
-}
-
 }  // namespace
 
 namespace detail {
@@ -179,16 +171,16 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
+    const double* root = pan.root_norms.data() + t * kTile;
     tile_dots(matrix_.tile_block(t), pan.rows.data(), p.data(), nullptr, m_count, dot,
               nullptr);
     for (std::size_t gi = 0; gi < count; ++gi) {
       const std::size_t g = tile_points[gi];
-      const double x_norm_sq = pan.norms_sq[g];
-      if (x_norm_sq <= 0.0) {
+      if (root[gi] <= 0.0) {
         w[g] = 0.0;
         continue;
       }
-      const double c = dot[gi] / (p_norm * std::sqrt(x_norm_sq));
+      const double c = dot[gi] / (p_norm * root[gi]);
       w[g] = c * c;
     }
   }
@@ -224,15 +216,14 @@ Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
   const TileMap& tiles = matrix_.tiles();
   double dot_snr[kTile];
   double dot_rssi[kTile];
-  double norm[kTile];
   double tile_w_values[kTile];
   for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
     tile_dots(matrix_.tile_block(t), pan.rows.data(), probes.snr.data(),
               probes.rssi.data(), m_count, dot_snr, dot_rssi);
-    gather_norms(pan, tile_points, count, norm);
-    tile_w(dot_snr, dot_rssi, norm, snr_norm, rssi_norm, tile_w_values);
+    tile_w(dot_snr, dot_rssi, pan.root_norms.data() + t * kTile, snr_norm, rssi_norm,
+           tile_w_values);
     for (std::size_t gi = 0; gi < count; ++gi) w[tile_points[gi]] = tile_w_values[gi];
   }
   return out;
@@ -434,7 +425,6 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
   double bounds[SubsetPanel::kFinePerCoarse];
   double dsg[kTile];
   double drg[kTile];
-  double norm[kTile];
   double w[kTile];
 
   for (const std::uint32_t c : ws.coarse_order_) {
@@ -478,8 +468,7 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
       // The dense epilogue: both dot rows and W for the whole tile (the
       // padded tail of a ragged tile scores 0, and `count` discards it).
       tile_dots(matrix_.tile_block(t), pan.rows.data(), mb.ps, mb.pr, m_count, dsg, drg);
-      gather_norms(pan, tile_points, count, norm);
-      tile_w(dsg, drg, norm, mb.snr_norm, mb.rssi_norm, w);
+      tile_w(dsg, drg, pan.root_norms.data() + t * kTile, mb.snr_norm, mb.rssi_norm, w);
       double best = mb.best;
       std::size_t best_g = mb.best_g;
       for (std::size_t gi = 0; gi < count; ++gi) {

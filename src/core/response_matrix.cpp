@@ -1,7 +1,6 @@
 #include "src/core/response_matrix.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -14,46 +13,6 @@
 namespace talon {
 
 namespace {
-
-/// Quantize one tile's abs_norm_max row to the int16 screening sidecar:
-/// pick the largest power-of-two scale that still resolves the row's
-/// maximum in <= 15 bits, then round every level UP. The round-up plus
-/// the exactness of (small integer) x (power of two) gives
-/// q[m] * scale >= u[m] exactly, the over-estimation the screening bound's
-/// soundness rests on. An all-zero row quantizes to scale 0 / levels 0.
-double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q) {
-  double u_max = 0.0;
-  for (std::size_t mm = 0; mm < m; ++mm) u_max = std::max(u_max, u[mm]);
-  if (u_max <= 0.0) {
-    std::fill(q, q + m, std::uint16_t{0});
-    return 0.0;
-  }
-  // u_max = f * 2^exp with f in [0.5, 1): scale = 2^(exp - 15) makes
-  // ceil(u_max / scale) = ceil(f * 2^15) <= 2^15, comfortably in uint16.
-  // Both powers of two come straight from u_max's biased exponent e
-  // (exp = e - 1022), exact and without a libm call, as long as both are
-  // normal (e >= 15, u_max >= 2^-1008). That always holds: a positive
-  // u_max comes from a positive-norm point, whose largest share is about
-  // 1 / sqrt(M) or more.
-  const int biased = static_cast<int>(std::bit_cast<std::uint64_t>(u_max) >> 52);
-  assert(biased >= 15);
-  const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(biased - 14) << 52);
-  const double inv_scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(2060 - biased) << 52);
-  for (std::size_t mm = 0; mm < m; ++mm) {
-    // ceil without a libm call: x is in [0, 2^15], so truncation is an
-    // exact floor and one compare finds the fractional rest.
-    const double x = u[mm] * inv_scale;
-    std::uint32_t level = static_cast<std::uint32_t>(x);
-    if (static_cast<double>(level) < x) ++level;
-    q[mm] = static_cast<std::uint16_t>(level);
-    // The sidecar over-estimates by construction; keep the contract loud
-    // in debug builds (the quantized-screening property test pins it too).
-    assert(static_cast<double>(q[mm]) * scale >= u[mm]);
-  }
-  return scale;
-}
 
 /// Every flat grid index, ordered into elevation bands of about
 /// `band_rows` rows, column by column within a band (rows ascending),
@@ -158,7 +117,6 @@ int ResponseMatrix::slot(int sector_id) const {
 
 std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
     std::span<const int> slots) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
   const std::size_t m = slots.size();
   TALON_EXPECTS(m >= 1);
@@ -172,54 +130,34 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   for (std::size_t mm = 0; mm < m; ++mm) {
     panel->rows[mm] = static_cast<std::size_t>(slots[mm]) * kTile;
   }
-  const std::size_t points = grid_.size();
-  panel->points = points;
+  panel->points = grid_.size();
   const std::size_t fine = tiles_.fine_tiles;
   panel->fine_tiles = fine;
   panel->coarse_tiles = tiles_.coarse_tiles;
 
   // The per-tile statistics kernel (core/tile_dots.hpp) writes each
-  // tile's norms, shares and root minimum norm; the sidecar quantizes the
-  // shares while they are still in cache.
-  panel->norms_sq.resize(points);
+  // tile's root norms, shares and screening levels in place.
+  panel->root_norms.resize(fine * kTile);
   panel->fine_abs_norm_max.resize(fine * m);
-  panel->fine_sqrt_min_norm.resize(fine);
   panel->fine_q.resize(fine * m);
   panel->fine_q_scale.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
-    double norm[kTile];
-    double* u = panel->fine_abs_norm_max.data() + t * m;
-    panel->fine_sqrt_min_norm[t] =
-        tile_stats(tile_block(t), panel->rows.data(), m, norm, u);
-    const std::uint32_t* tile_points = tiles_.point.data() + t * kTile;
-    for (std::size_t gi = 0; gi < tiles_.count(t); ++gi) {
-      panel->norms_sq[tile_points[gi]] = norm[gi];
-    }
-    panel->fine_q_scale[t] = quantize_screen_row(u, m, panel->fine_q.data() + t * m);
+    panel->fine_q_scale[t] = tile_stats(
+        tile_block(t), panel->rows.data(), m, panel->root_norms.data() + t * kTile,
+        panel->fine_abs_norm_max.data() + t * m, panel->fine_q.data() + t * m);
   }
 
   panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);
-  panel->coarse_sqrt_min_norm.resize(panel->coarse_tiles);
   panel->coarse_q.resize(panel->coarse_tiles * m);
   panel->coarse_q_scale.resize(panel->coarse_tiles);
   for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
-    const std::size_t t0 = tiles_.first_fine(c);
-    const std::size_t t1 = tiles_.last_fine(c);
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      double hi = 0.0;
-      for (std::size_t t = t0; t < t1; ++t) {
-        hi = std::max(hi, panel->fine_abs_norm_max[t * m + mm]);
-      }
-      panel->coarse_abs_norm_max[c * m + mm] = hi;
+    // Row-wise maxima of the coarse tile's fine rows, from resize's zeros.
+    double* hi = panel->coarse_abs_norm_max.data() + c * m;
+    for (std::size_t t = tiles_.first_fine(c); t < tiles_.last_fine(c); ++t) {
+      const double* u = panel->fine_abs_norm_max.data() + t * m;
+      for (std::size_t mm = 0; mm < m; ++mm) hi[mm] = std::max(hi[mm], u[mm]);
     }
-    double root = kInf;
-    for (std::size_t t = t0; t < t1; ++t) {
-      root = std::min(root, panel->fine_sqrt_min_norm[t]);
-    }
-    panel->coarse_sqrt_min_norm[c] = root;
-    panel->coarse_q_scale[c] =
-        quantize_screen_row(panel->coarse_abs_norm_max.data() + c * m, m,
-                            panel->coarse_q.data() + c * m);
+    panel->coarse_q_scale[c] = quantize_screen_row(hi, m, panel->coarse_q.data() + c * m);
   }
   return panel;
 }
@@ -244,13 +182,6 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::panel(
     panel_cache_.emplace(built->slots, built);
   }
   return built;
-}
-
-std::shared_ptr<const std::vector<double>> ResponseMatrix::norms_sq(
-    std::span<const int> slots) const {
-  std::shared_ptr<const SubsetPanel> p = panel(slots);
-  const std::vector<double>* norms = &p->norms_sq;
-  return {std::move(p), norms};
 }
 
 std::size_t ResponseMatrix::cached_subset_count() const {

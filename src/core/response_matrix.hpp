@@ -15,15 +15,16 @@
 //
 // On top of the matrix sits the subset-panel cache: for one probe
 // slot-sequence, a SubsetPanel holds what depends on the subset and not
-// on the probe values -- the row offsets of its slots, the per-point
-// subset norms (the Eq. 2 denominator, accumulated in sequence order so
-// cache hits stay bit-identical to a fresh pass) and per-tile response
-// extrema plus the minimum positive subset norm, the ingredients of the
-// Cauchy-Schwarz upper bound the branch-and-bound argmax
-// (core/correlation.hpp) prunes with. A panel holds no copy of the
+// on the probe values -- the row offsets of its slots, the per-point root
+// subset norms in tile order (the Eq. 2 denominator, accumulated in
+// sequence order so cache hits stay bit-identical to a fresh pass) and
+// the per-tile normalized response maxima with their int16 levels, the
+// ingredients of the Cauchy-Schwarz upper bound the branch-and-bound
+// argmax (core/correlation.hpp) prunes with. A panel holds no copy of the
 // responses: every panel reads the one shared matrix, so a build is one
 // dispatched tile_stats pass (core/tile_dots.hpp) per tile over the
-// probed rows, and a cached panel costs tens of kilobytes. The matrix
+// probed rows, writing the panel's arrays in place, and a cached panel
+// costs tens of kilobytes. The matrix
 // admits only responses within kDbEnvelope (common/units.hpp), so no
 // statistic is ever NaN and every comparison on them is exact.
 // Panels are keyed on the exact slot sequence (not the set) and shared
@@ -88,10 +89,11 @@ struct SubsetPanel {
   std::size_t fine_tiles{0};
   std::size_t coarse_tiles{0};
 
-  /// ||x(g)||^2 restricted to `slots`, accumulated in sequence order
-  /// (duplicate slots contribute once per occurrence), indexed by the flat
-  /// grid index g (not by tile slot).
-  std::vector<double> norms_sq;
+  /// ||x(g)|| over `slots`, the sum of squares accumulated in sequence
+  /// order (duplicate slots contribute once per occurrence), indexed by
+  /// TileMap slot t * kTilePoints + gi (0 in the ragged tail's padding):
+  /// tile t's roots are the kTilePoints doubles tile_w reads.
+  std::vector<double> root_norms;
 
   /// Per fine tile, per sequence position: max over the tile's
   /// positive-norm points of |x_m(g)| / ||x(g)|| -- the largest share
@@ -102,15 +104,9 @@ struct SubsetPanel {
   /// with; normalizing per point first is what keeps the bound tight when
   /// raw responses span orders of magnitude across a tile.
   std::vector<double> fine_abs_norm_max;
-  /// sqrt(min positive norms_sq) over the tile's valid points, or
-  /// +infinity when the tile has no positive-norm point (then every point
-  /// in it scores exactly 0). Stored pre-rooted so the bound evaluation
-  /// never pays a sqrt.
-  std::vector<double> fine_sqrt_min_norm;
 
-  /// Coarse aggregates of the fine statistics, indexed [c * M + m] / [c].
+  /// Coarse aggregates of the fine statistics, indexed [c * M + m].
   std::vector<double> coarse_abs_norm_max;
-  std::vector<double> coarse_sqrt_min_norm;
 
   /// int16 fixed-point screening sidecar: per-tile quantization of the
   /// abs_norm_max statistics, used by the branch-and-bound argmax for the
@@ -243,14 +239,6 @@ class ResponseMatrix {
   /// built on first use and cached. Thread-safe: readers take a shared
   /// lock, only the builder that inserts takes an exclusive one.
   std::shared_ptr<const SubsetPanel> panel(std::span<const int> slots) const;
-
-  /// Per-grid-point sum of squared responses over `slots`, accumulated in
-  /// sequence order (so a cache hit is bit-identical to a fresh pass).
-  /// Duplicate slots contribute once per occurrence, matching a probe
-  /// vector that contains the same sector twice. Thread-safe. The result
-  /// aliases the subset's cached panel.
-  std::shared_ptr<const std::vector<double>> norms_sq(
-      std::span<const int> slots) const;
 
   /// Cached subsets (panels) currently held (diagnostics / tests).
   std::size_t cached_subset_count() const;

@@ -21,24 +21,24 @@
 // call performs.
 //
 // tile_w() turns a tile's two dot rows into its surface values: for every
-// point gi, x = sqrt(norm[gi]), cs = dot_s[gi] / (snr_norm * x),
-// cr = dot_r[gi] / (rssi_norm * x) and w[gi] = (cs * cs) * (cr * cr), or
-// 0 when norm[gi] <= 0. That is the operation sequence of the reference
-// surface, one correctly rounded IEEE operation at a time; vsqrtpd,
-// vdivpd and vmulpd round each lane exactly like their scalar forms, and
-// the zero-norm mask selects the scalar branch's 0. So every variant is
-// bit-identical on every input, NaN included (the mask is "not <= 0",
-// the scalar test's negation).
+// point gi, with x = root[gi] (tile_stats' root norm), cs = dot_s[gi] /
+// (snr_norm * x), cr = dot_r[gi] / (rssi_norm * x) and
+// w[gi] = (cs * cs) * (cr * cr), or 0 when x <= 0. That is the operation
+// sequence of the reference surface, one correctly rounded IEEE operation
+// at a time; vdivpd and vmulpd round each lane exactly like their scalar
+// forms, and the zero-root mask selects the scalar branch's 0. So every
+// variant is bit-identical on every input, NaN included (the mask is
+// "not <= 0", the scalar test's negation).
 //
 // tile_stats() computes, for one tile block and a panel's row offsets,
-// what ResponseMatrix::build_panel keeps per fine tile: every point's
-// subset norm, every row's largest normalized share and the root of the
-// smallest positive norm. Norms accumulate in ascending m with a plain
-// multiply then add, like tile_dots; the reciprocals are one correctly
-// rounded sqrt and one divide per point, and the maxima and the minimum
-// are order-free. So every variant is bit-identical here too, provided no
-// value is NaN -- ResponseMatrix only admits responses within
-// kDbEnvelope, whose squares stay finite.
+// all ResponseMatrix::build_panel keeps per fine tile: every point's root
+// subset norm, every row's largest normalized share, and the shares'
+// int16 levels with their scale. Norms accumulate in ascending m with a
+// plain multiply then add, like tile_dots; the root is one correctly
+// rounded sqrt, the reciprocal one divide of it, the maxima are
+// order-free and the levels exact round-ups. So every variant is
+// bit-identical here too, provided no value is NaN -- ResponseMatrix
+// only admits responses within kDbEnvelope, whose squares stay finite.
 //
 // `block` must honor the ResponseMatrix::kValuesAlignment contract, and
 // every rows[m] must be a multiple of kTilePoints (every row 64-byte
@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "src/common/cpufeatures.hpp"
 
@@ -66,28 +67,39 @@ void tile_dots_scalar(const double* block, const std::size_t* rows,
                       double* out_s, double* out_r);
 
 /// Surface signature shared by every variant: w[gi] for all kTilePoints
-/// points from the dot rows and the points' subset norms (see above).
-/// Zero norms, the padding of a ragged tile among them, give w = 0.
-/// No argument has an alignment requirement.
-using TileWFn = void (*)(const double* dot_s, const double* dot_r, const double* norm,
+/// points from the dot rows and the points' root subset norms (see
+/// above). Zero roots, the padding of a ragged tile among them, give
+/// w = 0. No argument has an alignment requirement.
+using TileWFn = void (*)(const double* dot_s, const double* dot_r, const double* root,
                          double snr_norm, double rssi_norm, double* w);
 
 /// Portable reference surface kernel.
-void tile_w_scalar(const double* dot_s, const double* dot_r, const double* norm,
+void tile_w_scalar(const double* dot_s, const double* dot_r, const double* root,
                    double snr_norm, double rssi_norm, double* w);
 
 /// Per-tile statistics signature shared by every variant. Writes
-///   norm[gi] = sum_m block[rows[m] + gi]^2, ascending m, for all
-///              kTilePoints points (0 in the zero padding of a ragged tile);
-///   u[m]     = max over the points with norm[gi] > 0 of
-///              |block[rows[m] + gi]| * (1 / sqrt(norm[gi])), 0 when none;
-/// and returns sqrt(min positive norm[gi]), +infinity when none is positive.
+///   root[gi] = sqrt(sum_m block[rows[m] + gi]^2), the sum in ascending m,
+///              for all kTilePoints points (0 in the zero padding of a
+///              ragged tile);
+///   u[m]     = max over the points with root[gi] > 0 of
+///              |block[rows[m] + gi]| * (1 / root[gi]), 0 when none;
+///   q[m]     = u's int16 screening levels, exactly as
+///              quantize_screen_row(u, m_count, q) writes them;
+/// and returns quantize_screen_row's scale.
 using TileStatsFn = double (*)(const double* block, const std::size_t* rows,
-                               std::size_t m_count, double* norm, double* u);
+                               std::size_t m_count, double* root, double* u,
+                               std::uint16_t* q);
 
 /// Portable reference statistics kernel.
 double tile_stats_scalar(const double* block, const std::size_t* rows,
-                         std::size_t m_count, double* norm, double* u);
+                         std::size_t m_count, double* root, double* u, std::uint16_t* q);
+
+/// The int16 screening levels of one share row u[0..m) (SubsetPanel::
+/// fine_q): the largest power-of-two scale that resolves max(u) in <= 15
+/// bits, every level rounded UP, so q[mm] * scale >= u[mm] exactly.
+/// Returns the scale (0, with levels 0, for an all-zero row). The rule's
+/// one definition, used by tile_stats_scalar and a panel's coarse rows.
+double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q);
 
 #if defined(TALON_HAVE_AVX2_KERNEL)
 /// AVX2 kernel: 4 points per ymm lane, mul+add kept separate (compiled
@@ -96,14 +108,15 @@ void tile_dots_avx2(const double* block, const std::size_t* rows,
                     const double* ps, const double* pr, std::size_t m_count,
                     double* out_s, double* out_r);
 
-/// AVX2 surface: 4 points per ymm lane, the zero-norm lanes masked to 0.
-void tile_w_avx2(const double* dot_s, const double* dot_r, const double* norm,
+/// AVX2 surface: 4 points per ymm lane, the zero-root lanes masked to 0.
+void tile_w_avx2(const double* dot_s, const double* dot_r, const double* root,
                  double snr_norm, double rssi_norm, double* w);
 
-/// AVX2 statistics: all kTilePoints norms in flight, masked vsqrtpd /
-/// vdivpd reciprocals, one vmaxpd tree per row.
+/// AVX2 statistics: all kTilePoints norms in flight, vsqrtpd roots and
+/// masked vdivpd reciprocals, one vmaxpd tree per row, and the levels
+/// rounded up four at a time by vroundpd.
 double tile_stats_avx2(const double* block, const std::size_t* rows,
-                       std::size_t m_count, double* norm, double* u);
+                       std::size_t m_count, double* root, double* u, std::uint16_t* q);
 #endif
 
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -121,13 +134,13 @@ void tile_dots(const double* block, const std::size_t* rows, const double* ps,
 
 /// The dispatched surface kernel, resolved like tile_dots(). NEON has no
 /// variant of its own: it runs tile_w_scalar.
-void tile_w(const double* dot_s, const double* dot_r, const double* norm, double snr_norm,
+void tile_w(const double* dot_s, const double* dot_r, const double* root, double snr_norm,
             double rssi_norm, double* w);
 
 /// The dispatched statistics kernel, resolved like tile_dots(). NEON has
 /// no variant of its own: it runs tile_stats_scalar.
 double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
-                  double* norm, double* u);
+                  double* root, double* u, std::uint16_t* q);
 
 /// The level the next tile_dots() call will actually run at -- the active
 /// level clamped to the kernels present in this binary. Exposed so tests

@@ -17,8 +17,10 @@
 
 #include <immintrin.h>
 
+#include <bit>
+#include <cassert>
 #include <cmath>
-#include <limits>
+#include <cstdint>
 
 #include "src/core/response_matrix.hpp"
 
@@ -90,37 +92,32 @@ void tile_dots_avx2(const double* block, const std::size_t* rows,
   }
 }
 
-// Bit-identity: per lane, the scalar kernel's sqrt, multiply, divide and
+// Bit-identity: per lane, the scalar kernel's multiply, divide and
 // multiply sequence, each correctly rounded alike; the mask stands in for
-// its zero-norm branch.
-void tile_w_avx2(const double* dot_s, const double* dot_r, const double* norm,
+// its zero-root branch.
+void tile_w_avx2(const double* dot_s, const double* dot_r, const double* root,
                  double snr_norm, double rssi_norm, double* w) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d sn = _mm256_set1_pd(snr_norm);
   const __m256d rn = _mm256_set1_pd(rssi_norm);
   for (std::size_t g = 0; g < kTile; g += 4) {
-    const __m256d n = _mm256_loadu_pd(norm + g);
-    const __m256d x = _mm256_sqrt_pd(n);
+    const __m256d x = _mm256_loadu_pd(root + g);
     const __m256d cs = _mm256_div_pd(_mm256_loadu_pd(dot_s + g), _mm256_mul_pd(sn, x));
     const __m256d cr = _mm256_div_pd(_mm256_loadu_pd(dot_r + g), _mm256_mul_pd(rn, x));
     const __m256d v = _mm256_mul_pd(_mm256_mul_pd(cs, cs), _mm256_mul_pd(cr, cr));
-    // "not n <= 0" rather than "n > 0": a NaN norm computes, as in the
+    // "not x <= 0" rather than "x > 0": a NaN root computes, as in the
     // scalar branch.
-    const __m256d computed = _mm256_cmp_pd(n, zero, _CMP_NLE_UQ);
+    const __m256d computed = _mm256_cmp_pd(x, zero, _CMP_NLE_UQ);
     _mm256_storeu_pd(w + g, _mm256_and_pd(computed, v));
   }
 }
 
 namespace {
 
-/// Largest / smallest lane of v. Both are order-free on non-NaN lanes.
+/// Largest lane of v; order-free on non-NaN lanes.
 double hmax(__m256d v) {
   const __m128d half = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
   return _mm_cvtsd_f64(_mm_max_sd(half, _mm_unpackhi_pd(half, half)));
-}
-double hmin(__m256d v) {
-  const __m128d half = _mm_min_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-  return _mm_cvtsd_f64(_mm_min_sd(half, _mm_unpackhi_pd(half, half)));
 }
 
 constexpr std::size_t kRegs = kTile / 4;  // ymm registers per tile row
@@ -130,9 +127,12 @@ constexpr std::size_t kRegs = kTile / 4;  // ymm registers per tile row
 // Bit-identity: each lane's norm is the scalar kernel's ascending-m
 // mul-then-add chain; vsqrtpd and vdivpd round each lane exactly like
 // sqrtsd and divsd; the and-mask gives the zero reciprocal the scalar
-// kernel skips to, and min/max over non-NaN lanes do not depend on order.
+// kernel selects, and max over non-NaN lanes does not depend on order.
+// The levels are quantize_screen_row's: the same scale from the same
+// exponent bits, the same multiply, and vroundpd's round-up is the exact
+// ceil the scalar truncate-and-compare computes.
 double tile_stats_avx2(const double* block, const std::size_t* rows,
-                       std::size_t m_count, double* norm, double* u) {
+                       std::size_t m_count, double* root, double* u, std::uint16_t* q) {
   // One pass over the rows with all kTile points in flight: kRegs
   // independent add chains instead of kRegs / 2 passes over the rows.
   __m256d acc[kRegs];
@@ -147,17 +147,15 @@ double tile_stats_avx2(const double* block, const std::size_t* rows,
 
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
   __m256d inv[kRegs];
-  __m256d lo = inf;
   for (std::size_t k = 0; k < kRegs; ++k) {
-    _mm256_storeu_pd(norm + 4 * k, acc[k]);
-    const __m256d positive = _mm256_cmp_pd(acc[k], zero, _CMP_GT_OQ);
-    inv[k] = _mm256_and_pd(positive, _mm256_div_pd(one, _mm256_sqrt_pd(acc[k])));
-    lo = _mm256_min_pd(lo, _mm256_blendv_pd(inf, acc[k], positive));
+    const __m256d x = _mm256_sqrt_pd(acc[k]);
+    _mm256_storeu_pd(root + 4 * k, x);
+    inv[k] = _mm256_and_pd(_mm256_cmp_pd(x, zero, _CMP_GT_OQ), _mm256_div_pd(one, x));
   }
 
   const __m256d magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffff));
+  __m256d all_max = zero;
   for (std::size_t m = 0; m < m_count; ++m) {
     const double* row = block + rows[m];
     __m256d share[kRegs];
@@ -173,8 +171,32 @@ double tile_stats_avx2(const double* block, const std::size_t* rows,
     // Every share is >= +0, so the maximum already includes the scalar
     // kernel's starting 0.
     u[m] = hmax(share[0]);
+    all_max = _mm256_max_pd(all_max, share[0]);
   }
-  return std::sqrt(hmin(lo));
+
+  // quantize_screen_row, four levels per vroundpd.
+  const double u_max = hmax(all_max);
+  const bool positive = u_max > 0.0;
+  const int biased =
+      positive ? static_cast<int>(std::bit_cast<std::uint64_t>(u_max) >> 52) : 1023;
+  const double scale =
+      std::bit_cast<double>(static_cast<std::uint64_t>(biased - 14) << 52);
+  const double inv_scale =
+      std::bit_cast<double>(static_cast<std::uint64_t>(2060 - biased) << 52);
+  const __m256d inv_scale4 = _mm256_set1_pd(inv_scale);
+  std::size_t m = 0;
+  for (; m + 4 <= m_count; m += 4) {
+    const __m256d x = _mm256_mul_pd(_mm256_loadu_pd(u + m), inv_scale4);
+    const __m256d level = _mm256_round_pd(x, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
+    // Levels are integers in [0, 2^15]: exact as int32, and packed to
+    // uint16 without saturating.
+    const __m128i level32 = _mm256_cvtpd_epi32(level);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(q + m),
+                     _mm_packus_epi32(level32, level32));
+  }
+  for (; m < m_count; ++m) q[m] = static_cast<std::uint16_t>(std::ceil(u[m] * inv_scale));
+  for (m = 0; m < m_count; ++m) assert(q[m] * scale >= u[m]);
+  return positive ? scale : 0.0;
 }
 
 }  // namespace talon

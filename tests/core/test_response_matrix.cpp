@@ -70,16 +70,34 @@ TEST(ResponseMatrix, SlotLookup) {
   EXPECT_EQ(matrix.slot(-1), -1);
 }
 
+/// The root subset norm of flat grid index g in `panel`, read from its
+/// tile-major array through the tile map.
+double root_norm(const ResponseMatrix& matrix, const SubsetPanel& panel, std::size_t g) {
+  return panel.root_norms[matrix.tiles().tile_slot[g]];
+}
+
+/// sum_m value(g, slots[m])^2, accumulated in sequence order.
+double direct_norm_sq(const ResponseMatrix& matrix, std::span<const int> slots,
+                      std::size_t g) {
+  double sum = 0.0;
+  for (const int s : slots) {
+    const double x = matrix.value(g, static_cast<std::size_t>(s));
+    sum += x * x;
+  }
+  return sum;
+}
+
 TEST(ResponseMatrix, NormCacheHitReturnsSameVector) {
   const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
                               CorrelationDomain::kLinear);
   EXPECT_EQ(matrix.cached_subset_count(), 0u);
   const std::vector<int> subset{0, 2, 4};
-  const auto first = matrix.norms_sq(subset);
+  const auto first = matrix.panel(subset);
   EXPECT_EQ(matrix.cached_subset_count(), 1u);
-  const auto second = matrix.norms_sq(subset);
-  // A hit returns the cached vector itself: bit-identical by construction.
-  EXPECT_EQ(first.get(), second.get());
+  const auto second = matrix.panel(subset);
+  // A hit returns the cached norms themselves: bit-identical by
+  // construction.
+  EXPECT_EQ(&first->root_norms, &second->root_norms);
   EXPECT_EQ(matrix.cached_subset_count(), 1u);
 }
 
@@ -88,14 +106,16 @@ TEST(ResponseMatrix, NormCacheKeyIsTheSequenceNotTheSet) {
                               CorrelationDomain::kLinear);
   const std::vector<int> forward{0, 2, 4};
   const std::vector<int> reversed{4, 2, 0};
-  const auto a = matrix.norms_sq(forward);
-  const auto b = matrix.norms_sq(reversed);
+  const auto a = matrix.panel(forward);
+  const auto b = matrix.panel(reversed);
   // Distinct keys (a different reading order accumulates in a different
   // order), even though the mathematical sums agree.
-  EXPECT_NE(a.get(), b.get());
+  EXPECT_NE(&a->root_norms, &b->root_norms);
   EXPECT_EQ(matrix.cached_subset_count(), 2u);
   for (std::size_t g = 0; g < matrix.points(); ++g) {
-    EXPECT_NEAR((*a)[g], (*b)[g], 1e-12);
+    EXPECT_EQ(root_norm(matrix, *a, g), std::sqrt(direct_norm_sq(matrix, forward, g)));
+    EXPECT_EQ(root_norm(matrix, *b, g), std::sqrt(direct_norm_sq(matrix, reversed, g)));
+    EXPECT_NEAR(root_norm(matrix, *a, g), root_norm(matrix, *b, g), 1e-12);
   }
 }
 
@@ -104,10 +124,12 @@ TEST(ResponseMatrix, DuplicateSlotsContributeOncePerOccurrence) {
                               CorrelationDomain::kLinear);
   const std::vector<int> once{3};
   const std::vector<int> twice{3, 3};
-  const auto single = matrix.norms_sq(once);
-  const auto doubled = matrix.norms_sq(twice);
+  const auto single = matrix.panel(once);
+  const auto doubled = matrix.panel(twice);
   for (std::size_t g = 0; g < matrix.points(); ++g) {
-    EXPECT_DOUBLE_EQ((*doubled)[g], 2.0 * (*single)[g]);
+    const double x = matrix.value(g, 3);
+    EXPECT_EQ(root_norm(matrix, *single, g), std::sqrt(x * x));
+    EXPECT_EQ(root_norm(matrix, *doubled, g), std::sqrt(2.0 * (x * x)));
   }
 }
 
@@ -115,14 +137,15 @@ TEST(ResponseMatrix, NormsMatchDirectSum) {
   const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
                               CorrelationDomain::kLinear);
   const std::vector<int> subset{1, 5, 7};
-  const auto norms = matrix.norms_sq(subset);
+  const auto panel = matrix.panel(subset);
   for (std::size_t g = 0; g < matrix.points(); ++g) {
-    double expected = 0.0;
-    for (int s : subset) {
-      const double x = matrix.value(g, static_cast<std::size_t>(s));
-      expected += x * x;
-    }
-    EXPECT_DOUBLE_EQ((*norms)[g], expected);
+    EXPECT_EQ(root_norm(matrix, *panel, g), std::sqrt(direct_norm_sq(matrix, subset, g)));
+  }
+  // The padding of the ragged last tile holds 0.
+  const TileMap& tiles = matrix.tiles();
+  ASSERT_EQ(panel->root_norms.size(), tiles.fine_tiles * SubsetPanel::kTilePoints);
+  for (std::size_t i = matrix.points(); i < panel->root_norms.size(); ++i) {
+    EXPECT_EQ(panel->root_norms[i], 0.0);
   }
 }
 
@@ -241,10 +264,9 @@ TEST(ResponseMatrix, TilesAreCompactAngularBlocks) {
 
 TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
   // fine_abs_norm_max must be the exact per-slot max of |x_m(g)|/||x(g)||
-  // over the tile's positive-norm points, and fine_sqrt_min_norm the exact
-  // sqrt of the minimum positive norm -- the argmax's pruning bound is only
-  // rigorous if these dominate every point they summarize. The tile's
-  // points are the ones the tile map assigns to it.
+  // over the tile's positive-norm points -- the argmax's pruning bound is
+  // only rigorous if these dominate every point they summarize. The
+  // tile's points are the ones the tile map assigns to it.
   const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
                               CorrelationDomain::kLinear);
   const std::vector<int> subset{0, 2, 5};
@@ -254,13 +276,11 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
   const std::size_t m = subset.size();
   for (std::size_t t = 0; t < panel->fine_tiles; ++t) {
     std::vector<double> u(m, 0.0);
-    double min_norm = std::numeric_limits<double>::infinity();
     for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
       const std::size_t g = tiles.point[t * kTile + gi];
-      const double n = panel->norms_sq[g];
-      if (n <= 0.0) continue;
-      min_norm = std::min(min_norm, n);
-      const double inv_norm = 1.0 / std::sqrt(n);
+      const double root = panel->root_norms[t * kTile + gi];
+      if (root <= 0.0) continue;
+      const double inv_norm = 1.0 / root;
       for (std::size_t mm = 0; mm < m; ++mm) {
         const double x = matrix.value(g, static_cast<std::size_t>(subset[mm]));
         u[mm] = std::max(u[mm], std::abs(x) * inv_norm);
@@ -269,7 +289,6 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
     for (std::size_t mm = 0; mm < m; ++mm) {
       EXPECT_EQ(panel->fine_abs_norm_max[t * m + mm], u[mm]) << "tile " << t;
     }
-    EXPECT_EQ(panel->fine_sqrt_min_norm[t], std::sqrt(min_norm)) << "tile " << t;
   }
   // Coarse aggregates dominate their fine tiles.
   for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
@@ -278,20 +297,18 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
         EXPECT_GE(panel->coarse_abs_norm_max[c * m + mm],
                   panel->fine_abs_norm_max[t * m + mm]);
       }
-      EXPECT_LE(panel->coarse_sqrt_min_norm[c], panel->fine_sqrt_min_norm[t]);
     }
   }
 }
 
 /// A reference panel build from ResponseMatrix::value alone: per-point
-/// norms accumulated over the sequence in order, then the per-tile
-/// statistics exactly as SubsetPanel documents them, and the int16
-/// levels at the largest power-of-two scale that resolves the row's
-/// maximum in 15 bits, rounded up.
+/// norms accumulated over the sequence in order, their roots in tile
+/// order, then the per-tile statistics exactly as SubsetPanel documents
+/// them, and the int16 levels at the largest power-of-two scale that
+/// resolves the row's maximum in 15 bits, rounded up.
 struct ReferencePanel {
-  std::vector<double> norms_sq;
+  std::vector<double> root_norms;
   std::vector<double> u;
-  std::vector<double> sqrt_min_norm;
   std::vector<std::uint16_t> q;
   std::vector<double> q_scale;
 };
@@ -301,31 +318,24 @@ ReferencePanel reference_panel(const ResponseMatrix& matrix, std::span<const int
   const TileMap& tiles = matrix.tiles();
   const std::size_t m = slots.size();
   ReferencePanel ref;
-  ref.norms_sq.assign(matrix.points(), 0.0);
-  for (std::size_t g = 0; g < matrix.points(); ++g) {
-    for (const int s : slots) {
-      const double x = matrix.value(g, static_cast<std::size_t>(s));
-      ref.norms_sq[g] += x * x;
-    }
-  }
+  ref.root_norms.assign(tiles.fine_tiles * kTile, 0.0);
   ref.u.assign(tiles.fine_tiles * m, 0.0);
-  ref.sqrt_min_norm.assign(tiles.fine_tiles, std::numeric_limits<double>::infinity());
   ref.q.assign(tiles.fine_tiles * m, 0);
   ref.q_scale.assign(tiles.fine_tiles, 0.0);
   for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
-    double min_pos = std::numeric_limits<double>::infinity();
     for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
       const std::size_t g = tiles.point[t * kTile + gi];
-      const double n = ref.norms_sq[g];
+      double n = 0.0;
+      for (const int s : slots) {
+        const double x = matrix.value(g, static_cast<std::size_t>(s));
+        n += x * x;
+      }
+      ref.root_norms[t * kTile + gi] = std::sqrt(n);
       if (n <= 0.0) continue;
-      min_pos = std::min(min_pos, n);
       for (std::size_t mm = 0; mm < m; ++mm) {
         const double x = matrix.value(g, static_cast<std::size_t>(slots[mm]));
         ref.u[t * m + mm] = std::max(ref.u[t * m + mm], std::abs(x) * (1.0 / std::sqrt(n)));
       }
-    }
-    if (min_pos < std::numeric_limits<double>::infinity()) {
-      ref.sqrt_min_norm[t] = std::sqrt(min_pos);
     }
     const double u_max =
         *std::max_element(ref.u.begin() + static_cast<std::ptrdiff_t>(t * m),
@@ -377,9 +387,8 @@ TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
               " M=" + std::to_string(subset.size());
           const auto panel = matrix.panel(subset);
           const ReferencePanel ref = reference_panel(matrix, subset);
-          EXPECT_EQ(panel->norms_sq, ref.norms_sq) << where;
+          EXPECT_EQ(panel->root_norms, ref.root_norms) << where;
           EXPECT_EQ(panel->fine_abs_norm_max, ref.u) << where;
-          EXPECT_EQ(panel->fine_sqrt_min_norm, ref.sqrt_min_norm) << where;
           EXPECT_EQ(panel->fine_q, ref.q) << where;
           EXPECT_EQ(panel->fine_q_scale, ref.q_scale) << where;
         }
@@ -392,7 +401,7 @@ TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
 TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
   // In the dB domain a 0 dB response is an exact zero. Sectors flat at
   // 0 dB over the right half of the grid leave tiles with no positive
-  // norm (scale 0, root +infinity) next to tiles with a few zero-norm
+  // norm (scale 0, every root 0) next to tiles with a few zero-norm
   // points; the scalar and the dispatched kernels must agree on every
   // statistic, coarse ones included, and both match the reference build.
   const AngularGrid grid = synthetic_grid();
@@ -414,7 +423,6 @@ TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
     panels.push_back(matrix.panel(subset));
     const ReferencePanel ref = reference_panel(matrix, subset);
     EXPECT_EQ(panels.back()->fine_abs_norm_max, ref.u);
-    EXPECT_EQ(panels.back()->fine_sqrt_min_norm, ref.sqrt_min_norm);
     EXPECT_EQ(panels.back()->fine_q_scale, ref.q_scale);
   }
   clear_simd_level_override();
@@ -422,14 +430,9 @@ TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
   const SubsetPanel& dispatched = *panels[1];
   EXPECT_NE(std::find(scalar.fine_q_scale.begin(), scalar.fine_q_scale.end(), 0.0),
             scalar.fine_q_scale.end());
-  EXPECT_NE(std::find(scalar.fine_sqrt_min_norm.begin(), scalar.fine_sqrt_min_norm.end(),
-                      std::numeric_limits<double>::infinity()),
-            scalar.fine_sqrt_min_norm.end());
-  EXPECT_EQ(scalar.norms_sq, dispatched.norms_sq);
+  EXPECT_EQ(scalar.root_norms, dispatched.root_norms);
   EXPECT_EQ(scalar.fine_abs_norm_max, dispatched.fine_abs_norm_max);
-  EXPECT_EQ(scalar.fine_sqrt_min_norm, dispatched.fine_sqrt_min_norm);
   EXPECT_EQ(scalar.coarse_abs_norm_max, dispatched.coarse_abs_norm_max);
-  EXPECT_EQ(scalar.coarse_sqrt_min_norm, dispatched.coarse_sqrt_min_norm);
   EXPECT_EQ(scalar.fine_q, dispatched.fine_q);
   EXPECT_EQ(scalar.fine_q_scale, dispatched.fine_q_scale);
   EXPECT_EQ(scalar.coarse_q, dispatched.coarse_q);
@@ -437,8 +440,8 @@ TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
 }
 
 TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
-  // At M = 14 on the 121 x 17 selection grid a panel is its norms (one
-  // double per point) plus per-tile statistics: ~26 KB. A per-subset copy
+  // At M = 14 on the 121 x 17 selection grid a panel is its root norms
+  // (one double per tile slot) plus per-tile statistics: ~26 KB. A per-subset copy
   // of the responses alone would be 65 tiles x 32 points x 14 doubles.
   const AngularGrid grid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)};
   const ResponseMatrix matrix(synthetic_table(), grid, CorrelationDomain::kLinear);
@@ -449,9 +452,8 @@ TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
   };
   const std::size_t total =
       sizeof(SubsetPanel) + bytes(panel->slots) + bytes(panel->rows) +
-      bytes(panel->norms_sq) + bytes(panel->fine_abs_norm_max) +
-      bytes(panel->fine_sqrt_min_norm) + bytes(panel->coarse_abs_norm_max) +
-      bytes(panel->coarse_sqrt_min_norm) + bytes(panel->fine_q) +
+      bytes(panel->root_norms) + bytes(panel->fine_abs_norm_max) +
+      bytes(panel->coarse_abs_norm_max) + bytes(panel->fine_q) +
       bytes(panel->fine_q_scale) + bytes(panel->coarse_q) + bytes(panel->coarse_q_scale);
   EXPECT_LE(total, 40u * 1024u);
 }
@@ -480,17 +482,6 @@ TEST(PatternAssets, SharedBytesCountTheTileMajorMatrix) {
   EXPECT_EQ(tiles.coarse_min.size(), tiles.coarse_tiles);
 }
 
-TEST(ResponseMatrix, NormsAliasTheCachedPanel) {
-  const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
-                              CorrelationDomain::kLinear);
-  const std::vector<int> subset{1, 3, 5};
-  const auto panel = matrix.panel(subset);
-  const auto norms = matrix.norms_sq(subset);
-  // One cache entry serves both views: norms_sq aliases the panel's array.
-  EXPECT_EQ(norms.get(), &panel->norms_sq);
-  EXPECT_EQ(matrix.cached_subset_count(), 1u);
-}
-
 TEST(ResponseMatrix, CacheStatsCountHitsAndMisses) {
   const ResponseMatrix matrix(synthetic_table(), synthetic_grid(),
                               CorrelationDomain::kLinear);
@@ -501,7 +492,7 @@ TEST(ResponseMatrix, CacheStatsCountHitsAndMisses) {
   matrix.panel(a);  // miss
   matrix.panel(a);  // hit
   matrix.panel(b);  // miss (sequence-keyed)
-  matrix.norms_sq(a);  // hit through the norms view
+  EXPECT_FALSE(matrix.panel(a)->root_norms.empty());  // hit
   const ResponseMatrix::CacheStats stats = matrix.cache_stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);

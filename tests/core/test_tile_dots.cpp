@@ -6,10 +6,11 @@
 //      last row, all M values including the degenerate 1, zero rows, and
 //      the SNR-only (pr == nullptr) shape.
 //   2. TileStats -- every variant of the per-tile panel statistics
-//      kernel equals the statistics' definition bit for bit: ragged
-//      tails, zero-norm points and tiles, duplicate rows, M = 1 and M
-//      past the block's rows, subnormal responses and the kDbEnvelope
-//      edge.
+//      kernel (root norms, shares, int16 levels and their scale) equals
+//      the statistics' definition bit for bit: ragged tails, zero-norm
+//      points and tiles, duplicate rows, every M from 1 past the block's
+//      rows (so every M mod 4 tail of the vector quantizer), subnormal
+//      responses and rows, and the kDbEnvelope edge.
 //   3. SimdDispatch -- the runtime dispatch honors the programmatic
 //      override (clamped to the host), and the whole argmax-equals-
 //      surface property holds with the scalar fallback forced, so the
@@ -23,7 +24,7 @@
 //      full surface peak.
 //   5. TileW -- every variant of the per-tile surface kernel equals the
 //      scalar reference bit for bit (and the reference the definition):
-//      zero-norm points, ragged tails, subnormals, +-1000 dB responses
+//      zero-root points, ragged tails, subnormals, +-1000 dB responses
 //      and probe norms at both extremes, read from and written to
 //      unaligned arrays.
 //
@@ -195,31 +196,42 @@ TEST(TileDots, SnrOnlyShapeBitIdentical) {
 
 /// tile_stats' outputs for one tile.
 struct TileStats {
-  std::vector<double> norm;
+  std::vector<double> root;
   std::vector<double> u;
-  double root{0.0};
+  std::vector<std::uint16_t> q;
+  double scale{0.0};
 };
 
 /// The statistics straight from their definition (core/tile_dots.hpp),
-/// point by point.
+/// point by point, and the levels by the power-of-two rule through
+/// frexp / ldexp / ceil.
 TileStats reference_tile_stats(const AlignedBlock& block,
                                const std::vector<std::size_t>& rows) {
   const std::size_t m = rows.size();
-  TileStats ref{std::vector<double>(kTile, 0.0), std::vector<double>(m, 0.0), 0.0};
-  double min_pos = std::numeric_limits<double>::infinity();
+  TileStats ref{std::vector<double>(kTile, 0.0), std::vector<double>(m, 0.0),
+                std::vector<std::uint16_t>(m, 0), 0.0};
   for (std::size_t gi = 0; gi < kTile; ++gi) {
+    double norm = 0.0;
     for (std::size_t mm = 0; mm < m; ++mm) {
       const double x = block[rows[mm] + gi];
-      ref.norm[gi] += x * x;
+      norm += x * x;
     }
-    if (!(ref.norm[gi] > 0.0)) continue;
-    min_pos = std::min(min_pos, ref.norm[gi]);
-    const double inv_norm = 1.0 / std::sqrt(ref.norm[gi]);
+    ref.root[gi] = std::sqrt(norm);
+    if (!(norm > 0.0)) continue;
+    const double inv_norm = 1.0 / std::sqrt(norm);
     for (std::size_t mm = 0; mm < m; ++mm) {
       ref.u[mm] = std::max(ref.u[mm], std::abs(block[rows[mm] + gi]) * inv_norm);
     }
   }
-  ref.root = std::sqrt(min_pos);
+  const double u_max = *std::max_element(ref.u.begin(), ref.u.end());
+  if (u_max > 0.0) {
+    int exp = 0;
+    (void)std::frexp(u_max, &exp);
+    ref.scale = std::ldexp(1.0, exp - 15);
+    for (std::size_t mm = 0; mm < m; ++mm) {
+      ref.q[mm] = static_cast<std::uint16_t>(std::ceil(ref.u[mm] / ref.scale));
+    }
+  }
   return ref;
 }
 
@@ -227,23 +239,29 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Every compiled-in statistics variant, and the dispatched entry point,
 /// against the definition: bit for bit, into deliberately unaligned
-/// outputs.
+/// outputs whose first element no variant may touch.
 void expect_tile_stats_exact(const AlignedBlock& block,
                              const std::vector<std::size_t>& rows,
                              const std::string& where) {
   const std::size_t m = rows.size();
   const TileStats ref = reference_tile_stats(block, rows);
   const auto check = [&](TileStatsFn fn, const char* name) {
-    std::vector<double> norm(kTile + 1, -1.0);
+    std::vector<double> root(kTile + 1, -1.0);
     std::vector<double> u(m + 1, -1.0);
-    const double root = fn(block.data(), rows.data(), m, norm.data() + 1, u.data() + 1);
-    EXPECT_EQ(bits(root), bits(ref.root)) << name << " " << where;
+    std::vector<std::uint16_t> q(m + 1, 0xffff);
+    const double scale =
+        fn(block.data(), rows.data(), m, root.data() + 1, u.data() + 1, q.data() + 1);
+    EXPECT_EQ(bits(scale), bits(ref.scale)) << name << " " << where;
+    EXPECT_EQ(bits(root[0]), bits(-1.0)) << name << " " << where;
+    EXPECT_EQ(bits(u[0]), bits(-1.0)) << name << " " << where;
+    EXPECT_EQ(q[0], 0xffff) << name << " " << where;
     for (std::size_t gi = 0; gi < kTile; ++gi) {
-      EXPECT_EQ(bits(norm[gi + 1]), bits(ref.norm[gi]))
+      EXPECT_EQ(bits(root[gi + 1]), bits(ref.root[gi]))
           << name << " " << where << " lane " << gi;
     }
     for (std::size_t mm = 0; mm < m; ++mm) {
       EXPECT_EQ(bits(u[mm + 1]), bits(ref.u[mm])) << name << " " << where << " m " << mm;
+      EXPECT_EQ(q[mm + 1], ref.q[mm]) << name << " " << where << " m " << mm;
     }
   };
   check(&tile_stats_scalar, "scalar");
@@ -269,7 +287,7 @@ TEST(TileStats, AllVariantsMatchTheDefinitionRandomized) {
 TEST(TileStats, RaggedAndZeroNormTiles) {
   // A ragged tail tile (zero padding past `count` points in every row),
   // points that are zero in every probed row, and a tile with no
-  // positive norm at all: root +infinity, every share 0.
+  // positive norm at all: every root and share 0, scale 0, levels 0.
   std::mt19937_64 rng(7);
   for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{31}}) {
     for (const std::size_t m : {std::size_t{1}, std::size_t{14}, std::size_t{36}}) {
@@ -286,10 +304,10 @@ TEST(TileStats, RaggedAndZeroNormTiles) {
   const AlignedBlock empty(kBlockRows * kTile, 0.0);
   const std::vector<std::size_t> rows{0, 3 * kTile, 0};
   expect_tile_stats_exact(empty, rows, "all zero");
-  EXPECT_EQ(tile_stats_scalar(empty.data(), rows.data(), rows.size(),
-                              std::vector<double>(kTile).data(),
-                              std::vector<double>(rows.size()).data()),
-            std::numeric_limits<double>::infinity());
+  const TileStats ref = reference_tile_stats(empty, rows);
+  EXPECT_EQ(ref.scale, 0.0);
+  EXPECT_EQ(ref.q, std::vector<std::uint16_t>(rows.size(), 0));
+  EXPECT_EQ(ref.root, std::vector<double>(kTile, 0.0));
 }
 
 TEST(TileStats, ExtremeMagnitudes) {
@@ -316,6 +334,29 @@ TEST(TileStats, ExtremeMagnitudes) {
   std::vector<std::size_t> rows(kBlockRows);
   for (std::size_t s = 0; s < kBlockRows; ++s) rows[s] = s * kTile;
   expect_tile_stats_exact(hot, rows, "all 1e100");
+  // Whole rows subnormal: beside ordinary rows their shares quantize to
+  // the smallest levels, and on their own every norm underflows to 0, so
+  // the tile quantizes to scale 0.
+  for (std::size_t m = 1; m <= 9; ++m) {
+    AlignedBlock mixed = random_block(rng);
+    for (std::size_t s = 0; s < kBlockRows; s += 2) {
+      for (std::size_t gi = 0; gi < kTile; ++gi) {
+        mixed[s * kTile + gi] = static_cast<double>(1 + gi % 3) * tiny;
+      }
+    }
+    expect_tile_stats_exact(mixed, random_rows(rng, m, true),
+                            "subnormal rows M=" + std::to_string(m));
+  }
+  const AlignedBlock subnormal(kBlockRows * kTile, 5 * tiny);
+  expect_tile_stats_exact(subnormal, rows, "all subnormal");
+  // Rows of +-1000 (the dB envelope edge), every M mod 4 tail.
+  std::uniform_int_distribution<int> sign(0, 1);
+  for (std::size_t m = 1; m <= 8; ++m) {
+    AlignedBlock edge(kBlockRows * kTile);
+    for (double& v : edge) v = sign(rng) == 0 ? 1000.0 : -1000.0;
+    expect_tile_stats_exact(edge, random_rows(rng, m, false),
+                            "+-1000 dB M=" + std::to_string(m));
+  }
 }
 
 // --- per-tile surface values -------------------------------------------------
@@ -325,13 +366,14 @@ TEST(TileStats, ExtremeMagnitudes) {
 struct TileWInputs {
   std::vector<double> ds = std::vector<double>(kTile + 1, 0.0);
   std::vector<double> dr = std::vector<double>(kTile + 1, 0.0);
-  std::vector<double> norm = std::vector<double>(kTile + 1, 0.0);
+  std::vector<double> root = std::vector<double>(kTile + 1, 0.0);
   double snr_norm{1.0};
   double rssi_norm{1.0};
 };
 
 /// The inputs a walk would hand tile_w for `block`, `rows` and random
-/// probes: the tile_dots rows, the tile_stats norms and the probe norms.
+/// probes: the tile_dots rows, the tile_stats root norms and the probe
+/// norms.
 TileWInputs tile_w_inputs(std::mt19937_64& rng, const AlignedBlock& block,
                           const std::vector<std::size_t>& rows) {
   const std::size_t m = rows.size();
@@ -341,7 +383,8 @@ TileWInputs tile_w_inputs(std::mt19937_64& rng, const AlignedBlock& block,
   tile_dots(block.data(), rows.data(), ps.data(), pr.data(), m, in.ds.data() + 1,
             in.dr.data() + 1);
   std::vector<double> u(m);
-  tile_stats(block.data(), rows.data(), m, in.norm.data() + 1, u.data());
+  std::vector<std::uint16_t> q(m);
+  tile_stats(block.data(), rows.data(), m, in.root.data() + 1, u.data(), q.data());
   double snr_sq = 0.0;
   double rssi_sq = 0.0;
   for (std::size_t mm = 0; mm < m; ++mm) {
@@ -359,13 +402,13 @@ TileWInputs tile_w_inputs(std::mt19937_64& rng, const AlignedBlock& block,
 void expect_tile_w_exact(const TileWInputs& in, const std::string& where) {
   const double* ds = in.ds.data() + 1;
   const double* dr = in.dr.data() + 1;
-  const double* norm = in.norm.data() + 1;
+  const double* root = in.root.data() + 1;
   std::vector<double> ref(kTile);
-  tile_w_scalar(ds, dr, norm, in.snr_norm, in.rssi_norm, ref.data());
+  tile_w_scalar(ds, dr, root, in.snr_norm, in.rssi_norm, ref.data());
   for (std::size_t gi = 0; gi < kTile; ++gi) {
     double w = 0.0;
-    if (norm[gi] > 0.0) {
-      const double x = std::sqrt(norm[gi]);
+    if (root[gi] > 0.0) {
+      const double x = root[gi];
       const double cs = ds[gi] / (in.snr_norm * x);
       const double cr = dr[gi] / (in.rssi_norm * x);
       w = (cs * cs) * (cr * cr);
@@ -374,7 +417,7 @@ void expect_tile_w_exact(const TileWInputs& in, const std::string& where) {
   }
   const auto check = [&](TileWFn fn, const char* name) {
     std::vector<double> out(kTile + 1, -1.0);
-    fn(ds, dr, norm, in.snr_norm, in.rssi_norm, out.data() + 1);
+    fn(ds, dr, root, in.snr_norm, in.rssi_norm, out.data() + 1);
     for (std::size_t gi = 0; gi < kTile; ++gi) {
       EXPECT_EQ(bits(out[gi + 1]), bits(ref[gi])) << name << " " << where << " lane " << gi;
     }
@@ -400,7 +443,7 @@ TEST(TileW, AllVariantsMatchTheScalarReferenceRandomized) {
 
 TEST(TileW, RaggedTailsAndZeroNormPoints) {
   // A ragged tail tile (zero padding past `count` points in every row)
-  // with every third point zero in every row: their norms are 0, and so
+  // with every third point zero in every row: their roots are 0, and so
   // is their W, whatever the dots hold.
   std::mt19937_64 rng(19);
   for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{31}}) {
@@ -411,7 +454,7 @@ TEST(TileW, RaggedTailsAndZeroNormPoints) {
         for (std::size_t gi = 0; gi < count; gi += 3) block[s * kTile + gi] = 0.0;
       }
       TileWInputs in = tile_w_inputs(rng, block, random_rows(rng, m, true));
-      // Nonzero dots over zero norms: only the zero-norm rule gives 0.
+      // Nonzero dots over zero roots: only the zero-root rule gives 0.
       for (std::size_t gi = 0; gi < kTile; gi += 3) {
         in.ds[gi + 1] = 1.5;
         in.dr[gi + 1] = -2.5;
@@ -419,7 +462,7 @@ TEST(TileW, RaggedTailsAndZeroNormPoints) {
       const std::string where = "count=" + std::to_string(count) + " M=" + std::to_string(m);
       expect_tile_w_exact(in, where);
       std::vector<double> w(kTile, -1.0);
-      tile_w(in.ds.data() + 1, in.dr.data() + 1, in.norm.data() + 1, in.snr_norm,
+      tile_w(in.ds.data() + 1, in.dr.data() + 1, in.root.data() + 1, in.snr_norm,
              in.rssi_norm, w.data());
       for (std::size_t gi = 0; gi < kTile; ++gi) {
         if (gi >= count || gi % 3 == 0) {
@@ -431,7 +474,7 @@ TEST(TileW, RaggedTailsAndZeroNormPoints) {
 }
 
 TEST(TileW, ExtremeMagnitudes) {
-  // Subnormal dots and norms, dots and responses at +-1000 dB (the
+  // Subnormal dots and roots, dots and responses at +-1000 dB (the
   // kDbEnvelope edge), the linear envelope's 10^(+-100), and probe norms
   // at both extremes -- where the denominators underflow to 0 or
   // overflow to infinity, so W is 0, infinite or NaN in every variant
@@ -450,7 +493,7 @@ TEST(TileW, ExtremeMagnitudes) {
     for (std::size_t gi = 1; gi <= kTile; ++gi) {
       in.ds[gi] = values[pick(rng)];
       in.dr[gi] = values[pick(rng)];
-      in.norm[gi] = std::abs(values[pick(rng)]);
+      in.root[gi] = std::abs(values[pick(rng)]);
     }
     in.snr_norm = probe_norms[pick_norm(rng)];
     in.rssi_norm = probe_norms[pick_norm(rng)];
