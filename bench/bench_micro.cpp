@@ -199,7 +199,7 @@ void BM_PanelBuild(benchmark::State& state) {
   // on M only: the cache is filled past its cap, so every lookup of a new
   // slot sequence builds its panel and drops it. A build is one
   // core/tile_dots.hpp tile_stats call per fine tile, writing the tile's
-  // root norms, shares and int16 levels in place, plus the coarse rows.
+  // root norms and shares in place, plus the coarse rows.
   // The A/B tool for the statistics kernel; miss_share reads 1 when
   // every lookup built.
   const CorrelationEngine engine = default_grid_engine();

@@ -45,9 +45,8 @@ namespace detail {
 /// |cs(g)| = |<p, x(g)/||x(g)||>| / p_norm <= dot(|p|, u) / p_norm for
 /// every g in the tile, and likewise for cr. Callers pass the probe
 /// magnitudes |p| precomputed.
-TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
-                             const double* u, std::size_t m, double inv_snr_norm,
-                             double inv_rssi_norm) {
+double screen_tile_float(const double* abs_ps, const double* abs_pr, const double* u,
+                         std::size_t m, double inv_snr_norm, double inv_rssi_norm) {
   double as = 0.0;
   double ar = 0.0;
   for (std::size_t mm = 0; mm < m; ++mm) {
@@ -57,37 +56,7 @@ TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
   }
   const double cs_ub = as * inv_snr_norm;
   const double cr_ub = ar * inv_rssi_norm;
-  return {(cs_ub * cs_ub) * ((cr_ub * cr_ub) * kBoundInflate) + kBoundAbsSlack};
-}
-
-/// The same bound from the int16 sidecar, reading 2 bytes of tile
-/// statistics per slot instead of 8 (the pyramid screens are what the
-/// traversal's memory traffic is made of at small M).
-///
-/// Soundness: the dequantized statistic q[mm] * scale is EXACT in double
-/// (a <= 15-bit integer times a power of two) and >= u[mm] by
-/// construction (round-up, see ResponseMatrix::build_panel). Every
-/// operation below matches screen_tile_float's sequence on inputs that
-/// are element-wise >= its inputs, all terms are non-negative, and IEEE
-/// rounding is monotone -- so the result dominates the float screen's
-/// bound, which already rigorously dominates the kernel result (slack
-/// argument above). Pruning on the quantized bound can therefore never
-/// cut a tile the float bound would keep, and since a valid bound set
-/// yields the exact argmax under ANY traversal order, the selection stays
-/// bit-identical to the full surface peak.
-TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
-                         const std::uint16_t* q, double scale, std::size_t m,
-                         double inv_snr_norm, double inv_rssi_norm) {
-  double as = 0.0;
-  double ar = 0.0;
-  for (std::size_t mm = 0; mm < m; ++mm) {
-    const double um = static_cast<double>(q[mm]) * scale;
-    as += abs_ps[mm] * um;
-    ar += abs_pr[mm] * um;
-  }
-  const double cs_ub = as * inv_snr_norm;
-  const double cr_ub = ar * inv_rssi_norm;
-  return {(cs_ub * cs_ub) * ((cr_ub * cr_ub) * kBoundInflate) + kBoundAbsSlack};
+  return (cs_ub * cs_ub) * ((cr_ub * cr_ub) * kBoundInflate) + kBoundAbsSlack;
 }
 
 }  // namespace detail
@@ -168,7 +137,7 @@ Grid2D CorrelationEngine::surface(std::span<const SectorReading> readings,
   Grid2D out(matrix_.grid());
   std::vector<double>& w = out.values();
   double dot[kTile];
-  for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
     const double* root = pan.root_norms.data() + t * kTile;
@@ -217,7 +186,7 @@ Grid2D CorrelationEngine::surface_on_panel(const SubsetPanel& pan,
   double dot_snr[kTile];
   double dot_rssi[kTile];
   double tile_w_values[kTile];
-  for (std::size_t t = 0; t < pan.fine_tiles; ++t) {
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
     const std::uint32_t* tile_points = tiles.point.data() + t * kTile;
     const std::size_t count = tiles.count(t);
     tile_dots(matrix_.tile_block(t), pan.rows.data(), probes.snr.data(),
@@ -294,14 +263,13 @@ ArgmaxResult CorrelationEngine::argmax_sweep(const SubsetPanel& pan,
   // Level 1: every coarse tile bounded and ordered best-bound-first, so
   // the running best is (almost always) the true peak after the first
   // tile and everything else prunes.
-  const std::size_t nc = pan.coarse_tiles;
+  const std::size_t nc = matrix_.tiles().coarse_tiles;
   ws.ensure_size(ws.coarse_bound_, nc);
   ws.ensure_size(ws.coarse_order_, nc);
   for (std::size_t c = 0; c < nc; ++c) {
-    ws.coarse_bound_[c] =
-        detail::screen_tile_q(abs_row, abs_row + m_count, pan.coarse_q.data() + c * m_count,
-                              pan.coarse_q_scale[c], m_count, mb.inv_snr, mb.inv_rssi)
-            .bound;
+    ws.coarse_bound_[c] = detail::screen_tile_float(
+        abs_row, abs_row + m_count, pan.coarse_abs_norm_max.data() + c * m_count, m_count,
+        mb.inv_snr, mb.inv_rssi);
     ws.coarse_order_[c] = static_cast<std::uint32_t>(c);
   }
   std::sort(ws.coarse_order_.begin(), ws.coarse_order_.end(),
@@ -363,8 +331,8 @@ ArgmaxResult CorrelationEngine::argmax_sweep(const SubsetPanel& pan,
   }
 
 #ifndef NDEBUG
-  // The whole point of the bound algebra is that pruning and quantized
-  // screening change nothing; verify every walk against the reference
+  // The whole point of the bound algebra is that pruning changes
+  // nothing; verify every walk against the reference
   // surface when asserts are on. The reference rides the walk's own
   // panel and probes, so the check leaves the panel cache's counters as a
   // release build leaves them.
@@ -440,10 +408,9 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
     for (std::size_t k = 0; k < nf; ++k) {
       const std::size_t t = t0 + k;
       ++ws.walk_stats_.fine_screened;
-      bounds[k] = detail::screen_tile_q(abs_row, abs_row + m_count,
-                                        pan.fine_q.data() + t * m_count, pan.fine_q_scale[t],
-                                        m_count, mb.inv_snr, mb.inv_rssi)
-                      .bound;
+      bounds[k] = detail::screen_tile_float(abs_row, abs_row + m_count,
+                                            pan.fine_abs_norm_max.data() + t * m_count,
+                                            m_count, mb.inv_snr, mb.inv_rssi);
       order[k] = k;
     }
     for (std::size_t k = 1; k < nf; ++k) {  // insertion sort: nf <= 8
@@ -502,7 +469,7 @@ detail::WalkMember CorrelationEngine::walk(const SubsetPanel& pan, detail::WalkM
       mb.best = best;
       mb.best_g = best_g;
       ++ws.walk_stats_.fine_evaluated;
-      ws.walk_stats_.points_screened += count;
+      ws.walk_stats_.points_evaluated += count;
     }
   }
   return mb;

@@ -41,28 +41,12 @@ enum class SignalValue : std::uint8_t { kSnr, kRssi };
 
 namespace detail {
 
-/// One tile's pruning bound, produced by the screening kernels in
-/// correlation.cpp. Exposed (with the two screening kernels below) so the
-/// quantized-screening property tests can compare the bounds directly.
-struct TileScreen {
-  /// Upper bound on the kernel-FP W anywhere in the tile.
-  double bound{0.0};
-};
-
-/// Float-statistics screening bound (the reference): dots |p| rows
-/// against the tile's abs_norm_max statistics.
-TileScreen screen_tile_float(const double* abs_ps, const double* abs_pr,
-                             const double* u, std::size_t m, double inv_snr_norm,
-                             double inv_rssi_norm);
-
-/// int16-sidecar screening bound: identical operation order, but every
-/// statistic is the dequantized round-up q[mm] * scale >= u[mm]. By
-/// floating-point monotonicity the result dominates screen_tile_float's
-/// bound, so pruning on it never cuts a tile the float screen would keep
-/// (see correlation.cpp's soundness note).
-TileScreen screen_tile_q(const double* abs_ps, const double* abs_pr,
-                         const std::uint16_t* q, double scale, std::size_t m,
-                         double inv_snr_norm, double inv_rssi_norm);
+/// One tile's pruning bound: an upper bound on the kernel's W at every
+/// point of the tile, from the tile's abs_norm_max statistics `u`
+/// (SubsetPanel) dotted with the probe magnitudes |p|. Exposed so the
+/// bound's soundness test can check it against the surface.
+double screen_tile_float(const double* abs_ps, const double* abs_pr, const double* u,
+                         std::size_t m, double inv_snr_norm, double inv_rssi_norm);
 
 }  // namespace detail
 
@@ -127,13 +111,13 @@ struct WalkStats {
   std::uint64_t fine_evaluated{0};
   /// Valid points of evaluated tiles, every one of which pays the exact W
   /// (the dense epilogue has no per-point screen).
-  std::uint64_t points_screened{0};
+  std::uint64_t points_evaluated{0};
 
   /// The one field list (common/fields.hpp).
   static constexpr auto kFields = std::make_tuple(
       field("fine_screened", &WalkStats::fine_screened),
       field("fine_evaluated", &WalkStats::fine_evaluated),
-      field("points_screened", &WalkStats::points_screened));
+      field("points_evaluated", &WalkStats::points_evaluated));
   friend bool operator==(const WalkStats&, const WalkStats&) = default;
 };
 

@@ -130,34 +130,25 @@ std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(
   for (std::size_t mm = 0; mm < m; ++mm) {
     panel->rows[mm] = static_cast<std::size_t>(slots[mm]) * kTile;
   }
-  panel->points = grid_.size();
   const std::size_t fine = tiles_.fine_tiles;
-  panel->fine_tiles = fine;
-  panel->coarse_tiles = tiles_.coarse_tiles;
 
   // The per-tile statistics kernel (core/tile_dots.hpp) writes each
-  // tile's root norms, shares and screening levels in place.
+  // tile's root norms and shares in place.
   panel->root_norms.resize(fine * kTile);
   panel->fine_abs_norm_max.resize(fine * m);
-  panel->fine_q.resize(fine * m);
-  panel->fine_q_scale.resize(fine);
   for (std::size_t t = 0; t < fine; ++t) {
-    panel->fine_q_scale[t] = tile_stats(
-        tile_block(t), panel->rows.data(), m, panel->root_norms.data() + t * kTile,
-        panel->fine_abs_norm_max.data() + t * m, panel->fine_q.data() + t * m);
+    tile_stats(tile_block(t), panel->rows.data(), m, panel->root_norms.data() + t * kTile,
+               panel->fine_abs_norm_max.data() + t * m);
   }
 
-  panel->coarse_abs_norm_max.resize(panel->coarse_tiles * m);
-  panel->coarse_q.resize(panel->coarse_tiles * m);
-  panel->coarse_q_scale.resize(panel->coarse_tiles);
-  for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
+  panel->coarse_abs_norm_max.resize(tiles_.coarse_tiles * m);
+  for (std::size_t c = 0; c < tiles_.coarse_tiles; ++c) {
     // Row-wise maxima of the coarse tile's fine rows, from resize's zeros.
     double* hi = panel->coarse_abs_norm_max.data() + c * m;
     for (std::size_t t = tiles_.first_fine(c); t < tiles_.last_fine(c); ++t) {
       const double* u = panel->fine_abs_norm_max.data() + t * m;
       for (std::size_t mm = 0; mm < m; ++mm) hi[mm] = std::max(hi[mm], u[mm]);
     }
-    panel->coarse_q_scale[c] = quantize_screen_row(hi, m, panel->coarse_q.data() + c * m);
   }
   return panel;
 }

@@ -18,9 +18,9 @@
 // on the probe values -- the row offsets of its slots, the per-point root
 // subset norms in tile order (the Eq. 2 denominator, accumulated in
 // sequence order so cache hits stay bit-identical to a fresh pass) and
-// the per-tile normalized response maxima with their int16 levels, the
-// ingredients of the Cauchy-Schwarz upper bound the branch-and-bound
-// argmax (core/correlation.hpp) prunes with. A panel holds no copy of the
+// the per-tile normalized response maxima, the one statistic behind the
+// Cauchy-Schwarz upper bound the branch-and-bound argmax
+// (core/correlation.hpp) prunes with. A panel holds no copy of the
 // responses: every panel reads the one shared matrix, so a build is one
 // dispatched tile_stats pass (core/tile_dots.hpp) per tile over the
 // probed rows, writing the panel's arrays in place, and a cached panel
@@ -72,7 +72,7 @@ enum class CorrelationDomain : std::uint8_t { kLinear, kDb };
 /// contiguous multiply-accumulate rows over the tile's points
 /// (vectorizable without reassociating any per-point sum: point g's
 /// accumulation order over m is unchanged). All statistics cover valid
-/// points only.
+/// points only; the tile counts are the matrix's (ResponseMatrix::tiles()).
 struct SubsetPanel {
   /// Grid points per fine tile (one pruning granule).
   static constexpr std::size_t kTilePoints = 32;
@@ -84,11 +84,6 @@ struct SubsetPanel {
   /// Offset of sequence position m's row inside a tile block:
   /// slots[m] * kTilePoints doubles.
   std::vector<std::size_t> rows;
-  /// Valid grid points (== ResponseMatrix::points()).
-  std::size_t points{0};
-  std::size_t fine_tiles{0};
-  std::size_t coarse_tiles{0};
-
   /// ||x(g)|| over `slots`, the sum of squares accumulated in sequence
   /// order (duplicate slots contribute once per occurrence), indexed by
   /// TileMap slot t * kTilePoints + gi (0 in the ragged tail's padding):
@@ -105,28 +100,9 @@ struct SubsetPanel {
   /// raw responses span orders of magnitude across a tile.
   std::vector<double> fine_abs_norm_max;
 
-  /// Coarse aggregates of the fine statistics, indexed [c * M + m].
+  /// Coarse aggregates of the fine statistics: row-wise maxima over the
+  /// coarse tile's fine tiles, indexed [c * M + m].
   std::vector<double> coarse_abs_norm_max;
-
-  /// int16 fixed-point screening sidecar: per-tile quantization of the
-  /// abs_norm_max statistics, used by the branch-and-bound argmax for the
-  /// *screening* bound only (the exact float epilogue never touches it).
-  /// Per tile t, fine_q_scale[t] is a power of two and
-  ///   fine_q[t * M + m] * fine_q_scale[t] >= fine_abs_norm_max[t * M + m]
-  /// holds EXACTLY (the quantized level is a round-up, the product of a
-  /// <= 15-bit integer with a power of two is exact in double). Because
-  /// float rounding is monotone, a bound accumulated from the dequantized
-  /// levels in the same order as the float bound can only come out >= it
-  /// -- the quantized screen provably never prunes a tile the float
-  /// screen would keep, so the argmax stays exact (see
-  /// core/correlation.cpp's soundness note). A tile with all-zero
-  /// statistics stores scale 0 and all-zero levels. Reading 2 bytes per
-  /// (tile, slot) instead of 8 halves the memory traffic of the pyramid
-  /// traversal, which is what the screen is bound by at small M.
-  std::vector<std::uint16_t> fine_q;
-  std::vector<double> fine_q_scale;
-  std::vector<std::uint16_t> coarse_q;
-  std::vector<double> coarse_q_scale;
 
   std::size_t m() const { return slots.size(); }
 };

@@ -1,9 +1,6 @@
 #include "src/core/tile_dots.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cassert>
 #include <cmath>
 
 #include "src/core/response_matrix.hpp"
@@ -75,8 +72,8 @@ void tile_w_scalar(const double* dot_s, const double* dot_r, const double* root,
 // The norm pass keeps kBlock points in registers like tile_dots_scalar;
 // zero-norm points and the padding get a zero reciprocal, so every share
 // they contribute is 0 and cannot raise a maximum that starts at 0.
-double tile_stats_scalar(const double* block, const std::size_t* rows,
-                         std::size_t m_count, double* root, double* u, std::uint16_t* q) {
+void tile_stats_scalar(const double* block, const std::size_t* rows, std::size_t m_count,
+                       double* root, double* u) {
   constexpr std::size_t kBlock = 8;
   double inv_root[kTile];
   for (std::size_t g0 = 0; g0 < kTile; g0 += kBlock) {
@@ -104,40 +101,6 @@ double tile_stats_scalar(const double* block, const std::size_t* rows,
     for (const double v : lane_max) hi = v > hi ? v : hi;
     u[m] = hi;
   }
-  return quantize_screen_row(u, m_count, q);
-}
-
-double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q) {
-  double u_max = 0.0;
-  for (std::size_t mm = 0; mm < m; ++mm) u_max = std::max(u_max, u[mm]);
-  // u_max = f * 2^exp with f in [0.5, 1): scale = 2^(exp - 15) makes
-  // ceil(u_max / scale) = ceil(f * 2^15) <= 2^15, comfortably in uint16.
-  // Both powers of two come straight from u_max's biased exponent e
-  // (exp = e - 1022), exact and without a libm call, as long as both are
-  // normal (e >= 15, u_max >= 2^-1008). That always holds: a positive
-  // u_max comes from a positive-norm point, whose largest share is about
-  // 1 / sqrt(M) or more. An all-zero row takes 1.0's exponent, so its
-  // levels come out 0, and returns scale 0.
-  const bool positive = u_max > 0.0;
-  const int biased =
-      positive ? static_cast<int>(std::bit_cast<std::uint64_t>(u_max) >> 52) : 1023;
-  assert(biased >= 15);
-  const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(biased - 14) << 52);
-  const double inv_scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(2060 - biased) << 52);
-  for (std::size_t mm = 0; mm < m; ++mm) {
-    // ceil without a libm call or a branch: x is in [0, 2^15], so
-    // truncation is an exact floor and one compare adds the rest.
-    const double x = u[mm] * inv_scale;
-    std::uint32_t level = static_cast<std::uint32_t>(x);
-    level += static_cast<std::uint32_t>(static_cast<double>(level) < x);
-    q[mm] = static_cast<std::uint16_t>(level);
-    // The sidecar over-estimates by construction; keep the contract loud
-    // in debug builds (the quantized-screening property test pins it too).
-    assert(static_cast<double>(q[mm]) * scale >= u[mm]);
-  }
-  return positive ? scale : 0.0;
 }
 
 namespace {
@@ -213,9 +176,9 @@ void tile_w(const double* dot_s, const double* dot_r, const double* root, double
   resolve().w(dot_s, dot_r, root, snr_norm, rssi_norm, w);
 }
 
-double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
-                  double* root, double* u, std::uint16_t* q) {
-  return resolve().stats(block, rows, m_count, root, u, q);
+void tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
+                double* root, double* u) {
+  resolve().stats(block, rows, m_count, root, u);
 }
 
 SimdLevel tile_dots_dispatch_level() { return resolve().level; }

@@ -32,13 +32,12 @@
 //
 // tile_stats() computes, for one tile block and a panel's row offsets,
 // all ResponseMatrix::build_panel keeps per fine tile: every point's root
-// subset norm, every row's largest normalized share, and the shares'
-// int16 levels with their scale. Norms accumulate in ascending m with a
-// plain multiply then add, like tile_dots; the root is one correctly
-// rounded sqrt, the reciprocal one divide of it, the maxima are
-// order-free and the levels exact round-ups. So every variant is
-// bit-identical here too, provided no value is NaN -- ResponseMatrix
-// only admits responses within kDbEnvelope, whose squares stay finite.
+// subset norm and every row's largest normalized share. Norms accumulate
+// in ascending m with a plain multiply then add, like tile_dots; the root
+// is one correctly rounded sqrt, the reciprocal one divide of it, and the
+// maxima are order-free. So every variant is bit-identical here too,
+// provided no value is NaN -- ResponseMatrix only admits responses within
+// kDbEnvelope, whose squares stay finite.
 //
 // `block` must honor the ResponseMatrix::kValuesAlignment contract, and
 // every rows[m] must be a multiple of kTilePoints (every row 64-byte
@@ -47,7 +46,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "src/common/cpufeatures.hpp"
 
@@ -82,24 +80,13 @@ void tile_w_scalar(const double* dot_s, const double* dot_r, const double* root,
 ///              for all kTilePoints points (0 in the zero padding of a
 ///              ragged tile);
 ///   u[m]     = max over the points with root[gi] > 0 of
-///              |block[rows[m] + gi]| * (1 / root[gi]), 0 when none;
-///   q[m]     = u's int16 screening levels, exactly as
-///              quantize_screen_row(u, m_count, q) writes them;
-/// and returns quantize_screen_row's scale.
-using TileStatsFn = double (*)(const double* block, const std::size_t* rows,
-                               std::size_t m_count, double* root, double* u,
-                               std::uint16_t* q);
+///              |block[rows[m] + gi]| * (1 / root[gi]), 0 when none.
+using TileStatsFn = void (*)(const double* block, const std::size_t* rows,
+                             std::size_t m_count, double* root, double* u);
 
 /// Portable reference statistics kernel.
-double tile_stats_scalar(const double* block, const std::size_t* rows,
-                         std::size_t m_count, double* root, double* u, std::uint16_t* q);
-
-/// The int16 screening levels of one share row u[0..m) (SubsetPanel::
-/// fine_q): the largest power-of-two scale that resolves max(u) in <= 15
-/// bits, every level rounded UP, so q[mm] * scale >= u[mm] exactly.
-/// Returns the scale (0, with levels 0, for an all-zero row). The rule's
-/// one definition, used by tile_stats_scalar and a panel's coarse rows.
-double quantize_screen_row(const double* u, std::size_t m, std::uint16_t* q);
+void tile_stats_scalar(const double* block, const std::size_t* rows, std::size_t m_count,
+                       double* root, double* u);
 
 #if defined(TALON_HAVE_AVX2_KERNEL)
 /// AVX2 kernel: 4 points per ymm lane, mul+add kept separate (compiled
@@ -113,10 +100,9 @@ void tile_w_avx2(const double* dot_s, const double* dot_r, const double* root,
                  double snr_norm, double rssi_norm, double* w);
 
 /// AVX2 statistics: all kTilePoints norms in flight, vsqrtpd roots and
-/// masked vdivpd reciprocals, one vmaxpd tree per row, and the levels
-/// rounded up four at a time by vroundpd.
-double tile_stats_avx2(const double* block, const std::size_t* rows,
-                       std::size_t m_count, double* root, double* u, std::uint16_t* q);
+/// masked vdivpd reciprocals, one vmaxpd tree per row.
+void tile_stats_avx2(const double* block, const std::size_t* rows, std::size_t m_count,
+                     double* root, double* u);
 #endif
 
 #if defined(__aarch64__) || defined(_M_ARM64)
@@ -139,8 +125,8 @@ void tile_w(const double* dot_s, const double* dot_r, const double* root, double
 
 /// The dispatched statistics kernel, resolved like tile_dots(). NEON has
 /// no variant of its own: it runs tile_stats_scalar.
-double tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
-                  double* root, double* u, std::uint16_t* q);
+void tile_stats(const double* block, const std::size_t* rows, std::size_t m_count,
+                double* root, double* u);
 
 /// The level the next tile_dots() call will actually run at -- the active
 /// level clamped to the kernels present in this binary. Exposed so tests

@@ -17,11 +17,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
-#include <cassert>
-#include <cmath>
-#include <cstdint>
-
 #include "src/core/response_matrix.hpp"
 
 namespace talon {
@@ -128,11 +123,8 @@ constexpr std::size_t kRegs = kTile / 4;  // ymm registers per tile row
 // mul-then-add chain; vsqrtpd and vdivpd round each lane exactly like
 // sqrtsd and divsd; the and-mask gives the zero reciprocal the scalar
 // kernel selects, and max over non-NaN lanes does not depend on order.
-// The levels are quantize_screen_row's: the same scale from the same
-// exponent bits, the same multiply, and vroundpd's round-up is the exact
-// ceil the scalar truncate-and-compare computes.
-double tile_stats_avx2(const double* block, const std::size_t* rows,
-                       std::size_t m_count, double* root, double* u, std::uint16_t* q) {
+void tile_stats_avx2(const double* block, const std::size_t* rows, std::size_t m_count,
+                     double* root, double* u) {
   // One pass over the rows with all kTile points in flight: kRegs
   // independent add chains instead of kRegs / 2 passes over the rows.
   __m256d acc[kRegs];
@@ -155,7 +147,6 @@ double tile_stats_avx2(const double* block, const std::size_t* rows,
   }
 
   const __m256d magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffff));
-  __m256d all_max = zero;
   for (std::size_t m = 0; m < m_count; ++m) {
     const double* row = block + rows[m];
     __m256d share[kRegs];
@@ -171,32 +162,7 @@ double tile_stats_avx2(const double* block, const std::size_t* rows,
     // Every share is >= +0, so the maximum already includes the scalar
     // kernel's starting 0.
     u[m] = hmax(share[0]);
-    all_max = _mm256_max_pd(all_max, share[0]);
   }
-
-  // quantize_screen_row, four levels per vroundpd.
-  const double u_max = hmax(all_max);
-  const bool positive = u_max > 0.0;
-  const int biased =
-      positive ? static_cast<int>(std::bit_cast<std::uint64_t>(u_max) >> 52) : 1023;
-  const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(biased - 14) << 52);
-  const double inv_scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(2060 - biased) << 52);
-  const __m256d inv_scale4 = _mm256_set1_pd(inv_scale);
-  std::size_t m = 0;
-  for (; m + 4 <= m_count; m += 4) {
-    const __m256d x = _mm256_mul_pd(_mm256_loadu_pd(u + m), inv_scale4);
-    const __m256d level = _mm256_round_pd(x, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC);
-    // Levels are integers in [0, 2^15]: exact as int32, and packed to
-    // uint16 without saturating.
-    const __m128i level32 = _mm256_cvtpd_epi32(level);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(q + m),
-                     _mm_packus_epi32(level32, level32));
-  }
-  for (; m < m_count; ++m) q[m] = static_cast<std::uint16_t>(std::ceil(u[m] * inv_scale));
-  for (m = 0; m < m_count; ++m) assert(q[m] * scale >= u[m]);
-  return positive ? scale : 0.0;
 }
 
 }  // namespace talon

@@ -230,7 +230,7 @@ TEST(CorrelationWorkspace, WalkStatsCountTheWalkAndSumByFieldList) {
   for (const WalkStats& s : {first.walk_stats(), second.walk_stats()}) {
     EXPECT_GT(s.fine_evaluated, 0u);
     EXPECT_LE(s.fine_evaluated, s.fine_screened);
-    EXPECT_LE(s.points_screened, s.fine_evaluated * SubsetPanel::kTilePoints);
+    EXPECT_LE(s.points_evaluated, s.fine_evaluated * SubsetPanel::kTilePoints);
   }
 }
 

@@ -161,15 +161,15 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
   const std::vector<int> subset{1, 4, 4, 7};  // duplicate kept per occurrence
   const auto panel = matrix.panel(subset);
   const TileMap& tiles = matrix.tiles();
-  ASSERT_EQ(panel->points, matrix.points());
+  ASSERT_EQ(tiles.point.size(), matrix.points());
   ASSERT_EQ(panel->m(), subset.size());
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
-  ASSERT_EQ(panel->fine_tiles, (matrix.points() + kTile - 1) / kTile);
-  ASSERT_EQ(panel->fine_tiles, tiles.fine_tiles);
-  ASSERT_EQ(panel->coarse_tiles,
-            (panel->fine_tiles + SubsetPanel::kFinePerCoarse - 1) /
+  ASSERT_EQ(tiles.fine_tiles, (matrix.points() + kTile - 1) / kTile);
+  ASSERT_EQ(tiles.coarse_tiles,
+            (tiles.fine_tiles + SubsetPanel::kFinePerCoarse - 1) /
                 SubsetPanel::kFinePerCoarse);
-  ASSERT_EQ(panel->coarse_tiles, tiles.coarse_tiles);
+  ASSERT_EQ(panel->root_norms.size(), tiles.fine_tiles * kTile);
+  ASSERT_EQ(panel->coarse_abs_norm_max.size(), tiles.coarse_tiles * panel->m());
   ASSERT_EQ(panel->rows.size(), subset.size());
   for (std::size_t mm = 0; mm < subset.size(); ++mm) {
     EXPECT_EQ(panel->rows[mm], static_cast<std::size_t>(subset[mm]) * kTile);
@@ -220,7 +220,7 @@ TEST(ResponseMatrix, PanelValuesMatchPointRows) {
   }
   // Only the last tile is ragged, and every row's padding slots are zero.
   for (std::size_t t = 0; t + 1 < tiles.fine_tiles; ++t) EXPECT_EQ(tiles.count(t), kTile);
-  const std::size_t tail = panel->fine_tiles - 1;
+  const std::size_t tail = tiles.fine_tiles - 1;
   for (std::size_t gi = tiles.count(tail); gi < kTile; ++gi) {
     for (std::size_t s = 0; s < matrix.slots(); ++s) {
       EXPECT_EQ(matrix.tile_block(tail)[s * kTile + gi], 0.0);
@@ -274,7 +274,7 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
   const TileMap& tiles = matrix.tiles();
   constexpr std::size_t kTile = SubsetPanel::kTilePoints;
   const std::size_t m = subset.size();
-  for (std::size_t t = 0; t < panel->fine_tiles; ++t) {
+  for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
     std::vector<double> u(m, 0.0);
     for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
       const std::size_t g = tiles.point[t * kTile + gi];
@@ -291,7 +291,7 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
     }
   }
   // Coarse aggregates dominate their fine tiles.
-  for (std::size_t c = 0; c < panel->coarse_tiles; ++c) {
+  for (std::size_t c = 0; c < tiles.coarse_tiles; ++c) {
     for (std::size_t t = tiles.first_fine(c); t < tiles.last_fine(c); ++t) {
       for (std::size_t mm = 0; mm < m; ++mm) {
         EXPECT_GE(panel->coarse_abs_norm_max[c * m + mm],
@@ -304,13 +304,10 @@ TEST(ResponseMatrix, PanelTileStatisticsBoundTheTile) {
 /// A reference panel build from ResponseMatrix::value alone: per-point
 /// norms accumulated over the sequence in order, their roots in tile
 /// order, then the per-tile statistics exactly as SubsetPanel documents
-/// them, and the int16 levels at the largest power-of-two scale that
-/// resolves the row's maximum in 15 bits, rounded up.
+/// them.
 struct ReferencePanel {
   std::vector<double> root_norms;
   std::vector<double> u;
-  std::vector<std::uint16_t> q;
-  std::vector<double> q_scale;
 };
 
 ReferencePanel reference_panel(const ResponseMatrix& matrix, std::span<const int> slots) {
@@ -320,8 +317,6 @@ ReferencePanel reference_panel(const ResponseMatrix& matrix, std::span<const int
   ReferencePanel ref;
   ref.root_norms.assign(tiles.fine_tiles * kTile, 0.0);
   ref.u.assign(tiles.fine_tiles * m, 0.0);
-  ref.q.assign(tiles.fine_tiles * m, 0);
-  ref.q_scale.assign(tiles.fine_tiles, 0.0);
   for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
     for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
       const std::size_t g = tiles.point[t * kTile + gi];
@@ -336,17 +331,6 @@ ReferencePanel reference_panel(const ResponseMatrix& matrix, std::span<const int
         const double x = matrix.value(g, static_cast<std::size_t>(slots[mm]));
         ref.u[t * m + mm] = std::max(ref.u[t * m + mm], std::abs(x) * (1.0 / std::sqrt(n)));
       }
-    }
-    const double u_max =
-        *std::max_element(ref.u.begin() + static_cast<std::ptrdiff_t>(t * m),
-                          ref.u.begin() + static_cast<std::ptrdiff_t>((t + 1) * m));
-    if (u_max <= 0.0) continue;
-    int exp = 0;
-    (void)std::frexp(u_max, &exp);
-    ref.q_scale[t] = std::ldexp(1.0, exp - 15);
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      ref.q[t * m + mm] =
-          static_cast<std::uint16_t>(std::ceil(ref.u[t * m + mm] / ref.q_scale[t]));
     }
   }
   return ref;
@@ -389,8 +373,6 @@ TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
           const ReferencePanel ref = reference_panel(matrix, subset);
           EXPECT_EQ(panel->root_norms, ref.root_norms) << where;
           EXPECT_EQ(panel->fine_abs_norm_max, ref.u) << where;
-          EXPECT_EQ(panel->fine_q, ref.q) << where;
-          EXPECT_EQ(panel->fine_q_scale, ref.q_scale) << where;
         }
       }
     }
@@ -401,7 +383,7 @@ TEST(ResponseMatrix, PanelStatisticsMatchAReferenceBuild) {
 TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
   // In the dB domain a 0 dB response is an exact zero. Sectors flat at
   // 0 dB over the right half of the grid leave tiles with no positive
-  // norm (scale 0, every root 0) next to tiles with a few zero-norm
+  // norm (every root and share 0) next to tiles with a few zero-norm
   // points; the scalar and the dispatched kernels must agree on every
   // statistic, coarse ones included, and both match the reference build.
   const AngularGrid grid = synthetic_grid();
@@ -423,20 +405,22 @@ TEST(ResponseMatrix, ZeroResponseTilesMatchAcrossDispatch) {
     panels.push_back(matrix.panel(subset));
     const ReferencePanel ref = reference_panel(matrix, subset);
     EXPECT_EQ(panels.back()->fine_abs_norm_max, ref.u);
-    EXPECT_EQ(panels.back()->fine_q_scale, ref.q_scale);
   }
   clear_simd_level_override();
   const SubsetPanel& scalar = *panels[0];
   const SubsetPanel& dispatched = *panels[1];
-  EXPECT_NE(std::find(scalar.fine_q_scale.begin(), scalar.fine_q_scale.end(), 0.0),
-            scalar.fine_q_scale.end());
+  // Some tile has no positive norm: its whole share row is 0.
+  const std::size_t m = subset.size();
+  bool zero_tile = false;
+  for (std::size_t i = 0; i < scalar.fine_abs_norm_max.size(); i += m) {
+    const auto row = scalar.fine_abs_norm_max.begin() + static_cast<std::ptrdiff_t>(i);
+    zero_tile |= std::all_of(row, row + static_cast<std::ptrdiff_t>(m),
+                             [](double u) { return u == 0.0; });
+  }
+  EXPECT_TRUE(zero_tile);
   EXPECT_EQ(scalar.root_norms, dispatched.root_norms);
   EXPECT_EQ(scalar.fine_abs_norm_max, dispatched.fine_abs_norm_max);
   EXPECT_EQ(scalar.coarse_abs_norm_max, dispatched.coarse_abs_norm_max);
-  EXPECT_EQ(scalar.fine_q, dispatched.fine_q);
-  EXPECT_EQ(scalar.fine_q_scale, dispatched.fine_q_scale);
-  EXPECT_EQ(scalar.coarse_q, dispatched.coarse_q);
-  EXPECT_EQ(scalar.coarse_q_scale, dispatched.coarse_q_scale);
 }
 
 TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
@@ -453,8 +437,7 @@ TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
   const std::size_t total =
       sizeof(SubsetPanel) + bytes(panel->slots) + bytes(panel->rows) +
       bytes(panel->root_norms) + bytes(panel->fine_abs_norm_max) +
-      bytes(panel->coarse_abs_norm_max) + bytes(panel->fine_q) +
-      bytes(panel->fine_q_scale) + bytes(panel->coarse_q) + bytes(panel->coarse_q_scale);
+      bytes(panel->coarse_abs_norm_max);
   EXPECT_LE(total, 40u * 1024u);
 }
 

@@ -6,22 +6,19 @@
 //      last row, all M values including the degenerate 1, zero rows, and
 //      the SNR-only (pr == nullptr) shape.
 //   2. TileStats -- every variant of the per-tile panel statistics
-//      kernel (root norms, shares, int16 levels and their scale) equals
-//      the statistics' definition bit for bit: ragged tails, zero-norm
-//      points and tiles, duplicate rows, every M from 1 past the block's
-//      rows (so every M mod 4 tail of the vector quantizer), subnormal
-//      responses and rows, and the kDbEnvelope edge.
+//      kernel (root norms and shares) equals the statistics' definition
+//      bit for bit: ragged tails, zero-norm points and tiles, duplicate
+//      rows, every M from 1 past the block's rows, subnormal responses
+//      and rows, and the kDbEnvelope edge.
 //   3. SimdDispatch -- the runtime dispatch honors the programmatic
 //      override (clamped to the host), and the whole argmax-equals-
 //      surface property holds with the scalar fallback forced, so the
 //      suite pins correctness independently of the host CPU. (CI also
 //      runs the full ctest suite under TALON_SIMD=scalar.)
-//   4. QuantizedScreen -- on real cached panels the int16 sidecar's
-//      dequantized statistics dominate the float statistics exactly
-//      (q * scale >= u), and the quantized screening bound dominates the
-//      float screening bound, which is the soundness argument that lets
-//      the argmax prune on 2-byte reads and stay bit-identical to the
-//      full surface peak.
+//   4. TileBound -- on real cached panels every fine and coarse tile's
+//      pruning bound dominates the surface W at every point of the tile,
+//      the soundness argument that lets the argmax skip tiles and stay
+//      bit-identical to the full surface peak.
 //   5. TileW -- every variant of the per-tile surface kernel equals the
 //      scalar reference bit for bit (and the reference the definition):
 //      zero-root points, ragged tails, subnormals, +-1000 dB responses
@@ -198,18 +195,14 @@ TEST(TileDots, SnrOnlyShapeBitIdentical) {
 struct TileStats {
   std::vector<double> root;
   std::vector<double> u;
-  std::vector<std::uint16_t> q;
-  double scale{0.0};
 };
 
 /// The statistics straight from their definition (core/tile_dots.hpp),
-/// point by point, and the levels by the power-of-two rule through
-/// frexp / ldexp / ceil.
+/// point by point.
 TileStats reference_tile_stats(const AlignedBlock& block,
                                const std::vector<std::size_t>& rows) {
   const std::size_t m = rows.size();
-  TileStats ref{std::vector<double>(kTile, 0.0), std::vector<double>(m, 0.0),
-                std::vector<std::uint16_t>(m, 0), 0.0};
+  TileStats ref{std::vector<double>(kTile, 0.0), std::vector<double>(m, 0.0)};
   for (std::size_t gi = 0; gi < kTile; ++gi) {
     double norm = 0.0;
     for (std::size_t mm = 0; mm < m; ++mm) {
@@ -221,15 +214,6 @@ TileStats reference_tile_stats(const AlignedBlock& block,
     const double inv_norm = 1.0 / std::sqrt(norm);
     for (std::size_t mm = 0; mm < m; ++mm) {
       ref.u[mm] = std::max(ref.u[mm], std::abs(block[rows[mm] + gi]) * inv_norm);
-    }
-  }
-  const double u_max = *std::max_element(ref.u.begin(), ref.u.end());
-  if (u_max > 0.0) {
-    int exp = 0;
-    (void)std::frexp(u_max, &exp);
-    ref.scale = std::ldexp(1.0, exp - 15);
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      ref.q[mm] = static_cast<std::uint16_t>(std::ceil(ref.u[mm] / ref.scale));
     }
   }
   return ref;
@@ -248,20 +232,15 @@ void expect_tile_stats_exact(const AlignedBlock& block,
   const auto check = [&](TileStatsFn fn, const char* name) {
     std::vector<double> root(kTile + 1, -1.0);
     std::vector<double> u(m + 1, -1.0);
-    std::vector<std::uint16_t> q(m + 1, 0xffff);
-    const double scale =
-        fn(block.data(), rows.data(), m, root.data() + 1, u.data() + 1, q.data() + 1);
-    EXPECT_EQ(bits(scale), bits(ref.scale)) << name << " " << where;
+    fn(block.data(), rows.data(), m, root.data() + 1, u.data() + 1);
     EXPECT_EQ(bits(root[0]), bits(-1.0)) << name << " " << where;
     EXPECT_EQ(bits(u[0]), bits(-1.0)) << name << " " << where;
-    EXPECT_EQ(q[0], 0xffff) << name << " " << where;
     for (std::size_t gi = 0; gi < kTile; ++gi) {
       EXPECT_EQ(bits(root[gi + 1]), bits(ref.root[gi]))
           << name << " " << where << " lane " << gi;
     }
     for (std::size_t mm = 0; mm < m; ++mm) {
       EXPECT_EQ(bits(u[mm + 1]), bits(ref.u[mm])) << name << " " << where << " m " << mm;
-      EXPECT_EQ(q[mm + 1], ref.q[mm]) << name << " " << where << " m " << mm;
     }
   };
   check(&tile_stats_scalar, "scalar");
@@ -287,7 +266,7 @@ TEST(TileStats, AllVariantsMatchTheDefinitionRandomized) {
 TEST(TileStats, RaggedAndZeroNormTiles) {
   // A ragged tail tile (zero padding past `count` points in every row),
   // points that are zero in every probed row, and a tile with no
-  // positive norm at all: every root and share 0, scale 0, levels 0.
+  // positive norm at all: every root and share 0.
   std::mt19937_64 rng(7);
   for (const std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{31}}) {
     for (const std::size_t m : {std::size_t{1}, std::size_t{14}, std::size_t{36}}) {
@@ -305,8 +284,6 @@ TEST(TileStats, RaggedAndZeroNormTiles) {
   const std::vector<std::size_t> rows{0, 3 * kTile, 0};
   expect_tile_stats_exact(empty, rows, "all zero");
   const TileStats ref = reference_tile_stats(empty, rows);
-  EXPECT_EQ(ref.scale, 0.0);
-  EXPECT_EQ(ref.q, std::vector<std::uint16_t>(rows.size(), 0));
   EXPECT_EQ(ref.root, std::vector<double>(kTile, 0.0));
 }
 
@@ -334,9 +311,8 @@ TEST(TileStats, ExtremeMagnitudes) {
   std::vector<std::size_t> rows(kBlockRows);
   for (std::size_t s = 0; s < kBlockRows; ++s) rows[s] = s * kTile;
   expect_tile_stats_exact(hot, rows, "all 1e100");
-  // Whole rows subnormal: beside ordinary rows their shares quantize to
-  // the smallest levels, and on their own every norm underflows to 0, so
-  // the tile quantizes to scale 0.
+  // Whole rows subnormal: beside ordinary rows their shares are tiny,
+  // and on their own every norm underflows to 0, so every share is 0.
   for (std::size_t m = 1; m <= 9; ++m) {
     AlignedBlock mixed = random_block(rng);
     for (std::size_t s = 0; s < kBlockRows; s += 2) {
@@ -349,7 +325,7 @@ TEST(TileStats, ExtremeMagnitudes) {
   }
   const AlignedBlock subnormal(kBlockRows * kTile, 5 * tiny);
   expect_tile_stats_exact(subnormal, rows, "all subnormal");
-  // Rows of +-1000 (the dB envelope edge), every M mod 4 tail.
+  // Rows of +-1000 (the dB envelope edge).
   std::uniform_int_distribution<int> sign(0, 1);
   for (std::size_t m = 1; m <= 8; ++m) {
     AlignedBlock edge(kBlockRows * kTile);
@@ -383,8 +359,7 @@ TileWInputs tile_w_inputs(std::mt19937_64& rng, const AlignedBlock& block,
   tile_dots(block.data(), rows.data(), ps.data(), pr.data(), m, in.ds.data() + 1,
             in.dr.data() + 1);
   std::vector<double> u(m);
-  std::vector<std::uint16_t> q(m);
-  tile_stats(block.data(), rows.data(), m, in.root.data() + 1, u.data(), q.data());
+  tile_stats(block.data(), rows.data(), m, in.root.data() + 1, u.data());
   double snr_sq = 0.0;
   double rssi_sq = 0.0;
   for (std::size_t mm = 0; mm < m; ++mm) {
@@ -741,92 +716,105 @@ TEST_F(ForcedScalarDispatch, ArgmaxEqualsSurfaceOnScalarFallback) {
   }
 }
 
-// --- quantized screening soundness ------------------------------------------
+// --- tile bound soundness ---------------------------------------------------
 
-TEST(QuantizedScreen, SidecarDominatesFloatStatisticsExactly) {
-  const CorrelationEngine engine(synthetic_table(), synthetic_grid());
-  const ResponseMatrix& matrix = engine.response_matrix();
-  const auto probes =
-      ideal_probes(synthetic_table(), {1, 2, 4, 5, 7, 8, 9}, {-12.0, 10.0});
-  const ProbeVectors pv = engine.collect_probes(probes, true, true);
-  const auto pan = matrix.panel(pv.slots);
-  const std::size_t m = pan->m();
-  ASSERT_EQ(pan->fine_q.size(), pan->fine_abs_norm_max.size());
-  ASSERT_EQ(pan->fine_q_scale.size(), pan->fine_tiles);
-  ASSERT_EQ(pan->coarse_q.size(), pan->coarse_abs_norm_max.size());
-  ASSERT_EQ(pan->coarse_q_scale.size(), pan->coarse_tiles);
-  for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      const double u = pan->fine_abs_norm_max[t * m + mm];
-      const double dq = static_cast<double>(pan->fine_q[t * m + mm]) *
-                        pan->fine_q_scale[t];
-      EXPECT_GE(dq, u);  // exact round-up: the product is exact in double
-    }
-  }
-  for (std::size_t c = 0; c < pan->coarse_tiles; ++c) {
-    for (std::size_t mm = 0; mm < m; ++mm) {
-      const double u = pan->coarse_abs_norm_max[c * m + mm];
-      const double dq = static_cast<double>(pan->coarse_q[c * m + mm]) *
-                        pan->coarse_q_scale[c];
-      EXPECT_GE(dq, u);
-    }
-  }
-}
-
-TEST(QuantizedScreen, QuantizedBoundNeverUndershootsFloatBound) {
-  // The property the pruning soundness rests on: for random probe
-  // vectors over real panels, the int16 screening bound dominates the
-  // float screening bound on every tile. An undershoot anywhere could cut
-  // the tile holding the true peak.
+/// Sweeps for the bound test: the hostile sweeps, noisy ideal probes
+/// toward random directions, and sweeps whose readings are all 0 dB but
+/// one. In the dB domain the last kind's probe vectors are one-hot, where
+/// a tile's bound comes down to its largest share in that row: the tight
+/// case, in which a share maximum that misses a point shows.
+std::vector<std::vector<SectorReading>> bound_sweeps() {
+  std::vector<std::vector<SectorReading>> sweeps = hostile_sweeps(8086);
   std::mt19937_64 rng(777);
   std::uniform_real_distribution<double> az(-60.0, 60.0);
   std::uniform_real_distribution<double> el(0.0, 30.0);
   std::uniform_real_distribution<double> noise(-2.0, 2.0);
+  std::uniform_real_distribution<double> loud(1.0, 12.0);
   std::uniform_int_distribution<int> sector(1, 9);
   std::uniform_int_distribution<std::size_t> count(2, 9);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<int> ids(count(rng));
+    for (int& id : ids) id = sector(rng);
+    auto probes = ideal_probes(synthetic_table(), ids, {az(rng), el(rng)});
+    for (SectorReading& r : probes) {
+      r.snr_db += noise(rng);
+      r.rssi_dbm += noise(rng);
+    }
+    sweeps.push_back(std::move(probes));
+  }
+  for (int loud_id = 1; loud_id <= 9; ++loud_id) {
+    std::vector<SectorReading> sweep;
+    for (int id = 1; id <= 9; ++id) {
+      const bool is_loud = id == loud_id;
+      sweep.push_back(SectorReading{.sector_id = id,
+                                    .snr_db = is_loud ? loud(rng) : 0.0,
+                                    .rssi_dbm = is_loud ? loud(rng) : 0.0});
+    }
+    sweeps.push_back(std::move(sweep));
+  }
+  return sweeps;
+}
+
+TEST(TileBound, DominatesEveryPointOfItsTile) {
+  // The property pruning rests on: on real panels, no point of a fine or
+  // coarse tile has a surface W above the tile's bound. A bound below its
+  // tile's peak could cut the tile holding the argmax, and would show
+  // elsewhere only on the sweeps where it does.
+  const PatternTable table = synthetic_table();
+  const AngularGrid fine{make_axis(-60.0, 60.0, 1.5), make_axis(0.0, 30.0, 2.0)};
+  const auto sweeps = bound_sweeps();
   for (const CorrelationDomain domain :
        {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
-    const CorrelationEngine engine(synthetic_table(), synthetic_grid(), domain);
-    const ResponseMatrix& matrix = engine.response_matrix();
-    for (int trial = 0; trial < 60; ++trial) {
-      std::vector<int> ids(count(rng));
-      for (int& id : ids) id = sector(rng);
-      auto probes = ideal_probes(synthetic_table(), ids, {az(rng), el(rng)});
-      for (SectorReading& r : probes) {
-        r.snr_db += noise(rng);
-        r.rssi_dbm += noise(rng);
+    for (const AngularGrid& grid : {synthetic_grid(), fine}) {
+      const CorrelationEngine engine(table, grid, domain);
+      const ResponseMatrix& matrix = engine.response_matrix();
+      const TileMap& tiles = matrix.tiles();
+      std::size_t tight = 0;  // fine tiles whose bound meets their peak
+      for (std::size_t i = 0; i < sweeps.size(); ++i) {
+        SCOPED_TRACE("sweep " + std::to_string(i));
+        const std::vector<double> w = engine.combined_surface(sweeps[i]).values();
+        const ProbeVectors pv = engine.collect_probes(sweeps[i], true, true);
+        const std::size_t m = pv.slots.size();
+        double snr_sq = 0.0;
+        double rssi_sq = 0.0;
+        std::vector<double> abs_ps(m);
+        std::vector<double> abs_pr(m);
+        for (std::size_t mm = 0; mm < m; ++mm) {
+          snr_sq += pv.snr[mm] * pv.snr[mm];
+          rssi_sq += pv.rssi[mm] * pv.rssi[mm];
+          abs_ps[mm] = std::abs(pv.snr[mm]);
+          abs_pr[mm] = std::abs(pv.rssi[mm]);
+        }
+        const double inv_snr = 1.0 / std::sqrt(snr_sq);
+        const double inv_rssi = 1.0 / std::sqrt(rssi_sq);
+        const auto pan = matrix.panel(pv.slots);
+        std::vector<double> fine_peak(tiles.fine_tiles, 0.0);
+        for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
+          for (std::size_t gi = 0; gi < tiles.count(t); ++gi) {
+            fine_peak[t] = std::max(fine_peak[t], w[tiles.point[t * kTile + gi]]);
+          }
+          const double bound = detail::screen_tile_float(
+              abs_ps.data(), abs_pr.data(), pan->fine_abs_norm_max.data() + t * m, m,
+              inv_snr, inv_rssi);
+          EXPECT_GE(bound, fine_peak[t]) << "fine tile " << t;
+          if (bound <= fine_peak[t] * (1.0 + 1e-9)) ++tight;
+        }
+        for (std::size_t c = 0; c < tiles.coarse_tiles; ++c) {
+          const double peak =
+              *std::max_element(fine_peak.begin() + static_cast<std::ptrdiff_t>(
+                                                        tiles.first_fine(c)),
+                                fine_peak.begin() + static_cast<std::ptrdiff_t>(
+                                                        tiles.last_fine(c)));
+          const double bound = detail::screen_tile_float(
+              abs_ps.data(), abs_pr.data(), pan->coarse_abs_norm_max.data() + c * m, m,
+              inv_snr, inv_rssi);
+          EXPECT_GE(bound, peak) << "coarse tile " << c;
+        }
       }
-      const ProbeVectors pv = engine.collect_probes(probes, true, true);
-      const std::size_t m = pv.slots.size();
-      double snr_sq = 0.0, rssi_sq = 0.0;
-      std::vector<double> abs_ps(m), abs_pr(m);
-      for (std::size_t mm = 0; mm < m; ++mm) {
-        snr_sq += pv.snr[mm] * pv.snr[mm];
-        rssi_sq += pv.rssi[mm] * pv.rssi[mm];
-        abs_ps[mm] = std::abs(pv.snr[mm]);
-        abs_pr[mm] = std::abs(pv.rssi[mm]);
-      }
-      if (snr_sq <= 0.0 || rssi_sq <= 0.0) continue;
-      const double inv_snr = 1.0 / std::sqrt(snr_sq);
-      const double inv_rssi = 1.0 / std::sqrt(rssi_sq);
-      const auto pan = matrix.panel(pv.slots);
-      for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
-        const detail::TileScreen f = detail::screen_tile_float(
-            abs_ps.data(), abs_pr.data(), pan->fine_abs_norm_max.data() + t * m, m,
-            inv_snr, inv_rssi);
-        const detail::TileScreen q = detail::screen_tile_q(
-            abs_ps.data(), abs_pr.data(), pan->fine_q.data() + t * m,
-            pan->fine_q_scale[t], m, inv_snr, inv_rssi);
-        EXPECT_GE(q.bound, f.bound);
-      }
-      for (std::size_t c = 0; c < pan->coarse_tiles; ++c) {
-        const detail::TileScreen f = detail::screen_tile_float(
-            abs_ps.data(), abs_pr.data(), pan->coarse_abs_norm_max.data() + c * m, m,
-            inv_snr, inv_rssi);
-        const detail::TileScreen q = detail::screen_tile_q(
-            abs_ps.data(), abs_pr.data(), pan->coarse_q.data() + c * m,
-            pan->coarse_q_scale[c], m, inv_snr, inv_rssi);
-        EXPECT_GE(q.bound, f.bound);
+      // The one-hot sweeps make the dB-domain bounds tight, so there a
+      // share maximum that missed a point would undershoot.
+      if (domain == CorrelationDomain::kDb) {
+        EXPECT_GT(tight, 0u);
       }
     }
   }
@@ -852,11 +840,10 @@ TEST(PanelAlignment, EveryTileRowHonorsTheAlignmentContract) {
     const auto pan = engine.response_matrix().panel(pv.slots);
     const ResponseMatrix& matrix = engine.response_matrix();
     const TileMap& tiles = matrix.tiles();
-    ASSERT_GT(pan->fine_tiles, 0u);
-    ASSERT_EQ(pan->fine_tiles, tiles.fine_tiles);
+    ASSERT_GT(tiles.fine_tiles, 0u);
     // Every row of every tile block is aligned -- the probed rows the
     // panel reads through its offsets among them.
-    for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
+    for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
       for (std::size_t s = 0; s < matrix.slots(); ++s) {
         const double* row = matrix.tile_block(t) + s * kTile;
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % ResponseMatrix::kValuesAlignment,
@@ -873,22 +860,22 @@ TEST(PanelAlignment, EveryTileRowHonorsTheAlignmentContract) {
     // Every tile slot past the tile map's valid points is zero-padded in
     // every row; only the last tile has such slots.
     std::size_t padding = 0;
-    for (std::size_t t = 0; t < pan->fine_tiles; ++t) {
+    for (std::size_t t = 0; t < tiles.fine_tiles; ++t) {
       for (std::size_t gi = tiles.count(t); gi < kTile; ++gi, ++padding) {
         for (std::size_t s = 0; s < matrix.slots(); ++s) {
           EXPECT_EQ(matrix.tile_block(t)[s * kTile + gi], 0.0);
         }
       }
     }
-    EXPECT_EQ(padding, pan->fine_tiles * kTile - pan->points);
-    EXPECT_EQ(padding, (kTile - pan->points % kTile) % kTile);
+    EXPECT_EQ(padding, tiles.fine_tiles * kTile - matrix.points());
+    EXPECT_EQ(padding, (kTile - matrix.points() % kTile) % kTile);
   }
 }
 
 TEST(PanelAlignment, RaggedTailGridsKeepArgmaxExact) {
   // End-to-end on the same tail shapes: the argmax (SIMD kernels and
-  // quantized screening both in play) must still equal the surface peak
-  // bit for bit.
+  // tile pruning both in play) must still equal the surface peak bit for
+  // bit.
   std::mt19937_64 rng(2468);
   std::uniform_real_distribution<double> noise(-1.5, 1.5);
   for (const AngularGrid& grid :
