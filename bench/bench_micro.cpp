@@ -228,6 +228,38 @@ void BM_PanelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PanelBuild)->Arg(6)->Arg(14)->Arg(24)->Arg(34);
 
+void BM_CollectProbes(benchmark::State& state) {
+  // The first stage of a selection alone: map each reading's sector ID to
+  // its matrix slot and convert SNR and RSSI to the correlation domain,
+  // into a warm caller-owned ProbeVectors.
+  const CorrelationEngine engine = default_grid_engine();
+  ProbeVectors probes;
+  cycle_pool(state, sweep_pool(static_cast<std::size_t>(state.range(0))),
+             [&](const auto& sweep) {
+               engine.collect_probes_into(sweep, true, true, probes);
+               return probes.rssi.back();
+             });
+}
+BENCHMARK(BM_CollectProbes)->Arg(14);
+
+void BM_SectorMapping(benchmark::State& state) {
+  // The last stage of a selection alone: Eq. 4 at a search-grid point over
+  // the 34 transmit candidates, read from the response matrix's per-point
+  // ranking. Each iteration takes the next grid point of a stride that
+  // visits them all.
+  const CompressiveSectorSelector css(shared_table());
+  const ResponseMatrix& matrix = css.assets()->engine().response_matrix();
+  const std::vector<int>& candidates = css.assets()->tx_candidates();
+  const std::size_t points = matrix.points();
+  std::size_t g = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matrix.best_sector_at(g, candidates));
+    g += 97;  // coprime with the 121 x 17 default grid
+    if (g >= points) g -= points;
+  }
+}
+BENCHMARK(BM_SectorMapping);
+
 void BM_CombinedArgmaxGridResolution(benchmark::State& state) {
   // Pruning gain vs grid density (azimuth step in tenths of a degree):
   // denser grids mean more points per tile below the bound, so the argmax

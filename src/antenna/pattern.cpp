@@ -2,27 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
+#include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
 
 namespace talon {
 
 void PatternTable::add(int sector_id, Grid2D pattern_db) {
+  TALON_EXPECTS(sector_id >= 0 && sector_id <= kMaxSectorId);
   TALON_EXPECTS(!contains(sector_id));
   if (!patterns_.empty()) {
     TALON_EXPECTS(pattern_db.grid() == grid());
   }
-  const auto insert_at = std::find_if(
-      patterns_.begin(), patterns_.end(),
-      [sector_id](const Entry& e) { return e.id > sector_id; });
-  patterns_.insert(insert_at, Entry{sector_id, std::move(pattern_db)});
+  patterns_.insert(lower_bound(sector_id), Entry{sector_id, std::move(pattern_db)});
+}
+
+std::vector<PatternTable::Entry>::const_iterator PatternTable::lower_bound(
+    int sector_id) const {
+  return std::lower_bound(patterns_.begin(), patterns_.end(), sector_id,
+                          [](const Entry& e, int id) { return e.id < id; });
 }
 
 bool PatternTable::contains(int sector_id) const {
-  return std::any_of(patterns_.begin(), patterns_.end(),
-                     [sector_id](const Entry& e) { return e.id == sector_id; });
+  const auto it = lower_bound(sector_id);
+  return it != patterns_.end() && it->id == sector_id;
 }
 
 std::vector<int> PatternTable::ids() const {
@@ -38,27 +44,13 @@ const AngularGrid& PatternTable::grid() const {
 }
 
 const Grid2D& PatternTable::pattern(int sector_id) const {
-  const auto it = std::find_if(patterns_.begin(), patterns_.end(),
-                               [sector_id](const Entry& e) { return e.id == sector_id; });
-  TALON_EXPECTS(it != patterns_.end());
+  const auto it = lower_bound(sector_id);
+  TALON_EXPECTS(it != patterns_.end() && it->id == sector_id);
   return it->pattern;
 }
 
 double PatternTable::sample_db(int sector_id, const Direction& dir) const {
   return pattern(sector_id).sample(dir);
-}
-
-std::vector<double> PatternTable::sample_grid_db(int sector_id,
-                                                 const AngularGrid& grid) const {
-  const Grid2D& source = pattern(sector_id);
-  std::vector<double> out;
-  out.reserve(grid.size());
-  for (std::size_t ie = 0; ie < grid.elevation.count; ++ie) {
-    for (std::size_t ia = 0; ia < grid.azimuth.count; ++ia) {
-      out.push_back(source.sample(grid.direction(ia, ie)));
-    }
-  }
-  return out;
 }
 
 int PatternTable::best_sector_at(const Direction& dir,
@@ -111,9 +103,15 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
   for (std::size_t r = 0; r < table.rows.size(); ++r) {
     const auto& row = table.rows[r];
     const double id = row[col_id];
-    if (!(std::trunc(id) == id && std::fabs(id) <= std::numeric_limits<int>::max())) {
+    if (!(std::trunc(id) == id)) {
       throw ParseError("pattern csv: row " + std::to_string(r) +
                        ": sector_id is not an integer");
+    }
+    if (!(id >= 0.0 && id <= kMaxSectorId)) {
+      char shown[32];
+      std::snprintf(shown, sizeof shown, "%g", id);
+      throw ParseError("pattern csv: row " + std::to_string(r) + ": sector_id " + shown +
+                       " is outside [0, " + std::to_string(kMaxSectorId) + "]");
     }
     if (!std::isfinite(row[col_val])) {
       throw ParseError("pattern csv: row " + std::to_string(r) +

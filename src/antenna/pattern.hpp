@@ -21,7 +21,10 @@ class PatternTable {
   PatternTable() = default;
 
   /// Add a sector's measured pattern. The first add fixes the table grid;
-  /// later adds must use the same grid. Re-adding an ID is an error.
+  /// later adds must use the same grid. Re-adding an ID is an error, and so
+  /// is an ID outside the 6-bit Sector ID field's [0, kMaxSectorId]
+  /// (antenna/codebook.hpp): every table holds at most 64 sectors, which
+  /// lets the response matrix find a sector's slot with one table load.
   void add(int sector_id, Grid2D pattern_db);
 
   bool empty() const { return patterns_.empty(); }
@@ -34,19 +37,19 @@ class PatternTable {
   /// The shared angular grid. Table must be non-empty.
   const AngularGrid& grid() const;
 
-  const Grid2D& pattern(int sector_id) const;  ///< Throws if absent.
+  /// Binary search over the sorted entries. Throws if absent.
+  const Grid2D& pattern(int sector_id) const;
 
   /// Bilinear-interpolated response of a sector toward `dir` [dB].
   double sample_db(int sector_id, const Direction& dir) const;
 
-  /// Dense sampling of one sector onto `grid`, row-major with azimuth
-  /// fastest (AngularGrid::index order). Resolves the sector once instead
-  /// of per-point, so bulk resampling (e.g. building a correlation
-  /// response matrix) avoids the per-call table lookup of sample_db().
-  std::vector<double> sample_grid_db(int sector_id, const AngularGrid& grid) const;
-
-  /// Eq. 4: the sector among `candidates` with the strongest measured gain
-  /// toward `dir`. Ties resolve to the lowest ID.
+  /// Eq. 4 at an arbitrary direction: the sector among `candidates` with
+  /// the strongest measured gain toward `dir`, the first in `candidates`
+  /// order on ties. Throws PreconditionError for an empty set or an ID the
+  /// table lacks. Selections at a search-grid point read the response
+  /// matrix's per-point ranking instead (ResponseMatrix::best_sector_at),
+  /// which returns the same ID without interpolating; this one serves
+  /// off-grid directions such as a tracker's smoothed estimate.
   int best_sector_at(const Direction& dir, std::span<const int> candidates) const;
 
   /// Same over all sectors in the table.
@@ -56,9 +59,9 @@ class PatternTable {
   CsvTable to_csv() const;
 
   /// Parse from to_csv() output; validates that every sector covers the
-  /// same complete grid exactly once, with integral sector IDs and finite
-  /// values within kDbEnvelope (common/units.hpp). Throws ParseError
-  /// naming the first violation.
+  /// same complete grid exactly once, with integral sector IDs in
+  /// [0, kMaxSectorId] and finite values within kDbEnvelope
+  /// (common/units.hpp). Throws ParseError naming the first violation.
   static PatternTable from_csv(const CsvTable& table);
 
  private:
@@ -66,6 +69,9 @@ class PatternTable {
     int id;
     Grid2D pattern;
   };
+  /// First entry whose ID is not below `sector_id`.
+  std::vector<Entry>::const_iterator lower_bound(int sector_id) const;
+
   std::vector<Entry> patterns_;  // sorted by id
 };
 

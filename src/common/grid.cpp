@@ -64,7 +64,7 @@ Grid2D::Peak Grid2D::peak() const {
   const auto flat = static_cast<std::size_t>(it - values_.begin());
   const std::size_t ie = flat / grid_.azimuth.count;
   const std::size_t ia = flat % grid_.azimuth.count;
-  return Peak{.value = *it, .direction = grid_.direction(ia, ie)};
+  return Peak{.value = *it, .direction = grid_.direction(ia, ie), .index = flat};
 }
 
 }  // namespace talon

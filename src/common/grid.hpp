@@ -71,6 +71,8 @@ class Grid2D {
   struct Peak {
     double value;
     Direction direction;
+    /// Flat index of `direction` (AngularGrid::index order).
+    std::size_t index;
   };
   Peak peak() const;
 

@@ -28,7 +28,11 @@ inline constexpr double kWavelengthM = kSpeedOfLight / kCarrierFrequencyHz;
 /// so does a sum of a few hundred such squares.
 inline constexpr double kDbEnvelope = 1000.0;
 
-/// Convert a power ratio from dB to linear scale.
+/// Convert a power ratio from dB to linear scale: std::pow(10, db / 10),
+/// bit for bit. The firmware reports SNR in 0.25 dB and RSSI in 1 dB
+/// steps, so every multiple of 0.25 dB within +-128 dB is served from a
+/// table of std::pow's own results; any other input (NaN and +-inf
+/// included) calls std::pow.
 double db_to_linear(double db);
 
 /// Convert a linear power ratio to dB. Clamps tiny inputs to avoid -inf.

@@ -243,13 +243,14 @@ class CorrelationEngine {
   ProbeVectors collect_probes(std::span<const SectorReading> readings,
                               bool need_snr, bool need_rssi) const;
 
+  /// collect_probes into caller-owned vectors (the zero-allocation path
+  /// every selection takes first).
+  void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
+                           bool need_rssi, ProbeVectors& out) const;
+
  private:
   /// Index into the response matrix for a sector ID, or -1.
   int sector_slot(int sector_id) const { return matrix_.slot(sector_id); }
-
-  /// collect_probes into caller-owned vectors (the zero-allocation path).
-  void collect_probes_into(std::span<const SectorReading> readings, bool need_snr,
-                           bool need_rssi, ProbeVectors& out) const;
 
   /// combined_surface's arithmetic over a resolved panel and the probes
   /// it was resolved for.

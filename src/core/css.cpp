@@ -59,11 +59,15 @@ CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probe
     result.fallback_used = true;
     return result;
   }
+  // Eq. 4 at the Eq. 3 estimate, a search-grid point: the matrix's
+  // ranking there gives the same sector as interpolating every candidate.
+  std::size_t peak_index = 0;
   if (config_.use_rssi) {
     const ArgmaxResult peak = engine().combined_argmax(
         probes, ws,
         config_.compute_confidence ? std::optional<double>(config_.confidence_exclusion_deg)
                                    : std::nullopt);
+    peak_index = peak.index;
     result.estimated_direction = peak.direction;
     result.correlation_peak = peak.value;
     if (config_.compute_confidence) {
@@ -72,10 +76,11 @@ CssResult CompressiveSectorSelector::select(std::span<const SectorReading> probe
   } else {
     // The SNR-only ablation (Eq. 2) keeps its full surface.
     const Grid2D::Peak peak = engine().surface(probes, SignalValue::kSnr).peak();
+    peak_index = peak.index;
     result.estimated_direction = peak.direction;
     result.correlation_peak = peak.value;
   }
-  result.sector_id = patterns().best_sector_at(*result.estimated_direction, candidates);
+  result.sector_id = engine().response_matrix().best_sector_at(peak_index, candidates);
   return result;
 }
 

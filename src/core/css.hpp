@@ -6,7 +6,10 @@
 //      (Eqs. 3 and 5), then
 //   2. pick, among ALL N sectors, the one whose *measured* pattern has the
 //      strongest gain toward that direction (Eq. 4) -- so the number of
-//      available sectors can far exceed the number of probes.
+//      available sectors can far exceed the number of probes. The
+//      estimate is a search-grid point, so Eq. 4 reads the response
+//      matrix's per-point sector ranking (ResponseMatrix::best_sector_at)
+//      instead of interpolating every candidate's pattern.
 #pragma once
 
 #include <memory>
@@ -85,9 +88,12 @@ class CompressiveSectorSelector {
   /// path, then select the best of `candidates` (Eq. 4; empty means
   /// tx_candidates()). A sweep with at least min_probes usable probes
   /// takes CorrelationEngine::combined_argmax; an empty sweep comes back
-  /// invalid and an under-probed one takes the argmax fallback. Zero heap
-  /// allocations once `ws` is warm; consecutive sweeps over one probe
-  /// sequence resolve its panel once.
+  /// invalid and an under-probed one takes the argmax fallback. The
+  /// sector is the one PatternTable::best_sector_at returns at the
+  /// estimated direction (the first of `candidates` on ties), read from
+  /// the matrix's ranking at the peak's grid index; an ID the table lacks
+  /// throws PreconditionError. Zero heap allocations once `ws` is warm;
+  /// consecutive sweeps over one probe sequence resolve its panel once.
   CssResult select(std::span<const SectorReading> probes, CorrelationWorkspace& ws,
                    std::span<const int> candidates = {}) const;
 

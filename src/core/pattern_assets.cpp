@@ -61,7 +61,8 @@ std::size_t PatternAssets::shared_bytes() const {
        tiles.fine_min.size() + tiles.coarse_min.size()) *
       sizeof(std::uint32_t);
   const std::size_t directions_bytes = matrix.directions().size() * sizeof(Direction);
-  return table_bytes + matrix_bytes + map_bytes + directions_bytes;
+  const std::size_t ranking_bytes = matrix.points() * matrix.slots();  // one byte each
+  return table_bytes + matrix_bytes + map_bytes + directions_bytes + ranking_bytes;
 }
 
 PatternAssetsRegistry& PatternAssetsRegistry::global() {

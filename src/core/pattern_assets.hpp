@@ -50,9 +50,10 @@ class PatternAssets {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Approximate resident size of the shared data [bytes]: table grids,
-  /// the padded tile-major response matrix, its tile map and the direction
-  /// table: what K links sharing these assets amortize (printed by
-  /// bench_dense). Cached subset panels are not counted.
+  /// the padded tile-major response matrix, its tile map, the direction
+  /// table and the per-point sector ranking: what K links sharing these
+  /// assets amortize (printed by bench_dense). Cached subset panels are
+  /// not counted.
   std::size_t shared_bytes() const;
 
  private:

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "src/common/error.hpp"
 #include "src/common/units.hpp"
@@ -84,21 +85,13 @@ ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
   const std::size_t points = grid_.size();
   const std::size_t slots = sector_ids_.size();
 
-  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
-  values_.assign(tiles_.fine_tiles * slots * kTile, 0.0);
-  // The allocator promises the base pointer; the static_assert in the
-  // header promises every row offset is a multiple of the alignment.
-  assert(reinterpret_cast<std::uintptr_t>(values_.data()) % kValuesAlignment == 0);
+  slot_of_id_.fill(-1);
+  std::vector<const Grid2D*> sources;
+  sources.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
-    const std::vector<double> sampled = patterns.sample_grid_db(sector_ids_[s], grid_);
-    for (std::size_t i = 0; i < points; ++i) {
-      const double db = sampled[tiles_.point[i]];
-      // Beyond the envelope a linear response or its square overflows,
-      // and the NaN it leads to breaks every exact comparison downstream.
-      TALON_EXPECTS(std::abs(db) <= kDbEnvelope);
-      values_[((i / kTile) * slots + s) * kTile + i % kTile] =
-          domain_ == CorrelationDomain::kLinear ? db_to_linear(db) : db;
-    }
+    // PatternTable::add keeps every ID in [0, kMaxSectorId].
+    slot_of_id_[static_cast<std::size_t>(sector_ids_[s])] = static_cast<std::int8_t>(s);
+    sources.push_back(&patterns.pattern(sector_ids_[s]));
   }
 
   directions_.reserve(points);
@@ -107,12 +100,74 @@ ResponseMatrix::ResponseMatrix(const PatternTable& patterns, AngularGrid grid,
       directions_.push_back(grid_.direction(ia, ie));
     }
   }
+
+  constexpr std::size_t kTile = SubsetPanel::kTilePoints;
+  values_.assign(tiles_.fine_tiles * slots * kTile, 0.0);
+  // The allocator promises the base pointer; the static_assert in the
+  // header promises every row offset is a multiple of the alignment.
+  assert(reinterpret_cast<std::uintptr_t>(values_.data()) % kValuesAlignment == 0);
+  ranking_.resize(points * slots);
+  std::vector<double> db(slots);
+  // Neighbouring points rank their sectors almost alike, so each point's
+  // ranking starts from the previous one's and an insertion sort fixes
+  // the few sectors that changed places. Order within a run of equal
+  // gains is immaterial: best_sector_at resolves ties by candidate order.
+  std::vector<std::uint8_t> order(slots);
+  std::iota(order.begin(), order.end(), std::uint8_t{0});
+  for (std::size_t g = 0; g < points; ++g) {
+    const std::size_t i = tiles_.tile_slot[g];
+    for (std::size_t s = 0; s < slots; ++s) {
+      // PatternTable::sample_db's arithmetic, so the ranking below agrees
+      // with PatternTable::best_sector_at at this direction bit for bit.
+      db[s] = sources[s]->sample(directions_[g]);
+      // Beyond the envelope a linear response or its square overflows,
+      // and the NaN it leads to breaks every exact comparison downstream.
+      TALON_EXPECTS(std::abs(db[s]) <= kDbEnvelope);
+      values_[((i / kTile) * slots + s) * kTile + i % kTile] =
+          domain_ == CorrelationDomain::kLinear ? db_to_linear(db[s]) : db[s];
+    }
+    for (std::size_t r = 1; r < slots; ++r) {
+      const std::uint8_t s = order[r];
+      std::size_t to = r;
+      for (; to > 0 && db[order[to - 1]] < db[s]; --to) order[to] = order[to - 1];
+      order[to] = s;
+    }
+    std::uint8_t* const rank = ranking_.data() + g * slots;
+    rank[0] = order[0];
+    for (std::size_t r = 1; r < slots; ++r) {
+      rank[r] = order[r] | (db[order[r]] == db[order[r - 1]] ? kTiesPrevious : 0);
+    }
+  }
 }
 
-int ResponseMatrix::slot(int sector_id) const {
-  const auto it = std::lower_bound(sector_ids_.begin(), sector_ids_.end(), sector_id);
-  if (it == sector_ids_.end() || *it != sector_id) return -1;
-  return static_cast<int>(it - sector_ids_.begin());
+int ResponseMatrix::best_sector_at(std::size_t g, std::span<const int> candidates) const {
+  TALON_EXPECTS(!candidates.empty() && g < points());
+  static_assert(kMaxSectorId < 64, "candidate slots must fit one 64-bit mask");
+  std::uint64_t wanted = 0;
+  for (const int id : candidates) {
+    const int s = slot(id);
+    TALON_EXPECTS(s >= 0);
+    wanted |= std::uint64_t{1} << s;
+  }
+  const auto is_wanted = [&](std::uint8_t entry) {
+    return ((wanted >> (entry & kSlotMask)) & 1) != 0;
+  };
+  // The first ranked candidate holds the largest gain among them, and the
+  // ranks tied with it follow it directly.
+  const std::uint8_t* rank = ranking_.data() + g * sector_ids_.size();
+  const std::uint8_t* const end = rank + sector_ids_.size();
+  while (!is_wanted(*rank)) ++rank;
+  std::uint64_t tied = 0;
+  for (const std::uint8_t* r = rank + 1; r != end && (*r & kTiesPrevious) != 0; ++r) {
+    if (is_wanted(*r)) tied |= std::uint64_t{1} << (*r & kSlotMask);
+  }
+  if (tied == 0) return sector_ids_[*rank & kSlotMask];
+  // Several candidates share that gain: the first in `candidates` wins.
+  tied |= std::uint64_t{1} << (*rank & kSlotMask);
+  for (const int id : candidates) {
+    if (((tied >> slot(id)) & 1) != 0) return id;
+  }
+  return -1;  // unreachable: every tied slot came from `candidates`
 }
 
 std::shared_ptr<const SubsetPanel> ResponseMatrix::build_panel(

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -45,6 +46,7 @@
 #include <span>
 #include <vector>
 
+#include "src/antenna/codebook.hpp"
 #include "src/antenna/pattern.hpp"
 #include "src/common/aligned.hpp"
 #include "src/common/fields.hpp"
@@ -185,8 +187,20 @@ class ResponseMatrix {
   /// Sector IDs in ascending order; the index of an ID is its slot.
   const std::vector<int>& sector_ids() const { return sector_ids_; }
 
-  /// Slot of a sector ID, or -1 when absent from the table.
-  int slot(int sector_id) const;
+  /// Slot of a sector ID, or -1 when absent from the table: a bounds
+  /// check and one load (PatternTable keeps every ID in [0, kMaxSectorId]).
+  int slot(int sector_id) const {
+    const auto id = static_cast<unsigned>(sector_id);  // negative IDs wrap past the end
+    return id < slot_of_id_.size() ? slot_of_id_[id] : -1;
+  }
+
+  /// Eq. 4 at flat grid index g: the first of `candidates`, in their
+  /// order, among those with the largest sampled dB gain toward
+  /// directions()[g] -- bit for bit
+  /// PatternTable::best_sector_at(directions()[g], candidates), read from
+  /// the point's ranking instead of interpolating every candidate.
+  /// Throws PreconditionError for an empty set or an ID the table lacks.
+  int best_sector_at(std::size_t g, std::span<const int> candidates) const;
 
   /// Response of sector slot `slot` toward flat grid index `g`.
   double value(std::size_t g, std::size_t slot) const {
@@ -258,9 +272,19 @@ class ResponseMatrix {
     }
   };
 
+  /// A ranking entry: the slot in the low bits, and kTiesPrevious when
+  /// its dB gain equals the previous rank's.
+  static constexpr std::uint8_t kTiesPrevious = 0x80;
+  static constexpr std::uint8_t kSlotMask = 0x3F;
+
   AngularGrid grid_;
   CorrelationDomain domain_;
   std::vector<int> sector_ids_;
+  /// Slot of every possible sector ID (-1 when absent).
+  std::array<std::int8_t, kMaxSectorId + 1> slot_of_id_;
+  /// Per flat grid index g, slots() entries at g * slots(): the slots
+  /// ordered by descending sampled dB gain toward directions()[g].
+  std::vector<std::uint8_t> ranking_;
   std::vector<Direction> directions_;
   TileMap tiles_;
   /// The tile blocks (see tile_block), in the chosen domain.

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
 
 namespace talon {
@@ -44,6 +47,40 @@ TEST(PatternTable, RejectsMismatchedGrid) {
   table.add(1, constant_pattern(small_grid(), 0.0));
   const AngularGrid other{make_axis(-20.0, 20.0, 10.0), make_axis(0.0, 10.0, 10.0)};
   EXPECT_THROW(table.add(2, constant_pattern(other, 0.0)), PreconditionError);
+}
+
+TEST(PatternTable, RejectsSectorIdsOutsideTheSixBitField) {
+  // 802.11ad carries a Sector ID in 6 bits: [0, kMaxSectorId].
+  PatternTable table;
+  for (const int bad : {-1, kMaxSectorId + 1, 99, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max()}) {
+    EXPECT_THROW(table.add(bad, constant_pattern(small_grid(), 0.0)), PreconditionError)
+        << bad;
+  }
+  EXPECT_TRUE(table.empty());
+  table.add(0, constant_pattern(small_grid(), 0.0));
+  table.add(kMaxSectorId, constant_pattern(small_grid(), 0.0));
+  EXPECT_EQ(table.ids(), (std::vector<int>{0, kMaxSectorId}));
+}
+
+TEST(PatternTable, LookupsAcrossTheIdRange) {
+  // pattern() and contains() binary-search the sorted entries: every
+  // present ID is found with its own pattern, every absent one is not.
+  PatternTable table;
+  const std::vector<int> ids{0, 1, 2, 13, 31, 32, 61, 62, 63};
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    table.add(*it, constant_pattern(small_grid(), static_cast<double>(*it)));
+  }
+  EXPECT_EQ(table.ids(), ids);
+  for (int id = -2; id <= kMaxSectorId + 2; ++id) {
+    const bool present = std::find(ids.begin(), ids.end(), id) != ids.end();
+    EXPECT_EQ(table.contains(id), present) << id;
+    if (present) {
+      EXPECT_EQ(table.sample_db(id, {0.0, 0.0}), static_cast<double>(id));
+    } else {
+      EXPECT_THROW(table.pattern(id), PreconditionError) << id;
+    }
+  }
 }
 
 TEST(PatternTable, UnknownSectorThrows) {
@@ -164,6 +201,26 @@ TEST(PatternTable, FromCsvRejectsNonIntegralSectorId) {
   CsvTable csv = two_sector_csv();
   csv.rows[2][0] = 1.4;  // would round onto sector 1
   EXPECT_NE(from_csv_error(csv).find("sector_id is not an integer"), std::string::npos);
+}
+
+TEST(PatternTable, FromCsvRejectsSectorIdsOutsideTheSixBitField) {
+  for (const double bad : {64.0, -1.0, 1e12}) {
+    CsvTable csv = two_sector_csv();
+    for (std::size_t r = 2; r < csv.rows.size(); ++r) {
+      if (csv.rows[r][0] == 2.0) csv.rows[r][0] = bad;  // move sector 2 wholesale
+    }
+    const std::string error = from_csv_error(csv);
+    char shown[32];
+    std::snprintf(shown, sizeof shown, "%g", bad);
+    EXPECT_NE(error.find("sector_id " + std::string(shown) + " is outside [0, 63]"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("row " + std::to_string(small_grid().size())), std::string::npos)
+        << error;
+  }
+  CsvTable csv = two_sector_csv();
+  for (auto& row : csv.rows) row[0] = row[0] == 1.0 ? 0.0 : 63.0;
+  EXPECT_EQ(from_csv_error(csv), "");
 }
 
 TEST(PatternTable, FromCsvRejectsEmpty) {

@@ -52,6 +52,22 @@ inline PatternTable synthetic_table() {
   return table;
 }
 
+/// A table where Eq. 4 ties: 18 sectors over the 6-bit ID range, with 0
+/// as the quasi-omni receive sector, sharing six of synthetic_table()'s
+/// lobes (IDs i and i + 6 of the list below have identical patterns),
+/// rounded to the firmware's 0.25 dB steps.
+inline PatternTable tied_table() {
+  const PatternTable lobes = synthetic_table();
+  const std::vector<int> ids{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 20, 31, 61, 62, 63};
+  PatternTable table;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Grid2D pattern = lobes.pattern(1 + static_cast<int>(i % 6));
+    for (double& v : pattern.values()) v = std::round(v * 4.0) / 4.0;
+    table.add(ids[i], pattern);
+  }
+  return table;
+}
+
 /// Ideal (noise-free) probe readings toward `truth` for the given sectors.
 inline std::vector<SectorReading> ideal_probes(const PatternTable& table,
                                                const std::vector<int>& sectors,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
 #include "tests/core/synthetic_table.hpp"
@@ -160,6 +163,46 @@ TEST(Css, MinProbesBelowTwoRejected) {
   config.min_probes = 1;
   EXPECT_THROW(CompressiveSectorSelector(synthetic_table(), config),
                PreconditionError);
+}
+
+TEST(SectorMapping, SelectEqualsInterpolatedEq4AtTheEstimate) {
+  // select() maps the Eq. 3 estimate through the response matrix's
+  // ranking. Its sector must be the one PatternTable::best_sector_at
+  // interpolates at the estimated direction, for the default and for
+  // caller-ordered candidate sets, on the Eq. 5 walk and the SNR-only
+  // surface alike; tied_table() makes ties the rule.
+  const PatternTable table = testutil::tied_table();
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> az(-60.0, 60.0);
+  std::uniform_real_distribution<double> el(0.0, 30.0);
+  std::uniform_real_distribution<double> noise(-1.0, 1.0);
+  const std::vector<int> all = table.ids();
+  const std::vector<int> reversed(all.rbegin(), all.rend());
+  for (const bool use_rssi : {true, false}) {
+    CssConfig config = synthetic_config();
+    config.use_rssi = use_rssi;
+    const CompressiveSectorSelector css(table, config);
+    CorrelationWorkspace ws;
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<SectorReading> probes =
+          ideal_probes(table, {1, 2, 3, 4, 5, 6, 10, 62}, {az(rng), el(rng)});
+      for (SectorReading& r : probes) {
+        r.snr_db += noise(rng);
+        r.rssi_dbm += noise(rng);
+      }
+      for (const std::span<const int> candidates :
+           {std::span<const int>(), std::span<const int>(all),
+            std::span<const int>(reversed)}) {
+        const CssResult r = css.select(probes, ws, candidates);
+        ASSERT_TRUE(r.estimated_direction.has_value());
+        const std::span<const int> eq4_set =
+            candidates.empty() ? std::span<const int>(css.assets()->tx_candidates())
+                               : candidates;
+        EXPECT_EQ(r.sector_id, table.best_sector_at(*r.estimated_direction, eq4_set))
+            << "use_rssi " << use_rssi << ", trial " << trial;
+      }
+    }
+  }
 }
 
 }  // namespace

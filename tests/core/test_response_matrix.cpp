@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 
@@ -24,6 +25,7 @@ namespace {
 
 using testutil::synthetic_grid;
 using testutil::synthetic_table;
+using testutil::tied_table;
 
 TEST(ResponseMatrix, LayoutMatchesPatternTableSamples) {
   const PatternTable table = synthetic_table();
@@ -68,6 +70,119 @@ TEST(ResponseMatrix, SlotLookup) {
   }
   EXPECT_EQ(matrix.slot(99), -1);
   EXPECT_EQ(matrix.slot(-1), -1);
+}
+
+TEST(ResponseMatrix, SlotLookupMatchesBinarySearch) {
+  // The table lookup against a lower_bound over the sorted IDs, for every
+  // ID a 6-bit field can carry, one past each end and the int extremes.
+  for (const PatternTable& table : {synthetic_table(), tied_table()}) {
+    const ResponseMatrix matrix(table, synthetic_grid(), CorrelationDomain::kDb);
+    const std::vector<int>& ids = matrix.sector_ids();
+    const auto reference = [&](int id) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      return it != ids.end() && *it == id ? static_cast<int>(it - ids.begin()) : -1;
+    };
+    std::vector<int> probes{std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+                            std::numeric_limits<int>::min() + 1,
+                            std::numeric_limits<int>::max() - 1};
+    for (int id = -1; id <= 64; ++id) probes.push_back(id);
+    for (const int id : probes) EXPECT_EQ(matrix.slot(id), reference(id)) << "id " << id;
+  }
+}
+
+/// A grid off the tables' lattice that also reaches past their edges, so
+/// Eq. 4 interpolates and clamps.
+AngularGrid offset_grid() {
+  return AngularGrid{make_axis(-64.0, 64.0, 1.7), make_axis(-3.0, 33.0, 2.5)};
+}
+
+/// Eq. 4 candidate sets over `table`: the default transmit set, every ID
+/// in order and reversed, duplicates, each single ID and random subsets
+/// in random order.
+std::vector<std::vector<int>> candidate_sets(const PatternTable& table,
+                                             const std::vector<int>& tx,
+                                             std::mt19937_64& rng) {
+  const std::vector<int> all = table.ids();
+  std::vector<int> reversed(all.rbegin(), all.rend());
+  std::vector<std::vector<int>> sets{tx, all, reversed};
+  std::vector<int> twice = reversed;
+  twice.insert(twice.end(), all.begin(), all.end());
+  sets.push_back(twice);
+  sets.push_back({all.back(), all.front(), all.back(), all[all.size() / 2], all.front()});
+  for (const int id : all) sets.push_back({id});
+  for (int i = 0; i < 24; ++i) {
+    std::vector<int> subset = all;
+    std::shuffle(subset.begin(), subset.end(), rng);
+    subset.resize(std::uniform_int_distribution<std::size_t>(2, all.size())(rng));
+    sets.push_back(subset);
+  }
+  return sets;
+}
+
+TEST(SectorMapping, GridIndexMatchesInterpolatedEq4) {
+  // At every grid point, in both domains and on two grids, the ranking
+  // returns exactly what PatternTable::best_sector_at interpolates at that
+  // point's direction -- ties included, which tied_table() makes common
+  // and which resolve to the first candidate in the caller's order.
+  std::mt19937_64 rng(30);
+  for (const PatternTable& table : {synthetic_table(), tied_table()}) {
+    for (const AngularGrid& grid : {synthetic_grid(), offset_grid()}) {
+      for (const CorrelationDomain domain :
+           {CorrelationDomain::kLinear, CorrelationDomain::kDb}) {
+        const PatternAssets assets(table, grid, domain);
+        const ResponseMatrix& matrix = assets.engine().response_matrix();
+        for (const std::vector<int>& candidates :
+             candidate_sets(table, assets.tx_candidates(), rng)) {
+          for (std::size_t g = 0; g < matrix.points(); ++g) {
+            ASSERT_EQ(matrix.best_sector_at(g, candidates),
+                      table.best_sector_at(matrix.directions()[g], candidates))
+                << "point " << g << " of " << matrix.points() << ", "
+                << candidates.size() << " candidates";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SectorMapping, TiesFollowTheCandidateOrder) {
+  // The tie rule is the caller's order, not the ID or slot order: at every
+  // point of tied_table() three sectors share the best gain, so the
+  // reversed ID list picks a different sector than the ascending one.
+  const PatternTable table = tied_table();
+  const ResponseMatrix matrix(table, synthetic_grid(), CorrelationDomain::kLinear);
+  const std::vector<int> all = table.ids();
+  const std::vector<int> reversed(all.rbegin(), all.rend());
+  for (std::size_t g = 0; g < matrix.points(); ++g) {
+    const int first = matrix.best_sector_at(g, all);
+    const int last = matrix.best_sector_at(g, reversed);
+    EXPECT_NE(first, last) << "point " << g;
+    EXPECT_EQ(first, table.best_sector_at(matrix.directions()[g], all));
+    EXPECT_EQ(last, table.best_sector_at(matrix.directions()[g], reversed));
+  }
+}
+
+TEST(SectorMapping, UnknownOrEmptyCandidatesThrow) {
+  // Like PatternTable::best_sector_at, an ID the table lacks throws
+  // wherever it sits in the set, even behind the winner.
+  const PatternTable table = synthetic_table();
+  const ResponseMatrix matrix(table, synthetic_grid(), CorrelationDomain::kLinear);
+  const Direction dir = matrix.directions()[0];
+  for (const std::vector<int>& bad :
+       std::vector<std::vector<int>>{{42},
+                                     {4, 42},
+                                     {42, 4},
+                                     {1, 2, 3, 4, 5, 6, 7, 8, 9, 0},
+                                     {-1},
+                                     {64},
+                                     {std::numeric_limits<int>::min()},
+                                     {std::numeric_limits<int>::max()}}) {
+    EXPECT_THROW(matrix.best_sector_at(0, bad), PreconditionError);
+    EXPECT_THROW(table.best_sector_at(dir, bad), PreconditionError);
+  }
+  EXPECT_THROW(matrix.best_sector_at(0, std::vector<int>{}), PreconditionError);
+  EXPECT_THROW(matrix.best_sector_at(matrix.points(), std::vector<int>{1}),
+               PreconditionError);
 }
 
 /// The root subset norm of flat grid index g in `panel`, read from its
@@ -443,8 +558,9 @@ TEST(ResponseMatrix, PanelHoldsNoValueCopy) {
 
 TEST(PatternAssets, SharedBytesCountTheTileMajorMatrix) {
   // shared_bytes() is the padded tile-major matrix (fine_tiles * 32 *
-  // slots doubles), the tile map's five index vectors, the table grids
-  // and the direction table -- the containers as they are.
+  // slots doubles), the tile map's five index vectors, the table grids,
+  // the direction table and the sector ranking (one byte per point and
+  // slot) -- the containers as they are.
   const AngularGrid grid{make_axis(-90.0, 90.0, 1.5), make_axis(0.0, 32.0, 2.0)};
   const PatternTable table = synthetic_table();
   const PatternAssets assets(table, grid, CorrelationDomain::kLinear);
@@ -459,7 +575,7 @@ TEST(PatternAssets, SharedBytesCountTheTileMajorMatrix) {
       (tiles.point.size() + tiles.column.size() + tiles.tile_slot.size() +
        tiles.fine_tiles + tiles.coarse_tiles) *
           sizeof(std::uint32_t) +
-      matrix.directions().size() * sizeof(Direction);
+      matrix.directions().size() * sizeof(Direction) + matrix.points() * matrix.slots();
   EXPECT_EQ(assets.shared_bytes(), expected);
   EXPECT_EQ(tiles.fine_min.size(), tiles.fine_tiles);
   EXPECT_EQ(tiles.coarse_min.size(), tiles.coarse_tiles);
