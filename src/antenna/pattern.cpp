@@ -1,9 +1,11 @@
 #include "src/antenna/pattern.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "src/antenna/codebook.hpp"
 #include "src/common/error.hpp"
@@ -145,30 +147,33 @@ PatternTable PatternTable::from_csv(const CsvTable& table) {
   };
   const AngularGrid grid{.azimuth = axis_of(azs), .elevation = axis_of(els)};
 
-  // Group rows by sector and fill grids.
-  std::vector<int> sector_ids;
+  // Fill every sector's grid in one pass over the rows, through an
+  // ID -> slot table (IDs were checked against [0, kMaxSectorId] above);
+  // sectors keep their first-seen order.
+  std::array<int, kMaxSectorId + 1> slot_of;
+  slot_of.fill(-1);
+  std::vector<std::pair<int, Grid2D>> sectors;
   for (const auto& row : table.rows) {
     const int id = static_cast<int>(row[col_id]);
-    if (std::find(sector_ids.begin(), sector_ids.end(), id) == sector_ids.end()) {
-      sector_ids.push_back(id);
+    int& slot = slot_of[static_cast<std::size_t>(id)];
+    if (slot < 0) {
+      slot = static_cast<int>(sectors.size());
+      sectors.emplace_back(id, Grid2D(grid, std::numeric_limits<double>::quiet_NaN()));
     }
+    Grid2D& pattern = sectors[static_cast<std::size_t>(slot)].second;
+    const std::size_t ia = grid.azimuth.nearest_index(row[col_az]);
+    const std::size_t ie = grid.elevation.nearest_index(row[col_el]);
+    // Every value is finite, so a non-NaN cell was already filled.
+    if (!std::isnan(pattern.at(ia, ie))) {
+      throw ParseError("pattern csv: duplicate row for sector " +
+                       std::to_string(id) + " at azimuth " +
+                       std::to_string(row[col_az]) + ", elevation " +
+                       std::to_string(row[col_el]));
+    }
+    pattern.set(ia, ie, row[col_val]);
   }
   PatternTable out;
-  for (int id : sector_ids) {
-    Grid2D pattern(grid, std::numeric_limits<double>::quiet_NaN());
-    for (const auto& row : table.rows) {
-      if (static_cast<int>(row[col_id]) != id) continue;
-      const std::size_t ia = grid.azimuth.nearest_index(row[col_az]);
-      const std::size_t ie = grid.elevation.nearest_index(row[col_el]);
-      // Every value is finite, so a non-NaN cell was already filled.
-      if (!std::isnan(pattern.at(ia, ie))) {
-        throw ParseError("pattern csv: duplicate row for sector " +
-                         std::to_string(id) + " at azimuth " +
-                         std::to_string(row[col_az]) + ", elevation " +
-                         std::to_string(row[col_el]));
-      }
-      pattern.set(ia, ie, row[col_val]);
-    }
+  for (auto& [id, pattern] : sectors) {
     for (double v : pattern.values()) {
       if (std::isnan(v)) {
         throw ParseError("pattern csv: incomplete grid for sector " + std::to_string(id));

@@ -67,7 +67,6 @@ class RayTracedEnvironment final : public Environment {
   /// this is the scenario where path-tracking algorithms must fall back to
   /// an indirect beam.
   void set_los_blockage_db(double db);
-  double los_blockage_db() const { return los_blockage_db_; }
 
   /// Remove / restore one reflector's specular path without rebuilding
   /// the environment (reflector churn: furniture moved, a door opened, a

@@ -14,8 +14,6 @@ struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<double>> rows;
 
-  std::size_t column_count() const { return header.size(); }
-
   /// Index of a named column; throws ParseError if absent.
   std::size_t column(const std::string& name) const;
 };

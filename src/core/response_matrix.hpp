@@ -188,7 +188,7 @@ class ResponseMatrix {
   const std::vector<int>& sector_ids() const { return sector_ids_; }
 
   /// Slot of a sector ID, or -1 when absent from the table: a bounds
-  /// check and one load (PatternTable keeps every ID in [0, kMaxSectorId]).
+  /// check and one load (every ID of a PatternTable lies in [0, kMaxSectorId]).
   int slot(int sector_id) const {
     const auto id = static_cast<unsigned>(sector_id);  // negative IDs wrap past the end
     return id < slot_of_id_.size() ? slot_of_id_[id] : -1;

@@ -1,6 +1,7 @@
 #include "src/driver/css_daemon.hpp"
 
 #include <functional>
+#include <mutex>
 #include <type_traits>
 
 #include "src/common/error.hpp"
@@ -23,7 +24,11 @@ auto sum_sessions(const std::map<int, std::unique_ptr<LinkSession>>& sessions,
 
 CssDaemon::CssDaemon(std::shared_ptr<const PatternAssets> assets,
                      CssDaemonConfig defaults)
-    : epoch_(std::move(assets)), defaults_(defaults) {}
+    : assets_(std::move(assets)),
+      current_address_(assets_.get()),
+      defaults_(defaults) {
+  TALON_EXPECTS(assets_ != nullptr);
+}
 
 LinkSession& CssDaemon::add_link(int link_id, Wil6210Driver& driver, Rng rng) {
   return add_link(link_id, driver, rng, defaults_);
@@ -85,9 +90,18 @@ std::vector<int> CssDaemon::link_ids() const {
   return ids;
 }
 
+std::shared_ptr<const PatternAssets> CssDaemon::assets() const {
+  std::lock_guard<std::mutex> lock(assets_mutex_);
+  return assets_;
+}
+
 void CssDaemon::swap_assets(std::shared_ptr<const PatternAssets> next) {
   TALON_EXPECTS(next != nullptr);
-  epoch_.swap(std::move(next));
+  // `next` leaves with the previous generation, after the lock is released.
+  std::lock_guard<std::mutex> lock(assets_mutex_);
+  assets_.swap(next);
+  current_address_.store(assets_.get(), std::memory_order_release);
+  swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
 FaultStats CssDaemon::total_fault_stats() const {

@@ -10,12 +10,14 @@
 // adaptive controller pick the next round's probe count.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
-#include "src/core/assets_epoch.hpp"
 #include "src/core/pattern_assets.hpp"
 #include "src/driver/link_session.hpp"
 #include "src/driver/wil6210.hpp"
@@ -65,20 +67,27 @@ class CssDaemon {
 
   // --- assets generations ----------------------------------------------------
 
-  /// The current assets generation (never null). The epoch domain below
-  /// is its only owner; sessions hold the generation they were built or
+  /// The current assets generation (never null), copied under a mutex.
+  /// The daemon owns it; sessions hold the generation they were built or
   /// last rebound on.
-  std::shared_ptr<const PatternAssets> assets() const { return epoch_.current(); }
+  std::shared_ptr<const PatternAssets> assets() const;
 
-  /// The epoch-RCU domain publishing the current generation: pin it with
-  /// read() to compare a session's assets against it without refcount
-  /// traffic.
-  const AssetsEpoch& epoch() const { return epoch_; }
+  /// Address of the current generation, for a staleness check without a
+  /// lock or refcount traffic: compare it with a session's own
+  /// `assets().get()` and never dereference it. The compare is ABA-free
+  /// because the session's shared_ptr keeps its generation, and with it
+  /// that address, alive.
+  const PatternAssets* current_assets_address() const {
+    return current_address_.load(std::memory_order_acquire);
+  }
 
-  /// Publish `next` as the current generation and retire the previous
-  /// one, which is reclaimed once no reader pins it and no session rides
-  /// it (sessions move over with LinkSession::rebind_assets). Links added
-  /// afterwards start on `next`.
+  /// Number of swap_assets() calls so far.
+  std::uint64_t swap_count() const { return swaps_.load(std::memory_order_relaxed); }
+
+  /// Publish `next` as the current generation and drop the daemon's
+  /// reference to the previous one, which dies when the last session
+  /// riding it rebinds (LinkSession::rebind_assets). Links added
+  /// afterwards start on `next`. Safe while other threads read assets().
   void swap_assets(std::shared_ptr<const PatternAssets> next);
 
   // --- robustness observability ---------------------------------------------
@@ -97,7 +106,10 @@ class CssDaemon {
  private:
   LinkSession& insert_session(int link_id, std::unique_ptr<LinkSession> session);
 
-  AssetsEpoch epoch_;
+  mutable std::mutex assets_mutex_;
+  std::shared_ptr<const PatternAssets> assets_;
+  std::atomic<const PatternAssets*> current_address_;
+  std::atomic<std::uint64_t> swaps_{0};
   CssDaemonConfig defaults_;
   /// Keyed by link id; unique_ptr keeps session addresses stable across
   /// insertions (sessions hand out references).

@@ -43,14 +43,22 @@ void publish_fields(TelemetryRegistry& registry, std::string_view family,
 ServeDaemon::ServeDaemon(std::shared_ptr<const PatternAssets> assets,
                          CssDaemonConfig session_defaults, ServeConfig config)
     : daemon_(std::move(assets), session_defaults),
-      session_defaults_(session_defaults),
       config_(config),
-      queue_(config.queue_capacity) {}
+      queue_(config.queue_capacity) {
+  if (config_.measure_latency) {
+    latency_ = &telemetry_.histogram("serve_selection_latency_us");
+  }
+}
 
 ServeDaemon::~ServeDaemon() { stop(); }
 
 LinkSession& ServeDaemon::add_link(int link_id, Rng rng) {
-  return add_link(link_id, rng, session_defaults_);
+  if (running()) {
+    throw StateError("add_link requires a stopped consumer");
+  }
+  // Register against the CURRENT assets generation so links added after
+  // a hot swap never start on a retired table.
+  return register_link(link_id, daemon_.add_headless_link(link_id, rng));
 }
 
 LinkSession& ServeDaemon::add_link(int link_id, Rng rng,
@@ -58,12 +66,13 @@ LinkSession& ServeDaemon::add_link(int link_id, Rng rng,
   if (running()) {
     throw StateError("add_link requires a stopped consumer");
   }
-  // Register against the CURRENT assets generation so links added after
-  // a hot swap never start on a retired table.
-  LinkSession& session = daemon_.add_headless_link(link_id, rng, config);
+  return register_link(link_id,
+                       daemon_.add_headless_link(link_id, rng, config));
+}
+
+LinkSession& ServeDaemon::register_link(int link_id, LinkSession& session) {
   claims_.emplace(link_id, std::make_unique<std::atomic<std::uint64_t>>(0));
-  LinkIngest& ingest = ingest_[link_id];
-  ingest.link_id = link_id;
+  ingest_[link_id].link_id = link_id;
   return session;
 }
 
@@ -135,28 +144,21 @@ void ServeDaemon::route(SweepReport report) {
 
 void ServeDaemon::process_link(LinkIngest& ingest) {
   LinkSession& session = daemon_.session(ingest.link_id);
-  {
-    // Epoch-pinned staleness check: a raw pointer compare against the
-    // pinned current generation. Rebinding takes the slow path once per
-    // swap per link; every other round costs two loads.
-    AssetsEpoch::ReadGuard guard = daemon_.epoch().read();
-    if (guard.get() != session.assets().get()) {
-      session.rebind_assets(daemon_.assets());
-      rebinds_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // Staleness check: one acquire load compared with the session's own
+  // generation. Rebinding copies the current shared_ptr under the
+  // daemon's mutex, once per swap per link.
+  if (daemon_.current_assets_address() != session.assets().get()) {
+    session.rebind_assets(daemon_.assets());
+    rebinds_.fetch_add(1, std::memory_order_relaxed);
   }
-  LatencyHistogram* latency =
-      config_.measure_latency
-          ? &telemetry_.histogram("serve_selection_latency_us")
-          : nullptr;
   for (SweepReport& report : ingest.ready) {
     session.process_report(std::move(report.readings));
     processed_.fetch_add(1, std::memory_order_relaxed);
-    if (latency != nullptr && report.submit_ns != 0) {
+    if (latency_ != nullptr && report.submit_ns != 0) {
       const std::uint64_t now = steady_now_ns();
       const std::uint64_t delta_ns =
           now > report.submit_ns ? now - report.submit_ns : 0;
-      latency->observe_us(delta_ns / 1000);
+      latency_->observe_us(delta_ns / 1000);
     }
   }
   ingest.ready.clear();
@@ -174,7 +176,7 @@ std::size_t ServeDaemon::drain_cycle() {
   if (!cycle_links_.empty()) {
     std::lock_guard<std::mutex> lock(cycle_mutex_);
     drain_cycles_.fetch_add(1, std::memory_order_relaxed);
-    // Fan the cycle's links over the worker pool. Each link is owned by
+    // Fan the cycle's links out with parallel_for. Each link is owned by
     // exactly one index, its reports already in ticket order, so the
     // outcome is independent of the thread count.
     parallel_for(

@@ -6,8 +6,9 @@
 // (Terragraph's per-node firmware agent): station threads SUBMIT sweep
 // reports into a lock-free MPSC queue and return immediately; one
 // consumer drains the queue, groups the reports per link, and fans the
-// per-link selection work over the process worker pool
-// (common/parallel.hpp). Three guarantees anchor the design:
+// per-link selection work out with parallel_for (common/parallel.hpp),
+// which starts its helper threads on each call. Three guarantees anchor
+// the design:
 //
 //  * ZERO silent drops -- the bounded queue rejects a push only back to
 //    the submitting caller (backpressure), and every accepted report is
@@ -19,10 +20,12 @@
 //    therefore bit-identical to feeding the same per-link sequences
 //    through the synchronous API, at ANY thread count;
 //  * NON-BLOCKING hot reload -- swap_assets() publishes a new
-//    PatternAssets generation through an epoch-based RCU domain
-//    (core/assets_epoch.hpp); workers pin an epoch, compare pointers,
-//    and lazily rebind their link's session between rounds. No reader
-//    ever stalls on the writer and no torn table is ever observed.
+//    PatternAssets generation in the CssDaemon. Before each link's
+//    rounds a worker compares the daemon's current address (one acquire
+//    load) with its session's own generation and, on a mismatch, rebinds
+//    the session. A selection only ever reads the generation its session
+//    owns through a shared_ptr, so no table is torn or freed under it,
+//    and a retired generation dies when its last session rebinds.
 //
 // Telemetry: every counter the daemon's layers accumulate -- ingest and
 // processing totals, dropped readings, every field of the fault,
@@ -43,7 +46,6 @@
 #include <vector>
 
 #include "src/common/mpsc_queue.hpp"
-#include "src/core/assets_epoch.hpp"
 #include "src/driver/css_daemon.hpp"
 #include "src/driver/telemetry.hpp"
 
@@ -136,7 +138,7 @@ class ServeDaemon {
   }
 
   /// Swap count so far.
-  std::uint64_t assets_epoch() const { return daemon_.epoch().epoch(); }
+  std::uint64_t assets_epoch() const { return daemon_.swap_count(); }
 
   // --- observability --------------------------------------------------------
 
@@ -174,6 +176,8 @@ class ServeDaemon {
     bool in_cycle{false};
   };
 
+  /// Give a newly added session its ticket counter and reorder state.
+  LinkSession& register_link(int link_id, LinkSession& session);
   void enqueue(SweepReport report);
   void route(SweepReport report);
   std::size_t drain_cycle();
@@ -182,10 +186,12 @@ class ServeDaemon {
   void publish_session_metrics();
 
   CssDaemon daemon_;
-  CssDaemonConfig session_defaults_;
   ServeConfig config_;
   MpscQueue<SweepReport> queue_;
   TelemetryRegistry telemetry_;
+  /// The selection latency histogram, resolved once at construction;
+  /// null when config_.measure_latency is off.
+  LatencyHistogram* latency_{nullptr};
 
   /// Per-link producer-side ticket counters; the map is frozen while the
   /// consumer runs (add_link requires stopped), so producers only ever

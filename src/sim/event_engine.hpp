@@ -85,7 +85,6 @@ class EventEngine {
   /// is part of the determinism contract). `name` is for diagnostics.
   EntityId add_entity(std::string name);
 
-  std::size_t entity_count() const { return entity_names_.size(); }
   const std::string& entity_name(EntityId entity) const;
 
   /// Schedule an event from outside the run loop (initial conditions).

@@ -138,6 +138,30 @@ TEST(PatternTable, CsvRoundTrip) {
   EXPECT_DOUBLE_EQ(back.sample_db(63, {10.0, 0.0}), 11.75);
 }
 
+TEST(PatternTable, FromCsvGroupsInterleavedRows) {
+  // Rows of several sectors, interleaved and in reverse grid order, parse
+  // to the same table as the sector-by-sector layout to_csv() writes.
+  PatternTable table;
+  for (int id : {9, 2, 40}) {
+    Grid2D g(small_grid(), 0.0);
+    for (std::size_t i = 0; i < g.values().size(); ++i) {
+      g.set(i % 3, i / 3, static_cast<double>(id) + 0.25 * static_cast<double>(i));
+    }
+    table.add(id, std::move(g));
+  }
+  const CsvTable csv = table.to_csv();
+  const std::size_t cells = small_grid().size();
+  CsvTable interleaved{csv.header, {}};
+  for (std::size_t c = cells; c-- > 0;) {
+    for (std::size_t s = 0; s < 3; ++s) interleaved.rows.push_back(csv.rows[s * cells + c]);
+  }
+  const PatternTable back = PatternTable::from_csv(interleaved);
+  ASSERT_EQ(back.ids(), table.ids());
+  for (int id : table.ids()) {
+    EXPECT_EQ(back.pattern(id).values(), table.pattern(id).values()) << id;
+  }
+}
+
 TEST(PatternTable, FromCsvRejectsIncompleteGrid) {
   PatternTable table;
   table.add(1, constant_pattern(small_grid(), 1.0));

@@ -233,18 +233,26 @@ std::uint64_t scraped(const std::string& scrape, const std::string& name) {
   return 0;
 }
 
-TEST(ServeDeterminism, SwapRetiresGenerationZeroAndScrapeFollowsTheNewOne) {
-  // The epoch domain is the only owner of "current assets": after a swap
-  // and a drain that moves every link over, nothing keeps generation 0
-  // alive, and the scrape reports the new generation's panel cache.
-  std::atomic<int> destroyed{0};
-  std::shared_ptr<const PatternAssets> gen0(
-      new PatternAssets(testutil::synthetic_table(), testutil::synthetic_grid(),
-                        CorrelationDomain::kLinear),
+/// Assets on the synthetic table shifted by `peak_delta_db` whose
+/// destruction is observable: the deleter bumps `destroyed`.
+std::shared_ptr<const PatternAssets> make_counted_assets(
+    std::atomic<int>& destroyed, double peak_delta_db) {
+  return std::shared_ptr<const PatternAssets>(
+      new PatternAssets(peak_delta_db == 0.0 ? testutil::synthetic_table()
+                                             : testutil::shifted_table(peak_delta_db),
+                        testutil::synthetic_grid(), CorrelationDomain::kLinear),
       [&destroyed](const PatternAssets* p) {
         destroyed.fetch_add(1, std::memory_order_relaxed);
         delete p;
       });
+}
+
+TEST(ServeDeterminism, SwapRetiresGenerationZeroAndScrapeFollowsTheNewOne) {
+  // The daemon is the only owner of "current assets": after a swap,
+  // generation 0 lives exactly as long as some link still rides it, and
+  // the scrape reports the new generation's panel cache.
+  std::atomic<int> destroyed{0};
+  std::shared_ptr<const PatternAssets> gen0 = make_counted_assets(destroyed, 0.0);
   const PatternTable table = gen0->patterns();
   ServeConfig serve_config;
   serve_config.threads = 2;
@@ -267,10 +275,23 @@ TEST(ServeDeterminism, SwapRetiresGenerationZeroAndScrapeFollowsTheNewOne) {
   gen0.reset();
   serve.swap_assets(gen1);
   EXPECT_EQ(destroyed.load(), 0);  // links still ride it until they rebind
-  for (std::uint64_t r = 4; r < 6; ++r) {
-    for (int id = 0; id < kLinks; ++id) {
-      serve.submit(id, make_report(kReportSeed, id, r, table));
-    }
+
+  // Only the first half of the links report: they move over, the rest
+  // still hold generation 0 alive.
+  constexpr int kHalf = kLinks / 2;
+  for (int id = 0; id < kHalf; ++id) {
+    serve.submit(id, make_report(kReportSeed, id, 4, table));
+  }
+  serve.drain_all();
+  EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kHalf));
+  EXPECT_EQ(destroyed.load(), 0);
+
+  // The rest report too; the last rider's rebind destroys generation 0.
+  for (int id = kHalf; id < kLinks; ++id) {
+    serve.submit(id, make_report(kReportSeed, id, 4, table));
+  }
+  for (int id = 0; id < kLinks; ++id) {
+    serve.submit(id, make_report(kReportSeed, id, 5, table));
   }
   serve.drain_all();
   EXPECT_EQ(serve.rebinds(), static_cast<std::uint64_t>(kLinks));
@@ -282,6 +303,61 @@ TEST(ServeDeterminism, SwapRetiresGenerationZeroAndScrapeFollowsTheNewOne) {
   EXPECT_EQ(scraped(after, "serve_panel_cache_hits_total"), gen1_cache.hits);
   EXPECT_GT(gen1_cache.misses + gen1_cache.hits, 0u);
   EXPECT_EQ(serve.current_assets().get(), gen1.get());
+}
+
+TEST(ServeDeterminism, ConcurrentSwapsRetireEveryGenerationSwappedOut) {
+  // Three generations are published while the consumer runs and two
+  // producers feed every link in every phase. Nothing is lost, every
+  // session ends on the last generation, and each generation swapped out
+  // is destroyed once no session rides it.
+  std::atomic<int> destroyed{0};
+  const PatternTable table = testutil::synthetic_table();
+  ServeConfig serve_config;
+  serve_config.queue_capacity = 256;
+  serve_config.threads = 2;
+  serve_config.measure_latency = false;
+  ServeDaemon serve(make_counted_assets(destroyed, 0.0), session_config(),
+                    serve_config);
+  for (int id = 0; id < kLinks; ++id) serve.add_link(id, link_rng(id));
+  serve.start();
+
+  constexpr int kSwaps = 3;
+  constexpr std::uint64_t kPerPhase = 20;
+  std::shared_ptr<const PatternAssets> last;
+  for (int phase = 0; phase <= kSwaps; ++phase) {
+    if (phase > 0) {
+      // Published while the consumer is still draining the last phase.
+      last = make_counted_assets(destroyed, 0.5 * phase);
+      serve.swap_assets(last);
+    }
+    // Producer p feeds the links with id % 2 == p.
+    std::vector<std::thread> producers;
+    for (int p = 0; p < 2; ++p) {
+      producers.emplace_back([&serve, &table, p, phase] {
+        const std::uint64_t first = static_cast<std::uint64_t>(phase) * kPerPhase;
+        for (std::uint64_t r = first; r < first + kPerPhase; ++r) {
+          for (int id = p; id < kLinks; id += 2) {
+            serve.submit(id, make_report(kReportSeed, id, r, table));
+          }
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+  }
+  serve.stop();
+  serve.drain_all();  // anything accepted in the stop window
+
+  EXPECT_EQ(serve.submitted(), (kSwaps + 1) * kPerPhase * kLinks);
+  EXPECT_EQ(serve.processed(), serve.submitted());
+  EXPECT_EQ(serve.rejected(), 0u);
+  EXPECT_EQ(serve.assets_epoch(), static_cast<std::uint64_t>(kSwaps));
+  for (int id = 0; id < kLinks; ++id) {
+    EXPECT_EQ(serve.daemon().session(id).assets().get(), last.get());
+  }
+  // A link rebinds at most once per swap, and at least once overall.
+  EXPECT_GE(serve.rebinds(), static_cast<std::uint64_t>(kLinks));
+  EXPECT_LE(serve.rebinds(), static_cast<std::uint64_t>(kSwaps * kLinks));
+  EXPECT_EQ(destroyed.load(), kSwaps);
 }
 
 TEST(ServeDeterminism, TrySubmitAppliesBackpressureWhenFull) {
